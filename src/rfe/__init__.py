@@ -68,7 +68,7 @@ from .noise import (
     noise_from_dict,
     noise_to_dict,
 )
-from .sampler import HadamardOutcome, sample_pair, sample_pairs
+from .sampler import OutcomeSums, sample_outcome_sums, sample_pairs
 from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,

@@ -46,6 +46,8 @@ _BASE = 81.0 * math.pi ** 2 / 2.0
 # Largest-magnitude single-sample deviation splits the in-spec radius as
 # 4/(9 pi) = 2 * (2 sqrt 2 / (9 pi)); kept for reporting.
 IN_SPEC_RADIUS = 4.0 / (9.0 * math.pi)
+# Largest sample count a run accepts, so per-time counts fit in int64.
+MAX_SAMPLES = 2 ** 62
 
 
 class BoundsUnachievable(ValueError):
@@ -221,7 +223,8 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
     epsilon >= pi/2 needs no data at all (pi/2 is epsilon-accurate for any
     phase in [0, pi]): the report then carries samples = 0 and grid_size = 4,
     which still satisfies grid_size >= ceil(2 pi / epsilon).  GaussianLinear
-    has no guarantee formula and is rejected.
+    has no guarantee formula and is rejected, as is any plan needing more
+    than 2**62 samples (noise just below its threshold).
     """
     _check_epsilon_delta(epsilon, delta)
     thresholds = _default_thresholds(epsilon, delta)
@@ -251,6 +254,10 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
         inflation = ban_inflation(eta)
     else:
         raise TypeError(f"not a noise model: {noise!r}")
+    if M > MAX_SAMPLES:
+        raise BoundsUnachievable(
+            f"certified sample count {M:.3e} exceeds the runnable maximum 2**62"
+        )
     return BoundsReport(epsilon=epsilon, delta=delta, noise=noise, grid_size=K,
                         samples=M, inflation_factor=inflation,
                         expected_total_depth=expected_total_depth(M, K),

@@ -1,14 +1,17 @@
 """Randomized Fourier estimation of a phase from simulated Hadamard tests.
 
-One run draws M time indices k_i uniformly from {0, ..., K-1}, samples an
-outcome pair (c_i, s_i) per index from the (possibly noise-perturbed)
-likelihoods, accumulates the K coefficient estimates
+One run takes M samples: a time index k_i uniform on {0, ..., K-1} and an
+outcome pair (c_i, s_i) from the (possibly noise-perturbed) likelihoods at
+k_i.  It forms the K coefficient estimates
 
-    f_j = (1/M) sum_i (c_i + i s_i) exp(-2 pi i k_i j / K),
+    f_j = (1/M) sum_i (c_i + i s_i) exp(-2 pi i k_i j / K)
+        = (1/M) sum_k (C_k + i S_k) exp(-2 pi i k j / K),
 
-and returns theta_hat = (2 pi / K) * argmax_j |f_j| (ties to the smallest j).
-The accumulation groups samples by time index first, which turns the update
-loop into one length-K transform while keeping O(K) state.
+where C_k and S_k sum the outcomes drawn at time k, and returns
+theta_hat = (2 pi / K) * argmax_j |f_j| (ties to the smallest j).  The
+per-time sums are sufficient, so the sampler returns only them, drawing them
+directly when M > K (:func:`rfe.sampler.sample_outcome_sums`), and one
+length-K FFT finishes the run: O(K) memory whatever M is.
 
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bounds_report
+from .bounds import MAX_SAMPLES, bounds_report
 from .noise import Ideal, NoiseModel, bias_table, draw_run_noise, noise_to_dict
-from .sampler import sample_pairs
+from .sampler import sample_outcome_sums
 from .spectrum import TWO_PI, validate_phase
 
 
@@ -40,8 +43,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.samples) < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= int(self.samples) <= MAX_SAMPLES:
+            raise ValueError(f"samples must lie in [1, 2**62], got {self.samples}")
         if int(self.grid_size) < 1:
             raise ValueError(f"grid size must be >= 1, got {self.grid_size}")
         validate_phase(self.theta)
@@ -76,42 +79,47 @@ def winning_frequency(coefficients: np.ndarray) -> int:
 def run_rfe(config: RunConfig) -> TrialResult:
     """Execute one randomized-Fourier-estimation run.
 
-    The generator seeded by ``config.seed`` is consumed in a fixed order
-    (per-run noise table if the model has one, then time indices, then
-    outcome uniforms), so equal configs give bitwise-equal results.  Gaussian
-    deviation tables are drawn once here and held fixed for the whole run.
+    The generator seeded by ``config.seed`` is consumed in a fixed order, so
+    equal configs give bitwise-equal results: first the per-run noise table
+    if the model has one (Gaussian deviations are drawn once here and held
+    fixed for the whole run), then the samples.  With M > K the samples are
+    drawn as per-time counts, then the c sums, then the s sums; with M <= K
+    as M time indices, then the c and s uniforms of each sample.
     """
     M = int(config.samples)
     K = int(config.grid_size)
     rng = np.random.default_rng(int(config.seed))
     run_noise = draw_run_noise(config.noise, K, rng)
     bx, by = bias_table(config.noise, config.theta, K, run_noise=run_noise)
-    ks = rng.integers(0, K, size=M)
-    c, s, clamped = sample_pairs(bx[ks], by[ks], rng)
-    z = (np.bincount(ks, weights=c, minlength=K)
-         + 1j * np.bincount(ks, weights=s, minlength=K))
-    coefficients = np.fft.fft(z) / M
+    sums = sample_outcome_sums(bx, by, M, rng)
+    coefficients = np.fft.fft(sums.z) / M
     j = winning_frequency(coefficients)
     spectrum = SpectrumEstimate(coefficients=coefficients, samples_used=M,
-                                total_depth=int(ks.sum()), clamp_count=int(clamped.sum()))
+                                total_depth=sums.total_depth, clamp_count=sums.clamp_count)
     return TrialResult(theta_hat=TWO_PI * j / K, winning_index=j, spectrum=spectrum)
+
+
+def no_sample_result(grid_size: int) -> TrialResult:
+    """The answer of a plan with no samples, the epsilon >= pi/2 regime of
+    :func:`rfe.bounds.bounds_report`: theta_hat = pi/2 is epsilon-accurate
+    for any phase in [0, pi], encoded as winning index 1 on the plan's grid."""
+    spectrum = SpectrumEstimate(coefficients=np.zeros(grid_size, dtype=complex),
+                                samples_used=0, total_depth=0, clamp_count=0)
+    return TrialResult(theta_hat=math.pi / 2.0, winning_index=1, spectrum=spectrum)
 
 
 def estimate_phase(epsilon: float, delta: float, noise: NoiseModel,
                    theta: float, seed: int = 0) -> TrialResult:
     """Run with sample count and grid size certified for (epsilon, delta).
 
-    epsilon >= pi/2 returns theta_hat = pi/2 without sampling (pi/2 is
-    epsilon-accurate for any phase in [0, pi]), encoded as winning index 1 on
-    a 4-point grid.  Noise at or past its threshold raises
+    epsilon >= pi/2 returns :func:`no_sample_result` without sampling.
+    Noise at or past its threshold, or a certified count above 2**62, raises
     :class:`rfe.bounds.BoundsUnachievable` rather than running without a
     guarantee.
     """
     plan = bounds_report(epsilon, delta, noise)
     if plan.samples == 0:
-        spectrum = SpectrumEstimate(coefficients=np.zeros(plan.grid_size, dtype=complex),
-                                    samples_used=0, total_depth=0, clamp_count=0)
-        return TrialResult(theta_hat=math.pi / 2.0, winning_index=1, spectrum=spectrum)
+        return no_sample_result(plan.grid_size)
     config = RunConfig(samples=plan.samples, grid_size=plan.grid_size,
                        theta=theta, noise=noise, seed=seed)
     return run_rfe(config)

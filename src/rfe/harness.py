@@ -28,13 +28,14 @@ import numpy as np
 from .bounds import (
     BoundsQuery,
     BoundsUnachievable,
+    bounds_report,
     grid_size,
     samples_ban,
     samples_gaussian,
     samples_noiseless,
     sigma_max,
 )
-from .estimator import RunConfig, estimate_phase, run_rfe
+from .estimator import RunConfig, no_sample_result, run_rfe
 from .noise import (
     AdversaryStrategy,
     Ban,
@@ -206,29 +207,25 @@ def _error(theta_hat: float, theta: float, distance: str) -> float:
     return err
 
 
-def _run_one_trial(epsilon: float, delta: float, noise: NoiseModel,
-                   sampling: ThetaSampling, master_seed: int, index: int,
-                   distance: str, samples_override: Optional[int],
-                   grid_override: Optional[int]) -> bool:
+def _run_one_trial(grid: int, samples: int, noise: NoiseModel, sampling: ThetaSampling,
+                   master_seed: int, index: int, epsilon: float, distance: str) -> bool:
     rng = trial_rng(master_seed, index)
     theta = sampling.draw(rng)
     run_seed = int.from_bytes(rng.bytes(8), "little")
-    if samples_override is not None:
-        K = grid_override if grid_override is not None else grid_size(epsilon)
-        result = run_rfe(RunConfig(samples=int(samples_override), grid_size=K,
-                                   theta=theta, noise=noise, seed=run_seed))
+    if samples == 0:
+        result = no_sample_result(grid)
     else:
-        result = estimate_phase(epsilon, delta, noise, theta, seed=run_seed)
+        result = run_rfe(RunConfig(samples=samples, grid_size=grid, theta=theta,
+                                   noise=noise, seed=run_seed))
     return _error(result.theta_hat, theta, distance) <= epsilon
 
 
 def _success_block(payload) -> int:
-    (epsilon, delta, noise, sampling, master_seed, start, stop,
-     distance, samples_override, grid_override) = payload
+    grid, samples, noise, sampling, master_seed, start, stop, epsilon, distance = payload
     hits = 0
     for index in range(start, stop):
-        hits += _run_one_trial(epsilon, delta, noise, sampling, master_seed,
-                               index, distance, samples_override, grid_override)
+        hits += _run_one_trial(grid, samples, noise, sampling, master_seed, index,
+                               epsilon, distance)
     return hits
 
 
@@ -240,10 +237,12 @@ def monte_carlo_success(query: BoundsQuery, trials: int,
                         grid_override: Optional[int] = None) -> SuccessStats:
     """Estimate the success rate Pr(|theta_hat - theta| <= epsilon).
 
-    Each trial runs :func:`rfe.estimator.estimate_phase` with its own derived
-    seed (pass ``samples_override``/``grid_override`` to bypass the certified
-    sample count, e.g. for deliberately under-sampled demos).  ``workers``
-    only distributes the trial indices; it cannot change the statistics.
+    The plan (K, M) is resolved once, by :func:`rfe.bounds.bounds_report`
+    or from ``samples_override``/``grid_override`` (to bypass the certified
+    sample count, e.g. for deliberately under-sampled demos).  Each trial
+    then draws its phase and run seed from :func:`trial_rng` and runs that
+    plan with :func:`rfe.estimator.run_rfe`.  ``workers`` only distributes
+    the trial indices; it cannot change the statistics.
     """
     trials = int(trials)
     if trials < 1:
@@ -251,8 +250,16 @@ def monte_carlo_success(query: BoundsQuery, trials: int,
     if workers is None or int(workers) < 1:
         workers = os.cpu_count() or 1
     workers = int(workers)
-    args = (query.epsilon, query.delta, query.noise, theta_sampling,
-            int(master_seed), 0, trials, distance, samples_override, grid_override)
+    if samples_override is not None:
+        grid = int(grid_override) if grid_override is not None else grid_size(query.epsilon)
+        samples = int(samples_override)
+        if samples < 1:
+            raise ValueError(f"samples_override must be >= 1, got {samples_override}")
+    else:
+        plan = bounds_report(query.epsilon, query.delta, query.noise)
+        grid, samples = plan.grid_size, plan.samples
+    args = (grid, samples, query.noise, theta_sampling, int(master_seed), 0, trials,
+            query.epsilon, distance)
     if workers == 1:
         successes = _success_block(args)
     else:

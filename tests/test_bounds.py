@@ -5,6 +5,7 @@ import math
 import pytest
 
 from rfe.bounds import (
+    MAX_SAMPLES,
     BoundsReport,
     BoundsUnachievable,
     ban_inflation,
@@ -239,6 +240,14 @@ class TestBoundsReport:
         assert (report.samples, report.grid_size) == (0, 4)
         assert report.grid_size >= grid_size(2.0)
         assert report.inflation_factor == 1.0
+
+    def test_sample_count_past_int64_guard_rejected(self):
+        # the formula alone certifies ~3e27 samples this close to the threshold
+        eta = ban_threshold() * (1 - 1e-12)
+        assert samples_ban(0.1, 0.1, eta) > MAX_SAMPLES
+        with pytest.raises(BoundsUnachievable):
+            bounds_report(0.1, 0.1, Ban(eta))
+        assert bounds_report(0.1, 0.1, Ban(0.0999)).samples <= MAX_SAMPLES
 
     def test_round_trip_dict(self):
         report = bounds_report(0.1, 0.1, Ban(0.05))

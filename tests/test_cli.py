@@ -174,6 +174,20 @@ class TestExitCodes:
         assert code == 2
         assert "0.100035" in err
 
+    def test_samples_past_int64_guard(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--epsilon", "0.1", "--theta", "1.0",
+                               "--samples", str(2 ** 62 + 1))
+        assert code == 2
+        assert "2**62" in err
+
+    def test_certified_count_past_int64_guard(self, capsys):
+        eta = 2 * math.sqrt(2) / (9 * math.pi) * (1 - 1e-12)
+        code, _, err = run_cli(
+            capsys, "run", "--epsilon", "0.1", "--theta", "1.0",
+            "--noise", json.dumps({"kind": "ban", "eta_bar": eta}))
+        assert code == 2
+        assert "2**62" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["bounds", "--epsilon", "0.1", "--frobnicate"])

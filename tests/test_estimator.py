@@ -1,11 +1,13 @@
 """End-to-end estimation runs: determinism, invariants, plan selection."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rfe.bounds import BoundsUnachievable
+from rfe.bounds import BoundsUnachievable, bounds_report
 from rfe.estimator import (
     RunConfig,
     estimate_phase,
@@ -14,7 +16,7 @@ from rfe.estimator import (
     trial_to_dict,
     winning_frequency,
 )
-from rfe.noise import AdversaryStrategy, Ban, Gaussian, HighCoherence, Ideal
+from rfe.noise import AdversaryStrategy, Ban, Dephasing, Gaussian, HighCoherence, Ideal
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,6 +33,12 @@ class TestRunConfigValidation:
             RunConfig(samples=10, grid_size=8, theta=1.0, seed=-1)
         with pytest.raises(ValueError):
             RunConfig(samples=10, grid_size=8, theta=1.0, seed=2 ** 64)
+
+
+    def test_rejects_samples_past_int64_guard(self):
+        RunConfig(samples=2 ** 62, grid_size=8, theta=1.0)
+        with pytest.raises(ValueError):
+            RunConfig(samples=2 ** 62 + 1, grid_size=8, theta=1.0)
 
 
 class TestDeterminism:
@@ -139,6 +147,31 @@ class TestEstimatePhase:
     def test_accuracy_at_certified_count(self):
         result = estimate_phase(0.1, 0.1, Ideal(), theta=1.3, seed=11)
         assert abs(result.theta_hat - 1.3) <= 0.1
+
+    @pytest.mark.parametrize("noise,certified", [(Ban(0.0999), 1.71e9),
+                                                 (Dephasing(600.0), 2.4e8)])
+    def test_near_threshold_plans_run_in_constant_memory(self, noise, certified):
+        M = bounds_report(0.1, 0.1, noise).samples
+        assert M == pytest.approx(certified, rel=0.01)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            result = estimate_phase(0.1, 0.1, noise, theta=1.3, seed=12)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2 ** 20
+        assert result.spectrum.samples_used == M
+        assert abs(result.theta_hat - 1.3) <= 0.1
+        assert result.spectrum.total_depth == pytest.approx(M * 31, rel=1e-3)
+
+    def test_depth_past_int64_does_not_wrap(self):
+        # M (K - 1) / 2 = 3.5 * 2**62: an int64 depth sum would wrap
+        result = run_rfe(RunConfig(samples=2 ** 62, grid_size=8, theta=1.0, seed=3))
+        assert 2 ** 63 < result.spectrum.total_depth <= 2 ** 62 * 7
+        assert result.winning_index == round(1.0 * 8 / TWO_PI)
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rfe import harness
 from rfe.bounds import BoundsQuery, samples_ban
 from rfe.harness import (
     FixedTheta,
@@ -169,9 +170,32 @@ class TestMonteCarlo:
                                     samples_override=2000, grid_override=16)
         assert stats.trials == 8
 
+    def test_plan_resolved_once_per_campaign(self, monkeypatch):
+        calls = []
+        original = harness.bounds_report
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "bounds_report", counting)
+        stats = monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 12,
+                                    UniformTheta(), master_seed=7)
+        assert stats.trials == 12 and len(calls) == 1
+
+    def test_wide_target_needs_no_samples(self):
+        # epsilon >= pi/2: every trial answers pi/2, within epsilon of any
+        # phase UniformTheta draws
+        stats = monte_carlo_success(BoundsQuery(2.0, 0.1, Ideal()), 10,
+                                    UniformTheta(), master_seed=8)
+        assert stats.successes == 10
+
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 0, FixedTheta(1.0), 1)
+        with pytest.raises(ValueError):
+            monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
+                                samples_override=0)
 
 
 class TestGaussianShiftVariance:

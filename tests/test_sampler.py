@@ -1,27 +1,36 @@
-"""Outcome-pair sampling: distribution, clamping, and stream determinism."""
+"""Outcome sampling: distribution, clamping, input checks and determinism.
+
+The laws of whole runs (multinomial counts, binomial per-time sums, depth
+moments) are tested in test_distribution.py.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from rfe.sampler import HadamardOutcome, sample_pair, sample_pairs
+from rfe.sampler import sample_outcome_sums, sample_pairs
 
 
 class TestDeterministicCases:
     def test_certain_plus_outcome(self):
         rng = np.random.default_rng(0)
-        outcomes = [sample_pair(1.0, 0.0, 0, rng) for _ in range(1000)]
-        assert all(o.c == 1 for o in outcomes)
-        assert not any(o.clamped for o in outcomes)
+        c, s, clamped = sample_pairs(np.ones(1000), np.zeros(1000), rng)
+        assert np.all(c == 1.0)
+        assert not clamped.any()
         # s is a fair coin at by = 0
-        mean_s = np.mean([o.s for o in outcomes])
-        assert abs(mean_s) < 0.1
+        assert abs(s.mean()) < 0.1
+        for M in (5, 1000):  # M <= K and M > K
+            sums = sample_outcome_sums(np.ones(8), np.zeros(8), M, rng)
+            assert sums.z.real.sum() == M and sums.clamp_count == 0
 
     def test_certain_minus_outcome(self):
         rng = np.random.default_rng(1)
-        outcomes = [sample_pair(0.0, -1.0, 2, rng) for _ in range(1000)]
-        assert all(o.s == -1 for o in outcomes)
+        c, s, _ = sample_pairs(np.zeros(1000), np.full(1000, -1.0), rng)
+        assert np.all(s == -1.0)
+        for M in (5, 1000):
+            sums = sample_outcome_sums(np.zeros(8), np.full(8, -1.0), M, rng)
+            assert sums.z.imag.sum() == -M
 
 
 class TestDistribution:
@@ -66,31 +75,49 @@ class TestClamping:
 
     def test_boundary_bias_not_flagged(self):
         rng = np.random.default_rng(6)
-        outcome = sample_pair(1.0, -1.0, 0, rng)
-        assert outcome == HadamardOutcome(c=1, s=-1, k=0, clamped=False)
+        c, s, clamped = sample_pairs(np.array([1.0]), np.array([-1.0]), rng)
+        assert (c[0], s[0], clamped[0]) == (1.0, -1.0, False)
 
-    def test_scalar_flagging(self):
+    def test_tiny_overrange_flagged(self):
         rng = np.random.default_rng(7)
-        assert sample_pair(1.0 + 1e-10, 0.0, 1, rng).clamped
+        assert sample_pairs(np.array([1.0 + 1e-10]), np.zeros(1), rng)[2][0]
+
+    @pytest.mark.parametrize("M", [3, 600])  # M <= K and M > K
+    def test_clamp_count_counts_samples_at_clamped_times(self, M):
+        # times 0 and 1 are clamped; c at times 0 and 2 and s at time 1 are
+        # certain, so those sums are +-(the count at that time)
+        bx = np.array([1.5, 0.0, 1.0])
+        by = np.array([0.0, -1.2, 1.0])
+        sums = sample_outcome_sums(bx, by, M, np.random.default_rng(8))
+        c, s = sums.z.real, sums.z.imag
+        assert sums.clamp_count == c[0] - s[1] == M - c[2]
 
 
 class TestInputChecks:
     def test_non_finite_rejected(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            sample_pair(math.nan, 0.0, 0, rng)
+            sample_pairs(np.array([math.nan]), np.zeros(1), rng)
         with pytest.raises(ValueError):
-            sample_pair(0.0, math.inf, 0, rng)
+            sample_pairs(np.zeros(1), np.array([math.inf]), rng)
         with pytest.raises(ValueError):
             sample_pairs(np.array([0.0, math.nan]), np.zeros(2), rng)
+        for M in (1, 100):
+            with pytest.raises(ValueError):
+                sample_outcome_sums(np.array([0.0, math.nan]), np.zeros(2), M, rng)
 
-    def test_negative_time_rejected(self):
+    def test_negative_sample_count_rejected(self):
         with pytest.raises(ValueError):
-            sample_pair(0.0, 0.0, -1, np.random.default_rng(9))
+            sample_outcome_sums(np.zeros(4), np.zeros(4), -1, np.random.default_rng(9))
 
     def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(10)
         with pytest.raises(ValueError):
-            sample_pairs(np.zeros(3), np.zeros(4), np.random.default_rng(10))
+            sample_pairs(np.zeros(3), np.zeros(4), rng)
+        with pytest.raises(ValueError):
+            sample_outcome_sums(np.zeros(3), np.zeros(4), 10, rng)
+        with pytest.raises(ValueError):
+            sample_outcome_sums(np.zeros(0), np.zeros(0), 10, rng)
 
 
 class TestDeterminism:
@@ -101,14 +128,36 @@ class TestDeterminism:
         b = sample_pairs(bx, by, np.random.default_rng(77))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_scalar_and_vector_share_the_stream(self):
-        # a loop of sample_pair calls consumes uniforms in the same order as
-        # one sample_pairs call, so the outcomes must match exactly
-        bx = np.linspace(-0.8, 0.8, 50)
-        by = np.linspace(0.5, -0.5, 50)
-        rng_scalar = np.random.default_rng(123)
-        scalar = [sample_pair(float(bx[i]), float(by[i]), i, rng_scalar) for i in range(50)]
-        c, s, clamped = sample_pairs(bx, by, np.random.default_rng(123))
-        assert np.array_equal(c, [o.c for o in scalar])
-        assert np.array_equal(s, [o.s for o in scalar])
-        assert np.array_equal(clamped, [o.clamped for o in scalar])
+    def test_few_samples_follow_the_per_sample_path(self):
+        # M <= K draws indices, then sample_pairs on the gathered biases: the
+        # per-time sums match that reference bit for bit on the same seed
+        bx = np.linspace(-0.8, 1.2, 50)
+        by = np.linspace(0.5, -1.5, 50)
+        for M in (1, 17, 50):
+            rng = np.random.default_rng(123)
+            ks = rng.integers(0, 50, size=M)
+            c, s, clamped = sample_pairs(bx[ks], by[ks], rng)
+            sums = sample_outcome_sums(bx, by, M, np.random.default_rng(123))
+            assert np.array_equal(sums.z.real, np.bincount(ks, weights=c, minlength=50))
+            assert np.array_equal(sums.z.imag, np.bincount(ks, weights=s, minlength=50))
+            assert sums.total_depth == int(ks.sum())
+            assert sums.clamp_count == int(clamped.sum())
+
+    @pytest.mark.parametrize("M", [0, 20, 2000])
+    def test_same_seed_same_sums(self, M):
+        bx = np.linspace(-0.9, 0.9, 40)
+        a = sample_outcome_sums(bx, -bx, M, np.random.default_rng(5))
+        b = sample_outcome_sums(bx, -bx, M, np.random.default_rng(5))
+        assert np.array_equal(a.z, b.z)
+        assert (a.total_depth, a.clamp_count) == (b.total_depth, b.clamp_count)
+
+
+class TestHugeSampleCounts:
+    def test_depth_past_int64_does_not_wrap(self):
+        # the expected depth M (K - 1) / 2 = 3.5 * 2**62 is past int64
+        M, K = 2 ** 62, 8
+        sums = sample_outcome_sums(np.zeros(K), np.full(K, 0.5), M, np.random.default_rng(11))
+        assert isinstance(sums.total_depth, int)
+        assert 2 ** 63 < sums.total_depth <= M * (K - 1)
+        assert sums.total_depth == pytest.approx(M * (K - 1) / 2, rel=1e-6)
+        assert np.all(np.abs(sums.z.real) <= M) and abs(sums.z.imag.sum() - M / 2) < M / 10 ** 6
