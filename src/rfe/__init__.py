@@ -27,6 +27,7 @@ from .estimator import (
     SpectrumEstimate,
     TrialResult,
     estimate_phase,
+    run_block,
     run_rfe,
     spectrum_csv,
     trial_to_dict,

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.optimize import brentq
+from typing import Callable
 
 from .noise import (
     Ban,
@@ -48,6 +47,27 @@ _BASE = 81.0 * math.pi ** 2 / 2.0
 IN_SPEC_RADIUS = 4.0 / (9.0 * math.pi)
 # Largest sample count a run accepts, so per-time counts fit in int64.
 MAX_SAMPLES = 2 ** 62
+
+
+def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a continuous f on [lo, hi], where f(lo) and f(hi) differ in
+    sign, narrowed by bisection until lo and hi are adjacent floats."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError(f"f has the same sign at {lo!r} and {hi!r}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
 
 
 class BoundsUnachievable(ValueError):
@@ -282,7 +302,7 @@ def derivation_report(epsilon: float = 0.1, delta: float = 0.1, sigma: float = 0
     quoted "at least 5 times" dephasing margin at epsilon = 0.0004.
     """
     c = ban_threshold()
-    bisection = brentq(lambda x: (1.0 - math.exp(-x)) / 2.0 - c, 1e-12, 5.0)
+    bisection = bisect(lambda x: (1.0 - math.exp(-x)) / 2.0 - c, 1e-12, 5.0)
     log_term = math.log(16.0 * math.pi / (delta * epsilon))
     quoted_root = (9.0 * sigma / 8.0) * math.sqrt(epsilon * math.pi / log_term)
     rederived_root = (9.0 * sigma / 8.0) * math.sqrt(epsilon * math.pi * log_term)

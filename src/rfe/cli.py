@@ -107,7 +107,9 @@ def _json_text(obj) -> str:
 
 
 def _resolve_theta(theta, seed: int):
-    """A "random" theta is trial 0 of a campaign with this master seed."""
+    """The phase and run seed of one run.  A "random" theta is a UniformTheta
+    draw from the generator spawned from (seed, 0), which then draws the run
+    seed; a given theta runs with ``seed`` itself."""
     if theta == "random":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         value = UniformTheta().draw(rng)
@@ -249,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=trials,
                            help=f"number of trials (default {trials})")
         if workers:
-            p.add_argument("--workers", type=int, default=None,
-                           help="worker processes (default: all cores); never "
-                                "changes results")
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes (default 1; 0 for all cores); "
+                                "never changes results")
         p.add_argument("--output", default=None, help="write to this path "
                        "instead of stdout")
 
@@ -302,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite name (repeatable; default: all)")
     p_verify.add_argument("--trials", type=int, default=None,
                           help="override trial counts of the Monte Carlo suites")
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="worker processes (default: all cores)")
-    p_verify.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="worker processes (default 1; 0 for all cores); "
+                               "never changes results")
     p_verify.add_argument("--outdir", default=None,
                           help="directory for emitted artifacts (demo spectrum CSV)")
     p_verify.add_argument("--output", default=None,

@@ -13,6 +13,9 @@ per-time sums are sufficient, so the sampler returns only them, drawing them
 directly when M > K (:func:`rfe.sampler.sample_outcome_sums`), and one
 length-K FFT finishes the run: O(K) memory whatever M is.
 
+:func:`run_block` is the one engine: it runs B estimations at once as (B, K)
+arrays, with one FFT along the time axis.  :func:`run_rfe` is a block of one.
+
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
 controlled-unitary count is 2 * total_depth; totals here follow the
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import MAX_SAMPLES, bounds_report
-from .noise import Ideal, NoiseModel, bias_table, draw_run_noise, noise_to_dict
-from .sampler import sample_outcome_sums
+from .noise import Ideal, NoiseModel, bias_table, draw_run_noise
+from .sampler import OutcomeSums, sample_outcome_sums
 from .spectrum import TWO_PI, validate_phase
 
 
@@ -71,31 +74,49 @@ class TrialResult:
     spectrum: SpectrumEstimate
 
 
-def winning_frequency(coefficients: np.ndarray) -> int:
-    """Index of the largest-magnitude coefficient, smallest index on ties."""
-    return int(np.argmax(np.abs(np.asarray(coefficients))))
+def winning_frequency(coefficients: np.ndarray):
+    """Index of the largest-magnitude coefficient along the last axis,
+    smallest index on ties: one index per row of a (B, K) block."""
+    return np.argmax(np.abs(np.asarray(coefficients)), axis=-1)
+
+
+def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
+              rng: np.random.Generator) -> tuple[np.ndarray, OutcomeSums]:
+    """Run B independent estimations at once, one per phase in ``thetas``.
+
+    Returns the (B, K) coefficient estimates, row b for thetas[b], and the
+    B runs' outcome sums.  ``rng`` is consumed in a fixed order: the
+    run-noise rows if the model has them (Gaussian deviations are drawn once
+    per run and held fixed for its samples), then the samples of all B runs.
+    With M > K those are the per-time counts, then the c sums, then the s
+    sums; with M <= K the time indices, then the c and s uniforms of each
+    sample.  The phases are used as given: :class:`RunConfig` and the
+    campaign's phase samplers keep them in [0, 2 pi), and a non-finite phase
+    fails the sampler's finiteness check.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError("phases must be a 1-d array")
+    M = int(samples)
+    if M < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    run_noise = draw_run_noise(noise, grid_size, rng, size=thetas.size)
+    bx, by = bias_table(noise, thetas, grid_size, run_noise=run_noise)
+    sums = sample_outcome_sums(bx, by, M, rng)
+    return np.fft.fft(sums.z, axis=1) / M, sums
 
 
 def run_rfe(config: RunConfig) -> TrialResult:
-    """Execute one randomized-Fourier-estimation run.
-
-    The generator seeded by ``config.seed`` is consumed in a fixed order, so
-    equal configs give bitwise-equal results: first the per-run noise table
-    if the model has one (Gaussian deviations are drawn once here and held
-    fixed for the whole run), then the samples.  With M > K the samples are
-    drawn as per-time counts, then the c sums, then the s sums; with M <= K
-    as M time indices, then the c and s uniforms of each sample.
-    """
-    M = int(config.samples)
+    """Execute one randomized-Fourier-estimation run: :func:`run_block` with
+    one phase and the generator seeded by ``config.seed``, so equal configs
+    give bitwise-equal results."""
     K = int(config.grid_size)
     rng = np.random.default_rng(int(config.seed))
-    run_noise = draw_run_noise(config.noise, K, rng)
-    bx, by = bias_table(config.noise, config.theta, K, run_noise=run_noise)
-    sums = sample_outcome_sums(bx, by, M, rng)
-    coefficients = np.fft.fft(sums.z) / M
-    j = winning_frequency(coefficients)
-    spectrum = SpectrumEstimate(coefficients=coefficients, samples_used=M,
-                                total_depth=sums.total_depth, clamp_count=sums.clamp_count)
+    coefficients, sums = run_block([config.theta], config.samples, K, config.noise, rng)
+    j = int(winning_frequency(coefficients)[0])
+    spectrum = SpectrumEstimate(coefficients=coefficients[0], samples_used=int(config.samples),
+                                total_depth=int(sums.total_depth[0]),
+                                clamp_count=int(sums.clamp_count[0]))
     return TrialResult(theta_hat=TWO_PI * j / K, winning_index=j, spectrum=spectrum)
 
 
@@ -123,16 +144,6 @@ def estimate_phase(epsilon: float, delta: float, noise: NoiseModel,
     config = RunConfig(samples=plan.samples, grid_size=plan.grid_size,
                        theta=theta, noise=noise, seed=seed)
     return run_rfe(config)
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "samples": int(config.samples),
-        "grid_size": int(config.grid_size),
-        "theta": float(config.theta),
-        "noise": noise_to_dict(config.noise),
-        "seed": int(config.seed),
-    }
 
 
 def trial_to_dict(result: TrialResult) -> dict:

@@ -10,9 +10,12 @@ Three kinds of checks live here:
 * :func:`lemma_bound_scan` sweeps (K, theta) grids and checks the kernel
   magnitude floor/caps with zero tolerance for violations.
 * :func:`monte_carlo_success` and :func:`noise_sweep` run seeded campaigns of
-  full estimation runs.  Per-trial seeds are spawned from the master seed and
-  the trial index alone, so results are identical for any worker count and
-  any trial execution order.
+  full estimation runs.  Trials run in blocks of B = max(1, BLOCK_CELLS // K),
+  a constant of the engine, each block as (B, K) arrays through
+  :func:`rfe.estimator.run_block`.  Block b draws everything it needs, its
+  phases first, from a generator spawned from the master seed and b alone,
+  so results are identical for any worker count and any block execution
+  order.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bounds import (
+    MAX_SAMPLES,
     BoundsQuery,
     BoundsUnachievable,
     bounds_report,
@@ -35,7 +39,8 @@ from .bounds import (
     samples_noiseless,
     sigma_max,
 )
-from .estimator import RunConfig, no_sample_result, run_rfe
+# run_rfe is not called here; rfebench's traced run wraps rfe.harness.run_rfe.
+from .estimator import no_sample_result, run_block, run_rfe, winning_frequency
 from .noise import (
     AdversaryStrategy,
     Ban,
@@ -44,7 +49,6 @@ from .noise import (
     Gaussian,
     HighCoherence,
     Ideal,
-    NoiseModel,
     ban_threshold,
     implied_eta_bar,
     noise_to_dict,
@@ -55,12 +59,17 @@ from .spectrum import (
     NON_ADJACENT_MAGNITUDE_MAX,
     TWO_PI,
     dirichlet_kernel,
+    validate_phase,
 )
 
 # Enumeration is O(K^2); past this the oracle is no longer "instant".
 MAX_ENUMERATION_GRID = 4096
 
 WILSON_Z_95 = 1.959963984540054
+
+# A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
+# arrays stay near this many cells at any grid size.
+BLOCK_CELLS = 8192
 
 
 # --- exact expectation oracle ------------------------------------------------
@@ -107,6 +116,8 @@ def exact_estimator_expectation(theta: float, grid_size: int,
     bx = np.cos(k * theta)
     by = np.sin(k * theta)
     if deviations is not None:
+        if deviations.eta1.ndim != 1:
+            raise ValueError("the oracle takes one 1-d deviation table")
         if len(deviations) < K:
             raise ValueError(f"deviation table of length {len(deviations)} "
                              f"does not cover grid size {K}")
@@ -134,8 +145,12 @@ class FixedTheta:
 
     value: float
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(self.value)
+    def __post_init__(self):
+        validate_phase(self.value)
+
+    def draw(self, rng: np.random.Generator, size: Optional[int] = None):
+        """The phase, or an array of ``size`` copies of it; draws nothing."""
+        return float(self.value) if size is None else np.full(size, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -146,8 +161,15 @@ class UniformTheta:
     low: float = 0.2
     high: float = math.pi - 0.2
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
+    def __post_init__(self):
+        if not 0.0 <= self.low < self.high <= TWO_PI:
+            raise ValueError(f"need 0 <= low < high <= 2*pi, got {self.low!r}, {self.high!r}")
+
+    def draw(self, rng: np.random.Generator, size: Optional[int] = None):
+        """One uniform phase, or an array of ``size`` of them."""
+        if size is None:
+            return float(rng.uniform(self.low, self.high))
+        return rng.uniform(self.low, self.high, size)
 
 
 ThetaSampling = Union[FixedTheta, UniformTheta]
@@ -189,44 +211,37 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95) -> tupl
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Generator for one trial, derived from (master seed, trial index) only.
+def block_rng(master_seed: int, block: int) -> np.random.Generator:
+    """Generator for one block of trials, derived from (master seed, block
+    index) only.
 
-    This is the whole reproducibility scheme: trial streams do not depend on
-    execution order or on how trials are split across workers.
+    This is the whole reproducibility scheme: with the block size fixed by
+    the grid size, block streams do not depend on execution order or on how
+    blocks are split across workers.
     """
-    return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=(int(index),)))
+    return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=(int(block),)))
 
 
-def _error(theta_hat: float, theta: float, distance: str) -> float:
-    err = abs(theta_hat - theta)
+def _error(theta_hat, theta, distance: str):
+    err = np.abs(theta_hat - theta)
     if distance == "circular":
-        err = min(err, TWO_PI - err)
+        err = np.minimum(err, TWO_PI - err)
     elif distance != "line":
         raise ValueError(f'distance must be "line" or "circular", got {distance!r}')
     return err
 
 
-def _run_one_trial(grid: int, samples: int, noise: NoiseModel, sampling: ThetaSampling,
-                   master_seed: int, index: int, epsilon: float, distance: str) -> bool:
-    rng = trial_rng(master_seed, index)
-    theta = sampling.draw(rng)
-    run_seed = int.from_bytes(rng.bytes(8), "little")
+def _block_successes(payload) -> int:
+    """Successes among one block's trials: phases, then one run per phase."""
+    grid, samples, noise, sampling, master_seed, block, size, epsilon, distance = payload
+    rng = block_rng(master_seed, block)
+    thetas = sampling.draw(rng, size)
     if samples == 0:
-        result = no_sample_result(grid)
+        theta_hat = no_sample_result(grid).theta_hat
     else:
-        result = run_rfe(RunConfig(samples=samples, grid_size=grid, theta=theta,
-                                   noise=noise, seed=run_seed))
-    return _error(result.theta_hat, theta, distance) <= epsilon
-
-
-def _success_block(payload) -> int:
-    grid, samples, noise, sampling, master_seed, start, stop, epsilon, distance = payload
-    hits = 0
-    for index in range(start, stop):
-        hits += _run_one_trial(grid, samples, noise, sampling, master_seed, index,
-                               epsilon, distance)
-    return hits
+        coefficients, _ = run_block(thetas, samples, grid, noise, rng)
+        theta_hat = TWO_PI * winning_frequency(coefficients) / grid
+    return int(np.count_nonzero(_error(theta_hat, thetas, distance) <= epsilon))
 
 
 def monte_carlo_success(query: BoundsQuery, trials: int,
@@ -239,10 +254,12 @@ def monte_carlo_success(query: BoundsQuery, trials: int,
 
     The plan (K, M) is resolved once, by :func:`rfe.bounds.bounds_report`
     or from ``samples_override``/``grid_override`` (to bypass the certified
-    sample count, e.g. for deliberately under-sampled demos).  Each trial
-    then draws its phase and run seed from :func:`trial_rng` and runs that
-    plan with :func:`rfe.estimator.run_rfe`.  ``workers`` only distributes
-    the trial indices; it cannot change the statistics.
+    sample count, e.g. for deliberately under-sampled demos).  The trials
+    then run in blocks of B = max(1, BLOCK_CELLS // K), the last one
+    shorter.  Block b draws from :func:`block_rng` (master seed, b), in this
+    order: its B phases, then the run noise and samples of its B runs, which
+    :func:`rfe.estimator.run_block` does as (B, K) arrays.  ``workers`` only
+    distributes whole blocks; it cannot change the statistics.
     """
     trials = int(trials)
     if trials < 1:
@@ -253,21 +270,22 @@ def monte_carlo_success(query: BoundsQuery, trials: int,
     if samples_override is not None:
         grid = int(grid_override) if grid_override is not None else grid_size(query.epsilon)
         samples = int(samples_override)
-        if samples < 1:
-            raise ValueError(f"samples_override must be >= 1, got {samples_override}")
+        if not 1 <= samples <= MAX_SAMPLES:
+            raise ValueError(f"samples_override must lie in [1, 2**62], got {samples_override}")
+        if grid < 1:
+            raise ValueError(f"grid_override must be >= 1, got {grid_override}")
     else:
         plan = bounds_report(query.epsilon, query.delta, query.noise)
         grid, samples = plan.grid_size, plan.samples
-    args = (grid, samples, query.noise, theta_sampling, int(master_seed), 0, trials,
-            query.epsilon, distance)
+    block = max(1, BLOCK_CELLS // grid)
+    payloads = [(grid, samples, query.noise, theta_sampling, int(master_seed), index,
+                 min(block, trials - start), query.epsilon, distance)
+                for index, start in enumerate(range(0, trials, block))]
     if workers == 1:
-        successes = _success_block(args)
+        successes = sum(map(_block_successes, payloads))
     else:
-        block = max(1, math.ceil(trials / (4 * workers)))
-        payloads = [args[:5] + (start, min(start + block, trials)) + args[7:]
-                    for start in range(0, trials, block)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(_success_block, payloads))
+            successes = sum(pool.map(_block_successes, payloads))
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),
                         epsilon_used=query.epsilon, delta_used=query.delta)

@@ -46,7 +46,8 @@ class AdversaryStrategy(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class DeviationTable:
-    """Fixed per-time deviations (index = time k); immutable once built."""
+    """Fixed per-time deviations, indexed by time k on the last axis; a 2-d
+    table holds one row per run.  Immutable once built."""
 
     eta1: np.ndarray
     eta2: np.ndarray
@@ -54,8 +55,8 @@ class DeviationTable:
     def __post_init__(self):
         eta1 = np.array(self.eta1, dtype=float)
         eta2 = np.array(self.eta2, dtype=float)
-        if eta1.ndim != 1 or eta2.ndim != 1 or eta1.shape != eta2.shape:
-            raise ValueError("deviation table needs two equal-length 1-d sequences")
+        if eta1.ndim not in (1, 2) or eta1.shape != eta2.shape:
+            raise ValueError("deviation table needs two equal-shape 1-d or 2-d arrays")
         if not (np.all(np.isfinite(eta1)) and np.all(np.isfinite(eta2))):
             raise ValueError("deviation table entries must be finite")
         eta1.setflags(write=False)
@@ -64,7 +65,7 @@ class DeviationTable:
         object.__setattr__(self, "eta2", eta2)
 
     def __len__(self) -> int:
-        return self.eta1.shape[0]
+        return self.eta1.shape[-1]
 
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.eta1)), np.max(np.abs(self.eta2))))
@@ -90,6 +91,8 @@ class Ban:
         if not math.isfinite(self.eta_bar) or self.eta_bar < 0.0:
             raise ValueError(f"eta_bar must be finite and >= 0, got {self.eta_bar!r}")
         if isinstance(self.strategy, DeviationTable):
+            if self.strategy.eta1.ndim != 1:
+                raise ValueError("custom deviation table must be 1-d: one table for every run")
             if len(self.strategy) == 0:
                 raise ValueError("custom deviation table must not be empty")
             if self.strategy.max_abs() > self.eta_bar:
@@ -156,9 +159,9 @@ def _require_cover(table: DeviationTable, ks: np.ndarray, what: str) -> None:
         )
 
 
-def _bias_arrays(model: NoiseModel, theta: float, ks: np.ndarray,
+def _bias_arrays(model: NoiseModel, theta: float | np.ndarray, ks: np.ndarray,
                  run_noise: Optional[DeviationTable]):
-    if np.any(ks < 0):
+    if (ks < 0).any():
         raise ValueError("time indices must be >= 0")
     kf = ks.astype(float)
     cos_k = np.cos(kf * theta)
@@ -187,7 +190,8 @@ def _bias_arrays(model: NoiseModel, theta: float, ks: np.ndarray,
                 "see draw_run_noise"
             )
         _require_cover(run_noise, ks, "run noise")
-        return cos_k + run_noise.eta1[ks], sin_k + run_noise.eta2[ks]
+        return (cos_k + np.take(run_noise.eta1, ks, axis=-1),
+                sin_k + np.take(run_noise.eta2, ks, axis=-1))
     if isinstance(model, Dephasing):
         envelope = np.exp(-kf / model.t2)
         return envelope * cos_k, envelope * sin_k
@@ -208,22 +212,32 @@ def bias(model: NoiseModel, theta: float, k: int,
     return float(bx[0]), float(by[0])
 
 
-def bias_table(model: NoiseModel, theta: float, grid_size: int,
+def bias_table(model: NoiseModel, theta, grid_size: int,
                run_noise: Optional[DeviationTable] = None):
-    """Vectorized biases for all times k = 0 .. grid_size-1."""
+    """Vectorized biases for all times k = 0 .. grid_size-1.
+
+    One phase gives two length-K tables.  A 1-d array of B phases gives two
+    (B, K) tables, row b at theta[b] with row b of a 2-d run-noise table.
+    """
     K = int(grid_size)
     if K < 1:
         raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    return _bias_arrays(model, float(theta), np.arange(K), run_noise)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim > 1:
+        raise ValueError("theta must be one phase or a 1-d array of phases")
+    return _bias_arrays(model, theta[..., None], np.arange(K), run_noise)
 
 
 def draw_gaussian_run_noise(sigma: float, grid_size: int,
                             rng: np.random.Generator,
-                            linear: bool = False) -> DeviationTable:
-    """Draw the 2K independent normal deviations fixed for one run.
+                            linear: bool = False,
+                            size: Optional[int] = None) -> DeviationTable:
+    """Draw the 2K independent normal deviations fixed for one run, or for
+    each of ``size`` runs as the rows of a 2-d table.
 
     Scale is sigma for every time, or k * sigma when ``linear`` (the
     depth-proportional variant).  sigma = 0 yields the all-zeros table.
+    Normals are consumed run by run: eta1, then eta2.
     """
     K = int(grid_size)
     if K < 1:
@@ -231,18 +245,20 @@ def draw_gaussian_run_noise(sigma: float, grid_size: int,
     if not math.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     scale = sigma * np.arange(K, dtype=float) if linear else np.full(K, float(sigma))
-    eta1 = rng.standard_normal(K) * scale
-    eta2 = rng.standard_normal(K) * scale
-    return DeviationTable(eta1=eta1, eta2=eta2)
+    shape = (2, K) if size is None else (int(size), 2, K)
+    eta = rng.standard_normal(shape)
+    eta *= scale
+    return DeviationTable(eta1=eta[..., 0, :], eta2=eta[..., 1, :])
 
 
-def draw_run_noise(model: NoiseModel, grid_size: int,
-                   rng: np.random.Generator) -> Optional[DeviationTable]:
-    """Per-run stochastic state for a model; None when it has none."""
+def draw_run_noise(model: NoiseModel, grid_size: int, rng: np.random.Generator,
+                   size: Optional[int] = None) -> Optional[DeviationTable]:
+    """Per-run stochastic state for a model, one row per run when ``size``
+    is given; None when the model has none."""
     if isinstance(model, Gaussian):
-        return draw_gaussian_run_noise(model.sigma, grid_size, rng)
+        return draw_gaussian_run_noise(model.sigma, grid_size, rng, size=size)
     if isinstance(model, GaussianLinear):
-        return draw_gaussian_run_noise(model.sigma, grid_size, rng, linear=True)
+        return draw_gaussian_run_noise(model.sigma, grid_size, rng, linear=True, size=size)
     return None
 
 

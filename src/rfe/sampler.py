@@ -5,7 +5,9 @@ One sample draws a time index k uniformly from {0, ..., K-1} and a pair of
 and Pr(s=+1) = (1 + by[k])/2 (two separate circuit executions, so no shared
 randomness within a pair).  The estimator only reads the per-time sums of c
 and s, the total depth sum k and the clamp count, so
-:func:`sample_outcome_sums` returns those and nothing per sample.
+:func:`sample_outcome_sums` returns those and nothing per sample.  It draws
+one run from length-K bias tables, or a block of B independent runs from
+(B, K) tables, one run per row.
 
 Biases outside [-1, 1] make the raw probabilities non-physical; they are
 clamped to [0, 1] and every sample drawn at such a time counts as a clamp
@@ -28,19 +30,20 @@ _INT64_MAX = 2 ** 63 - 1
 
 @dataclass(frozen=True, eq=False)
 class OutcomeSums:
-    """Sufficient statistics of M samples over K times."""
+    """Sufficient statistics of M samples over K times, for one run or, with
+    a leading axis on every field, for each of B runs."""
 
-    z: np.ndarray  # complex, length K: (sum of c) + i (sum of s) at each time k
-    total_depth: int  # sum of the drawn time indices
-    clamp_count: int  # samples drawn at a time whose likelihood was clamped
+    z: np.ndarray  # complex, (..., K): (sum of c) + i (sum of s) at each time k
+    total_depth: int | np.ndarray  # sum of the drawn time indices
+    clamp_count: int | np.ndarray  # samples drawn at a time whose likelihood was clamped
 
 
-def _finite_pair(bx, by) -> tuple[np.ndarray, np.ndarray]:
+def _finite_pair(bx, by, max_ndim=1) -> tuple[np.ndarray, np.ndarray]:
     bx = np.asarray(bx, dtype=float)
     by = np.asarray(by, dtype=float)
-    if bx.shape != by.shape or bx.ndim != 1:
-        raise ValueError("bias arrays must be equal-length 1-d sequences")
-    if not (np.all(np.isfinite(bx)) and np.all(np.isfinite(by))):
+    if bx.shape != by.shape or not 1 <= bx.ndim <= max_ndim:
+        raise ValueError(f"bias arrays must have equal shapes and 1 to {max_ndim} dimensions")
+    if not (np.isfinite(bx).all() and np.isfinite(by).all()):
         raise ValueError("bias values must be finite")
     return bx, by
 
@@ -49,8 +52,9 @@ def _likelihoods(bx: np.ndarray, by: np.ndarray):
     """Clamped Pr(+1) of c and of s, and where either needed clamping."""
     p_c_raw = (1.0 + bx) / 2.0
     p_s_raw = (1.0 + by) / 2.0
-    p_c = np.clip(p_c_raw, 0.0, 1.0)
-    p_s = np.clip(p_s_raw, 0.0, 1.0)
+    # minimum/maximum equal np.clip on finite input, without its dispatch cost
+    p_c = np.minimum(np.maximum(p_c_raw, 0.0), 1.0)
+    p_s = np.minimum(np.maximum(p_s_raw, 0.0), 1.0)
     clamped = (np.abs(p_c - p_c_raw) > CLAMP_TOLERANCE) | (np.abs(p_s - p_s_raw) > CLAMP_TOLERANCE)
     return p_c, p_s, clamped
 
@@ -70,37 +74,56 @@ def sample_pairs(bx: np.ndarray, by: np.ndarray, rng: np.random.Generator):
     return c, s, clamped
 
 
+def _total_depths(n: np.ndarray, samples: int) -> np.ndarray:
+    """sum_k k n[b, k] for each row b, exact at any sample count."""
+    K = n.shape[1]
+    if samples * (K - 1) <= _INT64_MAX:
+        return n @ np.arange(K)
+    # the int64 dot product would wrap; Python integers do not
+    return np.array([sum(k * count for k, count in enumerate(row)) for row in n.tolist()],
+                    dtype=object)
+
+
 def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> OutcomeSums:
     """Draw ``samples`` outcome pairs over the bias tables (bx[k], by[k]) and
     return their per-time sums, total depth and clamp count.
 
-    With M samples over K times, M > K draws the per-time counts
-    n ~ Multinomial(M, 1/K), then sum c_k = 2 Binomial(n_k, p_c[k]) - n_k and
-    sum s_k the same way: O(K) time and memory, whatever M is.  M <= K draws
-    M time indices, then one outcome pair per index with
-    :func:`sample_pairs`: O(M), cheaper when most times get no sample.  Both
+    Tables of shape (B, K) draw B independent runs of M samples each, row b
+    over (bx[b], by[b]), and every returned field gains a leading axis of B.
+    With M > K the per-time counts n ~ Multinomial(M, 1/K) are drawn for all
+    rows, then sum c_k = 2 Binomial(n_k, p_c[k]) - n_k for all rows, then
+    sum s_k the same way: O(BK) time and memory, whatever M is.  M <= K draws
+    M time indices per row, then one outcome pair per index with
+    :func:`sample_pairs`: O(BM), cheaper when most times get no sample.  Both
     give the same joint law of the returned values; they consume ``rng``
-    differently (counts, c sums, s sums against indices, then c and s
-    uniforms per sample).
+    differently.  A block of one row consumes it exactly as one length-K run.
     """
-    bx, by = _finite_pair(bx, by)
-    K = bx.shape[0]
+    bx, by = _finite_pair(bx, by, max_ndim=2)
+    one_run = bx.ndim == 1
+    if one_run:
+        bx, by = bx[None], by[None]
+    B, K = bx.shape
     M = int(samples)
     if K < 1:
         raise ValueError("bias tables must cover at least one time")
     if M < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
     if M <= K:
-        ks = rng.integers(0, K, size=M)
-        c, s, clamped = sample_pairs(bx[ks], by[ks], rng)
-        z = np.bincount(ks, weights=c, minlength=K) + 1j * np.bincount(ks, weights=s, minlength=K)
-        return OutcomeSums(z=z, total_depth=int(ks.sum()), clamp_count=int(clamped.sum()))
-    p_c, p_s, clamped = _likelihoods(bx, by)
-    n = rng.multinomial(M, np.full(K, 1.0 / K))
-    c = 2 * rng.binomial(n, p_c) - n
-    z = c + 1j * (2 * rng.binomial(n, p_s) - n)
-    if M * (K - 1) <= _INT64_MAX:
-        total_depth = int(np.arange(K) @ n)
-    else:  # the int64 dot product would wrap; Python integers do not
-        total_depth = sum(k * count for k, count in enumerate(n.tolist()))
-    return OutcomeSums(z=z, total_depth=total_depth, clamp_count=int(n[clamped].sum()))
+        ks = rng.integers(0, K, size=(B, M))
+        cells = (ks + K * np.arange(B)[:, None]).ravel()  # flat (row, time) index
+        c, s, clamped = sample_pairs(bx.ravel()[cells], by.ravel()[cells], rng)
+        z = (np.bincount(cells, weights=c, minlength=B * K)
+             + 1j * np.bincount(cells, weights=s, minlength=B * K)).reshape(B, K)
+        total_depth = ks.sum(axis=1)
+        clamp_count = clamped.reshape(B, M).sum(axis=1)
+    else:
+        p_c, p_s, clamped = _likelihoods(bx, by)
+        n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
+        c = 2 * rng.binomial(n, p_c) - n
+        z = c + 1j * (2 * rng.binomial(n, p_s) - n)
+        total_depth = _total_depths(n, M)
+        clamp_count = (n * clamped).sum(axis=1)
+    if one_run:
+        return OutcomeSums(z=z[0], total_depth=int(total_depth[0]),
+                           clamp_count=int(clamp_count[0]))
+    return OutcomeSums(z=z, total_depth=total_depth, clamp_count=clamp_count)

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bounds, noise
 from .estimator import RunConfig, run_rfe, spectrum_csv
@@ -215,7 +214,7 @@ def suite_thresholds() -> SuiteResult:
     thr = ban_threshold()
     nominal = dephasing_ratio_threshold_nominal()
     rederived = dephasing_ratio_threshold_rederived()
-    bisect = float(brentq(lambda x: (1.0 - math.exp(-x)) / 2.0 - thr, 1e-12, 5.0))
+    bisect = bounds.bisect(lambda x: (1.0 - math.exp(-x)) / 2.0 - thr, 1e-12, 5.0)
     checks = {
         "ban_threshold": abs(thr - BAN_THRESHOLD_EXPECTED) <= BAN_THRESHOLD_TOL,
         "dephasing_nominal": abs(nominal - DEPHASING_NOMINAL_EXPECTED) <= DEPHASING_RATIO_TOL,

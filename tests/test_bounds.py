@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy.optimize import brentq
 
 from rfe.bounds import (
     MAX_SAMPLES,
@@ -10,6 +11,7 @@ from rfe.bounds import (
     BoundsUnachievable,
     ban_inflation,
     bounds_report,
+    bisect,
     derivation_report,
     expected_total_depth,
     gaussian_etabar,
@@ -284,3 +286,23 @@ class TestDerivationReport:
         section = derivation_report(sigma=0.1)["gaussian_inflation"]
         assert section["nominal_factor"] == pytest.approx(1.0446400979155872, rel=1e-12)
         assert section["rederived_factor"] > section["nominal_factor"]
+
+
+class TestBisect:
+    def test_matches_brentq(self):
+        # brentq is the independent reference root finder
+        for f, lo, hi in ((math.cos, 0.0, 3.0),
+                          (lambda x: x ** 3 - 2.0, 0.0, 2.0),
+                          (lambda x: (1.0 - math.exp(-x)) / 2.0 - 0.1, 1e-12, 5.0),
+                          (lambda x: 1.0 - x, 0.0, 1e6)):
+            assert bisect(f, lo, hi) == pytest.approx(brentq(f, lo, hi, xtol=1e-15),
+                                                      rel=1e-14, abs=1e-15)
+
+    def test_root_at_bracket_end(self):
+        assert bisect(lambda x: x, 0.0, 1.0) == 0.0
+        assert bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert bisect(lambda x: 1.0 - x, 0.0, 1.0) == 1.0
+
+    def test_unbracketed_root_rejected(self):
+        with pytest.raises(ValueError):
+            bisect(lambda x: x * x + 1.0, -1.0, 1.0)

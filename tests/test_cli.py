@@ -2,10 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rfe.cli import CliConfig, config_from_dict, main
+from rfe.cli import CliConfig, build_parser, config_from_dict, main
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +200,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--family", "ban", "--grid",
                                "a,b", "--epsilon", "0.2", "--delta", "0.2")
         assert code == 2
+
+
+class TestDefaults:
+    def test_one_worker_by_default(self):
+        parser = build_parser()
+        assert parser.parse_args(["verify"]).workers == 1
+        assert parser.parse_args(["sweep", "--family", "ban", "--grid", "0.0",
+                                  "--epsilon", "0.2"]).workers == 1
+
+    def test_verify_takes_no_seed(self):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--seed", "1"])
+        assert info.value.code == 2
+
+    def test_import_does_not_load_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import rfe.cli; "
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
 
 
 class TestVerify:

@@ -11,12 +11,23 @@ from rfe.bounds import BoundsUnachievable, bounds_report
 from rfe.estimator import (
     RunConfig,
     estimate_phase,
+    run_block,
     run_rfe,
     spectrum_csv,
     trial_to_dict,
     winning_frequency,
 )
-from rfe.noise import AdversaryStrategy, Ban, Dephasing, Gaussian, HighCoherence, Ideal
+from rfe.noise import (
+    AdversaryStrategy,
+    Ban,
+    Dephasing,
+    Gaussian,
+    HighCoherence,
+    Ideal,
+    bias_table,
+    draw_run_noise,
+)
+from rfe.sampler import sample_outcome_sums
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,6 +183,47 @@ class TestEstimatePhase:
         result = run_rfe(RunConfig(samples=2 ** 62, grid_size=8, theta=1.0, seed=3))
         assert 2 ** 63 < result.spectrum.total_depth <= 2 ** 62 * 7
         assert result.winning_index == round(1.0 * 8 / TWO_PI)
+
+
+class TestRunBlock:
+    @pytest.mark.parametrize("M", [40, 5000])
+    def test_block_of_one_keeps_the_unbatched_stream(self, M):
+        # The reference is one unbatched run from one generator: a 1-d noise
+        # table, 1-d bias tables, 1-d sums and a 1-d FFT.
+        K, theta, noise = 63, 1.7, Gaussian(0.1)
+        rng = np.random.default_rng(31)
+        table = draw_run_noise(noise, K, rng)
+        bx, by = bias_table(noise, theta, K, run_noise=table)
+        sums = sample_outcome_sums(bx, by, M, rng)
+        result = run_rfe(RunConfig(samples=M, grid_size=K, theta=theta, noise=noise, seed=31))
+        assert np.array_equal(result.spectrum.coefficients, np.fft.fft(sums.z) / M)
+        assert result.spectrum.total_depth == sums.total_depth
+        assert result.spectrum.clamp_count == sums.clamp_count
+
+    def test_gaussian_rows_draw_independent_noise(self):
+        # 200 runs at one phase with M = 1e6 samples each: sampling moves a
+        # coefficient by about sqrt(2/M) = 0.0014, the run noise by about
+        # sqrt(2 sigma^2 / K) = 0.025.  Rows sharing one noise draw would
+        # agree to the sampling scale.
+        B, K, sigma, M = 200, 8, 0.05, 10 ** 6
+        coefficients, _ = run_block(np.full(B, 1.0), M, K, Gaussian(sigma),
+                                    np.random.default_rng(5))
+        spread = coefficients.var(axis=0).mean()  # mean over j of E|f_j - mean f_j|^2
+        assert 0.7 < spread / (2 * sigma ** 2 / K) < 1.3
+
+    def test_rows_follow_their_own_phases(self):
+        thetas = TWO_PI * np.array([1, 5, 2, 7]) / 8
+        coefficients, sums = run_block(thetas, 10 ** 4, 8, Ideal(), np.random.default_rng(6))
+        assert list(winning_frequency(coefficients)) == [1, 5, 2, 7]
+        assert sums.z.shape == (4, 8) and sums.total_depth.shape == (4,)
+
+    def test_rejects_bad_phases_and_counts(self):
+        rng = np.random.default_rng(7)
+        for thetas in ([1.0, math.nan], [[1.0]], 1.0):
+            with pytest.raises(ValueError):
+                run_block(thetas, 10, 8, Ideal(), rng)
+        with pytest.raises(ValueError):
+            run_block([1.0], 0, 8, Ideal(), rng)
 
 
 class TestSerialization:

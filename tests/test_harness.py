@@ -1,23 +1,25 @@
 """Oracle spectra, Wilson intervals, Monte Carlo campaigns, scans, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfe import harness
 from rfe.bounds import BoundsQuery, samples_ban
+from rfe.estimator import RunConfig, run_rfe
 from rfe.harness import (
     FixedTheta,
     UniformTheta,
     _error,
+    block_rng,
     exact_estimator_expectation,
     gaussian_shift_variance,
     lemma_bound_scan,
     monte_carlo_success,
     noise_sweep,
     sweep_csv,
-    trial_rng,
     wilson_interval,
 )
 from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
@@ -87,6 +89,11 @@ class TestExactOracle:
         with pytest.raises(ValueError):
             exact_estimator_expectation(1.0, 8, deviations=table)
 
+    def test_deviation_table_must_be_one_run(self):
+        table = DeviationTable(eta1=np.zeros((8, 8)), eta2=np.zeros((8, 8)))
+        with pytest.raises(ValueError):
+            exact_estimator_expectation(1.0, 8, deviations=table)
+
 
 class TestWilson:
     def test_frozen_values(self):
@@ -123,15 +130,27 @@ class TestWilson:
             wilson_interval(5, 4)
 
 
-class TestTrialSeeding:
-    def test_order_independent_streams(self):
-        draws_a = [trial_rng(7, i).random() for i in (5, 3, 9)]
-        draws_b = [trial_rng(7, i).random() for i in (9, 5, 3)]
-        assert draws_a[0] == draws_b[1]
-        assert draws_a[2] == draws_b[0]
+class TestBlockSeeding:
+    def test_distinct_blocks_distinct_streams(self):
+        draws = [block_rng(7, b).random(4) for b in range(50)]
+        assert len({tuple(d) for d in draws}) == 50
+        assert np.array_equal(block_rng(7, 3).random(4), draws[3])
 
-    def test_distinct_indices_distinct_streams(self):
-        assert trial_rng(7, 0).random() != trial_rng(7, 1).random()
+    def test_blocks_draw_distinct_phases(self, monkeypatch):
+        # every block of a campaign draws its own phases: record them
+        seen = []
+        original = harness.run_block
+
+        def recording(thetas, *args):
+            seen.append(np.array(thetas))
+            return original(thetas, *args)
+
+        monkeypatch.setattr(harness, "run_block", recording)
+        K = harness.BLOCK_CELLS // 4  # four trials per block
+        monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 10, UniformTheta(), 3,
+                            samples_override=20, grid_override=K)
+        assert [t.size for t in seen] == [4, 4, 2]
+        assert len(np.unique(np.concatenate(seen))) == 10
 
 
 class TestErrorMetric:
@@ -151,11 +170,50 @@ class TestMonteCarlo:
         assert stats.wilson_ci_95[0] <= stats.rate <= stats.wilson_ci_95[1]
         assert stats.epsilon_used == 0.4 and stats.delta_used == 0.2
 
-    def test_parallel_matches_inline(self):
-        query = BoundsQuery(0.4, 0.2, Ideal())
-        inline = monte_carlo_success(query, 32, UniformTheta(), 99, workers=1)
-        pooled = monte_carlo_success(query, 32, UniformTheta(), 99, workers=2)
+    def test_worker_count_does_not_change_stats(self):
+        # 2,000 trials at K = 63 span 16 blocks of 130, split over the pool
+        query = BoundsQuery(0.1, 0.1, Gaussian(0.1))
+        inline = monte_carlo_success(query, 2000, UniformTheta(), 99, workers=1,
+                                     samples_override=60)
+        pooled = monte_carlo_success(query, 2000, UniformTheta(), 99, workers=2,
+                                     samples_override=60)
         assert inline == pooled
+        assert 0 < inline.successes < 2000
+
+    @pytest.mark.parametrize("K,M,eps", [(79, 14, 0.08), (8, 9, 0.8)],
+                             ids=["sparse", "dense"])
+    def test_batched_campaign_follows_the_single_run_law(self, K, M, eps):
+        # Under-sampled plans (success rates about 0.76 and 0.82) on both
+        # sampler paths, so any fault that mixes trials inside a block moves
+        # the rate.  The batched count and the count of independent run_rfe
+        # calls at phases drawn the same way must agree as two binomial
+        # samples of one rate.
+        n = 3000
+        sampling = UniformTheta()
+        stats = monte_carlo_success(BoundsQuery(eps, 0.1, Ideal()), n, sampling,
+                                    master_seed=2024, samples_override=M, grid_override=K)
+        thetas = sampling.draw(np.random.default_rng(2024), n)
+        single = sum(abs(run_rfe(RunConfig(samples=M, grid_size=K, theta=theta,
+                                           seed=seed)).theta_hat - theta) <= eps
+                     for seed, theta in enumerate(thetas))
+        pooled = (stats.successes + single) / (2 * n)
+        assert 0.5 < pooled < 0.95
+        z = (stats.successes - single) / n / math.sqrt(2 * pooled * (1 - pooled) / n)
+        assert abs(z) <= 4
+
+    def test_fine_grid_campaign_memory_stays_bounded(self):
+        # K = 62,832 gives blocks of one trial: each run's arrays are O(K),
+        # and a campaign keeps no more than one block alive at a time.  Twenty
+        # runs in one block would hold 20 MB of complex sums alone.
+        tracemalloc.start()
+        try:
+            stats = monte_carlo_success(BoundsQuery(1e-4, 0.1, Gaussian(0.01)), 20,
+                                        UniformTheta(), master_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.successes == 20
+        assert peak < 16 * 2 ** 20
 
     def test_fixed_theta_sampling(self):
         stats = monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 16,
@@ -196,6 +254,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
                                 samples_override=0)
+        with pytest.raises(ValueError):
+            monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
+                                samples_override=2 ** 62 + 1)
+        with pytest.raises(ValueError):
+            monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
+                                samples_override=10, grid_override=0)
+
+    def test_phase_samplers_validated(self):
+        for make in (lambda: FixedTheta(TWO_PI), lambda: FixedTheta(math.nan),
+                     lambda: UniformTheta(-0.1, 1.0), lambda: UniformTheta(2.0, 1.0),
+                     lambda: UniformTheta(0.0, 7.0)):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestGaussianShiftVariance:

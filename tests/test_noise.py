@@ -125,6 +125,21 @@ class TestBias:
                 sx, sy = bias(model, 1.3, k, run_noise=noise)
                 assert sx == bx[k] and sy == by[k]
 
+    def test_phase_array_gives_one_row_per_phase(self):
+        thetas = np.array([0.4, 1.3, 2.9])
+        rows = draw_gaussian_run_noise(0.2, 16, np.random.default_rng(9), size=3)
+        for model, noise in ((Ban(0.04, AdversaryStrategy.SIGN_FLIP), None),
+                             (Dephasing(50.0), None),
+                             (Gaussian(0.2), rows)):
+            bx, by = bias_table(model, thetas, 16, run_noise=noise)
+            assert bx.shape == by.shape == (3, 16)
+            for b, theta in enumerate(thetas):
+                one = None if noise is None else DeviationTable(noise.eta1[b], noise.eta2[b])
+                ox, oy = bias_table(model, theta, 16, run_noise=one)
+                assert np.array_equal(bx[b], ox) and np.array_equal(by[b], oy)
+        with pytest.raises(ValueError):
+            bias_table(Ideal(), np.ones((2, 2)), 16)
+
 
 class TestZeroParameterReductions:
     def test_all_models_reduce_to_ideal(self):
@@ -209,6 +224,24 @@ class TestGaussianDraws:
         assert draw_run_noise(Dephasing(10.0), 8, rng) is None
         assert isinstance(draw_run_noise(Gaussian(0.1), 8, rng), DeviationTable)
         assert isinstance(draw_run_noise(GaussianLinear(0.1), 8, rng), DeviationTable)
+
+    def test_rows_extend_the_one_run_stream(self):
+        # a block of one draws exactly the one-run table; larger blocks draw
+        # fresh rows, run by run (eta1 then eta2)
+        one = draw_gaussian_run_noise(0.1, 8, np.random.default_rng(2))
+        block = draw_gaussian_run_noise(0.1, 8, np.random.default_rng(2), size=3)
+        assert block.eta1.shape == block.eta2.shape == (3, 8) and len(block) == 8
+        assert np.array_equal(block.eta1[0], one.eta1)
+        assert np.array_equal(block.eta2[0], one.eta2)
+        assert not np.array_equal(block.eta1[1], block.eta1[0])
+        rows = draw_run_noise(GaussianLinear(0.1), 8, np.random.default_rng(2), size=4)
+        assert rows.eta1.shape == (4, 8) and np.all(rows.eta1[:, 0] == 0.0)
+        assert draw_run_noise(Ideal(), 8, np.random.default_rng(2), size=4) is None
+
+    def test_custom_adversary_needs_one_table(self):
+        table = DeviationTable(eta1=np.zeros((2, 4)), eta2=np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            Ban(0.05, table)
 
     def test_table_immutable(self):
         table = draw_gaussian_run_noise(0.1, 8, np.random.default_rng(6))

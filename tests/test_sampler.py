@@ -152,6 +152,38 @@ class TestDeterminism:
         assert (a.total_depth, a.clamp_count) == (b.total_depth, b.clamp_count)
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("M", [30, 400])
+    def test_block_of_one_matches_one_run(self, M):
+        bx = np.linspace(-0.8, 1.2, 50)
+        by = np.linspace(0.5, -1.5, 50)
+        one = sample_outcome_sums(bx, by, M, np.random.default_rng(4))
+        block = sample_outcome_sums(bx[None], by[None], M, np.random.default_rng(4))
+        assert block.z.shape == (1, 50)
+        assert np.array_equal(block.z[0], one.z)
+        assert (block.total_depth[0], block.clamp_count[0]) == (one.total_depth, one.clamp_count)
+
+    @pytest.mark.parametrize("M", [30, 400])
+    def test_rows_draw_from_their_own_tables(self, M):
+        # row 0 is certain +1 for c and -1 for s, row 1 the reverse, row 2
+        # clamps everywhere: each row's sums and clamp count say which table
+        # it drew from
+        K = 40
+        bx = np.stack([np.ones(K), -np.ones(K), np.full(K, 1.5)])
+        by = -bx
+        sums = sample_outcome_sums(bx, by, M, np.random.default_rng(5))
+        assert sums.z.shape == (3, K)
+        assert list(sums.z.real.sum(axis=1)) == [M, -M, M]
+        assert list(sums.z.imag.sum(axis=1)) == [-M, M, -M]
+        assert list(sums.clamp_count) == [0, 0, M]
+        assert np.all(sums.total_depth <= M * (K - 1))
+
+    def test_rejects_three_dimensions(self):
+        with pytest.raises(ValueError):
+            sample_outcome_sums(np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), 10,
+                                np.random.default_rng(6))
+
+
 class TestHugeSampleCounts:
     def test_depth_past_int64_does_not_wrap(self):
         # the expected depth M (K - 1) / 2 = 3.5 * 2**62 is past int64
@@ -161,3 +193,9 @@ class TestHugeSampleCounts:
         assert 2 ** 63 < sums.total_depth <= M * (K - 1)
         assert sums.total_depth == pytest.approx(M * (K - 1) / 2, rel=1e-6)
         assert np.all(np.abs(sums.z.real) <= M) and abs(sums.z.imag.sum() - M / 2) < M / 10 ** 6
+
+    def test_block_depths_past_int64_do_not_wrap(self):
+        M, K = 2 ** 62, 8
+        sums = sample_outcome_sums(np.zeros((3, K)), np.zeros((3, K)), M,
+                                   np.random.default_rng(12))
+        assert all(isinstance(d, int) and 2 ** 63 < d <= M * (K - 1) for d in sums.total_depth)
