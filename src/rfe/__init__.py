@@ -59,15 +59,11 @@ from .noise import (
     Ideal,
     NoiseModel,
     ban_threshold,
-    bias,
     bias_table,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
-    draw_gaussian_run_noise,
     draw_run_noise,
-    implied_eta_bar,
     noise_from_dict,
-    noise_to_dict,
 )
 from .sampler import OutcomeSums, sample_outcome_sums, sample_pairs
 from .spectrum import (

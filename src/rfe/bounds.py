@@ -24,18 +24,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .noise import (
-    Ban,
     Dephasing,
     Gaussian,
-    GaussianLinear,
     HighCoherence,
     Ideal,
     NoiseModel,
     ban_threshold,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
-    implied_eta_bar,
-    noise_to_dict,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -100,7 +96,7 @@ class BoundsReport:
         return {
             "epsilon": self.epsilon,
             "delta": self.delta,
-            "noise": noise_to_dict(self.noise),
+            "noise": self.noise.to_dict(),
             "K": self.grid_size,
             "M": self.samples,
             "inflation_factor": self.inflation_factor,
@@ -242,9 +238,13 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
 
     epsilon >= pi/2 needs no data at all (pi/2 is epsilon-accurate for any
     phase in [0, pi]): the report then carries samples = 0 and grid_size = 4,
-    which still satisfies grid_size >= ceil(2 pi / epsilon).  GaussianLinear
-    has no guarantee formula and is rejected, as is any plan needing more
-    than 2**62 samples (noise just below its threshold).
+    which still satisfies grid_size >= ceil(2 pi / epsilon).
+
+    A model with an envelope is planned as adversarial noise with eta_bar =
+    envelope(K) (the noiseless count at 0), ``Gaussian`` itself (not its
+    subclass ``GaussianLinear``) by its own formula.  Any other model has no
+    guarantee and is rejected, as is any plan needing more than 2**62
+    samples (noise just below its threshold).
     """
     _check_epsilon_delta(epsilon, delta)
     thresholds = _default_thresholds(epsilon, delta)
@@ -253,27 +253,22 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
                             samples=0, inflation_factor=1.0, expected_total_depth=0.0,
                             thresholds=thresholds)
     K = grid_size(epsilon)
-    if isinstance(noise, Ideal):
-        M = samples_noiseless(epsilon, delta)
-        inflation = 1.0
-    elif isinstance(noise, Ban):
-        M = samples_ban(epsilon, delta, noise.eta_bar)
-        inflation = ban_inflation(noise.eta_bar)
-    elif isinstance(noise, Gaussian):
+    if type(noise) is Gaussian:
         M = samples_gaussian(epsilon, delta, noise.sigma)
         inflation = gaussian_inflation(epsilon, delta, noise.sigma)
-    elif isinstance(noise, GaussianLinear):
-        raise BoundsUnachievable(
-            "no sample-count guarantee exists for depth-proportional gaussian "
-            "noise; run it with an explicit sample count instead"
-        )
-    elif isinstance(noise, (Dephasing, HighCoherence)):
-        eta = implied_eta_bar(noise, K)
-        thresholds["implied_eta_bar"] = eta
+    else:
+        eta = noise.envelope(K)
+        if eta is None:
+            raise BoundsUnachievable(
+                f"no sample-count guarantee exists for {noise.kind} noise; "
+                "run it with an explicit sample count instead"
+            )
+        # A dephasing envelope is derived from T2 and K, not given, so the
+        # report shows it.
+        if isinstance(noise, (Dephasing, HighCoherence)):
+            thresholds["implied_eta_bar"] = eta
         M = samples_ban(epsilon, delta, eta)
         inflation = ban_inflation(eta)
-    else:
-        raise TypeError(f"not a noise model: {noise!r}")
     if M > MAX_SAMPLES:
         raise BoundsUnachievable(
             f"certified sample count {M:.3e} exceeds the runnable maximum 2**62"

@@ -8,16 +8,8 @@ the seed) produce byte-identical output.  The environment variable
 Exit codes: 0 success, 1 verification failure, 2 invalid input (bad flags,
 malformed noise JSON, noise past its threshold).
 
-Noise models are passed as one JSON object, e.g.::
-
-    {"kind": "ideal"}
-    {"kind": "ban", "eta_bar": 0.05, "strategy": "sign_flip"}
-    {"kind": "ban", "eta_bar": 0.1,
-     "strategy": {"name": "custom", "eta1": [...], "eta2": [...]}}
-    {"kind": "gaussian", "sigma": 0.1}
-    {"kind": "gaussian_linear", "sigma": 0.01}
-    {"kind": "dephasing", "t2": 630.0}
-    {"kind": "high_coherence", "t2": 6300.0}
+Noise models are passed as one JSON object in the wire format of
+:mod:`rfe.noise`, e.g. ``{"kind": "ban", "eta_bar": 0.05, "strategy": "sign_flip"}``.
 """
 
 from __future__ import annotations
@@ -40,8 +32,8 @@ from .estimator import (
     spectrum_csv,
     trial_to_dict,
 )
-from .harness import FixedTheta, UniformTheta, noise_sweep, sweep_csv
-from .noise import AdversaryStrategy, noise_from_dict, noise_to_dict
+from .harness import SWEEP_FAMILIES, FixedTheta, UniformTheta, noise_sweep, sweep_csv
+from .noise import AdversaryStrategy, noise_from_dict
 from .spectrum import expected_spectrum
 from .verify import SUITE_NAMES, run_suites
 
@@ -121,7 +113,7 @@ def _resolve_theta(theta, seed: int):
 def _cmd_run(args) -> int:
     noise = noise_from_dict(json.loads(args.noise))
     config = CliConfig(subcommand="run", epsilon=args.epsilon, delta=args.delta,
-                       theta=args.theta, noise=noise_to_dict(noise), seed=args.seed,
+                       theta=args.theta, noise=noise.to_dict(), seed=args.seed,
                        samples=args.samples, grid=args.grid,
                        format=args.format)
     theta, run_seed = _resolve_theta(args.theta, args.seed)
@@ -151,7 +143,7 @@ def _cmd_spectrum(args) -> int:
     theta, run_seed = _resolve_theta(args.theta, args.seed)
     K = args.grid if args.grid is not None else grid_size(args.epsilon)
     config = CliConfig(subcommand="spectrum", epsilon=args.epsilon, theta=args.theta,
-                       noise=noise_to_dict(noise), seed=args.seed, samples=args.samples,
+                       noise=noise.to_dict(), seed=args.seed, samples=args.samples,
                        grid=args.grid, format=args.format)
     if args.samples is not None:
         result = run_rfe(RunConfig(samples=args.samples, grid_size=K, theta=theta,
@@ -176,7 +168,7 @@ def _cmd_bounds(args) -> int:
     noise = noise_from_dict(json.loads(args.noise))
     report = bounds_report(args.epsilon, args.delta, noise)
     config = CliConfig(subcommand="bounds", epsilon=args.epsilon, delta=args.delta,
-                       noise=noise_to_dict(noise), format=args.format)
+                       noise=noise.to_dict(), format=args.format)
     if args.format == "csv":
         d = report.to_dict()
         header = "epsilon,delta,kind,K,M,inflation_factor,expected_total_depth"
@@ -286,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="success-rate sweep over a noise grid")
     common(p_sweep, theta="random", noise=False, trials=100, workers=True)
     p_sweep.add_argument("--family", required=True,
-                         choices=("ideal", "ban", "gaussian", "dephasing",
-                                  "high_coherence"),
+                         choices=SWEEP_FAMILIES,
                          help="swept parameter: epsilon (ideal), eta_bar (ban), "
                               "sigma (gaussian), K/T2 (dephasing, high_coherence)")
     p_sweep.add_argument("--grid", required=True,

@@ -34,25 +34,10 @@ from .bounds import (
     BoundsUnachievable,
     bounds_report,
     grid_size,
-    samples_ban,
-    samples_gaussian,
-    samples_noiseless,
-    sigma_max,
 )
 # run_rfe is not called here; rfebench's traced run wraps rfe.harness.run_rfe.
 from .estimator import no_sample_result, run_block, run_rfe, winning_frequency
-from .noise import (
-    AdversaryStrategy,
-    Ban,
-    Dephasing,
-    DeviationTable,
-    Gaussian,
-    HighCoherence,
-    Ideal,
-    ban_threshold,
-    implied_eta_bar,
-    noise_to_dict,
-)
+from .noise import MODELS, AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
 from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
@@ -438,35 +423,28 @@ class SweepPoint:
 
 def _sweep_point_plan(family: str, parameter: float, epsilon: float, delta: float,
                       strategy: AdversaryStrategy):
-    """Resolve (model, epsilon for this point, predicted M or None, extras)."""
+    """Resolve (model, epsilon, bounds_report plan or None, extras) of a point."""
     extras: dict = {}
     if family == "ideal":
-        eps_pt = float(parameter)
-        try:
-            return Ideal(), eps_pt, samples_noiseless(eps_pt, delta), extras
-        except ValueError:
-            return Ideal(), eps_pt, None, extras
-    if family == "ban":
-        model = Ban(eta_bar=float(parameter), strategy=strategy)
-        if parameter < ban_threshold():
-            return model, epsilon, samples_ban(epsilon, delta, parameter), extras
-        return model, epsilon, None, extras
-    if family == "gaussian":
-        model = Gaussian(sigma=float(parameter))
-        if parameter < sigma_max(epsilon, delta):
-            return model, epsilon, samples_gaussian(epsilon, delta, parameter), extras
-        return model, epsilon, None, extras
-    if family in ("dephasing", "high_coherence"):
+        model, epsilon = Ideal(), parameter
+    elif family == "ban":
+        model = Ban(eta_bar=parameter, strategy=strategy)
+    elif family == "gaussian":
+        model = Gaussian(sigma=parameter)
+    elif family in ("dephasing", "high_coherence"):
         # parameter is the timescale ratio K/T2 at this point's grid size
+        if not (math.isfinite(parameter) and parameter > 0.0):
+            raise ValueError(f"the {family} ratio K/T2 must be finite and > 0, "
+                             f"got {parameter!r}")
         K = grid_size(epsilon)
-        t2 = K / float(parameter)
-        model = Dephasing(t2=t2) if family == "dephasing" else HighCoherence(t2=t2)
-        implied = implied_eta_bar(model, K)
-        extras["implied_eta_bar"] = implied
-        if implied < ban_threshold():
-            return model, epsilon, samples_ban(epsilon, delta, implied), extras
+        model = MODELS[family](t2=K / parameter)
+        extras["implied_eta_bar"] = model.envelope(K)
+    else:
+        raise ValueError(f"unknown sweep family {family!r}; choose from {SWEEP_FAMILIES}")
+    try:
+        return model, epsilon, bounds_report(epsilon, delta, model), extras
+    except BoundsUnachievable:
         return model, epsilon, None, extras
-    raise ValueError(f"unknown sweep family {family!r}; choose from {SWEEP_FAMILIES}")
 
 
 def noise_sweep(family: str, values: Sequence[float], epsilon: float, delta: float,
@@ -478,28 +456,29 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: float, delta: flo
 
     For family ``ideal`` the swept parameter is epsilon itself; for ``ban``
     it is eta_bar, for ``gaussian`` sigma, and for ``dephasing`` /
-    ``high_coherence`` the timescale ratio K/T2.  Points at or past the
-    family's threshold are marked unachievable and not run.
+    ``high_coherence`` the timescale ratio K/T2 (finite and > 0).  Every
+    point is planned by :func:`rfe.bounds.bounds_report` before any trial
+    runs, so a bad value anywhere in the grid raises ``ValueError`` first.
+    Points the planner rejects as unachievable (noise at or past its
+    threshold, or more than 2**62 samples) are marked so and not run.
     """
     if theta_sampling is None:
         theta_sampling = UniformTheta()
+    parameters = [float(value) for value in values]
+    plans = [_sweep_point_plan(family, parameter, epsilon, delta, strategy)
+             for parameter in parameters]
     points: list[SweepPoint] = []
-    for index, parameter in enumerate(values):
-        model, eps_pt, predicted, extras = _sweep_point_plan(
-            family, float(parameter), epsilon, delta, strategy)
-        if predicted is None:
-            points.append(SweepPoint(family=family, parameter=float(parameter),
-                                     predicted_samples=None, achievable=False,
-                                     stats=None, extras=extras))
-            continue
-        point_seed = int(np.random.SeedSequence(int(master_seed), spawn_key=(index,))
-                         .generate_state(1, np.uint64)[0])
-        stats = monte_carlo_success(BoundsQuery(eps_pt, delta, model),
-                                    trials_per_point, theta_sampling, point_seed,
-                                    workers=workers, distance=distance)
-        points.append(SweepPoint(family=family, parameter=float(parameter),
-                                 predicted_samples=predicted, achievable=True,
-                                 stats=stats, extras=extras))
+    for index, (parameter, (model, eps_pt, plan, extras)) in enumerate(zip(parameters, plans)):
+        stats = None
+        if plan is not None:
+            point_seed = int(np.random.SeedSequence(int(master_seed), spawn_key=(index,))
+                             .generate_state(1, np.uint64)[0])
+            stats = monte_carlo_success(BoundsQuery(eps_pt, delta, model),
+                                        trials_per_point, theta_sampling, point_seed,
+                                        workers=workers, distance=distance)
+        points.append(SweepPoint(family=family, parameter=parameter,
+                                 predicted_samples=None if plan is None else plan.samples,
+                                 achievable=plan is not None, stats=stats, extras=extras))
     return points
 
 

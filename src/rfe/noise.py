@@ -3,20 +3,16 @@
 A model perturbs the ideal outcome biases (cos k*theta, sin k*theta) with
 additive deviations (eta1[k], eta2[k]), i.e. the +1 outcome probabilities
 become (1 + cos(k theta) + eta1[k]) / 2 and (1 + sin(k theta) + eta2[k]) / 2.
-Six model kinds are provided:
 
-* ``Ideal``          -- no deviation.
-* ``Ban``            -- bounded adversarial: arbitrary deviations with
-                        |eta| <= eta_bar, realized through built-in
-                        strategies or a custom deviation table.
-* ``Gaussian``       -- deviations drawn once per run, i.i.d. N(0, sigma^2).
-* ``GaussianLinear`` -- variant with per-time scale sigma_k = k * sigma
-                        (error accumulating with circuit depth; no
-                        sample-count guarantee is claimed for it).
-* ``Dephasing``      -- exponential envelope exp(-k/T2) on both biases,
-                        equivalently eta1[k] = (exp(-k/T2) - 1) cos(k theta).
-* ``HighCoherence``  -- linearization of dephasing for k << T2:
-                        bias shifted by +k/T2.
+Each model kind is one frozen dataclass deriving from :class:`NoiseModel`:
+``Ideal``, ``Ban`` (bounded adversarial), ``Gaussian``, ``GaussianLinear``,
+``Dephasing`` and ``HighCoherence``.  The class owns all of the kind's
+behaviour: its bias tables, its per-run random state, its bound on |eta|
+and its JSON form.  :func:`bias_table`, :func:`draw_run_noise` and
+:func:`noise_from_dict` are the kind-agnostic entry points.  Adding a model
+means one class plus one entry in :data:`MODELS`, and a rule in
+:func:`rfe.bounds.bounds_report` only if it is certifiable without an
+envelope.
 
 Biases are produced *unclamped*; probabilities outside [0, 1] (possible under
 Ban/Gaussian/HighCoherence at extreme parameters) are clamped and counted by
@@ -26,7 +22,7 @@ the sampler, keeping physicality violations observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Union
 
@@ -71,13 +67,56 @@ class DeviationTable:
         return float(max(np.max(np.abs(self.eta1)), np.max(np.abs(self.eta2))))
 
 
+def _require_cover(table: DeviationTable, ks: np.ndarray, what: str) -> None:
+    if ks.size and int(ks.max()) >= len(table):
+        raise ValueError(
+            f"{what} table of length {len(table)} does not cover time index {int(ks.max())}"
+        )
+
+
+class NoiseModel:
+    """Base of the noise models.  A subclass is a frozen dataclass whose
+    fields are its float parameters; it sets ``kind``, defines
+    ``biases(cos_k, sin_k, ks, run_noise)``, which adds its unclamped
+    deviations at the times ``ks`` to the ideal tables, and overrides the
+    defaults below where it differs."""
+
+    def draw_run_noise(self, grid_size: int, rng: np.random.Generator,
+                       size: Optional[int] = None) -> Optional[DeviationTable]:
+        """Random state fixed for one run, one row per run when ``size`` is
+        given; None when the model has none."""
+        return None
+
+    def envelope(self, grid_size: int) -> Optional[float]:
+        """Bound on |eta| over times k <= grid_size; None when the
+        deviations are unbounded."""
+        return None
+
+    def to_dict(self) -> dict:
+        """JSON-ready description of the model."""
+        return {"kind": self.kind, **{f.name: float(getattr(self, f.name)) for f in fields(self)}}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> NoiseModel:
+        """The model described by a wire-format dict of this kind."""
+        return cls(**{f.name: float(data[f.name]) for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class Ideal:
+class Ideal(NoiseModel):
     """Noise-free Hadamard tests."""
+
+    kind = "ideal"
+
+    def biases(self, cos_k, sin_k, ks, run_noise):
+        return cos_k, sin_k
+
+    def envelope(self, grid_size):
+        return 0.0
 
 
 @dataclass(frozen=True, eq=False)
-class Ban:
+class Ban(NoiseModel):
     """Bounded adversarial noise: |eta1[k]|, |eta2[k]| <= eta_bar for all k.
 
     ``strategy`` is either a built-in :class:`AdversaryStrategy` or a custom
@@ -86,6 +125,8 @@ class Ban:
 
     eta_bar: float
     strategy: Union[AdversaryStrategy, DeviationTable] = AdversaryStrategy.SIGN_FLIP
+
+    kind = "ban"
 
     def __post_init__(self):
         if not math.isfinite(self.eta_bar) or self.eta_bar < 0.0:
@@ -103,87 +144,76 @@ class Ban:
         elif not isinstance(self.strategy, AdversaryStrategy):
             raise ValueError(f"unknown adversary strategy {self.strategy!r}")
 
-
-@dataclass(frozen=True)
-class Gaussian:
-    """Deviations ~ N(0, sigma^2), drawn once per run and then fixed."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.sigma) or self.sigma < 0.0:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-
-
-@dataclass(frozen=True)
-class GaussianLinear:
-    """Gaussian variant with depth-proportional scale sigma_k = k * sigma."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.sigma) or self.sigma < 0.0:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-
-
-@dataclass(frozen=True)
-class Dephasing:
-    """Exponential bias decay exp(-k/T2); t2 counts applications of the
-    controlled unitary (one unit = one power of it)."""
-
-    t2: float
-
-    def __post_init__(self):
-        if math.isnan(self.t2) or not self.t2 > 0.0:
-            raise ValueError(f"t2 must be > 0, got {self.t2!r}")
-
-
-@dataclass(frozen=True)
-class HighCoherence:
-    """Linearized dephasing, valid for k << T2: bias += k/T2."""
-
-    t2: float
-
-    def __post_init__(self):
-        if math.isnan(self.t2) or not self.t2 > 0.0:
-            raise ValueError(f"t2 must be > 0, got {self.t2!r}")
-
-
-NoiseModel = Union[Ideal, Ban, Gaussian, GaussianLinear, Dephasing, HighCoherence]
-
-
-def _require_cover(table: DeviationTable, ks: np.ndarray, what: str) -> None:
-    if ks.size and int(ks.max()) >= len(table):
-        raise ValueError(
-            f"{what} table of length {len(table)} does not cover time index {int(ks.max())}"
-        )
-
-
-def _bias_arrays(model: NoiseModel, theta: float | np.ndarray, ks: np.ndarray,
-                 run_noise: Optional[DeviationTable]):
-    if (ks < 0).any():
-        raise ValueError("time indices must be >= 0")
-    kf = ks.astype(float)
-    cos_k = np.cos(kf * theta)
-    sin_k = np.sin(kf * theta)
-    if isinstance(model, Ideal):
-        return cos_k, sin_k
-    if isinstance(model, Ban):
-        strategy = model.strategy
+    def biases(self, cos_k, sin_k, ks, run_noise):
+        strategy = self.strategy
         if isinstance(strategy, DeviationTable):
             _require_cover(strategy, ks, "custom adversary")
             return cos_k + strategy.eta1[ks], sin_k + strategy.eta2[ks]
-        e = model.eta_bar
+        e = self.eta_bar
         if strategy is AdversaryStrategy.ZERO:
             return cos_k, sin_k
         if strategy is AdversaryStrategy.CONSTANT_PLUS:
             return cos_k + e, sin_k + e
         if strategy is AdversaryStrategy.CONSTANT_MINUS:
             return cos_k - e, sin_k - e
-        if strategy is AdversaryStrategy.SIGN_FLIP:
-            return cos_k - e * np.sign(cos_k), sin_k - e * np.sign(sin_k)
-        raise ValueError(f"unknown adversary strategy {strategy!r}")
-    if isinstance(model, (Gaussian, GaussianLinear)):
+        return cos_k - e * np.sign(cos_k), sin_k - e * np.sign(sin_k)
+
+    def envelope(self, grid_size):
+        return float(self.eta_bar)
+
+    def to_dict(self):
+        if isinstance(self.strategy, DeviationTable):
+            strategy = {
+                "name": "custom",
+                "eta1": [float(v) for v in self.strategy.eta1],
+                "eta2": [float(v) for v in self.strategy.eta2],
+            }
+        else:
+            strategy = self.strategy.value
+        return {"kind": self.kind, "eta_bar": float(self.eta_bar), "strategy": strategy}
+
+    @classmethod
+    def from_dict(cls, data):
+        raw = data.get("strategy", AdversaryStrategy.SIGN_FLIP.value)
+        if isinstance(raw, dict):
+            if raw.get("name") != "custom":
+                raise ValueError(f"unknown strategy object {raw!r}")
+            strategy = DeviationTable(eta1=np.asarray(raw["eta1"], dtype=float),
+                                      eta2=np.asarray(raw["eta2"], dtype=float))
+        else:
+            strategy = AdversaryStrategy(raw)
+        return cls(eta_bar=float(data["eta_bar"]), strategy=strategy)
+
+
+@dataclass(frozen=True)
+class Gaussian(NoiseModel):
+    """Deviations ~ N(0, sigma^2), drawn once per run and then fixed."""
+
+    sigma: float
+
+    kind = "gaussian"
+
+    def __post_init__(self):
+        if not math.isfinite(self.sigma) or self.sigma < 0.0:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+
+    def scale(self, grid_size: int) -> np.ndarray:
+        """Standard deviation of the deviations at each time: sigma."""
+        return np.full(grid_size, float(self.sigma))
+
+    def draw_run_noise(self, grid_size, rng, size=None):
+        """The 2K independent normal deviations of one run, or of each of
+        ``size`` runs as the rows of a 2-d table, scaled by :meth:`scale`.
+        Normals are consumed run by run: eta1, then eta2."""
+        K = int(grid_size)
+        if K < 1:
+            raise ValueError(f"grid size must be >= 1, got {grid_size}")
+        shape = (2, K) if size is None else (int(size), 2, K)
+        eta = rng.standard_normal(shape)
+        eta *= self.scale(K)
+        return DeviationTable(eta1=eta[..., 0, :], eta2=eta[..., 1, :])
+
+    def biases(self, cos_k, sin_k, ks, run_noise):
         if run_noise is None:
             raise ValueError(
                 "gaussian models need a run-noise table (drawn once per run); "
@@ -192,32 +222,77 @@ def _bias_arrays(model: NoiseModel, theta: float | np.ndarray, ks: np.ndarray,
         _require_cover(run_noise, ks, "run noise")
         return (cos_k + np.take(run_noise.eta1, ks, axis=-1),
                 sin_k + np.take(run_noise.eta2, ks, axis=-1))
-    if isinstance(model, Dephasing):
-        envelope = np.exp(-kf / model.t2)
-        return envelope * cos_k, envelope * sin_k
-    if isinstance(model, HighCoherence):
-        drift = kf / model.t2
+
+
+@dataclass(frozen=True)
+class GaussianLinear(Gaussian):
+    """Gaussian variant with depth-proportional scale sigma_k = k * sigma
+    (error accumulating with circuit depth; no sample-count guarantee is
+    claimed for it)."""
+
+    kind = "gaussian_linear"
+
+    def scale(self, grid_size):
+        """Standard deviation of the deviations at each time: k * sigma."""
+        return self.sigma * np.arange(grid_size, dtype=float)
+
+
+@dataclass(frozen=True)
+class Dephasing(NoiseModel):
+    """Exponential bias decay exp(-k/T2), equivalently eta1[k] =
+    (exp(-k/T2) - 1) cos(k theta); t2 counts applications of the controlled
+    unitary (one unit = one power of it)."""
+
+    t2: float
+
+    kind = "dephasing"
+
+    def __post_init__(self):
+        if math.isnan(self.t2) or not self.t2 > 0.0:
+            raise ValueError(f"t2 must be > 0, got {self.t2!r}")
+
+    def biases(self, cos_k, sin_k, ks, run_noise):
+        decay = np.exp(-ks / self.t2)
+        return decay * cos_k, decay * sin_k
+
+    def envelope(self, grid_size):
+        """1 - exp(-K/T2), taking k = K inclusive as a conservative cap."""
+        return float(-math.expm1(-grid_size / self.t2))
+
+
+@dataclass(frozen=True)
+class HighCoherence(NoiseModel):
+    """Linearized dephasing, valid for k << T2: bias += k/T2."""
+
+    t2: float
+
+    kind = "high_coherence"
+
+    def __post_init__(self):
+        if math.isnan(self.t2) or not self.t2 > 0.0:
+            raise ValueError(f"t2 must be > 0, got {self.t2!r}")
+
+    def biases(self, cos_k, sin_k, ks, run_noise):
+        drift = ks / self.t2
         return cos_k + drift, sin_k + drift
-    raise TypeError(f"not a noise model: {model!r}")
+
+    def envelope(self, grid_size):
+        return float(grid_size / self.t2)
 
 
-def bias(model: NoiseModel, theta: float, k: int,
-         run_noise: Optional[DeviationTable] = None) -> tuple[float, float]:
-    """Unclamped bias pair (cos k theta + eta1[k], sin k theta + eta2[k]).
-
-    Gaussian-family models require ``run_noise`` covering k; a Ban model with
-    a custom strategy reads its embedded table.
-    """
-    bx, by = _bias_arrays(model, float(theta), np.asarray([int(k)]), run_noise)
-    return float(bx[0]), float(by[0])
+# Wire-format kind -> model class.
+MODELS = {cls.kind: cls
+          for cls in (Ideal, Ban, Gaussian, GaussianLinear, Dephasing, HighCoherence)}
 
 
 def bias_table(model: NoiseModel, theta, grid_size: int,
                run_noise: Optional[DeviationTable] = None):
-    """Vectorized biases for all times k = 0 .. grid_size-1.
+    """Unclamped biases for all times k = 0 .. grid_size-1.
 
     One phase gives two length-K tables.  A 1-d array of B phases gives two
     (B, K) tables, row b at theta[b] with row b of a 2-d run-noise table.
+    Gaussian-family models require ``run_noise`` covering the grid; a Ban
+    model with a custom strategy reads its embedded table.
     """
     K = int(grid_size)
     if K < 1:
@@ -225,60 +300,16 @@ def bias_table(model: NoiseModel, theta, grid_size: int,
     theta = np.asarray(theta, dtype=float)
     if theta.ndim > 1:
         raise ValueError("theta must be one phase or a 1-d array of phases")
-    return _bias_arrays(model, theta[..., None], np.arange(K), run_noise)
-
-
-def draw_gaussian_run_noise(sigma: float, grid_size: int,
-                            rng: np.random.Generator,
-                            linear: bool = False,
-                            size: Optional[int] = None) -> DeviationTable:
-    """Draw the 2K independent normal deviations fixed for one run, or for
-    each of ``size`` runs as the rows of a 2-d table.
-
-    Scale is sigma for every time, or k * sigma when ``linear`` (the
-    depth-proportional variant).  sigma = 0 yields the all-zeros table.
-    Normals are consumed run by run: eta1, then eta2.
-    """
-    K = int(grid_size)
-    if K < 1:
-        raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    scale = sigma * np.arange(K, dtype=float) if linear else np.full(K, float(sigma))
-    shape = (2, K) if size is None else (int(size), 2, K)
-    eta = rng.standard_normal(shape)
-    eta *= scale
-    return DeviationTable(eta1=eta[..., 0, :], eta2=eta[..., 1, :])
+    ks = np.arange(K)
+    phase = ks * theta[..., None]
+    return model.biases(np.cos(phase), np.sin(phase), ks, run_noise)
 
 
 def draw_run_noise(model: NoiseModel, grid_size: int, rng: np.random.Generator,
                    size: Optional[int] = None) -> Optional[DeviationTable]:
     """Per-run stochastic state for a model, one row per run when ``size``
     is given; None when the model has none."""
-    if isinstance(model, Gaussian):
-        return draw_gaussian_run_noise(model.sigma, grid_size, rng, size=size)
-    if isinstance(model, GaussianLinear):
-        return draw_gaussian_run_noise(model.sigma, grid_size, rng, linear=True, size=size)
-    return None
-
-
-def implied_eta_bar(model: NoiseModel, grid_size: int) -> Optional[float]:
-    """Envelope of |eta| over times k <= grid_size, when the model has one.
-
-    Ideal -> 0, Ban -> eta_bar, Dephasing -> 1 - exp(-K/T2) (k = K inclusive,
-    a conservative cap), HighCoherence -> K/T2.  Gaussian draws are unbounded,
-    so None is returned for them.
-    """
-    K = int(grid_size)
-    if isinstance(model, Ideal):
-        return 0.0
-    if isinstance(model, Ban):
-        return float(model.eta_bar)
-    if isinstance(model, Dephasing):
-        return float(-math.expm1(-K / model.t2))
-    if isinstance(model, HighCoherence):
-        return float(K / model.t2)
-    return None
+    return model.draw_run_noise(grid_size, rng, size)
 
 
 def ban_threshold() -> float:
@@ -315,57 +346,15 @@ def dephasing_ratio_threshold_rederived() -> float:
 # {"kind": "dephasing", "t2": 100.0}
 # {"kind": "high_coherence", "t2": 1000.0}
 
-def noise_to_dict(model: NoiseModel) -> dict:
-    """JSON-ready description of a noise model."""
-    if isinstance(model, Ideal):
-        return {"kind": "ideal"}
-    if isinstance(model, Ban):
-        if isinstance(model.strategy, DeviationTable):
-            strategy = {
-                "name": "custom",
-                "eta1": [float(v) for v in model.strategy.eta1],
-                "eta2": [float(v) for v in model.strategy.eta2],
-            }
-        else:
-            strategy = model.strategy.value
-        return {"kind": "ban", "eta_bar": float(model.eta_bar), "strategy": strategy}
-    if isinstance(model, Gaussian):
-        return {"kind": "gaussian", "sigma": float(model.sigma)}
-    if isinstance(model, GaussianLinear):
-        return {"kind": "gaussian_linear", "sigma": float(model.sigma)}
-    if isinstance(model, Dephasing):
-        return {"kind": "dephasing", "t2": float(model.t2)}
-    if isinstance(model, HighCoherence):
-        return {"kind": "high_coherence", "t2": float(model.t2)}
-    raise TypeError(f"not a noise model: {model!r}")
-
-
 def noise_from_dict(data: dict) -> NoiseModel:
     """Parse the JSON wire format back into a noise model."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('noise JSON must be an object with a "kind" field')
     kind = data["kind"]
+    model_class = MODELS.get(kind) if isinstance(kind, str) else None
+    if model_class is None:
+        raise ValueError(f"unknown noise kind {kind!r}")
     try:
-        if kind == "ideal":
-            return Ideal()
-        if kind == "ban":
-            raw = data.get("strategy", AdversaryStrategy.SIGN_FLIP.value)
-            if isinstance(raw, dict):
-                if raw.get("name") != "custom":
-                    raise ValueError(f"unknown strategy object {raw!r}")
-                strategy = DeviationTable(eta1=np.asarray(raw["eta1"], dtype=float),
-                                          eta2=np.asarray(raw["eta2"], dtype=float))
-            else:
-                strategy = AdversaryStrategy(raw)
-            return Ban(eta_bar=float(data["eta_bar"]), strategy=strategy)
-        if kind == "gaussian":
-            return Gaussian(sigma=float(data["sigma"]))
-        if kind == "gaussian_linear":
-            return GaussianLinear(sigma=float(data["sigma"]))
-        if kind == "dephasing":
-            return Dephasing(t2=float(data["t2"]))
-        if kind == "high_coherence":
-            return HighCoherence(t2=float(data["t2"]))
+        return model_class.from_dict(data)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed noise JSON for kind {kind!r}: {exc}") from exc
-    raise ValueError(f"unknown noise kind {kind!r}")

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import bounds, noise
+from . import bounds
 from .estimator import RunConfig, run_rfe, spectrum_csv
 from .harness import (
     BoundsQuery,
@@ -41,7 +41,7 @@ from .noise import (
     bias_table,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
-    draw_gaussian_run_noise,
+    draw_run_noise,
 )
 from .spectrum import expected_spectrum
 
@@ -255,7 +255,7 @@ def suite_reductions() -> SuiteResult:
         return worst
 
     ban_dev = max(max_dev(Ban(0.0, strategy)) for strategy in AdversaryStrategy)
-    gauss_dev = max_dev(Gaussian(0.0), run_noise=draw_gaussian_run_noise(0.0, K, rng))
+    gauss_dev = max_dev(Gaussian(0.0), run_noise=draw_run_noise(Gaussian(0.0), K, rng))
     dephasing_inf_dev = max_dev(Dephasing(math.inf))
     dephasing_1e18_dev = max_dev(Dephasing(1e18))
     # At t2 = 1e9 the deviation is ~(K-1)/t2, about 6e-8: far above the 1e-12

@@ -157,6 +157,20 @@ class TestSweep:
             -math.expm1(-0.05), rel=1e-12)
         assert payload["points"][1]["achievable"] is False
 
+    def test_point_past_the_sample_guard_is_unachievable(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "ban", "--grid",
+                               "0.05,0.100035145", "--epsilon", "0.1", "--trials", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].startswith("0.05,12510,3,")
+        assert lines[2] == "0.100035145,,0,0,,,"
+
+    def test_ideal_point_past_half_pi_needs_no_samples(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "2.0",
+                               "--epsilon", "0.1", "--trials", "3")
+        assert code == 0
+        assert out.splitlines()[1].startswith("2.0,0,3,3,1.0,")
+
 
 class TestExitCodes:
     def test_malformed_noise_json(self, capsys):
@@ -200,6 +214,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--family", "ban", "--grid",
                                "a,b", "--epsilon", "0.2", "--delta", "0.2")
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["dephasing", "high_coherence"])
+    def test_zero_ratio_exits_2(self, capsys, family):
+        code, out, err = run_cli(capsys, "sweep", "--family", family, "--grid", "0.05,0",
+                                 "--epsilon", "0.2")
+        assert code == 2
+        assert out == "" and "error:" in err
+
+    def test_nonpositive_ideal_epsilon_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "0.3,0",
+                                 "--epsilon", "0.1")
+        assert code == 2
+        assert out == "" and "error:" in err
 
 
 class TestDefaults:

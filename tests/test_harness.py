@@ -334,6 +334,41 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             noise_sweep("thermal", (0.1,), 0.1, 0.1, 1, 1)
 
+    def test_point_past_the_sample_guard_is_unachievable(self):
+        # eta_bar = 0.100035145 is below the threshold, but certifies M ~ 2e19
+        points = noise_sweep("ban", (0.05, 0.100035145), 0.1, 0.1,
+                             trials_per_point=3, master_seed=14)
+        assert [p.achievable for p in points] == [True, False]
+        assert points[0].predicted_samples == 12510 and points[0].stats.trials == 3
+        assert points[1].predicted_samples is None and points[1].stats is None
+
+    @pytest.mark.parametrize("family", ["dephasing", "high_coherence"])
+    @pytest.mark.parametrize("ratio", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_ratio_rejected_before_any_trial(self, monkeypatch, family, ratio):
+        calls = []
+        monkeypatch.setattr(harness, "monte_carlo_success",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError):
+            noise_sweep(family, (0.05, ratio), 0.2, 0.2, trials_per_point=2,
+                        master_seed=15)
+        assert calls == []
+
+    def test_ideal_sweep_needs_no_samples_past_half_pi(self):
+        points = noise_sweep("ideal", (2.0,), 0.1, 0.2, trials_per_point=8,
+                             master_seed=16)
+        assert points[0].achievable and points[0].predicted_samples == 0
+        assert points[0].stats.trials == 8 and points[0].stats.rate == 1.0
+
+    def test_ideal_sweep_rejects_nonpositive_epsilon_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "monte_carlo_success",
+                            lambda *args, **kwargs: calls.append(args))
+        for bad in (0.0, -0.3):
+            with pytest.raises(ValueError):
+                noise_sweep("ideal", (0.3, bad), 0.1, 0.2, trials_per_point=2,
+                            master_seed=17)
+        assert calls == []
+
     def test_csv_layout_and_determinism(self):
         points = noise_sweep("dephasing", (0.05, 0.2), 0.2, 0.2,
                              trials_per_point=4, master_seed=12)

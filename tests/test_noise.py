@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import rfe.noise
 from rfe.noise import (
     AdversaryStrategy,
     Ban,
@@ -15,26 +16,30 @@ from rfe.noise import (
     GaussianLinear,
     HighCoherence,
     Ideal,
+    MODELS,
+    NoiseModel,
     ban_threshold,
-    bias,
     bias_table,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
-    draw_gaussian_run_noise,
     draw_run_noise,
-    implied_eta_bar,
     noise_from_dict,
-    noise_to_dict,
 )
+
+
+def bias_at(model, theta, k, run_noise=None):
+    """Entry k of the model's bias tables on a grid of k + 1 times."""
+    bx, by = bias_table(model, theta, k + 1, run_noise=run_noise)
+    return float(bx[k]), float(by[k])
 
 
 class TestBias:
     def test_ideal_time_zero(self):
         for theta in (0.0, 1.0, 2.7):
-            assert bias(Ideal(), theta, 0) == (1.0, 0.0)
+            assert bias_at(Ideal(), theta, 0) == (1.0, 0.0)
 
     def test_ideal_is_pure_tone(self):
-        bx, by = bias(Ideal(), 0.7, 5)
+        bx, by = bias_at(Ideal(), 0.7, 5)
         assert bx == pytest.approx(math.cos(3.5), abs=1e-15)
         assert by == pytest.approx(math.sin(3.5), abs=1e-15)
 
@@ -44,27 +49,27 @@ class TestBias:
         t2, theta, k = 10.0, 1.0, 5
         p = (math.exp(-k / t2) * (1 + math.cos(k * theta)) / 2
              + (1 - math.exp(-k / t2)) / 2)
-        bx, by = bias(Dephasing(t2), theta, k)
+        bx, by = bias_at(Dephasing(t2), theta, k)
         assert bx == pytest.approx(2 * p - 1, abs=1e-15)
         assert bx == pytest.approx(math.exp(-0.5) * math.cos(5.0), abs=1e-15)
         assert by == pytest.approx(math.exp(-0.5) * math.sin(5.0), abs=1e-15)
 
     def test_dephasing_fully_decayed(self):
-        bx, by = bias(Dephasing(1e-3), 1.0, 100)
+        bx, by = bias_at(Dephasing(1e-3), 1.0, 100)
         assert abs(bx) < 1e-12 and abs(by) < 1e-12
 
     def test_high_coherence_drift(self):
-        bx, by = bias(HighCoherence(100.0), 0.9, 7)
+        bx, by = bias_at(HighCoherence(100.0), 0.9, 7)
         assert bx == pytest.approx(math.cos(6.3) + 0.07, abs=1e-15)
         assert by == pytest.approx(math.sin(6.3) + 0.07, abs=1e-15)
 
     def test_ban_constant_plus(self):
-        bx, by = bias(Ban(0.05, AdversaryStrategy.CONSTANT_PLUS), 0.9, 3)
+        bx, by = bias_at(Ban(0.05, AdversaryStrategy.CONSTANT_PLUS), 0.9, 3)
         assert bx == pytest.approx(math.cos(2.7) + 0.05, abs=1e-15)
         assert by == pytest.approx(math.sin(2.7) + 0.05, abs=1e-15)
 
     def test_sign_flip_pulls_toward_zero(self):
-        bx, by = bias(Ban(0.05, AdversaryStrategy.SIGN_FLIP), 0.9, 3)
+        bx, by = bias_at(Ban(0.05, AdversaryStrategy.SIGN_FLIP), 0.9, 3)
         assert bx == pytest.approx(math.cos(2.7) + 0.05, abs=1e-15)  # cos(2.7) < 0
         assert by == pytest.approx(math.sin(2.7) - 0.05, abs=1e-15)  # sin(2.7) > 0
 
@@ -80,7 +85,7 @@ class TestBias:
     def test_custom_table_used_and_bounded(self):
         table = DeviationTable(eta1=np.full(16, 0.03), eta2=np.full(16, -0.03))
         model = Ban(0.05, table)
-        bx, by = bias(model, 1.1, 4)
+        bx, by = bias_at(model, 1.1, 4)
         assert bx == pytest.approx(math.cos(4.4) + 0.03, abs=1e-15)
         assert by == pytest.approx(math.sin(4.4) - 0.03, abs=1e-15)
         with pytest.raises(ValueError):
@@ -89,45 +94,28 @@ class TestBias:
     def test_custom_table_must_cover_time(self):
         model = Ban(0.05, DeviationTable(eta1=np.zeros(4), eta2=np.zeros(4)))
         with pytest.raises(ValueError):
-            bias(model, 1.0, 4)
+            bias_table(model, 1.0, 5)  # needs time index 4
 
     def test_gaussian_requires_run_noise(self):
         with pytest.raises(ValueError):
-            bias(Gaussian(0.1), 1.0, 3)
+            bias_table(Gaussian(0.1), 1.0, 4)
         with pytest.raises(ValueError):
             bias_table(GaussianLinear(0.1), 1.0, 8)
 
     def test_gaussian_run_noise_cover(self):
-        table = draw_gaussian_run_noise(0.1, 4, np.random.default_rng(0))
+        table = draw_run_noise(Gaussian(0.1), 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bias(Gaussian(0.1), 1.0, 9, run_noise=table)
+            bias_table(Gaussian(0.1), 1.0, 10, run_noise=table)
 
     def test_gaussian_uses_supplied_table(self):
         table = DeviationTable(eta1=np.array([0.0, 0.2]), eta2=np.array([0.0, -0.2]))
-        bx, by = bias(Gaussian(1.0), 0.5, 1, run_noise=table)
+        bx, by = bias_at(Gaussian(1.0), 0.5, 1, run_noise=table)
         assert bx == pytest.approx(math.cos(0.5) + 0.2, abs=1e-15)
         assert by == pytest.approx(math.sin(0.5) - 0.2, abs=1e-15)
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            bias(Ideal(), 1.0, -1)
-
-    def test_scalar_matches_table(self):
-        rng = np.random.default_rng(5)
-        table = draw_gaussian_run_noise(0.2, 32, rng)
-        for model, noise in ((Ideal(), None),
-                             (Ban(0.04, AdversaryStrategy.SIGN_FLIP), None),
-                             (Dephasing(50.0), None),
-                             (HighCoherence(500.0), None),
-                             (Gaussian(0.2), table)):
-            bx, by = bias_table(model, 1.3, 32, run_noise=noise)
-            for k in (0, 1, 7, 31):
-                sx, sy = bias(model, 1.3, k, run_noise=noise)
-                assert sx == bx[k] and sy == by[k]
-
     def test_phase_array_gives_one_row_per_phase(self):
         thetas = np.array([0.4, 1.3, 2.9])
-        rows = draw_gaussian_run_noise(0.2, 16, np.random.default_rng(9), size=3)
+        rows = draw_run_noise(Gaussian(0.2), 16, np.random.default_rng(9), size=3)
         for model, noise in ((Ban(0.04, AdversaryStrategy.SIGN_FLIP), None),
                              (Dephasing(50.0), None),
                              (Gaussian(0.2), rows)):
@@ -145,7 +133,7 @@ class TestZeroParameterReductions:
     def test_all_models_reduce_to_ideal(self):
         K = 63
         rng = np.random.default_rng(1)
-        zero_table = draw_gaussian_run_noise(0.0, K, rng)
+        zero_table = draw_run_noise(Gaussian(0.0), K, rng)
         for theta in (0.3, 1.0, 2.0, 3.0):
             ix, iy = bias_table(Ideal(), theta, K)
             for model, noise in ((Ban(0.0, AdversaryStrategy.SIGN_FLIP), None),
@@ -162,7 +150,7 @@ class TestZeroParameterReductions:
         for t2 in (20.0, 100.0, 1e6):
             K = 63
             envelope = -math.expm1(-K / t2)
-            assert implied_eta_bar(Dephasing(t2), K) == pytest.approx(envelope, rel=1e-15)
+            assert Dephasing(t2).envelope(K) == pytest.approx(envelope, rel=1e-15)
             for theta in (0.4, 1.9):
                 bx, by = bias_table(Dephasing(t2), theta, K + 1)
                 ix, iy = bias_table(Ideal(), theta, K + 1)
@@ -170,21 +158,21 @@ class TestZeroParameterReductions:
                 assert np.max(np.abs(by - iy)) <= envelope * (1 + 1e-12)
 
     def test_implied_eta_bar_values(self):
-        assert implied_eta_bar(Ideal(), 63) == 0.0
-        assert implied_eta_bar(Ban(0.07), 63) == 0.07
-        assert implied_eta_bar(HighCoherence(630.0), 63) == pytest.approx(0.1, rel=1e-15)
-        assert implied_eta_bar(Gaussian(0.1), 63) is None
-        assert implied_eta_bar(GaussianLinear(0.1), 63) is None
+        assert Ideal().envelope(63) == 0.0
+        assert Ban(0.07).envelope(63) == 0.07
+        assert HighCoherence(630.0).envelope(63) == pytest.approx(0.1, rel=1e-15)
+        assert Gaussian(0.1).envelope(63) is None
+        assert GaussianLinear(0.1).envelope(63) is None
 
 
 class TestGaussianDraws:
     def test_zero_sigma_zero_table(self):
-        table = draw_gaussian_run_noise(0.0, 16, np.random.default_rng(3))
+        table = draw_run_noise(Gaussian(0.0), 16, np.random.default_rng(3))
         assert np.all(table.eta1 == 0.0) and np.all(table.eta2 == 0.0)
 
     def test_entry_scale(self):
         rng = np.random.default_rng(8)
-        draws = np.array([draw_gaussian_run_noise(0.5, 64, rng).eta1 for _ in range(500)])
+        draws = np.array([draw_run_noise(Gaussian(0.5), 64, rng).eta1 for _ in range(500)])
         assert draws.std() == pytest.approx(0.5, rel=0.05)
         assert abs(draws.mean()) < 0.01
 
@@ -194,7 +182,7 @@ class TestGaussianDraws:
         rng = np.random.default_rng(99)
         acc = np.zeros(K)
         for _ in range(draws):
-            t = draw_gaussian_run_noise(sigma, K, rng)
+            t = draw_run_noise(Gaussian(sigma), K, rng)
             acc += np.abs(np.fft.fft(t.eta1 + 1j * t.eta2) / K) ** 2
         variance = acc / draws
         target = 2 * sigma ** 2 / K  # = 0.031746
@@ -206,7 +194,7 @@ class TestGaussianDraws:
         rng = np.random.default_rng(100)
         acc = np.zeros(K)
         for _ in range(draws):
-            t = draw_gaussian_run_noise(sigma, K, rng, linear=True)
+            t = draw_run_noise(GaussianLinear(sigma), K, rng)
             acc += np.abs(np.fft.fft(t.eta1 + 1j * t.eta2) / K) ** 2
         variance = acc / draws
         exact = (K - 1) * (2 * K - 1) * sigma ** 2 / (3 * K)
@@ -214,7 +202,7 @@ class TestGaussianDraws:
         assert np.mean(variance) == pytest.approx(exact, rel=0.1)
 
     def test_linear_scale_starts_at_zero(self):
-        table = draw_gaussian_run_noise(0.3, 8, np.random.default_rng(4), linear=True)
+        table = draw_run_noise(GaussianLinear(0.3), 8, np.random.default_rng(4))
         assert table.eta1[0] == 0.0 and table.eta2[0] == 0.0
 
     def test_draw_run_noise_dispatch(self):
@@ -228,8 +216,8 @@ class TestGaussianDraws:
     def test_rows_extend_the_one_run_stream(self):
         # a block of one draws exactly the one-run table; larger blocks draw
         # fresh rows, run by run (eta1 then eta2)
-        one = draw_gaussian_run_noise(0.1, 8, np.random.default_rng(2))
-        block = draw_gaussian_run_noise(0.1, 8, np.random.default_rng(2), size=3)
+        one = draw_run_noise(Gaussian(0.1), 8, np.random.default_rng(2))
+        block = draw_run_noise(Gaussian(0.1), 8, np.random.default_rng(2), size=3)
         assert block.eta1.shape == block.eta2.shape == (3, 8) and len(block) == 8
         assert np.array_equal(block.eta1[0], one.eta1)
         assert np.array_equal(block.eta2[0], one.eta2)
@@ -244,7 +232,7 @@ class TestGaussianDraws:
             Ban(0.05, table)
 
     def test_table_immutable(self):
-        table = draw_gaussian_run_noise(0.1, 8, np.random.default_rng(6))
+        table = draw_run_noise(Gaussian(0.1), 8, np.random.default_rng(6))
         with pytest.raises(ValueError):
             table.eta1[0] = 1.0
 
@@ -298,18 +286,18 @@ class TestJsonWireFormat:
     def test_round_trip_simple_kinds(self):
         for model in (Ideal(), Gaussian(0.1), GaussianLinear(0.01),
                       Dephasing(630.0), HighCoherence(6300.0)):
-            assert noise_from_dict(noise_to_dict(model)) == model
+            assert noise_from_dict(model.to_dict()) == model
 
     def test_round_trip_ban_builtin(self):
         model = Ban(0.05, AdversaryStrategy.SIGN_FLIP)
-        parsed = noise_from_dict(noise_to_dict(model))
+        parsed = noise_from_dict(model.to_dict())
         assert isinstance(parsed, Ban)
         assert parsed.eta_bar == model.eta_bar
         assert parsed.strategy is AdversaryStrategy.SIGN_FLIP
 
     def test_round_trip_ban_custom(self):
         table = DeviationTable(eta1=np.array([0.01, -0.02]), eta2=np.array([0.0, 0.02]))
-        parsed = noise_from_dict(noise_to_dict(Ban(0.05, table)))
+        parsed = noise_from_dict(Ban(0.05, table).to_dict())
         assert isinstance(parsed.strategy, DeviationTable)
         assert np.array_equal(parsed.strategy.eta1, table.eta1)
         assert np.array_equal(parsed.strategy.eta2, table.eta2)
@@ -322,6 +310,34 @@ class TestJsonWireFormat:
         for bad in ({}, {"kind": "bogus"}, {"kind": "ban"},
                     {"kind": "ban", "eta_bar": 0.05, "strategy": "nope"},
                     {"kind": "ban", "eta_bar": 0.05, "strategy": {"name": "x"}},
-                    {"kind": "gaussian"}, "not a dict"):
+                    {"kind": "gaussian"}, {"kind": ["ban"]}, "not a dict"):
             with pytest.raises(ValueError):
                 noise_from_dict(bad)
+
+    def test_wire_format_literals(self):
+        table = DeviationTable(eta1=np.array([0.01, -0.02]), eta2=np.array([0.0, 0.02]))
+        cases = [
+            (Ideal(), {"kind": "ideal"}),
+            (Ban(0.05, AdversaryStrategy.CONSTANT_MINUS),
+             {"kind": "ban", "eta_bar": 0.05, "strategy": "constant_minus"}),
+            (Ban(0.05, table),
+             {"kind": "ban", "eta_bar": 0.05,
+              "strategy": {"name": "custom", "eta1": [0.01, -0.02], "eta2": [0.0, 0.02]}}),
+            (Gaussian(0.1), {"kind": "gaussian", "sigma": 0.1}),
+            (GaussianLinear(0.01), {"kind": "gaussian_linear", "sigma": 0.01}),
+            (Dephasing(630.0), {"kind": "dephasing", "t2": 630.0}),
+            (HighCoherence(6300.0), {"kind": "high_coherence", "t2": 6300.0}),
+        ]
+        for model, wire in cases:
+            assert model.to_dict() == wire
+            assert list(model.to_dict()) == list(wire)  # key order too
+            assert noise_from_dict(wire).to_dict() == wire
+
+    def test_registry_covers_every_model_class(self):
+        classes = {obj for obj in vars(rfe.noise).values()
+                   if isinstance(obj, type) and issubclass(obj, NoiseModel)
+                   and obj is not NoiseModel}
+        assert set(MODELS.values()) == classes
+        assert len(classes) == 6
+        for kind, model_class in MODELS.items():
+            assert model_class.kind == kind
