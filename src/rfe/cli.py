@@ -33,11 +33,16 @@ from .estimator import (
     trial_to_dict,
 )
 from .harness import SWEEP_FAMILIES, FixedTheta, UniformTheta, noise_sweep, sweep_csv
-from .noise import AdversaryStrategy, noise_from_dict
+from .noise import MODELS, AdversaryStrategy, Ban, noise_from_dict
 from .spectrum import expected_spectrum
 from .verify import SUITE_NAMES, run_suites
 
 _DEFAULT_NOISE = '{"kind": "ideal"}'
+# Built from the registry and a model's own to_dict, so it cannot drift from
+# the wire format of rfe.noise.
+_NOISE_HELP = (f"noise model as one JSON object; kind is one of {', '.join(MODELS)} "
+               f"(default {_DEFAULT_NOISE}), e.g. "
+               f"{json.dumps(Ban(eta_bar=0.05).to_dict())}")
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.family == "ideal" and args.epsilon is not None:
+        raise ValueError("--epsilon does not apply to --family ideal: "
+                         "the --grid values are the epsilons")
+    if args.family != "ideal" and args.epsilon is None:
+        raise ValueError(f"--family {args.family} needs --epsilon")
     values = _parse_values(args.grid)
     if not values:
         raise ValueError("--grid must list at least one parameter value")
@@ -223,10 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
                      "dump spectra, and verify the quantitative claims."))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, delta=True, theta=None, noise=True, seed=True, trials=None,
-               workers=False):
-        p.add_argument("--epsilon", type=float, required=True,
-                       help="target accuracy in radians")
+    def common(p, *, epsilon_required=True, delta=True, theta=None, noise=True,
+               seed=True, trials=None, workers=False):
+        p.add_argument("--epsilon", type=float, required=epsilon_required,
+                       help="target accuracy in radians" + (
+                           "" if epsilon_required else
+                           " (every family but ideal, whose --grid values "
+                           "are the epsilons)"))
         if delta:
             p.add_argument("--delta", type=float, default=0.1,
                            help="failure probability budget (default 0.1)")
@@ -234,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--theta", type=_parse_theta, default=theta,
                            help='true phase in [0, 2*pi), or "random"')
         if noise:
-            p.add_argument("--noise", default=_DEFAULT_NOISE,
-                           help="noise model JSON object (see rfe --help)")
+            p.add_argument("--noise", default=_DEFAULT_NOISE, help=_NOISE_HELP)
         if seed:
             p.add_argument("--seed", type=int, default=0,
                            help="master seed (RFE_SEED env var overrides)")
@@ -276,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_sweep = sub.add_parser("sweep", help="success-rate sweep over a noise grid")
-    common(p_sweep, theta="random", noise=False, trials=100, workers=True)
+    common(p_sweep, epsilon_required=False, theta="random", noise=False, trials=100,
+           workers=True)
     p_sweep.add_argument("--family", required=True,
                          choices=SWEEP_FAMILIES,
                          help="swept parameter: epsilon (ideal), eta_bar (ban), "

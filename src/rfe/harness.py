@@ -43,6 +43,7 @@ from .spectrum import (
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
     TWO_PI,
+    _mod_period,
     dirichlet_kernel,
     validate_phase,
 )
@@ -358,7 +359,7 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int,
     for K in k_values:
         tone = K * thetas / TWO_PI                           # (n_theta,)
         x = np.arange(K)[:, None] - tone[None, :]            # (K, n_theta)
-        r = np.mod(np.abs(x), K)
+        r = _mod_period(np.abs(x), K)
         d = np.minimum(r, K - r)
         mags = np.abs(dirichlet_kernel(x, K))
         points += mags.size
@@ -421,8 +422,8 @@ class SweepPoint:
         }
 
 
-def _sweep_point_plan(family: str, parameter: float, epsilon: float, delta: float,
-                      strategy: AdversaryStrategy):
+def _sweep_point_plan(family: str, parameter: float, epsilon: Optional[float],
+                      delta: float, strategy: AdversaryStrategy):
     """Resolve (model, epsilon, bounds_report plan or None, extras) of a point."""
     extras: dict = {}
     if family == "ideal":
@@ -447,14 +448,15 @@ def _sweep_point_plan(family: str, parameter: float, epsilon: float, delta: floa
         return model, epsilon, None, extras
 
 
-def noise_sweep(family: str, values: Sequence[float], epsilon: float, delta: float,
-                trials_per_point: int, master_seed: int,
+def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
+                delta: float, trials_per_point: int, master_seed: int,
                 strategy: AdversaryStrategy = AdversaryStrategy.SIGN_FLIP,
                 theta_sampling: Optional[ThetaSampling] = None,
                 workers: Optional[int] = 1, distance: str = "line") -> list[SweepPoint]:
     """Success-rate sweep over one noise family's parameter grid.
 
-    For family ``ideal`` the swept parameter is epsilon itself; for ``ban``
+    For family ``ideal`` the swept parameter is epsilon itself, and the
+    ``epsilon`` argument is ignored (it may be None); for ``ban``
     it is eta_bar, for ``gaussian`` sigma, and for ``dephasing`` /
     ``high_coherence`` the timescale ratio K/T2 (finite and > 0).  Every
     point is planned by :func:`rfe.bounds.bounds_report` before any trial

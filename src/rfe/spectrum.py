@@ -70,17 +70,44 @@ def _validate_grid_size(grid_size: int) -> int:
     return grid_size
 
 
+def _parity_sign(n: np.ndarray) -> np.ndarray:
+    """(-1)^n for integer-valued float n, without a floor-mod pass.
+
+    n/2 and 2 floor(n/2) are exact in binary floating point, so
+    n - 2 floor(n/2) is exactly 0 or 1 and the sign exactly +1 or -1.  Every
+    float of magnitude 2**53 or more is an even integer and gets +1, as
+    np.mod(n, 2.0) == 0.0 does.  A NaN n gives NaN where that test gives -1;
+    in the kernel such a sign only ever multiplies a NaN, so the result keeps
+    its bits.
+    """
+    return 1.0 - 2.0 * (n - 2.0 * np.floor(n / 2.0))
+
+
+def _mod_period(xs: np.ndarray, K: int) -> np.ndarray:
+    """np.mod(xs, K), equal bit for bit, without fmod where it is not needed.
+
+    When every |xs| < K, fmod(xs, K) is xs itself, so the floor-mod is
+    xs + K for negative xs and xs otherwise; adding 0.0 turns -0.0 into
+    +0.0, as np.mod does.  Any other input (larger values, NaN, infinities,
+    an empty array) goes to np.mod.
+    """
+    if xs.size and -K < xs.min() and xs.max() < K:
+        return np.where(xs < 0.0, xs + K, xs + 0.0)
+    return np.mod(xs, K)
+
+
 def _sinpi(v: np.ndarray) -> np.ndarray:
     """sin(pi v) with the argument reduced to the nearest integer first.
 
     Naive sin(np.pi * v) loses all relative accuracy near the zeros at
     integer v (the absolute error of the rounded argument pi*v rivals the
     distance to the zero); reducing v first keeps the relative error at
-    machine level everywhere.
+    machine level everywhere.  Both steps are exact: v - rint(v) is an exact
+    difference (Sterbenz's lemma when rint(v) is not 0), and the sign
+    (-1)^rint(v) comes from :func:`_parity_sign`, not a floor-mod.
     """
     n = np.rint(v)
-    f = v - n
-    return np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0) * np.sin(np.pi * f)
+    return _parity_sign(n) * np.sin(np.pi * (v - n))
 
 
 def dirichlet_kernel(x, grid_size: int):
@@ -91,20 +118,27 @@ def dirichlet_kernel(x, grid_size: int):
     argument is folded into [-K/2, K/2] before evaluation (|S_K| is
     K-periodic), and the numerator sine is reduced to its nearest zero, so
     values stay relatively accurate arbitrarily close to the singularities.
+
+    The shortcuts return the same bits as evaluating np.mod at every step:
+    the fold uses :func:`_mod_period`, which skips fmod when |x| < K; the
+    parity signs are exact (:func:`_parity_sign`); and for odd K the period
+    sign (-1)^(m (K-1)) is always +1, so the period count m is not computed.
     """
     K = _validate_grid_size(grid_size)
     xs = np.asarray(x, dtype=float)
-    r = np.mod(xs, K)
-    m = np.rint((xs - r) / K)
+    r = _mod_period(xs, K)
     folded = r > K / 2.0
+    if K % 2 == 0:
+        m = np.rint((xs - r) / K) + folded
+        sign = _parity_sign(m * (K - 1))
     r = np.where(folded, r - K, r)
-    m = m + folded
-    sign = np.where(np.mod(m * (K - 1), 2.0) == 0.0, 1.0, -1.0)
+    zero = r == 0.0
     # |pi r / K| <= pi/2 keeps the denominator clear of every sine zero
     # except r = 0, which is the removable point handled explicitly.
-    den = np.where(r == 0.0, 1.0, K * np.sin(np.pi * r / K))
-    vals = np.where(r == 0.0, 1.0, _sinpi(r) / den)
-    out = sign * vals
+    den = np.where(zero, 1.0, K * np.sin(np.pi * r / K))
+    out = np.where(zero, 1.0, _sinpi(r) / den)
+    if K % 2 == 0:
+        out = sign * out
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -145,7 +179,7 @@ def circular_distance(j, theta: float, grid_size: int):
     """
     K = _validate_grid_size(grid_size)
     theta = validate_phase(theta)
-    r = np.mod(np.abs(np.asarray(j, dtype=float) - K * theta / TWO_PI), K)
+    r = _mod_period(np.abs(np.asarray(j, dtype=float) - K * theta / TWO_PI), K)
     d = np.minimum(r, K - r)
     if np.ndim(j) == 0:
         return float(d)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rfe.cli import CliConfig, build_parser, config_from_dict, main
+from rfe.noise import MODELS, noise_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -167,9 +168,18 @@ class TestSweep:
 
     def test_ideal_point_past_half_pi_needs_no_samples(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "2.0",
-                               "--epsilon", "0.1", "--trials", "3")
+                               "--trials", "3")
         assert code == 0
         assert out.splitlines()[1].startswith("2.0,0,3,3,1.0,")
+
+    def test_ideal_sweep_takes_its_epsilons_from_the_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "0.3",
+                               "--trials", "2", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["epsilon"] is None
+        assert payload["points"][0]["parameter"] == 0.3
+        assert payload["points"][0]["predicted_samples"] == 2691
 
 
 class TestExitCodes:
@@ -223,10 +233,35 @@ class TestExitCodes:
         assert out == "" and "error:" in err
 
     def test_nonpositive_ideal_epsilon_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "0.3,0",
-                                 "--epsilon", "0.1")
+        code, out, err = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "0.3,0")
         assert code == 2
         assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("family", ["ban", "gaussian", "dephasing", "high_coherence"])
+    def test_sweep_without_epsilon_exits_2(self, capsys, family):
+        code, out, err = run_cli(capsys, "sweep", "--family", family, "--grid", "0.05",
+                                 "--trials", "2")
+        assert code == 2
+        assert out == "" and f"--family {family} needs --epsilon" in err
+
+    def test_ideal_sweep_with_epsilon_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "0.3",
+                                 "--epsilon", "0.1", "--trials", "2")
+        assert code == 2
+        assert out == "" and "the --grid values are the epsilons" in err
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["run", "spectrum", "bounds"])
+    def test_noise_help_lists_every_kind(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for kind in MODELS:
+            assert kind in text, kind
+        example = text[text.index('e.g. {') + len("e.g. "):]
+        noise_from_dict(json.loads(example[:example.index("}") + 1]))
 
 
 class TestDefaults:

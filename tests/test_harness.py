@@ -287,6 +287,15 @@ class TestLemmaScan:
         assert report.close_margin >= -1e-12
         assert report.envelope_margin >= -1e-12
 
+    def test_default_scan_is_pinned(self):
+        # the scan rfe verify runs; the extremes are the values the kernel
+        # gave when it still reduced with np.mod at every step
+        report = lemma_bound_scan(range(4, 129), 1000, tolerance=1e-12)
+        assert report.points_checked == 8_250_000
+        assert report.violation_count == 0
+        assert report.min_close_magnitude == float.fromhex("0x1.45f527836f61ep-1")
+        assert report.max_non_adjacent_magnitude == float.fromhex("0x1.16b28e944a588p-2")
+
     def test_report_serializes(self):
         report = lemma_bound_scan((4, 8, 16), 50)
         data = report.to_dict()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rfe.spectrum import (
+    _mod_period,
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
@@ -83,6 +84,80 @@ class TestDirichletKernel:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             dirichlet_kernel(0.5, 0)
+
+
+def _reference_sinpi(v):
+    """sin(pi v) as the kernel first computed it, with a floor-mod parity."""
+    n = np.rint(v)
+    f = v - n
+    return np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0) * np.sin(np.pi * f)
+
+
+def _reference_kernel(x, K):
+    """The kernel as first written, with np.mod at every step: the reference
+    the faster kernel must match bit for bit."""
+    xs = np.asarray(x, dtype=float)
+    r = np.mod(xs, K)
+    m = np.rint((xs - r) / K)
+    folded = r > K / 2.0
+    r = np.where(folded, r - K, r)
+    m = m + folded
+    sign = np.where(np.mod(m * (K - 1), 2.0) == 0.0, 1.0, -1.0)
+    den = np.where(r == 0.0, 1.0, K * np.sin(np.pi * r / K))
+    vals = np.where(r == 0.0, 1.0, _reference_sinpi(r) / den)
+    out = sign * vals
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def _bits(values):
+    """int64 view of float64 values: signed zeros and NaN payloads count."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _kernel_inputs(K, rng):
+    """Random, lattice and edge inputs for grid size K."""
+    lattice = np.concatenate([np.arange(-3 * K, 3 * K + 1, max(1, K // 200)),
+                              K * np.arange(-3, 4)]).astype(float)
+    edges = [0.0, -0.0, K / 2.0, -K / 2.0, np.nextafter(K, 0.0),
+             -np.nextafter(K, 0.0), 1e15, -1e15, math.nan, math.inf, -math.inf]
+    return np.concatenate([rng.uniform(-3.0 * K, 3.0 * K, 4000),
+                           rng.uniform(-K, K, 4000),
+                           lattice, lattice + 0.5, lattice + 1e-13,
+                           lattice - 1e-13, edges])
+
+
+BIT_IDENTITY_GRID_SIZES = list(range(1, 140)) + [1000, 62832, 62833]
+
+
+class TestKernelBitIdentity:
+    """The kernel's shortcuts (the fmod-free fold, exact parity signs, no
+    period sign for odd K) must not move a single bit."""
+
+    @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
+    def test_matches_reference_kernel(self, K):
+        rng = np.random.default_rng(K)
+        xs = _kernel_inputs(K, rng)
+        inner = xs[np.abs(xs) < K]
+        with np.errstate(invalid="ignore"):
+            for values in (xs, inner):
+                assert np.array_equal(_bits(dirichlet_kernel(values, K)),
+                                      _bits(_reference_kernel(values, K)))
+            for x in xs[::97].tolist() + [0.0, -0.0, K / 2.0, math.nan, -math.inf]:
+                got = dirichlet_kernel(x, K)
+                assert isinstance(got, float)
+                assert _bits(got) == _bits(_reference_kernel(x, K)), x
+
+    @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
+    def test_mod_period_matches_floor_mod(self, K):
+        rng = np.random.default_rng(K)
+        xs = _kernel_inputs(K, rng)
+        inner = xs[np.abs(xs) < K]
+        with np.errstate(invalid="ignore"):
+            for values in (xs, inner, inner[:1].reshape(()), np.empty(0)):
+                assert np.array_equal(_bits(_mod_period(values, K)),
+                                      _bits(np.mod(values, K)))
 
 
 class TestExpectedCoefficient:
