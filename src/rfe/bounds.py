@@ -20,6 +20,7 @@ instead of hiding them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,6 +44,18 @@ _BASE = 81.0 * math.pi ** 2 / 2.0
 IN_SPEC_RADIUS = 4.0 / (9.0 * math.pi)
 # Largest sample count a run accepts, so per-time counts fit in int64.
 MAX_SAMPLES = 2 ** 62
+# Largest grid size a run or a spectrum accepts (epsilon down to about
+# 1.5e-6).  A run holds a few length-K arrays, about 200 MB at the cap; a
+# larger K is refused before anything is allocated.
+MAX_GRID_SIZE = 2 ** 22
+
+
+def check_grid_size(grid_size) -> int:
+    """The grid size as an int, if it lies in [1, MAX_GRID_SIZE]."""
+    K = int(grid_size)
+    if not 1 <= K <= MAX_GRID_SIZE:
+        raise ValueError(f"grid size must lie in [1, 2**22 = {MAX_GRID_SIZE}], got {grid_size}")
+    return K
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -105,11 +118,18 @@ class BoundsReport:
         }
 
 
+# Smallest delta * epsilon whose plan logarithms, up to ln(16 pi/(delta
+# epsilon)), stay finite.
+_MIN_DELTA_EPSILON = 16.0 * math.pi / sys.float_info.max
+
+
 def _check_epsilon_delta(epsilon: float, delta: float) -> None:
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     if not (math.isfinite(delta) and 0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if delta * epsilon < _MIN_DELTA_EPSILON:
+        raise ValueError(f"delta * epsilon = {delta * epsilon!r} is too small to plan for")
 
 
 def grid_size(epsilon: float) -> int:
@@ -117,6 +137,8 @@ def grid_size(epsilon: float) -> int:
     within epsilon."""
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
+    if not math.isfinite(TWO_PI / epsilon):
+        raise ValueError(f"epsilon = {epsilon!r} is too small for a grid")
     return math.ceil(TWO_PI / epsilon)
 
 

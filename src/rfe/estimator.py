@@ -9,12 +9,17 @@ k_i.  It forms the K coefficient estimates
 
 where C_k and S_k sum the outcomes drawn at time k, and returns
 theta_hat = (2 pi / K) * argmax_j |f_j| (ties to the smallest j).  The
-per-time sums are sufficient, so the sampler returns only them, drawing them
-directly when M > K (:func:`rfe.sampler.sample_outcome_sums`), and one
+per-time sums are sufficient, so the sampler returns only them, and one
 length-K FFT finishes the run: O(K) memory whatever M is.
 
-:func:`run_block` is the one engine: it runs B estimations at once as (B, K)
-arrays, with one FFT along the time axis.  :func:`run_rfe` is a block of one.
+:func:`run_block` is the one engine: it runs B estimations at once, with one
+FFT along the time axis of the (B, K) sums.  With M > K it builds the
+length-K bias tables (and any run noise over the whole grid) and draws the
+per-time sums directly (:func:`rfe.sampler.sample_outcome_sums`).  With
+M <= K most times get no sample, so it draws the time indices first, then
+the run noise and the biases only at the distinct (run, time) cells that
+were drawn, then the c and s uniforms: O(M) work plus the sum buffer, the
+FFT and the peak pick.  :func:`run_rfe` is a block of one.
 
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
@@ -29,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import MAX_SAMPLES, bounds_report
-from .noise import Ideal, NoiseModel, bias_table, draw_run_noise
-from .sampler import OutcomeSums, sample_outcome_sums
+from .bounds import MAX_SAMPLES, bounds_report, check_grid_size
+from .noise import Ideal, NoiseModel, bias_table, biases_at, draw_run_noise
+from .sampler import OutcomeSums, draw_times, sample_outcome_sums, sums_at_times
 from .spectrum import TWO_PI, validate_phase
 
 
@@ -48,8 +53,7 @@ class RunConfig:
     def __post_init__(self):
         if not 1 <= int(self.samples) <= MAX_SAMPLES:
             raise ValueError(f"samples must lie in [1, 2**62], got {self.samples}")
-        if int(self.grid_size) < 1:
-            raise ValueError(f"grid size must be >= 1, got {self.grid_size}")
+        check_grid_size(self.grid_size)
         validate_phase(self.theta)
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -85,25 +89,43 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     """Run B independent estimations at once, one per phase in ``thetas``.
 
     Returns the (B, K) coefficient estimates, row b for thetas[b], and the
-    B runs' outcome sums.  ``rng`` is consumed in a fixed order: the
-    run-noise rows if the model has them (Gaussian deviations are drawn once
-    per run and held fixed for its samples), then the samples of all B runs.
-    With M > K those are the per-time counts, then the c sums, then the s
-    sums; with M <= K the time indices, then the c and s uniforms of each
-    sample.  The phases are used as given: :class:`RunConfig` and the
-    campaign's phase samplers keep them in [0, 2 pi), and a non-finite phase
-    fails the sampler's finiteness check.
+    B runs' outcome sums.  Run noise (the Gaussian deviations) is drawn once
+    per run and time and held fixed for every sample of that run at that
+    time.  ``rng`` is consumed in a fixed order:
+
+    * M > K: the run-noise rows over the whole grid, if the model has them,
+      then the per-time counts of all B runs, then their c sums, then their
+      s sums;
+    * M <= K: the (B, M) time indices, then the run noise at the distinct
+      (run, time) cells in sorted order, eta1 at every cell then eta2, if
+      the model has it, then the c and s uniforms of each sample, run by
+      run.  No noise, cos/sin or bias array is longer than B M.
+
+    The phases are used as given: :class:`RunConfig` and the campaign's
+    phase samplers keep them in [0, 2 pi), and a non-finite phase fails the
+    sampler's finiteness check.  A grid above
+    :data:`rfe.bounds.MAX_GRID_SIZE` is refused before anything is drawn.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValueError("phases must be a 1-d array")
+    K = check_grid_size(grid_size)
     M = int(samples)
     if M < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    run_noise = draw_run_noise(noise, grid_size, rng, size=thetas.size)
-    bx, by = bias_table(noise, thetas, grid_size, run_noise=run_noise)
-    sums = sample_outcome_sums(bx, by, M, rng)
-    return np.fft.fft(sums.z, axis=1) / M, sums
+    if M > K:
+        run_noise = draw_run_noise(noise, K, rng, size=thetas.size)
+        bx, by = bias_table(noise, thetas, K, run_noise=run_noise)
+        sums = sample_outcome_sums(bx, by, M, rng)
+    else:
+        times = draw_times(thetas.size, K, M, rng)
+        runs, ks = np.divmod(times.cells, K)
+        run_noise = noise.draw_run_noise(ks, rng)
+        bx, by = biases_at(noise, thetas[runs], ks, run_noise)
+        sums = sums_at_times(times, bx, by, rng)
+    coefficients = np.fft.fft(sums.z, axis=1)
+    coefficients /= M
+    return coefficients, sums
 
 
 def run_rfe(config: RunConfig) -> TrialResult:

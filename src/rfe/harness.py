@@ -31,8 +31,10 @@ import numpy as np
 from .bounds import (
     MAX_SAMPLES,
     BoundsQuery,
+    BoundsReport,
     BoundsUnachievable,
     bounds_report,
+    check_grid_size,
     grid_size,
 )
 # run_rfe is not called here; rfebench's traced run wraps rfe.harness.run_rfe.
@@ -43,7 +45,6 @@ from .spectrum import (
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
     TWO_PI,
-    _mod_period,
     dirichlet_kernel,
     validate_phase,
 )
@@ -230,7 +231,7 @@ def _block_successes(payload) -> int:
     return int(np.count_nonzero(_error(theta_hat, thetas, distance) <= epsilon))
 
 
-def monte_carlo_success(query: BoundsQuery, trials: int,
+def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
                         theta_sampling: ThetaSampling,
                         master_seed: int, workers: Optional[int] = 1,
                         distance: str = "line",
@@ -238,9 +239,11 @@ def monte_carlo_success(query: BoundsQuery, trials: int,
                         grid_override: Optional[int] = None) -> SuccessStats:
     """Estimate the success rate Pr(|theta_hat - theta| <= epsilon).
 
-    The plan (K, M) is resolved once, by :func:`rfe.bounds.bounds_report`
-    or from ``samples_override``/``grid_override`` (to bypass the certified
-    sample count, e.g. for deliberately under-sampled demos).  The trials
+    ``query`` is a question for :func:`rfe.bounds.bounds_report`, which
+    then plans (K, M) once, or a plan it already returned, which is used as
+    it is.  ``samples_override``/``grid_override`` replace the plan (to
+    bypass the certified sample count, e.g. for deliberately under-sampled
+    demos).  The trials
     then run in blocks of B = max(1, BLOCK_CELLS // K), the last one
     shorter.  Block b draws from :func:`block_rng` (master seed, b), in this
     order: its B phases, then the run noise and samples of its B runs, which
@@ -258,11 +261,11 @@ def monte_carlo_success(query: BoundsQuery, trials: int,
         samples = int(samples_override)
         if not 1 <= samples <= MAX_SAMPLES:
             raise ValueError(f"samples_override must lie in [1, 2**62], got {samples_override}")
-        if grid < 1:
-            raise ValueError(f"grid_override must be >= 1, got {grid_override}")
     else:
-        plan = bounds_report(query.epsilon, query.delta, query.noise)
+        plan = (query if isinstance(query, BoundsReport)
+                else bounds_report(query.epsilon, query.delta, query.noise))
         grid, samples = plan.grid_size, plan.samples
+    check_grid_size(grid)
     block = max(1, BLOCK_CELLS // grid)
     payloads = [(grid, samples, query.noise, theta_sampling, int(master_seed), index,
                  min(block, trials - start), query.epsilon, distance)
@@ -359,9 +362,11 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int,
     for K in k_values:
         tone = K * thetas / TWO_PI                           # (n_theta,)
         x = np.arange(K)[:, None] - tone[None, :]            # (K, n_theta)
-        r = _mod_period(np.abs(x), K)
-        d = np.minimum(r, K - r)
         mags = np.abs(dirichlet_kernel(x, K))
+        # x lies in [-K/2, K - 1], so |x| needs no reduction mod K before
+        # the circular distance min(|x|, K - |x|)
+        d = np.abs(x)
+        np.minimum(d, K - d, out=d)
         points += mags.size
         close = d <= 0.5
         nonadj = d >= 1.0
@@ -424,7 +429,7 @@ class SweepPoint:
 
 def _sweep_point_plan(family: str, parameter: float, epsilon: Optional[float],
                       delta: float, strategy: AdversaryStrategy):
-    """Resolve (model, epsilon, bounds_report plan or None, extras) of a point."""
+    """Resolve (bounds_report plan or None, extras) of a point."""
     extras: dict = {}
     if family == "ideal":
         model, epsilon = Ideal(), parameter
@@ -443,9 +448,9 @@ def _sweep_point_plan(family: str, parameter: float, epsilon: Optional[float],
     else:
         raise ValueError(f"unknown sweep family {family!r}; choose from {SWEEP_FAMILIES}")
     try:
-        return model, epsilon, bounds_report(epsilon, delta, model), extras
+        return bounds_report(epsilon, delta, model), extras
     except BoundsUnachievable:
-        return model, epsilon, None, extras
+        return None, extras
 
 
 def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
@@ -462,7 +467,8 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
     point is planned by :func:`rfe.bounds.bounds_report` before any trial
     runs, so a bad value anywhere in the grid raises ``ValueError`` first.
     Points the planner rejects as unachievable (noise at or past its
-    threshold, or more than 2**62 samples) are marked so and not run.
+    threshold, or more than 2**62 samples) are marked so and not run; the
+    others run their campaign on that same plan.
     """
     if theta_sampling is None:
         theta_sampling = UniformTheta()
@@ -470,13 +476,12 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
     plans = [_sweep_point_plan(family, parameter, epsilon, delta, strategy)
              for parameter in parameters]
     points: list[SweepPoint] = []
-    for index, (parameter, (model, eps_pt, plan, extras)) in enumerate(zip(parameters, plans)):
+    for index, (parameter, (plan, extras)) in enumerate(zip(parameters, plans)):
         stats = None
         if plan is not None:
             point_seed = int(np.random.SeedSequence(int(master_seed), spawn_key=(index,))
                              .generate_state(1, np.uint64)[0])
-            stats = monte_carlo_success(BoundsQuery(eps_pt, delta, model),
-                                        trials_per_point, theta_sampling, point_seed,
+            stats = monte_carlo_success(plan, trials_per_point, theta_sampling, point_seed,
                                         workers=workers, distance=distance)
         points.append(SweepPoint(family=family, parameter=parameter,
                                  predicted_samples=None if plan is None else plan.samples,

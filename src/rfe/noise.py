@@ -7,9 +7,12 @@ become (1 + cos(k theta) + eta1[k]) / 2 and (1 + sin(k theta) + eta2[k]) / 2.
 Each model kind is one frozen dataclass deriving from :class:`NoiseModel`:
 ``Ideal``, ``Ban`` (bounded adversarial), ``Gaussian``, ``GaussianLinear``,
 ``Dephasing`` and ``HighCoherence``.  The class owns all of the kind's
-behaviour: its bias tables, its per-run random state, its bound on |eta|
-and its JSON form.  :func:`bias_table`, :func:`draw_run_noise` and
-:func:`noise_from_dict` are the kind-agnostic entry points.  Adding a model
+behaviour: its biases, its per-run random state, its bound on |eta| and
+its JSON form.  Both act at whatever times they are given: the whole grid
+k = 0 .. K-1 (:func:`bias_table`, :func:`draw_run_noise`), or only the
+distinct times a sparse run sampled (:func:`biases_at` and the model's own
+``draw_run_noise``).  Run noise is aligned with those times, entry for
+entry.  :func:`noise_from_dict` parses the wire format.  Adding a model
 means one class plus one entry in :data:`MODELS`, and a rule in
 :func:`rfe.bounds.bounds_report` only if it is certifiable without an
 envelope.
@@ -78,13 +81,15 @@ class NoiseModel:
     """Base of the noise models.  A subclass is a frozen dataclass whose
     fields are its float parameters; it sets ``kind``, defines
     ``biases(cos_k, sin_k, ks, run_noise)``, which adds its unclamped
-    deviations at the times ``ks`` to the ideal tables, and overrides the
-    defaults below where it differs."""
+    deviations at the times ``ks`` to the ideal biases there (run noise, if
+    any, aligned with ``ks`` on its last axis), and overrides the defaults
+    below where it differs."""
 
-    def draw_run_noise(self, grid_size: int, rng: np.random.Generator,
+    def draw_run_noise(self, ks: np.ndarray, rng: np.random.Generator,
                        size: Optional[int] = None) -> Optional[DeviationTable]:
-        """Random state fixed for one run, one row per run when ``size`` is
-        given; None when the model has none."""
+        """Random state fixed for one run at the 1-d times ``ks``, entry i
+        at time ks[i], one row per run when ``size`` is given; None when the
+        model has none."""
         return None
 
     def envelope(self, grid_size: int) -> Optional[float]:
@@ -197,31 +202,33 @@ class Gaussian(NoiseModel):
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
-    def scale(self, grid_size: int) -> np.ndarray:
-        """Standard deviation of the deviations at each time: sigma."""
-        return np.full(grid_size, float(self.sigma))
+    def scale(self, ks: np.ndarray):
+        """Standard deviation of the deviations at the times ks: sigma."""
+        return float(self.sigma)
 
-    def draw_run_noise(self, grid_size, rng, size=None):
-        """The 2K independent normal deviations of one run, or of each of
-        ``size`` runs as the rows of a 2-d table, scaled by :meth:`scale`.
-        Normals are consumed run by run: eta1, then eta2."""
-        K = int(grid_size)
-        if K < 1:
-            raise ValueError(f"grid size must be >= 1, got {grid_size}")
-        shape = (2, K) if size is None else (int(size), 2, K)
+    def draw_run_noise(self, ks, rng, size=None):
+        """Independent normal deviations at the times ``ks``, two per time
+        (eta1 and eta2), for one run or, as the rows of a 2-d table, for each
+        of ``size`` runs, scaled by :meth:`scale`.  Normals are consumed run
+        by run: eta1 at every time, then eta2."""
+        ks = np.asarray(ks)
+        if ks.ndim != 1:
+            raise ValueError("run noise needs a 1-d array of times")
+        shape = (2, ks.size) if size is None else (int(size), 2, ks.size)
         eta = rng.standard_normal(shape)
-        eta *= self.scale(K)
+        eta *= self.scale(ks)
         return DeviationTable(eta1=eta[..., 0, :], eta2=eta[..., 1, :])
 
     def biases(self, cos_k, sin_k, ks, run_noise):
         if run_noise is None:
             raise ValueError(
-                "gaussian models need a run-noise table (drawn once per run); "
+                "gaussian models need run noise (drawn once per run); "
                 "see draw_run_noise"
             )
-        _require_cover(run_noise, ks, "run noise")
-        return (cos_k + np.take(run_noise.eta1, ks, axis=-1),
-                sin_k + np.take(run_noise.eta2, ks, axis=-1))
+        if len(run_noise) != np.shape(ks)[-1]:
+            raise ValueError(f"run noise of length {len(run_noise)} is not aligned "
+                             f"with {np.shape(ks)[-1]} times")
+        return cos_k + run_noise.eta1, sin_k + run_noise.eta2
 
 
 @dataclass(frozen=True)
@@ -232,9 +239,9 @@ class GaussianLinear(Gaussian):
 
     kind = "gaussian_linear"
 
-    def scale(self, grid_size):
-        """Standard deviation of the deviations at each time: k * sigma."""
-        return self.sigma * np.arange(grid_size, dtype=float)
+    def scale(self, ks):
+        """Standard deviation of the deviations at the times ks: k * sigma."""
+        return self.sigma * ks
 
 
 @dataclass(frozen=True)
@@ -285,14 +292,24 @@ MODELS = {cls.kind: cls
           for cls in (Ideal, Ban, Gaussian, GaussianLinear, Dephasing, HighCoherence)}
 
 
+def biases_at(model: NoiseModel, theta, ks: np.ndarray,
+              run_noise: Optional[DeviationTable] = None):
+    """Unclamped biases at the 1-d times ``ks`` for the phases ``theta``,
+    which broadcast against ``ks``: one phase per time, or a column of B
+    phases for (B, len(ks)) biases.  Gaussian-family models require
+    ``run_noise`` aligned with ``ks``; a Ban model with a custom strategy
+    reads its embedded table at ``ks``."""
+    phase = ks * theta
+    return model.biases(np.cos(phase), np.sin(phase), ks, run_noise)
+
+
 def bias_table(model: NoiseModel, theta, grid_size: int,
                run_noise: Optional[DeviationTable] = None):
     """Unclamped biases for all times k = 0 .. grid_size-1.
 
     One phase gives two length-K tables.  A 1-d array of B phases gives two
     (B, K) tables, row b at theta[b] with row b of a 2-d run-noise table.
-    Gaussian-family models require ``run_noise`` covering the grid; a Ban
-    model with a custom strategy reads its embedded table.
+    Gaussian-family models require ``run_noise`` drawn over the same grid.
     """
     K = int(grid_size)
     if K < 1:
@@ -300,16 +317,18 @@ def bias_table(model: NoiseModel, theta, grid_size: int,
     theta = np.asarray(theta, dtype=float)
     if theta.ndim > 1:
         raise ValueError("theta must be one phase or a 1-d array of phases")
-    ks = np.arange(K)
-    phase = ks * theta[..., None]
-    return model.biases(np.cos(phase), np.sin(phase), ks, run_noise)
+    return biases_at(model, theta[..., None], np.arange(K), run_noise)
 
 
 def draw_run_noise(model: NoiseModel, grid_size: int, rng: np.random.Generator,
                    size: Optional[int] = None) -> Optional[DeviationTable]:
-    """Per-run stochastic state for a model, one row per run when ``size``
-    is given; None when the model has none."""
-    return model.draw_run_noise(grid_size, rng, size)
+    """Per-run stochastic state of a model over the whole grid k = 0 ..
+    grid_size-1, one row per run when ``size`` is given; None when the model
+    has none."""
+    K = int(grid_size)
+    if K < 1:
+        raise ValueError(f"grid size must be >= 1, got {grid_size}")
+    return model.draw_run_noise(np.arange(K), rng, size)
 
 
 def ban_threshold() -> float:

@@ -4,10 +4,18 @@ One sample draws a time index k uniformly from {0, ..., K-1} and a pair of
 +-1 outcomes (c, s) from independent likelihoods Pr(c=+1) = (1 + bx[k])/2
 and Pr(s=+1) = (1 + by[k])/2 (two separate circuit executions, so no shared
 randomness within a pair).  The estimator only reads the per-time sums of c
-and s, the total depth sum k and the clamp count, so
-:func:`sample_outcome_sums` returns those and nothing per sample.  It draws
-one run from length-K bias tables, or a block of B independent runs from
-(B, K) tables, one run per row.
+and s, the total depth sum k and the clamp count, so the sampler returns
+those and nothing per sample.
+
+There are two regimes.  With M > K samples, :func:`sample_outcome_sums`
+draws the per-time counts and sums straight from length-K bias tables (or
+(B, K) tables, one run per row): O(K) work whatever M is.  With M <= K most
+times get no sample, so the times come first: :func:`draw_times` draws the
+(B, M) time indices and finds the distinct (run, time) cells among them,
+the caller evaluates the biases at those cells only (and draws any run
+noise there, so repeated times in a run share it), and
+:func:`sums_at_times` draws one outcome pair per sample and accumulates
+them.  That is O(M) work plus one zeroed length-K buffer per run.
 
 Biases outside [-1, 1] make the raw probabilities non-physical; they are
 clamped to [0, 1] and every sample drawn at such a time counts as a clamp
@@ -84,6 +92,49 @@ def _total_depths(n: np.ndarray, samples: int) -> np.ndarray:
                     dtype=object)
 
 
+@dataclass(frozen=True, eq=False)
+class SampledTimes:
+    """The time indices of B runs of M samples each, and the distinct
+    (run, time) cells among them."""
+
+    ks: np.ndarray  # (B, M) time indices
+    cells: np.ndarray  # sorted distinct flat cells b * K + k
+    inverse: np.ndarray  # (B * M,) position in ``cells`` of each sample, run by run
+    grid_size: int
+
+
+def draw_times(runs: int, grid_size: int, samples: int,
+               rng: np.random.Generator) -> SampledTimes:
+    """Draw ``samples`` uniform time indices on {0, ..., K-1} for each of
+    ``runs`` runs, one (B, M) integer draw, and find their distinct cells."""
+    B, K = int(runs), int(grid_size)
+    ks = rng.integers(0, K, size=(B, int(samples)))
+    flat = ks + K * np.arange(B)[:, None]
+    cells, inverse = np.unique(flat.ravel(), return_inverse=True)
+    return SampledTimes(ks=ks, cells=cells, inverse=inverse, grid_size=K)
+
+
+def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator) -> OutcomeSums:
+    """Draw one outcome pair per sample of ``times`` and return the B runs'
+    outcome sums, with a leading axis of B on every field.
+
+    ``bx`` and ``by`` hold the unclamped biases at ``times.cells``, one per
+    cell; every sample at a cell reads that cell's entry through
+    ``times.inverse``.  The uniforms are consumed as :func:`sample_pairs`
+    does, sample by sample in run order.  The sums go into one zeroed
+    (B, K) complex buffer, touched only at the cells.
+    """
+    c, s, clamped = sample_pairs(bx[times.inverse], by[times.inverse], rng)
+    B, M = times.ks.shape
+    K = times.grid_size
+    count = times.cells.size
+    z = np.zeros(B * K, dtype=complex)
+    z.real[times.cells] = np.bincount(times.inverse, weights=c, minlength=count)
+    z.imag[times.cells] = np.bincount(times.inverse, weights=s, minlength=count)
+    return OutcomeSums(z=z.reshape(B, K), total_depth=times.ks.sum(axis=1),
+                       clamp_count=clamped.reshape(B, M).sum(axis=1))
+
+
 def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> OutcomeSums:
     """Draw ``samples`` outcome pairs over the bias tables (bx[k], by[k]) and
     return their per-time sums, total depth and clamp count.
@@ -92,11 +143,12 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> Outco
     over (bx[b], by[b]), and every returned field gains a leading axis of B.
     With M > K the per-time counts n ~ Multinomial(M, 1/K) are drawn for all
     rows, then sum c_k = 2 Binomial(n_k, p_c[k]) - n_k for all rows, then
-    sum s_k the same way: O(BK) time and memory, whatever M is.  M <= K draws
-    M time indices per row, then one outcome pair per index with
-    :func:`sample_pairs`: O(BM), cheaper when most times get no sample.  Both
-    give the same joint law of the returned values; they consume ``rng``
-    differently.  A block of one row consumes it exactly as one length-K run.
+    sum s_k the same way: O(BK) time and memory, whatever M is.  With M <= K
+    the time indices come first (:func:`draw_times`), then the c and s
+    uniforms of each sample, read at the tables' entries for the drawn cells
+    (:func:`sums_at_times`).  Both give the same joint law of the returned
+    values; they consume ``rng`` differently.  A block of one row consumes
+    it exactly as one length-K run.
     """
     bx, by = _finite_pair(bx, by, max_ndim=2)
     one_run = bx.ndim == 1
@@ -109,21 +161,16 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> Outco
     if M < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
     if M <= K:
-        ks = rng.integers(0, K, size=(B, M))
-        cells = (ks + K * np.arange(B)[:, None]).ravel()  # flat (row, time) index
-        c, s, clamped = sample_pairs(bx.ravel()[cells], by.ravel()[cells], rng)
-        z = (np.bincount(cells, weights=c, minlength=B * K)
-             + 1j * np.bincount(cells, weights=s, minlength=B * K)).reshape(B, K)
-        total_depth = ks.sum(axis=1)
-        clamp_count = clamped.reshape(B, M).sum(axis=1)
+        times = draw_times(B, K, M, rng)
+        sums = sums_at_times(times, bx.ravel()[times.cells], by.ravel()[times.cells], rng)
     else:
         p_c, p_s, clamped = _likelihoods(bx, by)
         n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
         c = 2 * rng.binomial(n, p_c) - n
-        z = c + 1j * (2 * rng.binomial(n, p_s) - n)
-        total_depth = _total_depths(n, M)
-        clamp_count = (n * clamped).sum(axis=1)
+        sums = OutcomeSums(z=c + 1j * (2 * rng.binomial(n, p_s) - n),
+                           total_depth=_total_depths(n, M),
+                           clamp_count=(n * clamped).sum(axis=1))
     if one_run:
-        return OutcomeSums(z=z[0], total_depth=int(total_depth[0]),
-                           clamp_count=int(clamp_count[0]))
-    return OutcomeSums(z=z, total_depth=total_depth, clamp_count=clamp_count)
+        return OutcomeSums(z=sums.z[0], total_depth=int(sums.total_depth[0]),
+                           clamp_count=int(sums.clamp_count[0]))
+    return sums

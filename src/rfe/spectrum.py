@@ -26,6 +26,8 @@ from enum import Enum
 
 import numpy as np
 
+from .bounds import check_grid_size
+
 TWO_PI = 2.0 * math.pi
 
 CLOSE_MAGNITUDE_MIN = 2.0 / math.pi
@@ -71,7 +73,8 @@ def _validate_grid_size(grid_size: int) -> int:
 
 
 def _parity_sign(n: np.ndarray) -> np.ndarray:
-    """(-1)^n for integer-valued float n, without a floor-mod pass.
+    """(-1)^n for an integer-valued float array n, without a floor-mod
+    pass, written over n's own buffer and returned.
 
     n/2 and 2 floor(n/2) are exact in binary floating point, so
     n - 2 floor(n/2) is exactly 0 or 1 and the sign exactly +1 or -1.  Every
@@ -80,7 +83,12 @@ def _parity_sign(n: np.ndarray) -> np.ndarray:
     in the kernel such a sign only ever multiplies a NaN, so the result keeps
     its bits.
     """
-    return 1.0 - 2.0 * (n - 2.0 * np.floor(n / 2.0))
+    twice_half = n / 2.0
+    np.floor(twice_half, out=twice_half)
+    twice_half *= 2.0
+    n -= twice_half
+    n *= 2.0
+    return np.subtract(1.0, n, out=n)
 
 
 def _mod_period(xs: np.ndarray, K: int) -> np.ndarray:
@@ -92,7 +100,8 @@ def _mod_period(xs: np.ndarray, K: int) -> np.ndarray:
     an empty array) goes to np.mod.
     """
     if xs.size and -K < xs.min() and xs.max() < K:
-        return np.where(xs < 0.0, xs + K, xs + 0.0)
+        r = np.add(xs, 0.0, out=np.empty(xs.shape))
+        return np.add(r, K, out=r, where=xs < 0.0)
     return np.mod(xs, K)
 
 
@@ -104,10 +113,15 @@ def _sinpi(v: np.ndarray) -> np.ndarray:
     distance to the zero); reducing v first keeps the relative error at
     machine level everywhere.  Both steps are exact: v - rint(v) is an exact
     difference (Sterbenz's lemma when rint(v) is not 0), and the sign
-    (-1)^rint(v) comes from :func:`_parity_sign`, not a floor-mod.
+    (-1)^rint(v) comes from :func:`_parity_sign`, not a floor-mod.  v is an
+    array of at least one dimension.
     """
     n = np.rint(v)
-    return _parity_sign(n) * np.sin(np.pi * (v - n))
+    out = np.subtract(v, n)
+    out *= np.pi
+    np.sin(out, out=out)
+    out *= _parity_sign(n)
+    return out
 
 
 def dirichlet_kernel(x, grid_size: int):
@@ -123,25 +137,38 @@ def dirichlet_kernel(x, grid_size: int):
     the fold uses :func:`_mod_period`, which skips fmod when |x| < K; the
     parity signs are exact (:func:`_parity_sign`); and for odd K the period
     sign (-1)^(m (K-1)) is always +1, so the period count m is not computed.
+    Each step writes into an array it owns, so a call allocates a handful of
+    full-size buffers, not one per operation.
     """
     K = _validate_grid_size(grid_size)
     xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    if scalar:
+        xs = xs.reshape(1)
     r = _mod_period(xs, K)
     folded = r > K / 2.0
     if K % 2 == 0:
-        m = np.rint((xs - r) / K) + folded
-        sign = _parity_sign(m * (K - 1))
-    r = np.where(folded, r - K, r)
+        m = np.subtract(xs, r)
+        m /= K
+        np.rint(m, out=m)
+        m += folded
+        m *= K - 1
+        sign = _parity_sign(m)
+    np.subtract(r, K, out=r, where=folded)
     zero = r == 0.0
     # |pi r / K| <= pi/2 keeps the denominator clear of every sine zero
     # except r = 0, which is the removable point handled explicitly.
-    den = np.where(zero, 1.0, K * np.sin(np.pi * r / K))
-    out = np.where(zero, 1.0, _sinpi(r) / den)
+    den = np.multiply(np.pi, r)
+    den /= K
+    np.sin(den, out=den)
+    den *= K
+    den[zero] = 1.0
+    out = _sinpi(r)
+    out /= den
+    out[zero] = 1.0
     if K % 2 == 0:
-        out = sign * out
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+        out *= sign
+    return float(out[0]) if scalar else out
 
 
 def expected_coefficient(theta: float, j: int, grid_size: int) -> complex:
@@ -162,8 +189,9 @@ def expected_coefficient(theta: float, j: int, grid_size: int) -> complex:
 
 
 def expected_spectrum(theta: float, grid_size: int) -> ExpectedSpectrum:
-    """All K expected coefficients of a tone at phase theta."""
-    K = _validate_grid_size(grid_size)
+    """All K expected coefficients of a tone at phase theta; K above
+    :data:`rfe.bounds.MAX_GRID_SIZE` is refused before anything is built."""
+    K = check_grid_size(grid_size)
     theta = validate_phase(theta)
     x = np.arange(K) - K * theta / TWO_PI
     coefficients = np.exp(-1j * np.pi * x * (K - 1) / K) * dirichlet_kernel(x, K)

@@ -48,6 +48,18 @@ class TestGridSize:
             with pytest.raises(ValueError):
                 grid_size(bad)
 
+    def test_rejects_epsilons_too_small_for_a_grid(self):
+        # 2 pi / epsilon overflows to inf, which has no ceiling
+        for tiny in (5e-324, 1e-320):
+            with pytest.raises(ValueError, match="too small"):
+                grid_size(tiny)
+
+    def test_plans_reject_underflowing_delta_epsilon(self):
+        # delta * epsilon underflows to 0 or overflows 16 pi / (delta epsilon)
+        for epsilon, delta in ((5e-324, 0.1), (1e-300, 1e-10)):
+            with pytest.raises(ValueError, match="too small"):
+                bounds_report(epsilon, delta)
+
 
 class TestSampleCounts:
     def test_noiseless_frozen(self):

@@ -215,6 +215,31 @@ class TestExitCodes:
         assert code == 2
         assert "2**62" in err
 
+    @pytest.mark.parametrize("args", [
+        ("run", "--epsilon", "1e-10", "--theta", "1.0"),
+        ("spectrum", "--epsilon", "1e-10", "--theta", "1.0"),
+        ("run", "--epsilon", "0.1", "--samples", "10", "--grid", "10000000000"),
+        ("spectrum", "--epsilon", "0.1", "--samples", "10", "--grid", str(2 ** 22 + 1)),
+    ])
+    def test_grid_past_the_cap_exits_2(self, capsys, args):
+        # refused before anything K long is allocated
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == "" and "error: grid size must lie in [1, 2**22" in err
+
+    def test_bounds_still_prints_a_plan_past_the_grid_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--epsilon", "1e-10")
+        assert code == 0
+        assert json.loads(out)["report"]["K"] == 62831853072
+
+    def test_epsilon_too_small_to_plan_exits_2(self, capsys):
+        for args in (("run", "--epsilon", "5e-324", "--theta", "1.0"),
+                     ("run", "--epsilon", "1e-320", "--samples", "3", "--theta", "1.0"),
+                     ("bounds", "--epsilon", "1e-300", "--delta", "1e-10")):
+            code, out, err = run_cli(capsys, *args)
+            assert code == 2
+            assert out == "" and "too small" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["bounds", "--epsilon", "0.1", "--frobnicate"])

@@ -2,12 +2,15 @@
 
 A run's coefficients are the DFT of its per-time outcome sums, so the sums
 are read back exactly with an inverse FFT.  Every test goes through
-``run_rfe`` and holds for any correct way of drawing the outcomes:
+``run_rfe``, or ``run_block`` where runs of one block are compared, and
+holds for any correct way of drawing the outcomes:
 
 * per-time counts n ~ Multinomial(M, 1/K);
 * per-time sums 2 Binomial(n_k, p_k) - n_k with p_k the clamped likelihood;
 * total_depth = sum_k k n_k with mean M(K-1)/2 and variance M(K^2-1)/12;
-* the mean coefficient vector equals the exact enumeration oracle.
+* the mean coefficient vector equals the exact enumeration oracle;
+* a Gaussian run's deviation at a time is shared by all its samples there,
+  and independent between runs.
 
 Each Pearson statistic is gated by a z-bound built from its exact mean and
 variance, once summed over runs (which sees dependence inside a run) and
@@ -20,13 +23,14 @@ import math
 import numpy as np
 import pytest
 
-from rfe.estimator import RunConfig, run_rfe
+from rfe.estimator import RunConfig, run_block, run_rfe
 from rfe.harness import exact_estimator_expectation
 from rfe.noise import (
     AdversaryStrategy,
     Ban,
     Dephasing,
     DeviationTable,
+    Gaussian,
     HighCoherence,
     Ideal,
 )
@@ -179,3 +183,37 @@ def test_mean_coefficients_match_oracle(plan, label, noise, deviations):
     # coefficient has total variance (2 - |E f_j|^2) / M per run.
     sd = np.sqrt((2.0 - np.abs(expected) ** 2) / (M * ORACLE_RUNS))
     assert np.max(np.abs(mean - expected) / sd) <= Z_ORACLE
+
+
+# --- Gaussian run noise: one deviation per run and time -----------------------
+
+RUN_NOISE_BLOCK = 400
+# At this scale |cos(k theta) + eta| <= 1 has probability about 1e-9 per
+# cell, so every likelihood clamps to 0 or 1 and each outcome is the sign of
+# its deviation.
+HUGE_SIGMA = 1e9
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_gaussian_deviation_is_shared_within_a_run_and_fresh_between_runs(plan):
+    K, M = PLANS[plan]
+    _, sums = run_block(np.full(RUN_NOISE_BLOCK, 1.1), M, K, Gaussian(HUGE_SIGMA),
+                        np.random.default_rng(23))
+    c, s = np.rint(sums.z.real).astype(np.int64), np.rint(sums.z.imag).astype(np.int64)
+    assert np.all(sums.clamp_count == M)
+    # Samples of one run at one time share its deviation, so they agree:
+    # |sum c_k| = |sum s_k| = n_k, and the counts add up to M.
+    n = np.abs(c)
+    assert np.array_equal(np.abs(s), n)
+    assert np.all(n.sum(axis=1) == M)
+    # Runs draw their own deviations: pairing the runs that sampled a time
+    # two by two, their signs agree as fair coins do, in both channels.
+    agree, pairs = 0, 0
+    for channel in (c, s):
+        for column in channel.T:
+            signs = np.sign(column[column != 0])
+            signs = signs[: signs.size // 2 * 2].reshape(-1, 2)
+            agree += int(np.count_nonzero(signs[:, 0] == signs[:, 1]))
+            pairs += signs.shape[0]
+    assert pairs > 1000
+    assert abs(z_score(agree, pairs / 2, pairs / 4)) <= Z_MAX

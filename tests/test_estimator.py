@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfe.bounds import BoundsUnachievable, bounds_report
+from rfe.bounds import MAX_GRID_SIZE, BoundsUnachievable, bounds_report
 from rfe.estimator import (
     RunConfig,
     estimate_phase,
@@ -22,12 +22,13 @@ from rfe.noise import (
     Ban,
     Dephasing,
     Gaussian,
+    GaussianLinear,
     HighCoherence,
     Ideal,
     bias_table,
     draw_run_noise,
 )
-from rfe.sampler import sample_outcome_sums
+from rfe.sampler import sample_outcome_sums, sample_pairs
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,6 +51,12 @@ class TestRunConfigValidation:
         RunConfig(samples=2 ** 62, grid_size=8, theta=1.0)
         with pytest.raises(ValueError):
             RunConfig(samples=2 ** 62 + 1, grid_size=8, theta=1.0)
+
+    def test_rejects_grids_past_the_cap(self):
+        RunConfig(samples=6169, grid_size=62832, theta=1.0)  # the epsilon = 1e-4 plan
+        for K in (MAX_GRID_SIZE + 1, 62831853072):
+            with pytest.raises(ValueError, match="2\\*\\*22"):
+                RunConfig(samples=10, grid_size=K, theta=1.0)
 
 
 class TestDeterminism:
@@ -185,11 +192,32 @@ class TestEstimatePhase:
         assert result.winning_index == round(1.0 * 8 / TWO_PI)
 
 
+def sparse_reference(thetas, M, K, sigma, seed):
+    """The (B, K) coefficients and sums of B Gaussian runs with M <= K,
+    written out in the documented draw order: the (B, M) times, the normals
+    at the distinct (run, time) cells (eta1 at every cell, then eta2), then
+    the c and s uniforms of each sample."""
+    rng = np.random.default_rng(seed)
+    B = len(thetas)
+    ks = rng.integers(0, K, size=(B, M))
+    flat = (ks + K * np.arange(B)[:, None]).ravel()
+    cells, inverse = np.unique(flat, return_inverse=True)
+    runs, times = cells // K, cells % K
+    eta = rng.standard_normal((2, cells.size)) * sigma
+    phase = times * np.asarray(thetas)[runs]
+    bx, by = np.cos(phase) + eta[0], np.sin(phase) + eta[1]
+    c, s, clamped = sample_pairs(bx[inverse], by[inverse], rng)
+    z = np.zeros(B * K, dtype=complex)
+    np.add.at(z, flat, c + 1j * s)
+    z = z.reshape(B, K)
+    return np.fft.fft(z, axis=1) / M, z, ks.sum(axis=1), clamped.reshape(B, M).sum(axis=1)
+
+
 class TestRunBlock:
-    @pytest.mark.parametrize("M", [40, 5000])
+    @pytest.mark.parametrize("M", [5000])
     def test_block_of_one_keeps_the_unbatched_stream(self, M):
-        # The reference is one unbatched run from one generator: a 1-d noise
-        # table, 1-d bias tables, 1-d sums and a 1-d FFT.
+        # M > K.  The reference is one unbatched run from one generator: a
+        # 1-d noise table, 1-d bias tables, 1-d sums and a 1-d FFT.
         K, theta, noise = 63, 1.7, Gaussian(0.1)
         rng = np.random.default_rng(31)
         table = draw_run_noise(noise, K, rng)
@@ -199,6 +227,65 @@ class TestRunBlock:
         assert np.array_equal(result.spectrum.coefficients, np.fft.fft(sums.z) / M)
         assert result.spectrum.total_depth == sums.total_depth
         assert result.spectrum.clamp_count == sums.clamp_count
+
+    @pytest.mark.parametrize("M", [1, 40, 63])
+    def test_sparse_run_follows_the_documented_draw_order(self, M):
+        # M <= K: one run and a block of three match the written-out order
+        # bit for bit; sigma = 0.5 clamps some samples.
+        K, sigma = 63, 0.5
+        coefficients, z, depth, clamps = sparse_reference([1.7], M, K, sigma, 31)
+        result = run_rfe(RunConfig(samples=M, grid_size=K, theta=1.7,
+                                   noise=Gaussian(sigma), seed=31))
+        assert np.array_equal(result.spectrum.coefficients, coefficients[0])
+        assert result.spectrum.total_depth == depth[0]
+        assert result.spectrum.clamp_count == clamps[0]
+        thetas = [0.4, 1.7, 2.9]
+        coefficients, z, depth, clamps = sparse_reference(thetas, M, K, sigma, 32)
+        block, sums = run_block(thetas, M, K, Gaussian(sigma), np.random.default_rng(32))
+        assert np.array_equal(block, coefficients) and np.array_equal(sums.z, z)
+        assert list(sums.total_depth) == list(depth)
+        assert list(sums.clamp_count) == list(clamps)
+
+    def test_sparse_run_touches_only_sampled_times(self, monkeypatch):
+        # The fine_grid grid with 10 samples: the run noise holds at most 2M
+        # normals and the biases are built at no more than M times; only the
+        # sums, the FFT and the peak pick are K long.
+        K, M = 62832, 10
+        normals, bias_sizes = [], []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+
+            def standard_normal(self, size):
+                normals.append(int(np.prod(size)))
+                return self._rng.standard_normal(size)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        biases = Gaussian.biases
+
+        def recording(model, cos_k, sin_k, ks, run_noise):
+            bias_sizes.append(np.size(cos_k))
+            return biases(model, cos_k, sin_k, ks, run_noise)
+
+        monkeypatch.setattr(Gaussian, "biases", recording)
+        for noise in (Gaussian(0.01), GaussianLinear(1e-6)):
+            normals.clear()
+            bias_sizes.clear()
+            coefficients, sums = run_block([1.3], M, K, noise, CountingGenerator(5))
+            assert coefficients.shape == sums.z.shape == (1, K)
+            assert 0 < sum(normals) <= 2 * M
+            assert bias_sizes and max(bias_sizes) <= M
+            assert np.count_nonzero(sums.z) <= M
+
+    def test_rejects_grids_past_the_cap(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            run_block([1.0], 10, MAX_GRID_SIZE + 1, Gaussian(0.1), rng)
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            run_block([1.0], 10 ** 9, 62831853072, Ideal(), rng)
 
     def test_gaussian_rows_draw_independent_noise(self):
         # 200 runs at one phase with M = 1e6 samples each: sampling moves a

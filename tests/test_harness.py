@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rfe import harness
-from rfe.bounds import BoundsQuery, samples_ban
+from rfe.bounds import MAX_GRID_SIZE, BoundsQuery, bounds_report, samples_ban
 from rfe.estimator import RunConfig, run_rfe
 from rfe.harness import (
     FixedTheta,
@@ -241,6 +241,13 @@ class TestMonteCarlo:
                                     UniformTheta(), master_seed=7)
         assert stats.trials == 12 and len(calls) == 1
 
+    def test_resolved_plan_runs_as_its_query(self, monkeypatch):
+        query = BoundsQuery(0.4, 0.2, Ban(0.03))
+        plan = bounds_report(query.epsilon, query.delta, query.noise)
+        from_query = monte_carlo_success(query, 40, UniformTheta(), master_seed=8)
+        monkeypatch.setattr(harness, "bounds_report", None)  # a plan is not planned again
+        assert monte_carlo_success(plan, 40, UniformTheta(), master_seed=8) == from_query
+
     def test_wide_target_needs_no_samples(self):
         # epsilon >= pi/2: every trial answers pi/2, within epsilon of any
         # phase UniformTheta draws
@@ -257,9 +264,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
                                 samples_override=2 ** 62 + 1)
-        with pytest.raises(ValueError):
-            monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
-                                samples_override=10, grid_override=0)
+        for grid in (0, MAX_GRID_SIZE + 1):
+            with pytest.raises(ValueError):
+                monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
+                                    samples_override=10, grid_override=grid)
 
     def test_phase_samplers_validated(self):
         for make in (lambda: FixedTheta(TWO_PI), lambda: FixedTheta(math.nan),
@@ -350,6 +358,20 @@ class TestNoiseSweep:
         assert [p.achievable for p in points] == [True, False]
         assert points[0].predicted_samples == 12510 and points[0].stats.trials == 3
         assert points[1].predicted_samples is None and points[1].stats is None
+
+    def test_each_point_is_planned_once(self, monkeypatch):
+        calls = []
+        original = harness.bounds_report
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "bounds_report", counting)
+        points = noise_sweep("ban", (0.02, 0.05), 0.2, 0.2, trials_per_point=4,
+                             master_seed=18)
+        assert [p.stats.trials for p in points] == [4, 4]
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("family", ["dephasing", "high_coherence"])
     @pytest.mark.parametrize("ratio", [0.0, -0.1, math.inf, math.nan])

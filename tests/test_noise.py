@@ -20,6 +20,7 @@ from rfe.noise import (
     NoiseModel,
     ban_threshold,
     bias_table,
+    biases_at,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
     draw_run_noise,
@@ -129,6 +130,22 @@ class TestBias:
             bias_table(Ideal(), np.ones((2, 2)), 16)
 
 
+    def test_biases_at_sampled_times_match_the_table(self):
+        # a sparse run evaluates the biases only at its cells, each with its
+        # own phase; those entries are the table's
+        K = 40
+        ks = np.array([0, 3, 3, 17, 39])
+        thetas = np.array([0.4, 0.4, 2.1, 1.3, 2.1])
+        custom = DeviationTable(eta1=np.linspace(-0.04, 0.04, K), eta2=np.full(K, 0.02))
+        for model in (Ideal(), Ban(0.04, AdversaryStrategy.SIGN_FLIP), Ban(0.04, custom),
+                      Dephasing(30.0), HighCoherence(300.0)):
+            bx, by = biases_at(model, thetas, ks)
+            for i, (k, theta) in enumerate(zip(ks, thetas)):
+                tx, ty = bias_table(model, theta, K)
+                assert bx[i] == pytest.approx(tx[k], abs=1e-15)
+                assert by[i] == pytest.approx(ty[k], abs=1e-15)
+
+
 class TestZeroParameterReductions:
     def test_all_models_reduce_to_ideal(self):
         K = 63
@@ -225,6 +242,28 @@ class TestGaussianDraws:
         rows = draw_run_noise(GaussianLinear(0.1), 8, np.random.default_rng(2), size=4)
         assert rows.eta1.shape == (4, 8) and np.all(rows.eta1[:, 0] == 0.0)
         assert draw_run_noise(Ideal(), 8, np.random.default_rng(2), size=4) is None
+
+    def test_run_noise_at_given_times(self):
+        # one normal pair per given time, scaled at that time: GaussianLinear
+        # draws exactly 0 at k = 0 wherever it sits
+        ks = np.array([7, 0, 7, 2])
+        for model in (Gaussian(0.5), GaussianLinear(0.5)):
+            table = model.draw_run_noise(ks, np.random.default_rng(3))
+            assert table.eta1.shape == table.eta2.shape == (4,)
+            normals = np.random.default_rng(3).standard_normal((2, 4))
+            scale = 0.5 if type(model) is Gaussian else 0.5 * ks
+            assert np.array_equal(table.eta1, normals[0] * scale)
+            assert np.array_equal(table.eta2, normals[1] * scale)
+        assert GaussianLinear(0.5).draw_run_noise(ks, np.random.default_rng(3)).eta1[1] == 0.0
+        with pytest.raises(ValueError):
+            Gaussian(0.5).draw_run_noise(np.zeros((2, 2), dtype=int), np.random.default_rng(3))
+
+    def test_misaligned_run_noise_rejected(self):
+        table = Gaussian(0.1).draw_run_noise(np.array([1, 5]), np.random.default_rng(4))
+        with pytest.raises(ValueError, match="aligned"):
+            biases_at(Gaussian(0.1), 1.0, np.array([1, 5, 6]), table)
+        bx, _ = biases_at(Gaussian(0.1), 1.0, np.array([1, 5]), table)
+        assert np.array_equal(bx, np.cos(np.array([1.0, 5.0])) + table.eta1)
 
     def test_custom_adversary_needs_one_table(self):
         table = DeviationTable(eta1=np.zeros((2, 4)), eta2=np.zeros((2, 4)))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rfe.bounds import MAX_GRID_SIZE
 from rfe.spectrum import (
     _mod_period,
     CLOSE_MAGNITUDE_MIN,
@@ -202,6 +203,10 @@ class TestExpectedCoefficient:
 
 
 class TestExpectedSpectrum:
+    def test_rejects_grids_past_the_cap(self):
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            expected_spectrum(1.0, MAX_GRID_SIZE + 1)
+
     def test_constant_signal_peaks_at_zero(self):
         spec = expected_spectrum(0.0, 8)
         expected = np.zeros(8, dtype=complex)
