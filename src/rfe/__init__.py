@@ -14,7 +14,6 @@ from .bounds import (
     bounds_report,
     derivation_report,
     expected_total_depth,
-    gaussian_etabar,
     grid_size,
     inspec_failure_bound,
     samples_ban,
@@ -59,10 +58,8 @@ from .noise import (
     Ideal,
     NoiseModel,
     ban_threshold,
-    bias_table,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
-    draw_run_noise,
     noise_from_dict,
 )
 from .sampler import OutcomeSums, sample_outcome_sums, sample_pairs
@@ -71,11 +68,7 @@ from .spectrum import (
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
     ExpectedSpectrum,
-    FrequencyClass,
-    circular_distance,
-    classify_frequency,
     dirichlet_kernel,
-    expected_coefficient,
     expected_spectrum,
     validate_phase,
 )

@@ -208,19 +208,6 @@ def samples_gaussian(epsilon: float, delta: float, sigma: float) -> int:
     return math.ceil(_BASE * log_term * factor)
 
 
-def gaussian_etabar(sigma: float, grid_size: int, delta: float) -> float:
-    """Adversarial budget a Gaussian draw respects with probability
-    >= 1 - delta/2: sqrt(sigma^2 / (4 K) * ln(8 K / delta))."""
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
-    K = int(grid_size)
-    if K < 1:
-        raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    return math.sqrt(sigma ** 2 / (4.0 * K) * math.log(8.0 * K / delta))
-
-
 def inspec_failure_bound(samples: int, grid_size: int, eta_bar: float | None = None) -> float:
     """Probability bound (capped at 1) that any of the K coefficient
     estimates lands more than 4/(9 pi) from its expectation:
@@ -266,7 +253,8 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
     envelope(K) (the noiseless count at 0), ``Gaussian`` itself (not its
     subclass ``GaussianLinear``) by its own formula.  Any other model has no
     guarantee and is rejected, as is any plan needing more than 2**62
-    samples (noise just below its threshold).
+    samples (noise just below its threshold) or a grid above
+    :data:`MAX_GRID_SIZE` (epsilon below about 1.5e-6), which no run accepts.
     """
     _check_epsilon_delta(epsilon, delta)
     thresholds = _default_thresholds(epsilon, delta)
@@ -294,6 +282,10 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
     if M > MAX_SAMPLES:
         raise BoundsUnachievable(
             f"certified sample count {M:.3e} exceeds the runnable maximum 2**62"
+        )
+    if K > MAX_GRID_SIZE:
+        raise BoundsUnachievable(
+            f"certified grid size {K} exceeds the runnable maximum 2**22 = {MAX_GRID_SIZE}"
         )
     return BoundsReport(epsilon=epsilon, delta=delta, noise=noise, grid_size=K,
                         samples=M, inflation_factor=inflation,
@@ -329,7 +321,8 @@ def derivation_report(epsilon: float = 0.1, delta: float = 0.1, sigma: float = 0
         "sigma": sigma,
         "nominal_factor": (1.0 - quoted_root) ** -2,
         "rederived_factor": (1.0 - rederived_root) ** -2 if rederived_root < 1.0 else None,
-        "note": ("substituting gaussian_etabar into the adversarial factor puts "
+        "note": ("substituting the adversarial budget a gaussian draw respects, "
+                 "sqrt(sigma^2/(4K) ln(8K/delta)), into the adversarial factor puts "
                  "ln(16 pi/(delta epsilon)) in the numerator under the root; the "
                  "quoted factor has it in the denominator"),
     }

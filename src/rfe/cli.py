@@ -47,7 +47,7 @@ _NOISE_HELP = (f"noise model as one JSON object; kind is one of {', '.join(MODEL
 
 @dataclass(frozen=True)
 class CliConfig:
-    """Resolved invocation; embedded in JSON outputs and re-parseable."""
+    """Resolved invocation, embedded in JSON outputs as :meth:`to_dict`."""
 
     subcommand: str
     epsilon: Optional[float] = None
@@ -69,14 +69,6 @@ class CliConfig:
         d = asdict(self)
         d["values"] = list(self.values) if self.values is not None else None
         return d
-
-
-def config_from_dict(data: dict) -> CliConfig:
-    """Inverse of CliConfig.to_dict (round-trip identity)."""
-    kwargs = dict(data)
-    if kwargs.get("values") is not None:
-        kwargs["values"] = tuple(kwargs["values"])
-    return CliConfig(**kwargs)
 
 
 def _parse_theta(text: str):
@@ -116,6 +108,8 @@ def _resolve_theta(theta, seed: int):
 
 
 def _cmd_run(args) -> int:
+    if args.grid is not None and args.samples is None:
+        raise ValueError("--grid needs --samples: a certified run uses the grid of its plan")
     noise = noise_from_dict(json.loads(args.noise))
     config = CliConfig(subcommand="run", epsilon=args.epsilon, delta=args.delta,
                        theta=args.theta, noise=noise.to_dict(), seed=args.seed,

@@ -13,13 +13,15 @@ per-time sums are sufficient, so the sampler returns only them, and one
 length-K FFT finishes the run: O(K) memory whatever M is.
 
 :func:`run_block` is the one engine: it runs B estimations at once, with one
-FFT along the time axis of the (B, K) sums.  With M > K it builds the
-length-K bias tables (and any run noise over the whole grid) and draws the
-per-time sums directly (:func:`rfe.sampler.sample_outcome_sums`).  With
-M <= K most times get no sample, so it draws the time indices first, then
-the run noise and the biases only at the distinct (run, time) cells that
-were drawn, then the c and s uniforms: O(M) work plus the sum buffer, the
-FFT and the peak pick.  :func:`run_rfe` is a block of one.
+FFT along the time axis of the (B, K) sums.  Both regimes build the outcome
+biases by one rule, the ideal cos/sin plus the noise model's deviation, at
+a set of times: the whole grid when M > K, and only the distinct (run,
+time) cells of the drawn time indices when M <= K, where most times get no
+sample.  Only the outcome draw then differs: per-time counts and sums
+straight from the (B, K) biases (:func:`rfe.sampler.sample_outcome_sums`),
+or one c and s uniform per sample (:func:`rfe.sampler.sums_at_times`), so a
+sparse run costs O(M) work plus the sum buffer, the FFT and the peak pick.
+:func:`run_rfe` is a block of one.
 
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import MAX_SAMPLES, bounds_report, check_grid_size
-from .noise import Ideal, NoiseModel, bias_table, biases_at, draw_run_noise
+from .noise import Ideal, NoiseModel, biases_at
 from .sampler import OutcomeSums, draw_times, sample_outcome_sums, sums_at_times
 from .spectrum import TWO_PI, validate_phase
 
@@ -89,17 +91,19 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     """Run B independent estimations at once, one per phase in ``thetas``.
 
     Returns the (B, K) coefficient estimates, row b for thetas[b], and the
-    B runs' outcome sums.  Run noise (the Gaussian deviations) is drawn once
-    per run and time and held fixed for every sample of that run at that
-    time.  ``rng`` is consumed in a fixed order:
+    B runs' outcome sums.  The run noise (the Gaussian deviations) and the
+    biases are built in one place for both regimes, at the times ``ks``:
+    every time of the grid, one row per run, when M > K, and the distinct
+    (run, time) cells of the drawn indices, in sorted order, when M <= K.
+    Run noise is drawn once per run and time and held fixed for every
+    sample of that run at that time.  ``rng`` is consumed in a fixed order:
 
-    * M > K: the run-noise rows over the whole grid, if the model has them,
-      then the per-time counts of all B runs, then their c sums, then their
-      s sums;
-    * M <= K: the (B, M) time indices, then the run noise at the distinct
-      (run, time) cells in sorted order, eta1 at every cell then eta2, if
-      the model has it, then the c and s uniforms of each sample, run by
-      run.  No noise, cos/sin or bias array is longer than B M.
+    * M > K: the run noise of each run, if the model has it, then the
+      per-time counts of all B runs, then their c sums, then their s sums;
+    * M <= K: the (B, M) time indices, then the run noise at the cells,
+      eta1 at every cell then eta2, if the model has it, then the c and s
+      uniforms of each sample, run by run.  No noise, cos/sin or bias array
+      is longer than B M.
 
     The phases are used as given: :class:`RunConfig` and the campaign's
     phase samplers keep them in [0, 2 pi), and a non-finite phase fails the
@@ -114,14 +118,16 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     if M < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if M > K:
-        run_noise = draw_run_noise(noise, K, rng, size=thetas.size)
-        bx, by = bias_table(noise, thetas, K, run_noise=run_noise)
-        sums = sample_outcome_sums(bx, by, M, rng)
+        ks, phases, size = np.arange(K), thetas[:, None], thetas.size
     else:
         times = draw_times(thetas.size, K, M, rng)
         runs, ks = np.divmod(times.cells, K)
-        run_noise = noise.draw_run_noise(ks, rng)
-        bx, by = biases_at(noise, thetas[runs], ks, run_noise)
+        phases, size = thetas[runs], None
+    run_noise = noise.draw_run_noise(ks, rng, size)
+    bx, by = biases_at(noise, phases, ks, run_noise)
+    if M > K:
+        sums = sample_outcome_sums(bx, by, M, rng)
+    else:
         sums = sums_at_times(times, bx, by, rng)
     coefficients = np.fft.fft(sums.z, axis=1)
     coefficients /= M

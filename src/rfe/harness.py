@@ -209,18 +209,9 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=(int(block),)))
 
 
-def _error(theta_hat, theta, distance: str):
-    err = np.abs(theta_hat - theta)
-    if distance == "circular":
-        err = np.minimum(err, TWO_PI - err)
-    elif distance != "line":
-        raise ValueError(f'distance must be "line" or "circular", got {distance!r}')
-    return err
-
-
 def _block_successes(payload) -> int:
     """Successes among one block's trials: phases, then one run per phase."""
-    grid, samples, noise, sampling, master_seed, block, size, epsilon, distance = payload
+    grid, samples, noise, sampling, master_seed, block, size, epsilon = payload
     rng = block_rng(master_seed, block)
     thetas = sampling.draw(rng, size)
     if samples == 0:
@@ -228,16 +219,16 @@ def _block_successes(payload) -> int:
     else:
         coefficients, _ = run_block(thetas, samples, grid, noise, rng)
         theta_hat = TWO_PI * winning_frequency(coefficients) / grid
-    return int(np.count_nonzero(_error(theta_hat, thetas, distance) <= epsilon))
+    return int(np.count_nonzero(np.abs(theta_hat - thetas) <= epsilon))
 
 
 def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
                         theta_sampling: ThetaSampling,
                         master_seed: int, workers: Optional[int] = 1,
-                        distance: str = "line",
                         samples_override: Optional[int] = None,
                         grid_override: Optional[int] = None) -> SuccessStats:
-    """Estimate the success rate Pr(|theta_hat - theta| <= epsilon).
+    """Estimate the success rate Pr(|theta_hat - theta| <= epsilon), with the
+    error taken on the line, not folded mod 2 pi.
 
     ``query`` is a question for :func:`rfe.bounds.bounds_report`, which
     then plans (K, M) once, or a plan it already returned, which is used as
@@ -268,7 +259,7 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
     check_grid_size(grid)
     block = max(1, BLOCK_CELLS // grid)
     payloads = [(grid, samples, query.noise, theta_sampling, int(master_seed), index,
-                 min(block, trials - start), query.epsilon, distance)
+                 min(block, trials - start), query.epsilon)
                 for index, start in enumerate(range(0, trials, block))]
     if workers == 1:
         successes = sum(map(_block_successes, payloads))
@@ -457,7 +448,7 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
                 delta: float, trials_per_point: int, master_seed: int,
                 strategy: AdversaryStrategy = AdversaryStrategy.SIGN_FLIP,
                 theta_sampling: Optional[ThetaSampling] = None,
-                workers: Optional[int] = 1, distance: str = "line") -> list[SweepPoint]:
+                workers: Optional[int] = 1) -> list[SweepPoint]:
     """Success-rate sweep over one noise family's parameter grid.
 
     For family ``ideal`` the swept parameter is epsilon itself, and the
@@ -467,8 +458,10 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
     point is planned by :func:`rfe.bounds.bounds_report` before any trial
     runs, so a bad value anywhere in the grid raises ``ValueError`` first.
     Points the planner rejects as unachievable (noise at or past its
-    threshold, or more than 2**62 samples) are marked so and not run; the
-    others run their campaign on that same plan.
+    threshold, more than 2**62 samples, or a grid above
+    :data:`rfe.bounds.MAX_GRID_SIZE`) are marked so and not run; the others
+    run their campaign on that same plan, with the success test of
+    :func:`monte_carlo_success`.
     """
     if theta_sampling is None:
         theta_sampling = UniformTheta()
@@ -482,7 +475,7 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
             point_seed = int(np.random.SeedSequence(int(master_seed), spawn_key=(index,))
                              .generate_state(1, np.uint64)[0])
             stats = monte_carlo_success(plan, trials_per_point, theta_sampling, point_seed,
-                                        workers=workers, distance=distance)
+                                        workers=workers)
         points.append(SweepPoint(family=family, parameter=parameter,
                                  predicted_samples=None if plan is None else plan.samples,
                                  achievable=plan is not None, stats=stats, extras=extras))

@@ -8,11 +8,11 @@ Each model kind is one frozen dataclass deriving from :class:`NoiseModel`:
 ``Ideal``, ``Ban`` (bounded adversarial), ``Gaussian``, ``GaussianLinear``,
 ``Dephasing`` and ``HighCoherence``.  The class owns all of the kind's
 behaviour: its biases, its per-run random state, its bound on |eta| and
-its JSON form.  Both act at whatever times they are given: the whole grid
-k = 0 .. K-1 (:func:`bias_table`, :func:`draw_run_noise`), or only the
-distinct times a sparse run sampled (:func:`biases_at` and the model's own
-``draw_run_noise``).  Run noise is aligned with those times, entry for
-entry.  :func:`noise_from_dict` parses the wire format.  Adding a model
+its JSON form.  The biases (:func:`biases_at`) and the run noise (the
+model's ``draw_run_noise``) act at whatever times they are given: the whole
+grid k = 0 .. K-1, or only the distinct times a sparse run sampled.  Run
+noise is aligned with those times, entry for entry.
+:func:`noise_from_dict` parses the wire format.  Adding a model
 means one class plus one entry in :data:`MODELS`, and a rule in
 :func:`rfe.bounds.bounds_report` only if it is certifiable without an
 envelope.
@@ -295,40 +295,12 @@ MODELS = {cls.kind: cls
 def biases_at(model: NoiseModel, theta, ks: np.ndarray,
               run_noise: Optional[DeviationTable] = None):
     """Unclamped biases at the 1-d times ``ks`` for the phases ``theta``,
-    which broadcast against ``ks``: one phase per time, or a column of B
-    phases for (B, len(ks)) biases.  Gaussian-family models require
-    ``run_noise`` aligned with ``ks``; a Ban model with a custom strategy
-    reads its embedded table at ``ks``."""
+    which broadcast against ``ks``: one phase for every time, one phase per
+    time, or a column of B phases for (B, len(ks)) biases.  Gaussian-family
+    models require ``run_noise`` aligned with ``ks``; a Ban model with a
+    custom strategy reads its embedded table at ``ks``."""
     phase = ks * theta
     return model.biases(np.cos(phase), np.sin(phase), ks, run_noise)
-
-
-def bias_table(model: NoiseModel, theta, grid_size: int,
-               run_noise: Optional[DeviationTable] = None):
-    """Unclamped biases for all times k = 0 .. grid_size-1.
-
-    One phase gives two length-K tables.  A 1-d array of B phases gives two
-    (B, K) tables, row b at theta[b] with row b of a 2-d run-noise table.
-    Gaussian-family models require ``run_noise`` drawn over the same grid.
-    """
-    K = int(grid_size)
-    if K < 1:
-        raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim > 1:
-        raise ValueError("theta must be one phase or a 1-d array of phases")
-    return biases_at(model, theta[..., None], np.arange(K), run_noise)
-
-
-def draw_run_noise(model: NoiseModel, grid_size: int, rng: np.random.Generator,
-                   size: Optional[int] = None) -> Optional[DeviationTable]:
-    """Per-run stochastic state of a model over the whole grid k = 0 ..
-    grid_size-1, one row per run when ``size`` is given; None when the model
-    has none."""
-    K = int(grid_size)
-    if K < 1:
-        raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    return model.draw_run_noise(np.arange(K), rng, size)
 
 
 def ban_threshold() -> float:

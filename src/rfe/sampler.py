@@ -7,9 +7,9 @@ randomness within a pair).  The estimator only reads the per-time sums of c
 and s, the total depth sum k and the clamp count, so the sampler returns
 those and nothing per sample.
 
-There are two regimes.  With M > K samples, :func:`sample_outcome_sums`
-draws the per-time counts and sums straight from length-K bias tables (or
-(B, K) tables, one run per row): O(K) work whatever M is.  With M <= K most
+There are two ways to draw the sums.  :func:`sample_outcome_sums` draws the
+per-time counts and sums straight from (B, K) bias tables, one run per row:
+O(K) work per run whatever M is, which pays when M > K.  With M <= K most
 times get no sample, so the times come first: :func:`draw_times` draws the
 (B, M) time indices and finds the distinct (run, time) cells among them,
 the caller evaluates the biases at those cells only (and draws any run
@@ -38,19 +38,19 @@ _INT64_MAX = 2 ** 63 - 1
 
 @dataclass(frozen=True, eq=False)
 class OutcomeSums:
-    """Sufficient statistics of M samples over K times, for one run or, with
-    a leading axis on every field, for each of B runs."""
+    """Sufficient statistics of M samples over K times for each of B runs,
+    one run per row (entry) of every field."""
 
-    z: np.ndarray  # complex, (..., K): (sum of c) + i (sum of s) at each time k
-    total_depth: int | np.ndarray  # sum of the drawn time indices
-    clamp_count: int | np.ndarray  # samples drawn at a time whose likelihood was clamped
+    z: np.ndarray  # complex, (B, K): (sum of c) + i (sum of s) at each time k
+    total_depth: np.ndarray  # (B,) sums of the drawn time indices
+    clamp_count: np.ndarray  # (B,) samples drawn at a time whose likelihood was clamped
 
 
-def _finite_pair(bx, by, max_ndim=1) -> tuple[np.ndarray, np.ndarray]:
+def _finite_pair(bx, by, ndim=1) -> tuple[np.ndarray, np.ndarray]:
     bx = np.asarray(bx, dtype=float)
     by = np.asarray(by, dtype=float)
-    if bx.shape != by.shape or not 1 <= bx.ndim <= max_ndim:
-        raise ValueError(f"bias arrays must have equal shapes and 1 to {max_ndim} dimensions")
+    if bx.shape != by.shape or bx.ndim != ndim:
+        raise ValueError(f"bias arrays must have equal shapes and {ndim} dimension(s)")
     if not (np.isfinite(bx).all() and np.isfinite(by).all()):
         raise ValueError("bias values must be finite")
     return bx, by
@@ -136,41 +136,27 @@ def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator) -> Outc
 
 
 def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> OutcomeSums:
-    """Draw ``samples`` outcome pairs over the bias tables (bx[k], by[k]) and
-    return their per-time sums, total depth and clamp count.
+    """Draw ``samples`` outcome pairs for each run of the (B, K) bias tables
+    and return their per-time sums, total depth and clamp count, with a
+    leading axis of B on every field.
 
-    Tables of shape (B, K) draw B independent runs of M samples each, row b
-    over (bx[b], by[b]), and every returned field gains a leading axis of B.
-    With M > K the per-time counts n ~ Multinomial(M, 1/K) are drawn for all
-    rows, then sum c_k = 2 Binomial(n_k, p_c[k]) - n_k for all rows, then
-    sum s_k the same way: O(BK) time and memory, whatever M is.  With M <= K
-    the time indices come first (:func:`draw_times`), then the c and s
-    uniforms of each sample, read at the tables' entries for the drawn cells
-    (:func:`sums_at_times`).  Both give the same joint law of the returned
-    values; they consume ``rng`` differently.  A block of one row consumes
-    it exactly as one length-K run.
+    Row b is one run of M samples over (bx[b], by[b]).  The per-time counts
+    n ~ Multinomial(M, 1/K) are drawn for all rows, then sum c_k =
+    2 Binomial(n_k, p_c[k]) - n_k for all rows, then sum s_k the same way:
+    O(BK) time and memory, whatever M is.  This law holds at any M; with
+    M <= K, :func:`draw_times` and :func:`sums_at_times` give the same joint
+    law of the returned values in O(M) work, consuming ``rng`` differently.
     """
-    bx, by = _finite_pair(bx, by, max_ndim=2)
-    one_run = bx.ndim == 1
-    if one_run:
-        bx, by = bx[None], by[None]
+    bx, by = _finite_pair(bx, by, ndim=2)
     B, K = bx.shape
     M = int(samples)
     if K < 1:
         raise ValueError("bias tables must cover at least one time")
     if M < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
-    if M <= K:
-        times = draw_times(B, K, M, rng)
-        sums = sums_at_times(times, bx.ravel()[times.cells], by.ravel()[times.cells], rng)
-    else:
-        p_c, p_s, clamped = _likelihoods(bx, by)
-        n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
-        c = 2 * rng.binomial(n, p_c) - n
-        sums = OutcomeSums(z=c + 1j * (2 * rng.binomial(n, p_s) - n),
-                           total_depth=_total_depths(n, M),
-                           clamp_count=(n * clamped).sum(axis=1))
-    if one_run:
-        return OutcomeSums(z=sums.z[0], total_depth=int(sums.total_depth[0]),
-                           clamp_count=int(sums.clamp_count[0]))
-    return sums
+    p_c, p_s, clamped = _likelihoods(bx, by)
+    n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
+    c = 2 * rng.binomial(n, p_c) - n
+    return OutcomeSums(z=c + 1j * (2 * rng.binomial(n, p_s) - n),
+                       total_depth=_total_depths(n, M),
+                       clamp_count=(n * clamped).sum(axis=1))

@@ -8,8 +8,7 @@ periodic kernel
 
 a normalized Dirichlet kernel: coefficient j has magnitude
 |S_K(j - K theta / (2 pi))|.  This module evaluates the kernel and the full
-complex coefficients in closed form and classifies grid frequencies by their
-circular distance (in bins) to the tone.
+complex coefficients in closed form.
 
 Two magnitude landmarks make peak picking robust: a frequency within half a
 bin of the tone has magnitude at least 2/pi, while a frequency one bin or
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,14 +32,6 @@ CLOSE_MAGNITUDE_MIN = 2.0 / math.pi
 NON_ADJACENT_MAGNITUDE_MAX = 10.0 / (9.0 * math.pi)
 # Envelope value 1/(K sin(pi/K)) at K = 4, the worst case over K >= 4.
 NON_ADJACENT_ENVELOPE_MAX = 1.0 / (2.0 * math.sqrt(2.0))
-
-
-class FrequencyClass(Enum):
-    """Position of a grid frequency relative to the tone, in bins."""
-
-    CLOSE = "close"                  # within 1/2 bin
-    ADJACENT_ONLY = "adjacent_only"  # more than 1/2 but less than 1 bin
-    NON_ADJACENT = "non_adjacent"    # one bin or more
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,13 +53,6 @@ def validate_phase(theta: float) -> float:
     if not math.isfinite(theta) or not 0.0 <= theta < TWO_PI:
         raise ValueError(f"phase must lie in [0, 2*pi), got {theta!r}")
     return theta
-
-
-def _validate_grid_size(grid_size: int) -> int:
-    grid_size = int(grid_size)
-    if grid_size < 1:
-        raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    return grid_size
 
 
 def _parity_sign(n: np.ndarray) -> np.ndarray:
@@ -140,7 +123,7 @@ def dirichlet_kernel(x, grid_size: int):
     Each step writes into an array it owns, so a call allocates a handful of
     full-size buffers, not one per operation.
     """
-    K = _validate_grid_size(grid_size)
+    K = check_grid_size(grid_size)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     if scalar:
@@ -171,55 +154,18 @@ def dirichlet_kernel(x, grid_size: int):
     return float(out[0]) if scalar else out
 
 
-def expected_coefficient(theta: float, j: int, grid_size: int) -> complex:
-    """Expected estimate of coefficient j for a tone at phase theta.
-
-    Equals (1/K) sum_k exp(i k theta) exp(-2 pi i j k / K), evaluated in the
-    well-conditioned product form exp(-i pi x (K-1)/K) * S_K(x) with
-    x = j - K theta / (2 pi).  On-grid phases (theta = 2 pi j / K) hit the
-    removable singularity and return 1, the limit.
-    """
-    K = _validate_grid_size(grid_size)
-    theta = validate_phase(theta)
-    j = int(j)
-    if not 0 <= j < K:
-        raise ValueError(f"frequency index must satisfy 0 <= j < {K}, got {j}")
-    x = j - K * theta / TWO_PI
-    return complex(np.exp(-1j * np.pi * x * (K - 1) / K) * dirichlet_kernel(x, K))
-
-
 def expected_spectrum(theta: float, grid_size: int) -> ExpectedSpectrum:
     """All K expected coefficients of a tone at phase theta; K above
-    :data:`rfe.bounds.MAX_GRID_SIZE` is refused before anything is built."""
+    :data:`rfe.bounds.MAX_GRID_SIZE` is refused before anything is built.
+
+    Coefficient j equals (1/K) sum_k exp(i k theta) exp(-2 pi i j k / K),
+    evaluated in the well-conditioned product form
+    exp(-i pi x (K-1)/K) * S_K(x) with x = j - K theta / (2 pi).  On-grid
+    phases (theta = 2 pi j / K) hit the removable singularity and give 1,
+    the limit.
+    """
     K = check_grid_size(grid_size)
     theta = validate_phase(theta)
     x = np.arange(K) - K * theta / TWO_PI
     coefficients = np.exp(-1j * np.pi * x * (K - 1) / K) * dirichlet_kernel(x, K)
     return ExpectedSpectrum(grid_size=K, coefficients=coefficients)
-
-
-def circular_distance(j, theta: float, grid_size: int):
-    """Distance in bins between index j and the tone position K theta/(2 pi).
-
-    Computed mod K (d(j) = d(j + K)), extending the classification to all
-    integer indices consistently with the kernel's K-periodic magnitude.
-    Accepts scalar or array j.
-    """
-    K = _validate_grid_size(grid_size)
-    theta = validate_phase(theta)
-    r = _mod_period(np.abs(np.asarray(j, dtype=float) - K * theta / TWO_PI), K)
-    d = np.minimum(r, K - r)
-    if np.ndim(j) == 0:
-        return float(d)
-    return d
-
-
-def classify_frequency(j: int, theta: float, grid_size: int) -> FrequencyClass:
-    """Classify index j as close (d <= 1/2), adjacent-only (1/2 < d < 1), or
-    non-adjacent (d >= 1) by circular distance d to the tone."""
-    d = circular_distance(int(j), theta, grid_size)
-    if d <= 0.5:
-        return FrequencyClass.CLOSE
-    if d < 1.0:
-        return FrequencyClass.ADJACENT_ONLY
-    return FrequencyClass.NON_ADJACENT

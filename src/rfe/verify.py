@@ -38,10 +38,9 @@ from .noise import (
     Gaussian,
     Ideal,
     ban_threshold,
-    bias_table,
+    biases_at,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
-    draw_run_noise,
 )
 from .spectrum import expected_spectrum
 
@@ -242,20 +241,21 @@ def suite_reductions() -> SuiteResult:
         for eps, delta in pairs)
 
     K = 63
+    ks = np.arange(K)
     thetas = (0.3, 1.0, 2.0, 3.0)
     rng = np.random.default_rng(0)
 
     def max_dev(model, run_noise=None):
         worst = 0.0
         for theta in thetas:
-            bx, by = bias_table(model, theta, K, run_noise=run_noise)
-            ix, iy = bias_table(Ideal(), theta, K)
+            bx, by = biases_at(model, theta, ks, run_noise)
+            ix, iy = biases_at(Ideal(), theta, ks)
             worst = max(worst, float(np.max(np.abs(bx - ix))),
                         float(np.max(np.abs(by - iy))))
         return worst
 
     ban_dev = max(max_dev(Ban(0.0, strategy)) for strategy in AdversaryStrategy)
-    gauss_dev = max_dev(Gaussian(0.0), run_noise=draw_run_noise(Gaussian(0.0), K, rng))
+    gauss_dev = max_dev(Gaussian(0.0), run_noise=Gaussian(0.0).draw_run_noise(ks, rng))
     dephasing_inf_dev = max_dev(Dephasing(math.inf))
     dephasing_1e18_dev = max_dev(Dephasing(1e18))
     # At t2 = 1e9 the deviation is ~(K-1)/t2, about 6e-8: far above the 1e-12
@@ -353,7 +353,16 @@ SUITE_NAMES = _ALL + ("quick", "all")
 def run_suites(names: Sequence[str], workers: Optional[int] = 1,
                trials: Optional[int] = None,
                outdir: Optional[str] = None) -> list[SuiteResult]:
-    """Run the named suites (aliases: quick, all) in canonical order."""
+    """Run the named suites (aliases: quick, all) in canonical order.
+
+    ``trials``, when given, replaces the trial count of every Monte Carlo
+    suite and must be at least 1; None keeps each suite's own count.
+    """
+    campaign = {"workers": workers}
+    if trials is not None:
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        campaign["trials"] = trials
     requested: list[str] = []
     for name in names:
         if name == "quick":
@@ -378,11 +387,11 @@ def run_suites(names: Sequence[str], workers: Optional[int] = 1,
         elif name == "depth":
             results.append(suite_depth())
         elif name == "noiseless":
-            results.append(suite_noiseless(trials=trials or 500, workers=workers))
+            results.append(suite_noiseless(**campaign))
         elif name == "adversarial":
-            results.append(suite_adversarial(trials=trials or 300, workers=workers))
+            results.append(suite_adversarial(**campaign))
         elif name == "gaussian":
-            results.append(suite_gaussian(trials=trials or 300, workers=workers))
+            results.append(suite_gaussian(**campaign))
         elif name == "demo":
-            results.append(suite_demo(trials=trials or 200, workers=workers, outdir=outdir))
+            results.append(suite_demo(outdir=outdir, **campaign))
     return results

@@ -22,7 +22,7 @@ from rfe.noise import (
     Gaussian,
     Ideal,
     ban_threshold,
-    bias_table,
+    biases_at,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
 )
@@ -145,8 +145,8 @@ def test_criterion_8_noiseless_reductions():
 def test_criterion_8_literal_dephasing_clause():
     worst = 0.0
     for theta in (0.3, 1.0, 2.0, 3.0):
-        bx, by = bias_table(Dephasing(1e9), theta, 63)
-        ix, iy = bias_table(Ideal(), theta, 63)
+        bx, by = biases_at(Dephasing(1e9), theta, np.arange(63))
+        ix, iy = biases_at(Ideal(), theta, np.arange(63))
         worst = max(worst, float(np.max(np.abs(bx - ix))),
                     float(np.max(np.abs(by - iy))))
     assert worst <= 1e-12

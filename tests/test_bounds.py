@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from rfe.bounds import (
+    MAX_GRID_SIZE,
     MAX_SAMPLES,
     BoundsReport,
     BoundsUnachievable,
@@ -14,7 +15,6 @@ from rfe.bounds import (
     bisect,
     derivation_report,
     expected_total_depth,
-    gaussian_etabar,
     gaussian_inflation,
     grid_size,
     inspec_failure_bound,
@@ -148,21 +148,6 @@ class TestSigmaMax:
             gaussian_inflation(0.1, 0.1, limit)
 
 
-class TestGaussianEtabar:
-    def test_frozen_value(self):
-        # sqrt(ln(5040)/252); the independent expression agrees to 1e-15
-        value = gaussian_etabar(1.0, 63, 0.1)
-        assert value == pytest.approx(0.18392934893880647, abs=1e-12)
-        assert value == pytest.approx(math.sqrt(math.log(5040.0) / 252.0), abs=1e-15)
-
-    def test_linear_in_sigma(self):
-        assert gaussian_etabar(0.1, 63, 0.1) == pytest.approx(
-            0.1 * gaussian_etabar(1.0, 63, 0.1), rel=1e-14)
-
-    def test_zero_sigma(self):
-        assert gaussian_etabar(0.0, 63, 0.1) == 0.0
-
-
 class TestInspecFailureBound:
     def test_frozen_values(self):
         # these exceed delta = 0.1 slightly: K = ceil(2 pi/eps) = 63 makes
@@ -263,6 +248,17 @@ class TestBoundsReport:
             bounds_report(0.1, 0.1, Ban(eta))
         assert bounds_report(0.1, 0.1, Ban(0.0999)).samples <= MAX_SAMPLES
 
+    def test_grid_past_the_cap_rejected(self):
+        # epsilon = 1e-10 needs K = 62,831,853,072, which no run accepts; the
+        # epsilon of the largest runnable grid still plans
+        for model in (Ideal(), Ban(0.05), Gaussian(0.1)):
+            with pytest.raises(BoundsUnachievable, match="grid size 62831853072"):
+                bounds_report(1e-10, 0.1, model)
+        epsilon = TWO_PI / MAX_GRID_SIZE * (1 + 1e-9)
+        assert bounds_report(epsilon, 0.1, Ideal()).grid_size == MAX_GRID_SIZE
+        with pytest.raises(BoundsUnachievable):
+            bounds_report(TWO_PI / (MAX_GRID_SIZE + 1), 0.1, Ideal())
+
     def test_round_trip_dict(self):
         report = bounds_report(0.1, 0.1, Ban(0.05))
         data = report.to_dict()
@@ -298,6 +294,7 @@ class TestDerivationReport:
         section = derivation_report(sigma=0.1)["gaussian_inflation"]
         assert section["nominal_factor"] == pytest.approx(1.0446400979155872, rel=1e-12)
         assert section["rederived_factor"] > section["nominal_factor"]
+        assert "sqrt(sigma^2/(4K) ln(8K/delta))" in section["note"]
 
 
 class TestBisect:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rfe.cli import CliConfig, build_parser, config_from_dict, main
+from rfe.cli import CliConfig, build_parser, main
 from rfe.noise import MODELS, noise_from_dict
 
 
@@ -32,8 +32,7 @@ class TestBounds:
     def test_config_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--epsilon", "0.1", "--delta", "0.1")
         payload = json.loads(out)
-        config = config_from_dict(payload["config"])
-        assert isinstance(config, CliConfig)
+        config = CliConfig(**payload["config"])
         assert config.to_dict() == payload["config"]
         assert config.epsilon == 0.1 and config.subcommand == "bounds"
 
@@ -83,8 +82,7 @@ class TestRun:
         assert payload["theta_true"] == 1.1
         assert payload["success"] is True
         assert payload["result"]["spectrum"]["samples_used"] > 0
-        config = config_from_dict(payload["config"])
-        assert config.to_dict() == payload["config"]
+        assert CliConfig(**payload["config"]).to_dict() == payload["config"]
 
     def test_random_theta_deterministic(self, capsys):
         _, out_a, _ = run_cli(capsys, "run", "--epsilon", "0.3", "--delta", "0.2",
@@ -166,6 +164,14 @@ class TestSweep:
         assert lines[1].startswith("0.05,12510,3,")
         assert lines[2] == "0.100035145,,0,0,,,"
 
+    def test_point_past_the_grid_cap_is_unachievable(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "0.1,1e-10",
+                               "--trials", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].startswith("0.1,3130,5,")
+        assert lines[2] == "1e-10,,0,0,,,"
+
     def test_ideal_point_past_half_pi_needs_no_samples(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "2.0",
                                "--trials", "3")
@@ -222,15 +228,27 @@ class TestExitCodes:
         ("spectrum", "--epsilon", "0.1", "--samples", "10", "--grid", str(2 ** 22 + 1)),
     ])
     def test_grid_past_the_cap_exits_2(self, capsys, args):
-        # refused before anything K long is allocated
+        # refused before anything K long is allocated: by the planner for a
+        # certified run, by the grid check otherwise
         code, out, err = run_cli(capsys, *args)
         assert code == 2
-        assert out == "" and "error: grid size must lie in [1, 2**22" in err
+        assert out == "" and err.startswith("error: ") and "2**22" in err
 
-    def test_bounds_still_prints_a_plan_past_the_grid_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--epsilon", "1e-10")
-        assert code == 0
-        assert json.loads(out)["report"]["K"] == 62831853072
+    def test_bounds_refuses_a_plan_past_the_grid_cap(self, capsys):
+        # no run accepts K = 62,831,853,072, so the planner does not certify it
+        code, out, err = run_cli(capsys, "bounds", "--epsilon", "1e-10")
+        assert code == 2
+        assert out == "" and "certified grid size 62831853072" in err
+
+    def test_run_grid_needs_samples(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--epsilon", "0.1", "--grid", "100",
+                                 "--theta", "1.0")
+        assert code == 2
+        assert out == "" and "--grid needs --samples" in err
+        # on spectrum, --grid alone sets the exact spectrum's K
+        code, out, _ = run_cli(capsys, "spectrum", "--epsilon", "0.1", "--grid", "100",
+                               "--theta", "1.0")
+        assert code == 0 and len(out.splitlines()) == 101
 
     def test_epsilon_too_small_to_plan_exits_2(self, capsys):
         for args in (("run", "--epsilon", "5e-324", "--theta", "1.0"),
@@ -322,3 +340,10 @@ class TestVerify:
         payload = json.loads(report.read_text())
         assert payload["passed"] is True
         assert [s["name"] for s in payload["suites"]] == ["thresholds", "depth"]
+
+    @pytest.mark.parametrize("suite", ["noiseless", "demo", "quick"])
+    def test_zero_trials_exits_2(self, capsys, suite):
+        # refused before any suite runs, not replaced by the default count
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "0")
+        assert code == 2
+        assert out == "" and "trials must be >= 1, got 0" in err

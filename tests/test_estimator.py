@@ -25,8 +25,7 @@ from rfe.noise import (
     GaussianLinear,
     HighCoherence,
     Ideal,
-    bias_table,
-    draw_run_noise,
+    biases_at,
 )
 from rfe.sampler import sample_outcome_sums, sample_pairs
 
@@ -217,16 +216,16 @@ class TestRunBlock:
     @pytest.mark.parametrize("M", [5000])
     def test_block_of_one_keeps_the_unbatched_stream(self, M):
         # M > K.  The reference is one unbatched run from one generator: a
-        # 1-d noise table, 1-d bias tables, 1-d sums and a 1-d FFT.
+        # 1-d noise table, 1-d biases, the sums of their one row and a 1-d FFT.
         K, theta, noise = 63, 1.7, Gaussian(0.1)
         rng = np.random.default_rng(31)
-        table = draw_run_noise(noise, K, rng)
-        bx, by = bias_table(noise, theta, K, run_noise=table)
-        sums = sample_outcome_sums(bx, by, M, rng)
+        table = noise.draw_run_noise(np.arange(K), rng)
+        bx, by = biases_at(noise, theta, np.arange(K), table)
+        sums = sample_outcome_sums(bx[None], by[None], M, rng)
         result = run_rfe(RunConfig(samples=M, grid_size=K, theta=theta, noise=noise, seed=31))
-        assert np.array_equal(result.spectrum.coefficients, np.fft.fft(sums.z) / M)
-        assert result.spectrum.total_depth == sums.total_depth
-        assert result.spectrum.clamp_count == sums.clamp_count
+        assert np.array_equal(result.spectrum.coefficients, np.fft.fft(sums.z[0]) / M)
+        assert result.spectrum.total_depth == sums.total_depth[0]
+        assert result.spectrum.clamp_count == sums.clamp_count[0]
 
     @pytest.mark.parametrize("M", [1, 40, 63])
     def test_sparse_run_follows_the_documented_draw_order(self, M):

@@ -12,7 +12,6 @@ from rfe.estimator import RunConfig, run_rfe
 from rfe.harness import (
     FixedTheta,
     UniformTheta,
-    _error,
     block_rng,
     exact_estimator_expectation,
     gaussian_shift_variance,
@@ -154,11 +153,14 @@ class TestBlockSeeding:
 
 
 class TestErrorMetric:
-    def test_line_vs_circular(self):
-        assert _error(0.05, TWO_PI - 0.05, "line") == pytest.approx(TWO_PI - 0.1)
-        assert _error(0.05, TWO_PI - 0.05, "circular") == pytest.approx(0.1)
-        with pytest.raises(ValueError):
-            _error(0.0, 1.0, "chordal")
+    def test_campaign_error_is_taken_on_the_line(self):
+        # 63 (2 pi - 0.02) / (2 pi) = 62.80 bins peaks at bin 0, so theta_hat
+        # = 0: the line error 2 pi - 0.02 fails epsilon = 0.1, where the
+        # circular error 0.02 would pass
+        stats = monte_carlo_success(BoundsQuery(0.1, 0.1, Ideal()), 20,
+                                    FixedTheta(TWO_PI - 0.02), 1,
+                                    samples_override=3130, grid_override=63)
+        assert stats.successes == 0
 
 
 class TestMonteCarlo:

@@ -19,18 +19,16 @@ from rfe.noise import (
     MODELS,
     NoiseModel,
     ban_threshold,
-    bias_table,
     biases_at,
     dephasing_ratio_threshold_nominal,
     dephasing_ratio_threshold_rederived,
-    draw_run_noise,
     noise_from_dict,
 )
 
 
 def bias_at(model, theta, k, run_noise=None):
-    """Entry k of the model's bias tables on a grid of k + 1 times."""
-    bx, by = bias_table(model, theta, k + 1, run_noise=run_noise)
+    """Entry k of the model's biases over the grid of k + 1 times."""
+    bx, by = biases_at(model, theta, np.arange(k + 1), run_noise)
     return float(bx[k]), float(by[k])
 
 
@@ -78,8 +76,8 @@ class TestBias:
         eta_bar, K = 0.08, 200
         for strategy in AdversaryStrategy:
             for theta in (0.3, 1.7, 3.0):
-                bx, by = bias_table(Ban(eta_bar, strategy), theta, K)
-                ix, iy = bias_table(Ideal(), theta, K)
+                bx, by = biases_at(Ban(eta_bar, strategy), theta, np.arange(K))
+                ix, iy = biases_at(Ideal(), theta, np.arange(K))
                 assert np.max(np.abs(bx - ix)) <= eta_bar + 1e-15
                 assert np.max(np.abs(by - iy)) <= eta_bar + 1e-15
 
@@ -95,18 +93,18 @@ class TestBias:
     def test_custom_table_must_cover_time(self):
         model = Ban(0.05, DeviationTable(eta1=np.zeros(4), eta2=np.zeros(4)))
         with pytest.raises(ValueError):
-            bias_table(model, 1.0, 5)  # needs time index 4
+            biases_at(model, 1.0, np.arange(5))  # needs time index 4
 
     def test_gaussian_requires_run_noise(self):
         with pytest.raises(ValueError):
-            bias_table(Gaussian(0.1), 1.0, 4)
+            biases_at(Gaussian(0.1), 1.0, np.arange(4))
         with pytest.raises(ValueError):
-            bias_table(GaussianLinear(0.1), 1.0, 8)
+            biases_at(GaussianLinear(0.1), 1.0, np.arange(8))
 
     def test_gaussian_run_noise_cover(self):
-        table = draw_run_noise(Gaussian(0.1), 4, np.random.default_rng(0))
+        table = Gaussian(0.1).draw_run_noise(np.arange(4), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bias_table(Gaussian(0.1), 1.0, 10, run_noise=table)
+            biases_at(Gaussian(0.1), 1.0, np.arange(10), table)
 
     def test_gaussian_uses_supplied_table(self):
         table = DeviationTable(eta1=np.array([0.0, 0.2]), eta2=np.array([0.0, -0.2]))
@@ -116,23 +114,21 @@ class TestBias:
 
     def test_phase_array_gives_one_row_per_phase(self):
         thetas = np.array([0.4, 1.3, 2.9])
-        rows = draw_run_noise(Gaussian(0.2), 16, np.random.default_rng(9), size=3)
+        ks = np.arange(16)
+        rows = Gaussian(0.2).draw_run_noise(ks, np.random.default_rng(9), size=3)
         for model, noise in ((Ban(0.04, AdversaryStrategy.SIGN_FLIP), None),
                              (Dephasing(50.0), None),
                              (Gaussian(0.2), rows)):
-            bx, by = bias_table(model, thetas, 16, run_noise=noise)
+            bx, by = biases_at(model, thetas[:, None], ks, noise)
             assert bx.shape == by.shape == (3, 16)
             for b, theta in enumerate(thetas):
                 one = None if noise is None else DeviationTable(noise.eta1[b], noise.eta2[b])
-                ox, oy = bias_table(model, theta, 16, run_noise=one)
+                ox, oy = biases_at(model, theta, ks, one)
                 assert np.array_equal(bx[b], ox) and np.array_equal(by[b], oy)
-        with pytest.raises(ValueError):
-            bias_table(Ideal(), np.ones((2, 2)), 16)
-
 
     def test_biases_at_sampled_times_match_the_table(self):
         # a sparse run evaluates the biases only at its cells, each with its
-        # own phase; those entries are the table's
+        # own phase; those entries are the whole grid's
         K = 40
         ks = np.array([0, 3, 3, 17, 39])
         thetas = np.array([0.4, 0.4, 2.1, 1.3, 2.1])
@@ -141,7 +137,7 @@ class TestBias:
                       Dephasing(30.0), HighCoherence(300.0)):
             bx, by = biases_at(model, thetas, ks)
             for i, (k, theta) in enumerate(zip(ks, thetas)):
-                tx, ty = bias_table(model, theta, K)
+                tx, ty = biases_at(model, theta, np.arange(K))
                 assert bx[i] == pytest.approx(tx[k], abs=1e-15)
                 assert by[i] == pytest.approx(ty[k], abs=1e-15)
 
@@ -150,15 +146,16 @@ class TestZeroParameterReductions:
     def test_all_models_reduce_to_ideal(self):
         K = 63
         rng = np.random.default_rng(1)
-        zero_table = draw_run_noise(Gaussian(0.0), K, rng)
+        ks = np.arange(K)
+        zero_table = Gaussian(0.0).draw_run_noise(ks, rng)
         for theta in (0.3, 1.0, 2.0, 3.0):
-            ix, iy = bias_table(Ideal(), theta, K)
+            ix, iy = biases_at(Ideal(), theta, ks)
             for model, noise in ((Ban(0.0, AdversaryStrategy.SIGN_FLIP), None),
                                  (Ban(0.0, AdversaryStrategy.CONSTANT_PLUS), None),
                                  (Gaussian(0.0), zero_table),
                                  (GaussianLinear(0.0), zero_table),
                                  (Dephasing(math.inf), None)):
-                bx, by = bias_table(model, theta, K, run_noise=noise)
+                bx, by = biases_at(model, theta, ks, noise)
                 assert np.max(np.abs(bx - ix)) <= 1e-12
                 assert np.max(np.abs(by - iy)) <= 1e-12
 
@@ -169,8 +166,8 @@ class TestZeroParameterReductions:
             envelope = -math.expm1(-K / t2)
             assert Dephasing(t2).envelope(K) == pytest.approx(envelope, rel=1e-15)
             for theta in (0.4, 1.9):
-                bx, by = bias_table(Dephasing(t2), theta, K + 1)
-                ix, iy = bias_table(Ideal(), theta, K + 1)
+                bx, by = biases_at(Dephasing(t2), theta, np.arange(K + 1))
+                ix, iy = biases_at(Ideal(), theta, np.arange(K + 1))
                 assert np.max(np.abs(bx - ix)) <= envelope * (1 + 1e-12)
                 assert np.max(np.abs(by - iy)) <= envelope * (1 + 1e-12)
 
@@ -184,12 +181,13 @@ class TestZeroParameterReductions:
 
 class TestGaussianDraws:
     def test_zero_sigma_zero_table(self):
-        table = draw_run_noise(Gaussian(0.0), 16, np.random.default_rng(3))
+        table = Gaussian(0.0).draw_run_noise(np.arange(16), np.random.default_rng(3))
         assert np.all(table.eta1 == 0.0) and np.all(table.eta2 == 0.0)
 
     def test_entry_scale(self):
         rng = np.random.default_rng(8)
-        draws = np.array([draw_run_noise(Gaussian(0.5), 64, rng).eta1 for _ in range(500)])
+        draws = np.array([Gaussian(0.5).draw_run_noise(np.arange(64), rng).eta1
+                          for _ in range(500)])
         assert draws.std() == pytest.approx(0.5, rel=0.05)
         assert abs(draws.mean()) < 0.01
 
@@ -199,7 +197,7 @@ class TestGaussianDraws:
         rng = np.random.default_rng(99)
         acc = np.zeros(K)
         for _ in range(draws):
-            t = draw_run_noise(Gaussian(sigma), K, rng)
+            t = Gaussian(sigma).draw_run_noise(np.arange(K), rng)
             acc += np.abs(np.fft.fft(t.eta1 + 1j * t.eta2) / K) ** 2
         variance = acc / draws
         target = 2 * sigma ** 2 / K  # = 0.031746
@@ -211,7 +209,7 @@ class TestGaussianDraws:
         rng = np.random.default_rng(100)
         acc = np.zeros(K)
         for _ in range(draws):
-            t = draw_run_noise(GaussianLinear(sigma), K, rng)
+            t = GaussianLinear(sigma).draw_run_noise(np.arange(K), rng)
             acc += np.abs(np.fft.fft(t.eta1 + 1j * t.eta2) / K) ** 2
         variance = acc / draws
         exact = (K - 1) * (2 * K - 1) * sigma ** 2 / (3 * K)
@@ -219,29 +217,31 @@ class TestGaussianDraws:
         assert np.mean(variance) == pytest.approx(exact, rel=0.1)
 
     def test_linear_scale_starts_at_zero(self):
-        table = draw_run_noise(GaussianLinear(0.3), 8, np.random.default_rng(4))
+        table = GaussianLinear(0.3).draw_run_noise(np.arange(8), np.random.default_rng(4))
         assert table.eta1[0] == 0.0 and table.eta2[0] == 0.0
 
     def test_draw_run_noise_dispatch(self):
         rng = np.random.default_rng(5)
-        assert draw_run_noise(Ideal(), 8, rng) is None
-        assert draw_run_noise(Ban(0.05), 8, rng) is None
-        assert draw_run_noise(Dephasing(10.0), 8, rng) is None
-        assert isinstance(draw_run_noise(Gaussian(0.1), 8, rng), DeviationTable)
-        assert isinstance(draw_run_noise(GaussianLinear(0.1), 8, rng), DeviationTable)
+        ks = np.arange(8)
+        assert Ideal().draw_run_noise(ks, rng) is None
+        assert Ban(0.05).draw_run_noise(ks, rng) is None
+        assert Dephasing(10.0).draw_run_noise(ks, rng) is None
+        assert isinstance(Gaussian(0.1).draw_run_noise(ks, rng), DeviationTable)
+        assert isinstance(GaussianLinear(0.1).draw_run_noise(ks, rng), DeviationTable)
 
     def test_rows_extend_the_one_run_stream(self):
         # a block of one draws exactly the one-run table; larger blocks draw
         # fresh rows, run by run (eta1 then eta2)
-        one = draw_run_noise(Gaussian(0.1), 8, np.random.default_rng(2))
-        block = draw_run_noise(Gaussian(0.1), 8, np.random.default_rng(2), size=3)
+        ks = np.arange(8)
+        one = Gaussian(0.1).draw_run_noise(ks, np.random.default_rng(2))
+        block = Gaussian(0.1).draw_run_noise(ks, np.random.default_rng(2), size=3)
         assert block.eta1.shape == block.eta2.shape == (3, 8) and len(block) == 8
         assert np.array_equal(block.eta1[0], one.eta1)
         assert np.array_equal(block.eta2[0], one.eta2)
         assert not np.array_equal(block.eta1[1], block.eta1[0])
-        rows = draw_run_noise(GaussianLinear(0.1), 8, np.random.default_rng(2), size=4)
+        rows = GaussianLinear(0.1).draw_run_noise(ks, np.random.default_rng(2), size=4)
         assert rows.eta1.shape == (4, 8) and np.all(rows.eta1[:, 0] == 0.0)
-        assert draw_run_noise(Ideal(), 8, np.random.default_rng(2), size=4) is None
+        assert Ideal().draw_run_noise(ks, np.random.default_rng(2), size=4) is None
 
     def test_run_noise_at_given_times(self):
         # one normal pair per given time, scaled at that time: GaussianLinear
@@ -271,7 +271,7 @@ class TestGaussianDraws:
             Ban(0.05, table)
 
     def test_table_immutable(self):
-        table = draw_run_noise(Gaussian(0.1), 8, np.random.default_rng(6))
+        table = Gaussian(0.1).draw_run_noise(np.arange(8), np.random.default_rng(6))
         with pytest.raises(ValueError):
             table.eta1[0] = 1.0
 

@@ -9,7 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from rfe.sampler import sample_outcome_sums, sample_pairs
+from rfe.sampler import draw_times, sample_outcome_sums, sample_pairs, sums_at_times
+
+
+def sparse_sums(bx, by, samples, rng):
+    """The M <= K draw of the (B, K) tables: times first, then one outcome
+    pair per sample read at the tables' entries for the drawn cells."""
+    B, K = np.shape(bx)
+    times = draw_times(B, K, samples, rng)
+    return sums_at_times(times, np.ravel(bx)[times.cells], np.ravel(by)[times.cells], rng)
 
 
 class TestDeterministicCases:
@@ -20,16 +28,16 @@ class TestDeterministicCases:
         assert not clamped.any()
         # s is a fair coin at by = 0
         assert abs(s.mean()) < 0.1
-        for M in (5, 1000):  # M <= K and M > K
-            sums = sample_outcome_sums(np.ones(8), np.zeros(8), M, rng)
-            assert sums.z.real.sum() == M and sums.clamp_count == 0
+        for draw, M in ((sample_outcome_sums, 5), (sample_outcome_sums, 1000), (sparse_sums, 5)):
+            sums = draw(np.ones((1, 8)), np.zeros((1, 8)), M, rng)
+            assert sums.z.real.sum() == M and sums.clamp_count[0] == 0
 
     def test_certain_minus_outcome(self):
         rng = np.random.default_rng(1)
         c, s, _ = sample_pairs(np.zeros(1000), np.full(1000, -1.0), rng)
         assert np.all(s == -1.0)
-        for M in (5, 1000):
-            sums = sample_outcome_sums(np.zeros(8), np.full(8, -1.0), M, rng)
+        for draw, M in ((sample_outcome_sums, 5), (sample_outcome_sums, 1000), (sparse_sums, 5)):
+            sums = draw(np.zeros((1, 8)), np.full((1, 8), -1.0), M, rng)
             assert sums.z.imag.sum() == -M
 
 
@@ -86,11 +94,13 @@ class TestClamping:
     def test_clamp_count_counts_samples_at_clamped_times(self, M):
         # times 0 and 1 are clamped; c at times 0 and 2 and s at time 1 are
         # certain, so those sums are +-(the count at that time)
-        bx = np.array([1.5, 0.0, 1.0])
-        by = np.array([0.0, -1.2, 1.0])
-        sums = sample_outcome_sums(bx, by, M, np.random.default_rng(8))
-        c, s = sums.z.real, sums.z.imag
-        assert sums.clamp_count == c[0] - s[1] == M - c[2]
+        bx = np.array([[1.5, 0.0, 1.0]])
+        by = np.array([[0.0, -1.2, 1.0]])
+        draws = (sample_outcome_sums, sparse_sums) if M <= 3 else (sample_outcome_sums,)
+        for draw in draws:
+            sums = draw(bx, by, M, np.random.default_rng(8))
+            c, s = sums.z[0].real, sums.z[0].imag
+            assert sums.clamp_count[0] == c[0] - s[1] == M - c[2]
 
 
 class TestInputChecks:
@@ -102,22 +112,22 @@ class TestInputChecks:
             sample_pairs(np.zeros(1), np.array([math.inf]), rng)
         with pytest.raises(ValueError):
             sample_pairs(np.array([0.0, math.nan]), np.zeros(2), rng)
-        for M in (1, 100):
+        for draw, M in ((sample_outcome_sums, 1), (sample_outcome_sums, 100), (sparse_sums, 2)):
             with pytest.raises(ValueError):
-                sample_outcome_sums(np.array([0.0, math.nan]), np.zeros(2), M, rng)
+                draw(np.array([[0.0, math.nan]]), np.zeros((1, 2)), M, rng)
 
     def test_negative_sample_count_rejected(self):
         with pytest.raises(ValueError):
-            sample_outcome_sums(np.zeros(4), np.zeros(4), -1, np.random.default_rng(9))
+            sample_outcome_sums(np.zeros((1, 4)), np.zeros((1, 4)), -1, np.random.default_rng(9))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError):
             sample_pairs(np.zeros(3), np.zeros(4), rng)
         with pytest.raises(ValueError):
-            sample_outcome_sums(np.zeros(3), np.zeros(4), 10, rng)
+            sample_outcome_sums(np.zeros((1, 3)), np.zeros((1, 4)), 10, rng)
         with pytest.raises(ValueError):
-            sample_outcome_sums(np.zeros(0), np.zeros(0), 10, rng)
+            sample_outcome_sums(np.zeros((1, 0)), np.zeros((1, 0)), 10, rng)
 
 
 class TestDeterminism:
@@ -137,31 +147,39 @@ class TestDeterminism:
             rng = np.random.default_rng(123)
             ks = rng.integers(0, 50, size=M)
             c, s, clamped = sample_pairs(bx[ks], by[ks], rng)
-            sums = sample_outcome_sums(bx, by, M, np.random.default_rng(123))
-            assert np.array_equal(sums.z.real, np.bincount(ks, weights=c, minlength=50))
-            assert np.array_equal(sums.z.imag, np.bincount(ks, weights=s, minlength=50))
-            assert sums.total_depth == int(ks.sum())
-            assert sums.clamp_count == int(clamped.sum())
+            sums = sparse_sums(bx[None], by[None], M, np.random.default_rng(123))
+            assert np.array_equal(sums.z[0].real, np.bincount(ks, weights=c, minlength=50))
+            assert np.array_equal(sums.z[0].imag, np.bincount(ks, weights=s, minlength=50))
+            assert sums.total_depth[0] == int(ks.sum())
+            assert sums.clamp_count[0] == int(clamped.sum())
 
     @pytest.mark.parametrize("M", [0, 20, 2000])
     def test_same_seed_same_sums(self, M):
-        bx = np.linspace(-0.9, 0.9, 40)
+        bx = np.linspace(-0.9, 0.9, 40)[None]
         a = sample_outcome_sums(bx, -bx, M, np.random.default_rng(5))
         b = sample_outcome_sums(bx, -bx, M, np.random.default_rng(5))
         assert np.array_equal(a.z, b.z)
-        assert (a.total_depth, a.clamp_count) == (b.total_depth, b.clamp_count)
+        assert np.array_equal(a.total_depth, b.total_depth)
+        assert np.array_equal(a.clamp_count, b.clamp_count)
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("M", [30, 400])
+    @pytest.mark.parametrize("M", [30, 400])  # the law holds at M <= K too
     def test_block_of_one_matches_one_run(self, M):
+        # the reference is one run drawn in the documented order: counts,
+        # then the c sums, then the s sums, from 1-d tables
         bx = np.linspace(-0.8, 1.2, 50)
         by = np.linspace(0.5, -1.5, 50)
-        one = sample_outcome_sums(bx, by, M, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        n = rng.multinomial(M, np.full(50, 1 / 50))
+        p_c, p_s = np.clip((1 + bx) / 2, 0, 1), np.clip((1 + by) / 2, 0, 1)
+        c = 2 * rng.binomial(n, p_c) - n
+        s = 2 * rng.binomial(n, p_s) - n
         block = sample_outcome_sums(bx[None], by[None], M, np.random.default_rng(4))
         assert block.z.shape == (1, 50)
-        assert np.array_equal(block.z[0], one.z)
-        assert (block.total_depth[0], block.clamp_count[0]) == (one.total_depth, one.clamp_count)
+        assert np.array_equal(block.z[0], c + 1j * s)
+        assert block.total_depth[0] == int(n @ np.arange(50))
+        assert block.clamp_count[0] == int(n[(bx > 1) | (by < -1)].sum())
 
     @pytest.mark.parametrize("M", [30, 400])
     def test_rows_draw_from_their_own_tables(self, M):
@@ -182,16 +200,20 @@ class TestBlocks:
         with pytest.raises(ValueError):
             sample_outcome_sums(np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), 10,
                                 np.random.default_rng(6))
+        with pytest.raises(ValueError, match="2 dimension"):
+            sample_outcome_sums(np.zeros(4), np.zeros(4), 10, np.random.default_rng(6))
 
 
 class TestHugeSampleCounts:
     def test_depth_past_int64_does_not_wrap(self):
         # the expected depth M (K - 1) / 2 = 3.5 * 2**62 is past int64
         M, K = 2 ** 62, 8
-        sums = sample_outcome_sums(np.zeros(K), np.full(K, 0.5), M, np.random.default_rng(11))
-        assert isinstance(sums.total_depth, int)
-        assert 2 ** 63 < sums.total_depth <= M * (K - 1)
-        assert sums.total_depth == pytest.approx(M * (K - 1) / 2, rel=1e-6)
+        sums = sample_outcome_sums(np.zeros((1, K)), np.full((1, K), 0.5), M,
+                                   np.random.default_rng(11))
+        depth = sums.total_depth[0]
+        assert isinstance(depth, int)
+        assert 2 ** 63 < depth <= M * (K - 1)
+        assert depth == pytest.approx(M * (K - 1) / 2, rel=1e-6)
         assert np.all(np.abs(sums.z.real) <= M) and abs(sums.z.imag.sum() - M / 2) < M / 10 ** 6
 
     def test_block_depths_past_int64_do_not_wrap(self):

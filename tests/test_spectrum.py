@@ -11,11 +11,7 @@ from rfe.spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
-    FrequencyClass,
-    circular_distance,
-    classify_frequency,
     dirichlet_kernel,
-    expected_coefficient,
     expected_spectrum,
     validate_phase,
 )
@@ -161,6 +157,11 @@ class TestKernelBitIdentity:
                                       _bits(np.mod(values, K)))
 
 
+def expected_coefficient(theta, j, K):
+    """Coefficient j of the closed-form expected spectrum."""
+    return expected_spectrum(theta, K).coefficients[j]
+
+
 class TestExpectedCoefficient:
     def test_on_grid_peak(self):
         value = expected_coefficient(TWO_PI * 3 / 8, 3, 8)
@@ -195,12 +196,6 @@ class TestExpectedCoefficient:
             kernel = abs(dirichlet_kernel(j - K * theta / TWO_PI, K))
             assert abs(value - kernel) < 1e-12
 
-    def test_index_validated(self):
-        with pytest.raises(ValueError):
-            expected_coefficient(1.0, 8, 8)
-        with pytest.raises(ValueError):
-            expected_coefficient(1.0, -1, 8)
-
 
 class TestExpectedSpectrum:
     def test_rejects_grids_past_the_cap(self):
@@ -225,8 +220,13 @@ class TestExpectedSpectrum:
         assert int(np.argmax(np.abs(spec.coefficients))) == 28
 
     def test_matches_elementwise_coefficients(self):
+        # the product form exp(-i pi x (K-1)/K) S_K(x), one scalar kernel
+        # call per index
         spec = expected_spectrum(1.234, 31)
-        per_element = [expected_coefficient(1.234, j, 31) for j in range(31)]
+        per_element = []
+        for j in range(31):
+            x = j - 31 * 1.234 / TWO_PI
+            per_element.append(np.exp(-1j * np.pi * x * 30 / 31) * dirichlet_kernel(x, 31))
         assert np.max(np.abs(spec.coefficients - np.array(per_element))) < 1e-14
 
     def test_magnitudes_bounded_by_one(self):
@@ -238,54 +238,22 @@ class TestExpectedSpectrum:
             assert np.all(mags <= 1.0 + 1e-12)
 
 
-class TestClassification:
-    def test_spot_cases_near_2_25(self):
-        # tone position 79 * 2.25 / (2 pi) = 28.29
-        assert classify_frequency(28, 2.25, 79) is FrequencyClass.CLOSE
-        assert classify_frequency(29, 2.25, 79) is FrequencyClass.ADJACENT_ONLY
-        assert classify_frequency(30, 2.25, 79) is FrequencyClass.NON_ADJACENT
-        assert circular_distance(28, 2.25, 79) == pytest.approx(0.29, abs=5e-3)
-        assert circular_distance(29, 2.25, 79) == pytest.approx(0.71, abs=5e-3)
-        assert circular_distance(30, 2.25, 79) == pytest.approx(1.71, abs=5e-3)
-
-    def test_boundaries(self):
-        # tone exactly between bins 3 and 4: both are close (d = 1/2)
-        theta = TWO_PI * 3.5 / 8
-        assert classify_frequency(3, theta, 8) is FrequencyClass.CLOSE
-        assert classify_frequency(4, theta, 8) is FrequencyClass.CLOSE
-        # d exactly 1 counts as non-adjacent
-        theta = TWO_PI * 3 / 8
-        assert classify_frequency(4, theta, 8) is FrequencyClass.NON_ADJACENT
-        assert classify_frequency(2, theta, 8) is FrequencyClass.NON_ADJACENT
-
-    def test_periodic_in_index(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            K = int(rng.integers(2, 100))
-            j = int(rng.integers(0, K))
-            theta = float(rng.uniform(0.0, TWO_PI))
-            assert classify_frequency(j, theta, K) is classify_frequency(j + K, theta, K)
-            assert classify_frequency(j, theta, K) is classify_frequency(j + 3 * K, theta, K)
-
-    def test_wraparound_distance(self):
-        # tone near bin 0: the top index is circularly close to it
-        d = circular_distance(62, 0.05, 63)
-        assert d == pytest.approx(63 * 0.05 / TWO_PI + 1.0, abs=1e-12)
-
-
 class TestMagnitudeBounds:
     def test_close_floor_and_non_adjacent_caps(self):
-        # independent of the harness scan: classify each index and check the
-        # closed-form magnitude against the landmarks
+        # independent of the harness scan: take each index's circular
+        # distance d to the tone, in bins, and check the closed-form
+        # magnitude against the landmarks: close is d <= 1/2, non-adjacent
+        # d >= 1
         thetas = np.linspace(0.0, math.pi, 101)
         for K in range(4, 21):
             for theta in thetas:
                 mags = np.abs(expected_spectrum(float(theta), K).coefficients)
                 for j in range(K):
-                    cls = classify_frequency(j, float(theta), K)
-                    if cls is FrequencyClass.CLOSE:
+                    r = (j - K * theta / TWO_PI) % K
+                    d = min(r, K - r)
+                    if d <= 0.5:
                         assert mags[j] >= CLOSE_MAGNITUDE_MIN - 1e-12
-                    elif cls is FrequencyClass.NON_ADJACENT:
+                    elif d >= 1.0:
                         assert mags[j] <= NON_ADJACENT_MAGNITUDE_MAX + 1e-12
                         assert mags[j] <= NON_ADJACENT_ENVELOPE_MAX + 1e-12
 
