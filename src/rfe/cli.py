@@ -101,7 +101,7 @@ def _resolve_theta(theta, seed: int):
     seed; a given theta runs with ``seed`` itself."""
     if theta == "random":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-        value = UniformTheta().draw(rng)
+        value = float(UniformTheta().draw(rng, 1)[0])
         run_seed = int.from_bytes(rng.bytes(8), "little")
         return value, run_seed
     return float(theta), seed
@@ -138,6 +138,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.epsilon is None and args.grid is None:
+        raise ValueError("spectrum needs --epsilon or --grid to set the grid size K")
     noise = noise_from_dict(json.loads(args.noise))
     theta, run_seed = _resolve_theta(args.theta, args.seed)
     K = args.grid if args.grid is not None else grid_size(args.epsilon)
@@ -227,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
                      "dump spectra, and verify the quantitative claims."))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, epsilon_required=True, delta=True, theta=None, noise=True,
+    def common(p, *, epsilon_needed_for=None, delta=True, theta=None, noise=True,
                seed=True, trials=None, workers=False):
-        p.add_argument("--epsilon", type=float, required=epsilon_required,
+        # --epsilon is required unless epsilon_needed_for says when it is needed
+        p.add_argument("--epsilon", type=float, required=epsilon_needed_for is None,
                        help="target accuracy in radians" + (
-                           "" if epsilon_required else
-                           " (every family but ideal, whose --grid values "
-                           "are the epsilons)"))
+                           "" if epsilon_needed_for is None else
+                           f" ({epsilon_needed_for})"))
         if delta:
             p.add_argument("--delta", type=float, default=0.1,
                            help="failure probability budget (default 0.1)")
@@ -266,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_spec = sub.add_parser("spectrum", help="dump an estimated or exact spectrum")
-    common(p_spec, delta=False, theta="random")
+    common(p_spec, epsilon_needed_for="sets K = ceil(2 pi/epsilon) unless --grid is given",
+           delta=False, theta="random")
     p_spec.add_argument("--samples", type=int, default=None,
                         help="simulate with this many samples (omit for the "
                              "exact expected spectrum)")
@@ -282,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_sweep = sub.add_parser("sweep", help="success-rate sweep over a noise grid")
-    common(p_sweep, epsilon_required=False, theta="random", noise=False, trials=100,
-           workers=True)
+    common(p_sweep, epsilon_needed_for="every family but ideal, whose --grid values "
+           "are the epsilons", theta="random", noise=False, trials=100, workers=True)
     p_sweep.add_argument("--family", required=True,
                          choices=SWEEP_FAMILIES,
                          help="swept parameter: epsilon (ideal), eta_bar (ban), "

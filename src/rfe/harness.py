@@ -53,6 +53,10 @@ from .spectrum import (
 MAX_ENUMERATION_GRID = 4096
 
 WILSON_Z_95 = 1.959963984540054
+# Kernel bound scans allow this much rounding past a floor or cap.
+SCAN_TOLERANCE = 1e-12
+# Gaussian shift-variance draws are made this many (draws, K) rows at a time.
+SHIFT_VARIANCE_CHUNK = 20000
 
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
 # arrays stay near this many cells at any grid size.
@@ -135,9 +139,9 @@ class FixedTheta:
     def __post_init__(self):
         validate_phase(self.value)
 
-    def draw(self, rng: np.random.Generator, size: Optional[int] = None):
-        """The phase, or an array of ``size`` copies of it; draws nothing."""
-        return float(self.value) if size is None else np.full(size, float(self.value))
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """An array of ``size`` copies of the phase; draws nothing."""
+        return np.full(size, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,8 @@ class UniformTheta:
         if not 0.0 <= self.low < self.high <= TWO_PI:
             raise ValueError(f"need 0 <= low < high <= 2*pi, got {self.low!r}, {self.high!r}")
 
-    def draw(self, rng: np.random.Generator, size: Optional[int] = None):
-        """One uniform phase, or an array of ``size`` of them."""
-        if size is None:
-            return float(rng.uniform(self.low, self.high))
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """An array of ``size`` uniform phases."""
         return rng.uniform(self.low, self.high, size)
 
 
@@ -184,13 +186,13 @@ class SuccessStats:
         }
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate (well-behaved at small n)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial rate (well-behaved at small n)."""
     if trials < 0 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials")
     if trials == 0:
         return (0.0, 1.0)
-    n = trials
+    n, z = trials, WILSON_Z_95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -209,6 +211,14 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=(int(block),)))
 
 
+def pool_size(workers: int) -> int:
+    """Worker processes for a ``workers`` setting: itself, or every core for 0."""
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 for all cores), got {workers}")
+    return workers or os.cpu_count() or 1
+
+
 def _block_successes(payload) -> int:
     """Successes among one block's trials: phases, then one run per phase."""
     grid, samples, noise, sampling, master_seed, block, size, epsilon = payload
@@ -224,7 +234,7 @@ def _block_successes(payload) -> int:
 
 def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
                         theta_sampling: ThetaSampling,
-                        master_seed: int, workers: Optional[int] = 1,
+                        master_seed: int, workers: int = 1,
                         samples_override: Optional[int] = None,
                         grid_override: Optional[int] = None) -> SuccessStats:
     """Estimate the success rate Pr(|theta_hat - theta| <= epsilon), with the
@@ -238,15 +248,13 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
     then run in blocks of B = max(1, BLOCK_CELLS // K), the last one
     shorter.  Block b draws from :func:`block_rng` (master seed, b), in this
     order: its B phases, then the run noise and samples of its B runs, which
-    :func:`rfe.estimator.run_block` does as (B, K) arrays.  ``workers`` only
-    distributes whole blocks; it cannot change the statistics.
+    :func:`rfe.estimator.run_block` does as (B, K) arrays.  ``workers`` (0:
+    all cores) only distributes whole blocks; it cannot change the statistics.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers is None or int(workers) < 1:
-        workers = os.cpu_count() or 1
-    workers = int(workers)
+    workers = pool_size(workers)
     if samples_override is not None:
         grid = int(grid_override) if grid_override is not None else grid_size(query.epsilon)
         samples = int(samples_override)
@@ -272,7 +280,7 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
 
 
 def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
-                            seed: int, chunk: int = 20000) -> np.ndarray:
+                            seed: int) -> np.ndarray:
     """Empirical Var of the spectral shift of fresh Gaussian deviation draws.
 
     For each draw, eta_hat[j] = mean_k (eta1[k] + i eta2[k]) exp(-2 pi i jk/K)
@@ -288,7 +296,7 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
     acc = np.zeros(K)
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
+        m = min(SHIFT_VARIANCE_CHUNK, draws - done)
         eta1 = rng.standard_normal((m, K)) * sigma
         eta2 = rng.standard_normal((m, K)) * sigma
         shift = np.fft.fft(eta1 + 1j * eta2, axis=1) / K
@@ -333,11 +341,10 @@ class LemmaScanReport:
         }
 
 
-def lemma_bound_scan(k_values: Sequence[int], n_theta: int,
-                     tolerance: float = 1e-12) -> LemmaScanReport:
+def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     """Scan theta in [0, pi] and every index j, checking the magnitude floor
     2/pi for close frequencies and the caps 10/(9 pi) and 1/(2 sqrt 2) for
-    non-adjacent ones (the caps need K >= 4)."""
+    non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE."""
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 4 or max(k_values) > 1024:
         raise ValueError("k_values must be a non-empty subset of [4, 1024]")
@@ -365,9 +372,9 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int,
             min_close = min(min_close, float(mags[close].min()))
         if np.any(nonadj):
             max_nonadj = max(max_nonadj, float(mags[nonadj].max()))
-        bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - tolerance))
-               | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + tolerance))
-               | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + tolerance)))
+        bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE))
+               | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + SCAN_TOLERANCE))
+               | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + SCAN_TOLERANCE)))
         if np.any(bad):
             j_bad, t_bad = np.nonzero(bad)
             violation_count += j_bad.size
@@ -379,7 +386,7 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int,
                         "distance": float(d[j_idx, t_idx]),
                     })
     return LemmaScanReport(
-        k_values=k_values, n_theta=n_theta, tolerance=tolerance,
+        k_values=k_values, n_theta=n_theta, tolerance=SCAN_TOLERANCE,
         points_checked=points, violation_count=violation_count,
         violations=tuple(violations),
         min_close_magnitude=min_close,
@@ -448,7 +455,7 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
                 delta: float, trials_per_point: int, master_seed: int,
                 strategy: AdversaryStrategy = AdversaryStrategy.SIGN_FLIP,
                 theta_sampling: Optional[ThetaSampling] = None,
-                workers: Optional[int] = 1) -> list[SweepPoint]:
+                workers: int = 1) -> list[SweepPoint]:
     """Success-rate sweep over one noise family's parameter grid.
 
     For family ``ideal`` the swept parameter is epsilon itself, and the
@@ -461,8 +468,9 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
     threshold, more than 2**62 samples, or a grid above
     :data:`rfe.bounds.MAX_GRID_SIZE`) are marked so and not run; the others
     run their campaign on that same plan, with the success test of
-    :func:`monte_carlo_success`.
+    :func:`monte_carlo_success`.  A negative ``workers`` raises first too.
     """
+    pool_size(workers)
     if theta_sampling is None:
         theta_sampling = UniformTheta()
     parameters = [float(value) for value in values]

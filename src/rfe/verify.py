@@ -2,11 +2,12 @@
 
 Each suite runs a self-contained, seeded check and returns a
 :class:`SuiteResult` with a pass flag, a one-line summary, and the measured
-numbers.  ``run_suites`` resolves the aliases ``quick`` (the exact/scan
-suites) and ``all`` (everything, including the Monte Carlo campaigns), in a
-fixed order, so one call reproduces the whole acceptance battery.
+numbers.  ``run_suites`` runs them from one ordered table, with the aliases
+``quick`` (the exact/scan suites) and ``all`` (everything, including the
+Monte Carlo campaigns), so one call reproduces the whole acceptance battery.
 
-All master seeds and tolerances are pinned here; identical invocations give
+Seeds, draw counts and tolerances are module constants: a suite takes only
+``trials``, ``workers`` and ``outdir``, so identical invocations give
 identical reports.
 """
 
@@ -30,6 +31,7 @@ from .harness import (
     gaussian_shift_variance,
     lemma_bound_scan,
     monte_carlo_success,
+    pool_size,
 )
 from .noise import (
     AdversaryStrategy,
@@ -39,8 +41,6 @@ from .noise import (
     Ideal,
     ban_threshold,
     biases_at,
-    dephasing_ratio_threshold_nominal,
-    dephasing_ratio_threshold_rederived,
 )
 from .spectrum import expected_spectrum
 
@@ -49,7 +49,8 @@ ORACLE_TOL = 1e-12
 ORACLE_PAIRS = 100
 ORACLE_MAX_GRID = 256
 ORACLE_TIME_LIMIT_S = 10.0
-SCAN_TOL = 1e-12
+SCAN_GRID_SIZES = range(4, 129)
+SCAN_N_THETA = 1000
 SCAN_TIME_LIMIT_S = 30.0
 RATE_MIN = 0.90
 NOISELESS_TIME_LIMIT_S = 120.0
@@ -91,14 +92,13 @@ class SuiteResult:
                 "summary": self.summary, "details": self.details}
 
 
-def suite_oracle(pairs: int = ORACLE_PAIRS, max_grid: int = ORACLE_MAX_GRID,
-                 seed: int = _SEED_ORACLE) -> SuiteResult:
+def suite_oracle() -> SuiteResult:
     """Enumeration oracle agrees with the closed-form spectrum."""
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED_ORACLE)
     worst = 0.0
-    for _ in range(int(pairs)):
-        K = int(rng.integers(1, max_grid + 1))
+    for _ in range(ORACLE_PAIRS):
+        K = int(rng.integers(1, ORACLE_MAX_GRID + 1))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         oracle = exact_estimator_expectation(theta, K).coefficients
         closed = expected_spectrum(theta, K).coefficients
@@ -107,17 +107,17 @@ def suite_oracle(pairs: int = ORACLE_PAIRS, max_grid: int = ORACLE_MAX_GRID,
     passed = worst <= ORACLE_TOL and elapsed < ORACLE_TIME_LIMIT_S
     return SuiteResult(
         name="oracle", passed=passed,
-        summary=(f"max |enumeration - closed form| = {worst:.3e} over {pairs} random "
-                 f"(theta, K <= {max_grid}) pairs in {elapsed:.2f} s"),
-        details={"pairs": pairs, "max_grid": max_grid, "max_abs_error": worst,
+        summary=(f"max |enumeration - closed form| = {worst:.3e} over {ORACLE_PAIRS} "
+                 f"random (theta, K <= {ORACLE_MAX_GRID}) pairs in {elapsed:.2f} s"),
+        details={"pairs": ORACLE_PAIRS, "max_grid": ORACLE_MAX_GRID, "max_abs_error": worst,
                  "tolerance": ORACLE_TOL, "elapsed_s": elapsed},
     )
 
 
-def suite_lemmas(k_lo: int = 4, k_hi: int = 128, n_theta: int = 1000) -> SuiteResult:
+def suite_lemmas() -> SuiteResult:
     """Kernel magnitude floor/caps hold over the full scan grid."""
     start = time.perf_counter()
-    report = lemma_bound_scan(range(k_lo, k_hi + 1), n_theta, tolerance=SCAN_TOL)
+    report = lemma_bound_scan(SCAN_GRID_SIZES, SCAN_N_THETA)
     elapsed = time.perf_counter() - start
     passed = report.passed and elapsed < SCAN_TIME_LIMIT_S
     details = report.to_dict()
@@ -132,13 +132,11 @@ def suite_lemmas(k_lo: int = 4, k_hi: int = 128, n_theta: int = 1000) -> SuiteRe
     )
 
 
-def suite_noiseless(trials: int = 500, master_seed: int = _SEED_NOISELESS,
-                    workers: Optional[int] = 1) -> SuiteResult:
+def suite_noiseless(trials: int = 500, workers: int = 1) -> SuiteResult:
     """Certified sample count delivers the promised success rate, no noise."""
     start = time.perf_counter()
     plan = bounds.bounds_report(0.1, 0.1, Ideal())
-    stats = monte_carlo_success(BoundsQuery(0.1, 0.1, Ideal()), trials,
-                                UniformTheta(), master_seed, workers=workers)
+    stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_NOISELESS, workers)
     elapsed = time.perf_counter() - start
     plan_ok = plan.grid_size == 63 and plan.samples == 3130
     passed = plan_ok and stats.rate >= RATE_MIN and elapsed < NOISELESS_TIME_LIMIT_S
@@ -151,8 +149,7 @@ def suite_noiseless(trials: int = 500, master_seed: int = _SEED_NOISELESS,
     )
 
 
-def suite_adversarial(trials: int = 300, master_seed: int = _SEED_ADVERSARIAL,
-                      workers: Optional[int] = 1) -> SuiteResult:
+def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
     """Adversarial guarantee at eta_bar = 0.05 with the sign-flip adversary."""
     model = Ban(eta_bar=BAN_ETA, strategy=AdversaryStrategy.SIGN_FLIP)
     plan = bounds.bounds_report(0.1, 0.1, model)
@@ -168,8 +165,7 @@ def suite_adversarial(trials: int = 300, master_seed: int = _SEED_ADVERSARIAL,
         rejects_threshold = False
     except bounds.BoundsUnachievable:
         rejects_threshold = True
-    stats = monte_carlo_success(BoundsQuery(0.1, 0.1, model), trials,
-                                UniformTheta(), master_seed, workers=workers)
+    stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_ADVERSARIAL, workers)
     passed = (plan_ok and inflation_ok and diverges and rejects_threshold
               and stats.rate >= RATE_MIN)
     return SuiteResult(
@@ -184,15 +180,11 @@ def suite_adversarial(trials: int = 300, master_seed: int = _SEED_ADVERSARIAL,
     )
 
 
-def suite_gaussian(trials: int = 300, master_seed: int = _SEED_GAUSSIAN,
-                   workers: Optional[int] = 1,
-                   variance_draws: int = VARIANCE_DRAWS) -> SuiteResult:
+def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
     """Gaussian guarantee at sigma = 0.1, plus the 2 sigma^2/K variance law."""
-    model = Gaussian(sigma=GAUSSIAN_SIGMA)
-    plan = bounds.bounds_report(0.1, 0.1, model)
-    stats = monte_carlo_success(BoundsQuery(0.1, 0.1, model), trials,
-                                UniformTheta(), master_seed, workers=workers)
-    variance = gaussian_shift_variance(GAUSSIAN_SIGMA, 63, variance_draws, _SEED_VARIANCE)
+    plan = bounds.bounds_report(0.1, 0.1, Gaussian(sigma=GAUSSIAN_SIGMA))
+    stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_GAUSSIAN, workers)
+    variance = gaussian_shift_variance(GAUSSIAN_SIGMA, 63, VARIANCE_DRAWS, _SEED_VARIANCE)
     target = 2.0 * GAUSSIAN_SIGMA ** 2 / 63
     max_rel_dev = float(np.max(np.abs(variance - target) / target))
     variance_ok = max_rel_dev <= VARIANCE_REL_TOL
@@ -204,23 +196,22 @@ def suite_gaussian(trials: int = 300, master_seed: int = _SEED_GAUSSIAN,
                  f"vs 2 sigma^2/K (need <= {VARIANCE_REL_TOL})"),
         details={"plan": plan.to_dict(), "stats": stats.to_dict(),
                  "variance_target": target, "variance_max_rel_dev": max_rel_dev,
-                 "variance_draws": variance_draws},
+                 "variance_draws": VARIANCE_DRAWS},
     )
 
 
 def suite_thresholds() -> SuiteResult:
     """Threshold constants, plus the emitted derivation-discrepancy report."""
-    thr = ban_threshold()
-    nominal = dephasing_ratio_threshold_nominal()
-    rederived = dephasing_ratio_threshold_rederived()
-    bisect = bounds.bisect(lambda x: (1.0 - math.exp(-x)) / 2.0 - thr, 1e-12, 5.0)
+    report = bounds.derivation_report()
+    thr = report["ban"]["eta_bar_threshold"]
+    ratios = report["dephasing_ratio"]
+    nominal, rederived, bisect = ratios["nominal"], ratios["rederived"], ratios["bisection_check"]
     checks = {
         "ban_threshold": abs(thr - BAN_THRESHOLD_EXPECTED) <= BAN_THRESHOLD_TOL,
         "dephasing_nominal": abs(nominal - DEPHASING_NOMINAL_EXPECTED) <= DEPHASING_RATIO_TOL,
         "dephasing_rederived": abs(rederived - DEPHASING_REDERIVED_EXPECTED) <= DEPHASING_RATIO_TOL,
         "bisection_matches_rederived": abs(rederived - bisect) <= 1e-10,
     }
-    report = bounds.derivation_report()
     return SuiteResult(
         name="thresholds", passed=all(checks.values()),
         summary=(f"eta_bar threshold {thr:.6f}, dephasing ratio nominal {nominal:.4f} "
@@ -286,10 +277,10 @@ def suite_reductions() -> SuiteResult:
     )
 
 
-def suite_depth(draws: int = DEPTH_DRAWS, seed: int = _SEED_DEPTH) -> SuiteResult:
+def suite_depth() -> SuiteResult:
     """Depth accounting: uniform time draws average (K-1)/2 ~ pi/epsilon."""
-    result = run_rfe(RunConfig(samples=draws, grid_size=63, theta=1.0, seed=seed))
-    mean_depth = result.spectrum.total_depth / draws
+    result = run_rfe(RunConfig(samples=DEPTH_DRAWS, grid_size=63, theta=1.0, seed=_SEED_DEPTH))
+    mean_depth = result.spectrum.total_depth / DEPTH_DRAWS
     mean_ok = abs(mean_depth - DEPTH_MEAN_EXPECTED) <= DEPTH_MEAN_TOL
     budget = bounds.expected_total_depth(3130, 63)
     budget_ok = budget == 97030.0
@@ -302,13 +293,13 @@ def suite_depth(draws: int = DEPTH_DRAWS, seed: int = _SEED_DEPTH) -> SuiteResul
         summary=(f"mean drawn depth {mean_depth:.4f} (expect {DEPTH_MEAN_EXPECTED}"
                  f"+-{DEPTH_MEAN_TOL}); M(K-1)/2 = {budget:.0f}; vs pi/eps budget "
                  f"rel dev {rel:.4f} (need <= {DEPTH_BUDGET_REL_TOL})"),
-        details={"draws": draws, "mean_depth": mean_depth, "budget_3130_63": budget,
+        details={"draws": DEPTH_DRAWS, "mean_depth": mean_depth, "budget_3130_63": budget,
                  "relative_budget_dev": rel},
     )
 
 
-def suite_demo(trials: int = 200, master_seed: int = _SEED_DEMO,
-               workers: Optional[int] = 1, outdir: Optional[str] = None) -> SuiteResult:
+def suite_demo(trials: int = 200, workers: int = 1,
+               outdir: Optional[str] = None) -> SuiteResult:
     """Report-only showcase of the bound's slack: one run at epsilon = 0.08,
     theta = 2.25 with M = 80 samples, 40x below the certified 3,200 (K = 79,
     delta = 0.105), plus the success rate over seeded repetitions.  The rate
@@ -325,7 +316,7 @@ def suite_demo(trials: int = 200, master_seed: int = _SEED_DEMO,
         path.write_text(csv_text, encoding="utf-8")
         csv_path = str(path)
     stats = monte_carlo_success(BoundsQuery(0.08, 0.105, Ideal()), trials,
-                                FixedTheta(2.25), master_seed, workers=workers,
+                                FixedTheta(2.25), _SEED_DEMO, workers=workers,
                                 samples_override=80, grid_override=K)
     # delta at which the certified count is exactly 40x the demo's 80 samples:
     # solve (81 pi^2/2) ln(8 pi/(0.08 delta)) = 3200 in closed form
@@ -345,53 +336,43 @@ def suite_demo(trials: int = 200, master_seed: int = _SEED_DEMO,
     )
 
 
+# Every suite in canonical order, called with the campaign options and outdir.
+# Each entry looks suite_<name> up when it runs, so a wrapper on it sees the call.
+_SUITES = {
+    "oracle": lambda campaign, outdir: suite_oracle(),
+    "lemmas": lambda campaign, outdir: suite_lemmas(),
+    "thresholds": lambda campaign, outdir: suite_thresholds(),
+    "reductions": lambda campaign, outdir: suite_reductions(),
+    "depth": lambda campaign, outdir: suite_depth(),
+    "noiseless": lambda campaign, outdir: suite_noiseless(**campaign),
+    "adversarial": lambda campaign, outdir: suite_adversarial(**campaign),
+    "gaussian": lambda campaign, outdir: suite_gaussian(**campaign),
+    "demo": lambda campaign, outdir: suite_demo(outdir=outdir, **campaign),
+}
 _QUICK = ("oracle", "lemmas", "thresholds", "reductions", "depth")
-_ALL = _QUICK + ("noiseless", "adversarial", "gaussian", "demo")
+_ALL = tuple(_SUITES)
 SUITE_NAMES = _ALL + ("quick", "all")
 
 
-def run_suites(names: Sequence[str], workers: Optional[int] = 1,
+def run_suites(names: Sequence[str], workers: int = 1,
                trials: Optional[int] = None,
                outdir: Optional[str] = None) -> list[SuiteResult]:
     """Run the named suites (aliases: quick, all) in canonical order.
 
-    ``trials``, when given, replaces the trial count of every Monte Carlo
-    suite and must be at least 1; None keeps each suite's own count.
+    ``workers`` must be at least 0 (0 for all cores).  ``trials``, when
+    given, replaces the trial count of every Monte Carlo suite and must be
+    at least 1; None keeps each suite's own count.  Both are checked before
+    any suite runs.
     """
+    pool_size(workers)
     campaign = {"workers": workers}
     if trials is not None:
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         campaign["trials"] = trials
-    requested: list[str] = []
+    requested: set[str] = set()
     for name in names:
-        if name == "quick":
-            requested.extend(_QUICK)
-        elif name == "all":
-            requested.extend(_ALL)
-        elif name in _ALL:
-            requested.append(name)
-        else:
+        if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    ordered = [n for n in _ALL if n in requested]
-    results = []
-    for name in ordered:
-        if name == "oracle":
-            results.append(suite_oracle())
-        elif name == "lemmas":
-            results.append(suite_lemmas())
-        elif name == "thresholds":
-            results.append(suite_thresholds())
-        elif name == "reductions":
-            results.append(suite_reductions())
-        elif name == "depth":
-            results.append(suite_depth())
-        elif name == "noiseless":
-            results.append(suite_noiseless(**campaign))
-        elif name == "adversarial":
-            results.append(suite_adversarial(**campaign))
-        elif name == "gaussian":
-            results.append(suite_gaussian(**campaign))
-        elif name == "demo":
-            results.append(suite_demo(outdir=outdir, **campaign))
-    return results
+        requested.update({"quick": _QUICK, "all": _ALL}.get(name, (name,)))
+    return [_SUITES[name](campaign, outdir) for name in _ALL if name in requested]

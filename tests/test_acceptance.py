@@ -33,7 +33,7 @@ TWO_PI = 2.0 * math.pi
 @pytest.mark.acceptance(label="criterion 1: oracle equivalence, 1e-12 over 100 pairs, < 10 s")
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
-    result = verify.suite_oracle(pairs=100, max_grid=256)
+    result = verify.suite_oracle()
     elapsed = time.perf_counter() - start
     assert result.details["max_abs_error"] <= 1e-12
     assert elapsed < 10.0
@@ -43,7 +43,7 @@ def test_criterion_1_oracle_equivalence():
 @pytest.mark.acceptance(label="criterion 2: kernel bound scan K=4..128 x 1000 thetas, zero violations, < 30 s")
 def test_criterion_2_kernel_bounds():
     start = time.perf_counter()
-    result = verify.suite_lemmas(k_lo=4, k_hi=128, n_theta=1000)
+    result = verify.suite_lemmas()
     elapsed = time.perf_counter() - start
     assert result.details["violation_count"] == 0
     assert result.details["min_close_magnitude"] >= 2 / math.pi - 1e-12
@@ -83,7 +83,7 @@ def test_criterion_4_adversarial_guarantee():
 @pytest.mark.acceptance(label="criterion 5: gaussian desk-scale, rate >= 0.90, Var(shift) within 5% of 2 sigma^2/K at 1e5 draws")
 def test_criterion_5_gaussian_guarantee():
     assert bounds.samples_gaussian(0.1, 0.1, 0.1) == 3559
-    result = verify.suite_gaussian(trials=300, variance_draws=10 ** 5)
+    result = verify.suite_gaussian(trials=300)
     assert result.details["stats"]["trials"] >= 300
     assert result.details["stats"]["rate"] >= 0.90
     assert result.details["variance_max_rel_dev"] <= 0.05
@@ -108,7 +108,7 @@ def test_criterion_6_threshold_constants(tmp_path):
 
 @pytest.mark.acceptance(label="criterion 7: depth accounting, mean 31 +- 0.3 over 1e5 draws; budget within 2%")
 def test_criterion_7_depth_accounting():
-    result = verify.suite_depth(draws=10 ** 5)
+    result = verify.suite_depth()
     assert abs(result.details["mean_depth"] - 31.0) <= 0.3
     assert result.details["budget_3130_63"] == 97030.0
     assert result.details["relative_budget_dev"] <= 0.02

@@ -291,7 +291,7 @@ class TestDerivationReport:
         assert section["t2_over_expected_depth"] == pytest.approx(19.993, abs=1e-2)
 
     def test_gaussian_factor_discrepancy_reported(self):
-        section = derivation_report(sigma=0.1)["gaussian_inflation"]
+        section = derivation_report()["gaussian_inflation"]
         assert section["nominal_factor"] == pytest.approx(1.0446400979155872, rel=1e-12)
         assert section["rederived_factor"] > section["nominal_factor"]
         assert "sqrt(sigma^2/(4K) ln(8K/delta))" in section["note"]

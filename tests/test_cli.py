@@ -72,6 +72,26 @@ class TestSpectrum:
         assert payload["grid_size"] == 13
         assert len(payload["coefficients"]) == 13
 
+    def test_grid_needs_no_epsilon(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--grid", "50", "--theta", "1.0")
+        assert code == 0
+        _, with_epsilon, _ = run_cli(capsys, "spectrum", "--epsilon", "0.2", "--grid", "50",
+                                     "--theta", "1.0")
+        assert out == with_epsilon
+        assert len(out.splitlines()) == 51
+
+    def test_neither_epsilon_nor_grid_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--theta", "1.0")
+        assert code == 2
+        assert out == "" and "--epsilon or --grid" in err
+
+    def test_epsilon_help_names_the_grid(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["spectrum", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "unless --grid is given" in text
+        assert "every family but ideal" not in text
+
 
 class TestRun:
     def test_fixed_theta_json(self, capsys):
@@ -287,6 +307,13 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and f"--family {family} needs --epsilon" in err
 
+    @pytest.mark.parametrize("grid", ["0.0", "0.5"], ids=["runs", "unachievable"])
+    def test_negative_workers_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", "--family", "ban", "--epsilon", "0.2",
+                                 "--grid", grid, "--trials", "4", "--workers", "-3")
+        assert code == 2
+        assert out == "" and "workers must be >= 0" in err
+
     def test_ideal_sweep_with_epsilon_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--family", "ideal", "--grid", "0.3",
                                  "--epsilon", "0.1", "--trials", "2")
@@ -347,3 +374,10 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "0")
         assert code == 2
         assert out == "" and "trials must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("suite", ["oracle", "noiseless", "demo", "quick"])
+    def test_negative_workers_exits_2(self, capsys, suite):
+        # refused before any suite runs, whether or not a suite uses workers
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--workers", "-1")
+        assert code == 2
+        assert out == "" and "workers must be >= 0" in err

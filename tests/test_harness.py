@@ -270,6 +270,9 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
                                     samples_override=10, grid_override=grid)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
+                                workers=-1)
 
     def test_phase_samplers_validated(self):
         for make in (lambda: FixedTheta(TWO_PI), lambda: FixedTheta(math.nan),
@@ -300,7 +303,7 @@ class TestLemmaScan:
     def test_default_scan_is_pinned(self):
         # the scan rfe verify runs; the extremes are the values the kernel
         # gave when it still reduced with np.mod at every step
-        report = lemma_bound_scan(range(4, 129), 1000, tolerance=1e-12)
+        report = lemma_bound_scan(range(4, 129), 1000)
         assert report.points_checked == 8_250_000
         assert report.violation_count == 0
         assert report.min_close_magnitude == float.fromhex("0x1.45f527836f61ep-1")

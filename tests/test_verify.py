@@ -1,0 +1,117 @@
+"""The suite table of rfe.verify: order, aliases, options and planning."""
+
+import pytest
+
+from rfe import bounds, estimator, harness, verify
+
+CANONICAL = ["oracle", "lemmas", "thresholds", "reductions", "depth",
+             "noiseless", "adversarial", "gaussian", "demo"]
+QUICK = CANONICAL[:5]
+
+
+@pytest.fixture
+def stub_suites(monkeypatch):
+    """Replace every suite with a stub recording its name and options."""
+    calls = []
+    for name in CANONICAL:
+        def stub(name=name, **options):
+            calls.append((name, options))
+            return verify.SuiteResult(name=name, passed=True, summary="", details={})
+        monkeypatch.setattr(verify, f"suite_{name}", stub)
+    return calls
+
+
+class TestRunSuites:
+    def test_runs_in_canonical_order(self):
+        results = verify.run_suites(["demo", "oracle"])
+        assert [r.name for r in results] == ["oracle", "demo"]
+        assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("names,expected", [
+        (["quick"], QUICK),
+        (["all"], CANONICAL),
+        (["demo", "quick", "oracle"], QUICK + ["demo"]),
+    ])
+    def test_aliases_expand_in_canonical_order(self, stub_suites, names, expected):
+        assert [r.name for r in verify.run_suites(names)] == expected
+        assert [name for name, _ in stub_suites] == expected
+
+    def test_unknown_name_raises(self, stub_suites):
+        with pytest.raises(ValueError, match="unknown suite 'laws'"):
+            verify.run_suites(["oracle", "laws"])
+        assert stub_suites == []
+
+    def test_campaign_options_reach_only_the_campaign_suites(self, stub_suites):
+        verify.run_suites(["all"], workers=2, trials=7, outdir="out")
+        options = dict(stub_suites)
+        for name in QUICK:
+            assert options[name] == {}
+        for name in ("noiseless", "adversarial", "gaussian"):
+            assert options[name] == {"workers": 2, "trials": 7}
+        assert options["demo"] == {"workers": 2, "trials": 7, "outdir": "out"}
+
+    def test_default_trials_are_left_to_each_suite(self, stub_suites):
+        verify.run_suites(["noiseless", "demo"])
+        assert dict(stub_suites) == {"noiseless": {"workers": 1},
+                                     "demo": {"workers": 1, "outdir": None}}
+
+    @pytest.mark.parametrize("options", [{"workers": -1}, {"trials": 0}])
+    def test_bad_options_raise_before_any_suite_runs(self, stub_suites, options):
+        with pytest.raises(ValueError):
+            verify.run_suites(["all"], **options)
+        assert stub_suites == []
+
+
+class TestPlanning:
+    @pytest.mark.parametrize("suite", ["noiseless", "adversarial", "gaussian"])
+    def test_each_certified_campaign_plans_once(self, monkeypatch, suite):
+        calls = []
+        original = bounds.bounds_report
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, "bounds_report", counting)
+        monkeypatch.setattr(harness, "bounds_report", counting)
+        result = getattr(verify, f"suite_{suite}")(trials=20)
+        assert result.details["plan"]["K"] == 63
+        assert len(calls) == 1
+
+    def test_thresholds_bisect_once(self, monkeypatch):
+        # the suite reads the derivation report's bisection, not one of its own
+        calls = []
+        original = bounds.bisect
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, "bisect", counting)
+        result = verify.suite_thresholds()
+        assert result.passed and len(calls) == 1
+
+
+class TestBenchmarkHooks:
+    """Names a tracer wraps by module global; without them a traced
+    benchmark run crashes, or its layer metrics read 0."""
+
+    @pytest.mark.parametrize("module", [estimator, harness, verify])
+    def test_run_rfe_is_a_module_global(self, module):
+        assert module.run_rfe is estimator.run_rfe
+
+    def test_every_table_entry_has_its_suite_function(self):
+        for name in verify._SUITES:
+            assert callable(getattr(verify, f"suite_{name}")), name
+
+    def test_a_wrapped_suite_sees_the_call(self, monkeypatch):
+        seen = []
+        original = verify.suite_thresholds
+
+        def wrapped():
+            seen.append("thresholds")
+            return original()
+
+        monkeypatch.setattr(verify, "suite_thresholds", wrapped)
+        assert verify.run_suites(["thresholds"])[0].passed
+        assert seen == ["thresholds"]
