@@ -58,6 +58,14 @@ def check_grid_size(grid_size) -> int:
     return K
 
 
+def check_seed(seed) -> int:
+    """The seed as an int, if it lies in [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a continuous f on [lo, hi], where f(lo) and f(hi) differ in
     sign, narrowed by bisection until lo and hi are adjacent floats."""

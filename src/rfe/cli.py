@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import BoundsUnachievable, bounds_report, grid_size
+from .bounds import BoundsUnachievable, bounds_report, check_seed, grid_size
 from .estimator import (
     RunConfig,
     estimate_phase,
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"number of trials (default {trials})")
         if workers:
             p.add_argument("--workers", type=int, default=1,
-                           help="worker processes (default 1; 0 for all cores); "
+                           help="worker threads (default 1; 0 for all cores); "
                                 "never changes results")
         p.add_argument("--output", default=None, help="write to this path "
                        "instead of stdout")
@@ -305,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite name (repeatable; default: all)")
     p_verify.add_argument("--trials", type=int, default=None,
                           help="override trial counts of the Monte Carlo suites")
-    p_verify.add_argument("--workers", type=int, default=1,
-                          help="worker processes (default 1; 0 for all cores); "
+    p_verify.add_argument("--workers", type=int, default=0,
+                          help="worker threads (default 0: all cores); "
                                "never changes results")
     p_verify.add_argument("--outdir", default=None,
                           help="directory for emitted artifacts (demo spectrum CSV)")
@@ -319,16 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_seed = os.environ.get("RFE_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"error: RFE_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return 2
+    if hasattr(args, "seed"):
+        env_seed = os.environ.get("RFE_SEED")
+        if env_seed is not None:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                print(f"error: RFE_SEED must be an integer, got {env_seed!r}",
+                      file=sys.stderr)
+                return 2
     if args.subcommand == "verify" and args.suite is None:
         args.suite = ["all"]
     try:
+        # one range for every subcommand, whichever generator the seed feeds
+        if hasattr(args, "seed"):
+            check_seed(args.seed)
         return args.func(args)
     except BoundsUnachievable as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import MAX_SAMPLES, bounds_report, check_grid_size
+from .bounds import MAX_SAMPLES, bounds_report, check_grid_size, check_seed
 from .noise import Ideal, NoiseModel, biases_at
 from .sampler import OutcomeSums, draw_times, sample_outcome_sums, sums_at_times
 from .spectrum import TWO_PI, validate_phase
@@ -57,8 +57,7 @@ class RunConfig:
             raise ValueError(f"samples must lie in [1, 2**62], got {self.samples}")
         check_grid_size(self.grid_size)
         validate_phase(self.theta)
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

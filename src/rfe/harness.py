@@ -12,17 +12,17 @@ Three kinds of checks live here:
 * :func:`monte_carlo_success` and :func:`noise_sweep` run seeded campaigns of
   full estimation runs.  Trials run in blocks of B = max(1, BLOCK_CELLS // K),
   a constant of the engine, each block as (B, K) arrays through
-  :func:`rfe.estimator.run_block`.  Block b draws everything it needs, its
-  phases first, from a generator spawned from the master seed and b alone,
-  so results are identical for any worker count and any block execution
-  order.
+  :func:`rfe.estimator.run_block`, and blocks run on up to ``workers``
+  threads.  Block b draws everything it needs, its phases first, from a
+  generator spawned from the master seed and b alone, so results are
+  identical for any number of worker threads and any block execution order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -57,6 +57,9 @@ WILSON_Z_95 = 1.959963984540054
 SCAN_TOLERANCE = 1e-12
 # Gaussian shift-variance draws are made this many (draws, K) rows at a time.
 SHIFT_VARIANCE_CHUNK = 20000
+# ... and transformed this many rows at a time, so the complex temporaries
+# stay small next to the chunk.
+SHIFT_VARIANCE_FFT_ROWS = 1024
 
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
 # arrays stay near this many cells at any grid size.
@@ -212,24 +215,11 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
 
 
 def pool_size(workers: int) -> int:
-    """Worker processes for a ``workers`` setting: itself, or every core for 0."""
+    """Worker threads for a ``workers`` setting: itself, or every core for 0."""
     workers = int(workers)
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 for all cores), got {workers}")
     return workers or os.cpu_count() or 1
-
-
-def _block_successes(payload) -> int:
-    """Successes among one block's trials: phases, then one run per phase."""
-    grid, samples, noise, sampling, master_seed, block, size, epsilon = payload
-    rng = block_rng(master_seed, block)
-    thetas = sampling.draw(rng, size)
-    if samples == 0:
-        theta_hat = no_sample_result(grid).theta_hat
-    else:
-        coefficients, _ = run_block(thetas, samples, grid, noise, rng)
-        theta_hat = TWO_PI * winning_frequency(coefficients) / grid
-    return int(np.count_nonzero(np.abs(theta_hat - thetas) <= epsilon))
 
 
 def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
@@ -249,7 +239,10 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
     shorter.  Block b draws from :func:`block_rng` (master seed, b), in this
     order: its B phases, then the run noise and samples of its B runs, which
     :func:`rfe.estimator.run_block` does as (B, K) arrays.  ``workers`` (0:
-    all cores) only distributes whole blocks; it cannot change the statistics.
+    all cores) sets the threads, at most one per block, that whole blocks
+    are distributed over; it cannot change the statistics.  numpy releases
+    the interpreter lock in its generator fills, ufunc loops and FFTs, so
+    blocks overlap on threads.
     """
     trials = int(trials)
     if trials < 1:
@@ -266,14 +259,26 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
         grid, samples = plan.grid_size, plan.samples
     check_grid_size(grid)
     block = max(1, BLOCK_CELLS // grid)
-    payloads = [(grid, samples, query.noise, theta_sampling, int(master_seed), index,
-                 min(block, trials - start), query.epsilon)
-                for index, start in enumerate(range(0, trials, block))]
-    if workers == 1:
-        successes = sum(map(_block_successes, payloads))
+    sizes = [min(block, trials - start) for start in range(0, trials, block)]
+    master_seed = int(master_seed)
+
+    def block_successes(index: int, size: int) -> int:
+        """Successes among one block's trials: phases, then one run per phase."""
+        rng = block_rng(master_seed, index)
+        thetas = theta_sampling.draw(rng, size)
+        if samples == 0:
+            theta_hat = no_sample_result(grid).theta_hat
+        else:
+            coefficients, _ = run_block(thetas, samples, grid, query.noise, rng)
+            theta_hat = TWO_PI * winning_frequency(coefficients) / grid
+        return int(np.count_nonzero(np.abs(theta_hat - thetas) <= query.epsilon))
+
+    threads = min(workers, len(sizes))
+    if threads == 1:
+        successes = sum(map(block_successes, range(len(sizes)), sizes))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(_block_successes, payloads))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            successes = sum(pool.map(block_successes, range(len(sizes)), sizes))
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),
                         epsilon_used=query.epsilon, delta_used=query.delta)
@@ -294,13 +299,23 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
         raise ValueError("need grid size >= 1 and draws >= 1")
     rng = np.random.default_rng(int(seed))
     acc = np.zeros(K)
+    # One buffer serves every chunk: eta1 rows, then eta2 rows, drawn in
+    # that order; the eta1 rows are then overwritten by |eta_hat|^2.
+    buffer = np.empty(2 * min(SHIFT_VARIANCE_CHUNK, draws) * K)
     done = 0
     while done < draws:
         m = min(SHIFT_VARIANCE_CHUNK, draws - done)
-        eta1 = rng.standard_normal((m, K)) * sigma
-        eta2 = rng.standard_normal((m, K)) * sigma
-        shift = np.fft.fft(eta1 + 1j * eta2, axis=1) / K
-        acc += (np.abs(shift) ** 2).sum(axis=0)
+        eta = buffer[:2 * m * K].reshape(2, m, K)
+        rng.standard_normal(out=eta)
+        eta *= sigma
+        power = eta[0]
+        for start in range(0, m, SHIFT_VARIANCE_FFT_ROWS):
+            rows = slice(start, start + SHIFT_VARIANCE_FFT_ROWS)
+            shift = np.fft.fft(eta[0, rows] + 1j * eta[1, rows], axis=1)
+            shift /= K
+            np.abs(shift, out=power[rows])
+        np.square(power, out=power)
+        acc += power.sum(axis=0)
         done += m
     return acc / draws
 

@@ -2,9 +2,10 @@
 
 Each suite runs a self-contained, seeded check and returns a
 :class:`SuiteResult` with a pass flag, a one-line summary, and the measured
-numbers.  ``run_suites`` runs them from one ordered table, with the aliases
-``quick`` (the exact/scan suites) and ``all`` (everything, including the
-Monte Carlo campaigns), so one call reproduces the whole acceptance battery.
+numbers.  ``run_suites`` runs them from one ordered table, side by side on
+worker threads, with the aliases ``quick`` (the exact/scan suites) and
+``all`` (everything, including the Monte Carlo campaigns), so one call
+reproduces the whole acceptance battery.
 
 Seeds, draw counts and tolerances are module constants: a suite takes only
 ``trials``, ``workers`` and ``outdir``, so identical invocations give
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -357,14 +359,18 @@ SUITE_NAMES = _ALL + ("quick", "all")
 def run_suites(names: Sequence[str], workers: int = 1,
                trials: Optional[int] = None,
                outdir: Optional[str] = None) -> list[SuiteResult]:
-    """Run the named suites (aliases: quick, all) in canonical order.
+    """Run the named suites (aliases: quick, all); results come in canonical
+    order.
 
-    ``workers`` must be at least 0 (0 for all cores).  ``trials``, when
-    given, replaces the trial count of every Monte Carlo suite and must be
-    at least 1; None keeps each suite's own count.  Both are checked before
-    any suite runs.
+    ``workers`` must be at least 0 (0 for all cores).  The suites run side
+    by side on that many threads (at most one per suite), and each campaign
+    suite also spreads its blocks over ``workers`` threads.  Every suite is
+    seeded by its own constants, so any worker count gives the same
+    results, timings aside.  ``trials``, when given, replaces the trial
+    count of every Monte Carlo suite and must be at least 1; None keeps each
+    suite's own count.  Both are checked before any suite runs.
     """
-    pool_size(workers)
+    threads = pool_size(workers)
     campaign = {"workers": workers}
     if trials is not None:
         if trials < 1:
@@ -375,4 +381,6 @@ def run_suites(names: Sequence[str], workers: int = 1,
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
         requested.update({"quick": _QUICK, "all": _ALL}.get(name, (name,)))
-    return [_SUITES[name](campaign, outdir) for name in _ALL if name in requested]
+    selected = [name for name in _ALL if name in requested]
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(selected)))) as pool:
+        return list(pool.map(lambda name: _SUITES[name](campaign, outdir), selected))

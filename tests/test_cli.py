@@ -254,6 +254,31 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "2**22" in err
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"],
+                             ids=["2**64", "negative"])
+    @pytest.mark.parametrize("args", [
+        ("run", "--epsilon", "0.1"),
+        ("run", "--epsilon", "0.1", "--theta", "1"),
+        ("spectrum", "--epsilon", "0.1", "--samples", "5"),
+        ("sweep", "--family", "ideal", "--grid", "0.1", "--trials", "2"),
+    ], ids=["run-random-theta", "run", "spectrum", "sweep"])
+    def test_seed_outside_64_bits_exits_2(self, capsys, args, seed):
+        code, out, err = run_cli(capsys, *args, "--seed", seed)
+        assert code == 2
+        assert out == "" and err == (f"error: seed must be a 64-bit unsigned "
+                                     f"integer, got {seed}\n")
+
+    def test_env_seed_outside_64_bits_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RFE_SEED", str(2 ** 64))
+        code, out, err = run_cli(capsys, "run", "--epsilon", "0.1", "--seed", "1")
+        assert code == 2
+        assert out == "" and "seed must be a 64-bit unsigned integer" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--epsilon", "0.3", "--delta", "0.2",
+                               "--seed", str(2 ** 64 - 1))
+        assert code == 0 and json.loads(out)["config"]["seed"] == 2 ** 64 - 1
+
     def test_bounds_refuses_a_plan_past_the_grid_cap(self, capsys):
         # no run accepts K = 62,831,853,072, so the planner does not certify it
         code, out, err = run_cli(capsys, "bounds", "--epsilon", "1e-10")
@@ -336,8 +361,9 @@ class TestHelp:
 
 class TestDefaults:
     def test_one_worker_by_default(self):
+        # verify runs its suites on every core by default; a sweep on one
         parser = build_parser()
-        assert parser.parse_args(["verify"]).workers == 1
+        assert parser.parse_args(["verify"]).workers == 0
         assert parser.parse_args(["sweep", "--family", "ban", "--grid", "0.0",
                                   "--epsilon", "0.2"]).workers == 1
 
@@ -350,6 +376,14 @@ class TestDefaults:
         src = Path(__file__).resolve().parent.parent / "src"
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import rfe.cli; "
                 "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
+
+    def test_import_does_not_load_multiprocessing(self):
+        # campaigns and verify suites run on threads, never a process pool
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import rfe, rfe.cli; "
+                "assert not [m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing']")
         subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
 
 

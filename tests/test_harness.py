@@ -282,12 +282,45 @@ class TestMonteCarlo:
                 make()
 
 
+def _shift_variance_reference(sigma, K, draws, seed, chunk):
+    """The plain formula: per chunk, eta1 then eta2 from one stream, one FFT
+    of the whole chunk, and its |eta_hat|^2 summed over the draws."""
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(K)
+    done = 0
+    while done < draws:
+        m = min(chunk, draws - done)
+        eta1 = rng.standard_normal((m, K)) * sigma
+        eta2 = rng.standard_normal((m, K)) * sigma
+        shift = np.fft.fft(eta1 + 1j * eta2, axis=1) / K
+        acc += (np.abs(shift) ** 2).sum(axis=0)
+        done += m
+    return acc / draws
+
+
 class TestGaussianShiftVariance:
     def test_variance_law(self):
         sigma, K = 0.5, 31
         variance = gaussian_shift_variance(sigma, K, draws=30000, seed=777)
         target = 2 * sigma ** 2 / K
         assert np.max(np.abs(variance - target) / target) < 0.05
+
+    def test_matches_the_plain_formula_bit_for_bit(self):
+        # 45,000 draws run as chunks of 20,000, 20,000 and 5,000
+        assert harness.SHIFT_VARIANCE_CHUNK == 20000
+        variance = gaussian_shift_variance(0.1, 63, 45000, 3004)
+        reference = _shift_variance_reference(0.1, 63, 45000, 3004, chunk=20000)
+        assert np.array_equal(variance, reference)
+
+    def test_memory_stays_near_one_chunk(self):
+        # the verify suite's call; the plain formula peaks at about 78 MB
+        tracemalloc.start()
+        try:
+            gaussian_shift_variance(0.1, 63, 10 ** 5, 3004)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
 
 
 class TestLemmaScan:

@@ -1,4 +1,7 @@
-"""The suite table of rfe.verify: order, aliases, options and planning."""
+"""The suite table of rfe.verify: order, aliases, options, threads and planning."""
+
+import re
+import threading
 
 import pytest
 
@@ -60,6 +63,44 @@ class TestRunSuites:
         with pytest.raises(ValueError):
             verify.run_suites(["all"], **options)
         assert stub_suites == []
+
+
+def _masked(value):
+    """A suite report with its wall-clock readings taken out."""
+    if isinstance(value, dict):
+        return {key: _masked(item) for key, item in value.items() if key != "elapsed_s"}
+    if isinstance(value, list):
+        return [_masked(item) for item in value]
+    if isinstance(value, str):
+        return re.sub(r"in [0-9.]+ s\b", "in <t> s", value)
+    return value
+
+
+class TestThreads:
+    def test_suites_run_side_by_side(self, monkeypatch):
+        # each stub returns only once the other has started too
+        barrier = threading.Barrier(2, timeout=5)
+        for name in ("oracle", "lemmas"):
+            def stub(name=name):
+                barrier.wait()
+                return verify.SuiteResult(name=name, passed=True, summary="", details={})
+            monkeypatch.setattr(verify, f"suite_{name}", stub)
+        results = verify.run_suites(["lemmas", "oracle"], workers=2)
+        assert [r.name for r in results] == ["oracle", "lemmas"]
+
+    def test_worker_count_does_not_change_the_report(self):
+        inline = verify.run_suites(["all"], workers=1, trials=30)
+        threaded = verify.run_suites(["all"], workers=2, trials=30)
+        assert [_masked(r.to_dict()) for r in threaded] == \
+            [_masked(r.to_dict()) for r in inline]
+        assert [r.name for r in threaded] == CANONICAL
+
+    def test_a_failing_suite_raises_from_its_thread(self, monkeypatch):
+        def broken():
+            raise RuntimeError("suite broke")
+        monkeypatch.setattr(verify, "suite_depth", broken)
+        with pytest.raises(RuntimeError, match="suite broke"):
+            verify.run_suites(["quick"], workers=2)
 
 
 class TestPlanning:
