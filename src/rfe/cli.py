@@ -6,7 +6,8 @@ the seed) produce byte-identical output.  The environment variable
 ``--output`` as JSON or CSV (comma-separated, UTF-8, LF, mandatory header).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (bad flags,
-malformed noise JSON, noise past its threshold).
+malformed noise JSON, noise past its threshold, an output path that cannot
+be written).
 
 Noise models are passed as one JSON object in the wire format of
 :mod:`rfe.noise`, e.g. ``{"kind": "ban", "eta_bar": 0.05, "strategy": "sign_flip"}``.
@@ -15,6 +16,7 @@ Noise models are passed as one JSON object in the wire format of
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -210,6 +212,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.output:
+        # a report that cannot be written fails before the battery runs
+        directory = Path(args.output).parent
+        if not directory.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", str(directory))
     results = run_suites(args.suite, workers=args.workers, trials=args.trials,
                          outdir=args.outdir)
     for result in results:
@@ -338,7 +345,8 @@ def main(argv=None) -> int:
     except BoundsUnachievable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError, OSError) as exc:
+        # the only files a command opens are the outputs it writes
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,8 @@ k_i.  It forms the K coefficient estimates
 where C_k and S_k sum the outcomes drawn at time k, and returns
 theta_hat = (2 pi / K) * argmax_j |f_j| (ties to the smallest j).  The
 per-time sums are sufficient, so the sampler returns only them, and one
-length-K FFT finishes the run: O(K) memory whatever M is.
+length-K FFT, written over the sums themselves, finishes the run: one
+K-long complex array per run whatever M is.
 
 :func:`run_block` is the one engine: it runs B estimations at once, with one
 FFT along the time axis of the (B, K) sums.  Both regimes build the outcome
@@ -38,7 +39,7 @@ import numpy as np
 
 from .bounds import MAX_SAMPLES, bounds_report, check_grid_size, check_seed
 from .noise import Ideal, NoiseModel, biases_at
-from .sampler import OutcomeSums, draw_times, sample_outcome_sums, sums_at_times
+from .sampler import draw_times, sample_outcome_sums, sums_at_times
 from .spectrum import TWO_PI, validate_phase
 
 
@@ -86,11 +87,13 @@ def winning_frequency(coefficients: np.ndarray):
 
 
 def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
-              rng: np.random.Generator) -> tuple[np.ndarray, OutcomeSums]:
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run B independent estimations at once, one per phase in ``thetas``.
 
     Returns the (B, K) coefficient estimates, row b for thetas[b], and the
-    B runs' outcome sums.  The run noise (the Gaussian deviations) and the
+    B runs' total depths and clamp counts.  The coefficients are the
+    sampler's (B, K) sum buffer, transformed in place, so the per-time sums
+    are not kept.  The run noise (the Gaussian deviations) and the
     biases are built in one place for both regimes, at the times ``ks``:
     every time of the grid, one row per run, when M > K, and the distinct
     (run, time) cells of the drawn indices, in sorted order, when M <= K.
@@ -128,9 +131,9 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
         sums = sample_outcome_sums(bx, by, M, rng)
     else:
         sums = sums_at_times(times, bx, by, rng)
-    coefficients = np.fft.fft(sums.z, axis=1)
+    coefficients = np.fft.fft(sums.z, axis=1, out=sums.z)
     coefficients /= M
-    return coefficients, sums
+    return coefficients, sums.total_depth, sums.clamp_count
 
 
 def run_rfe(config: RunConfig) -> TrialResult:
@@ -139,11 +142,11 @@ def run_rfe(config: RunConfig) -> TrialResult:
     give bitwise-equal results."""
     K = int(config.grid_size)
     rng = np.random.default_rng(int(config.seed))
-    coefficients, sums = run_block([config.theta], config.samples, K, config.noise, rng)
+    coefficients, depth, clamps = run_block([config.theta], config.samples, K,
+                                            config.noise, rng)
     j = int(winning_frequency(coefficients)[0])
     spectrum = SpectrumEstimate(coefficients=coefficients[0], samples_used=int(config.samples),
-                                total_depth=int(sums.total_depth[0]),
-                                clamp_count=int(sums.clamp_count[0]))
+                                total_depth=int(depth[0]), clamp_count=int(clamps[0]))
     return TrialResult(theta_hat=TWO_PI * j / K, winning_index=j, spectrum=spectrum)
 
 

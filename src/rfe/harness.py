@@ -269,7 +269,7 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
         if samples == 0:
             theta_hat = no_sample_result(grid).theta_hat
         else:
-            coefficients, _ = run_block(thetas, samples, grid, query.noise, rng)
+            coefficients = run_block(thetas, samples, grid, query.noise, rng)[0]
             theta_hat = TWO_PI * winning_frequency(coefficients) / grid
         return int(np.count_nonzero(np.abs(theta_hat - thetas) <= query.epsilon))
 
@@ -311,7 +311,8 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
         power = eta[0]
         for start in range(0, m, SHIFT_VARIANCE_FFT_ROWS):
             rows = slice(start, start + SHIFT_VARIANCE_FFT_ROWS)
-            shift = np.fft.fft(eta[0, rows] + 1j * eta[1, rows], axis=1)
+            shift = eta[0, rows] + 1j * eta[1, rows]
+            np.fft.fft(shift, axis=1, out=shift)
             shift /= K
             np.abs(shift, out=power[rows])
         np.square(power, out=power)

@@ -295,6 +295,35 @@ class TestExitCodes:
                                "--theta", "1.0")
         assert code == 0 and len(out.splitlines()) == 101
 
+    @pytest.mark.parametrize("where", ["missing", "under_a_file"])
+    @pytest.mark.parametrize("args", [
+        ("bounds", "--epsilon", "0.1"),
+        ("bounds", "--epsilon", "0.1", "--format", "csv"),
+        ("run", "--epsilon", "0.3", "--theta", "1.0"),
+        ("run", "--epsilon", "0.3", "--theta", "1.0", "--format", "csv"),
+        ("spectrum", "--epsilon", "0.3", "--theta", "1.0"),
+        ("sweep", "--family", "ideal", "--grid", "0.3", "--trials", "2"),
+        ("verify", "--suite", "thresholds"),
+    ], ids=["bounds", "bounds-csv", "run", "run-csv", "spectrum", "sweep", "verify"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, args, where):
+        # exit 1 means a failed verification; an output path that cannot be
+        # written is bad input, reported in one line.  verify refuses it
+        # before its battery runs, so it prints no suite lines.
+        (tmp_path / "file").write_text("")
+        target = tmp_path / ("missing" if where == "missing" else "file") / "out"
+        code, out, err = run_cli(capsys, *args, "--output", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert str(target.parent) in err
+
+    def test_verify_outdir_under_a_file_exits_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "verify", "--suite", "demo",
+                                 "--outdir", str(blocker / "artifacts"))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_epsilon_too_small_to_plan_exits_2(self, capsys):
         for args in (("run", "--epsilon", "5e-324", "--theta", "1.0"),
                      ("run", "--epsilon", "1e-320", "--samples", "3", "--theta", "1.0"),

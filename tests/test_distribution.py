@@ -195,12 +195,13 @@ HUGE_SIGMA = 1e9
 
 
 @pytest.mark.parametrize("plan", sorted(PLANS))
-def test_gaussian_deviation_is_shared_within_a_run_and_fresh_between_runs(plan):
+def test_gaussian_deviation_is_shared_within_a_run_and_fresh_between_runs(plan, drawn_sums):
     K, M = PLANS[plan]
-    _, sums = run_block(np.full(RUN_NOISE_BLOCK, 1.1), M, K, Gaussian(HUGE_SIGMA),
-                        np.random.default_rng(23))
-    c, s = np.rint(sums.z.real).astype(np.int64), np.rint(sums.z.imag).astype(np.int64)
-    assert np.all(sums.clamp_count == M)
+    _, _, clamp_count = run_block(np.full(RUN_NOISE_BLOCK, 1.1), M, K, Gaussian(HUGE_SIGMA),
+                                  np.random.default_rng(23))
+    [z] = drawn_sums
+    c, s = np.rint(z.real).astype(np.int64), np.rint(z.imag).astype(np.int64)
+    assert np.all(clamp_count == M)
     # Samples of one run at one time share its deviation, so they agree:
     # |sum c_k| = |sum s_k| = n_k, and the counts add up to M.
     n = np.abs(c)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rfe.estimator
 from rfe.bounds import MAX_GRID_SIZE, BoundsUnachievable, bounds_report
 from rfe.estimator import (
     RunConfig,
@@ -228,7 +229,7 @@ class TestRunBlock:
         assert result.spectrum.clamp_count == sums.clamp_count[0]
 
     @pytest.mark.parametrize("M", [1, 40, 63])
-    def test_sparse_run_follows_the_documented_draw_order(self, M):
+    def test_sparse_run_follows_the_documented_draw_order(self, M, drawn_sums):
         # M <= K: one run and a block of three match the written-out order
         # bit for bit; sigma = 0.5 clamps some samples.
         K, sigma = 63, 0.5
@@ -240,12 +241,13 @@ class TestRunBlock:
         assert result.spectrum.clamp_count == clamps[0]
         thetas = [0.4, 1.7, 2.9]
         coefficients, z, depth, clamps = sparse_reference(thetas, M, K, sigma, 32)
-        block, sums = run_block(thetas, M, K, Gaussian(sigma), np.random.default_rng(32))
-        assert np.array_equal(block, coefficients) and np.array_equal(sums.z, z)
-        assert list(sums.total_depth) == list(depth)
-        assert list(sums.clamp_count) == list(clamps)
+        block, block_depth, block_clamps = run_block(thetas, M, K, Gaussian(sigma),
+                                                     np.random.default_rng(32))
+        assert np.array_equal(block, coefficients) and np.array_equal(drawn_sums[-1], z)
+        assert list(block_depth) == list(depth)
+        assert list(block_clamps) == list(clamps)
 
-    def test_sparse_run_touches_only_sampled_times(self, monkeypatch):
+    def test_sparse_run_touches_only_sampled_times(self, monkeypatch, drawn_sums):
         # The fine_grid grid with 10 samples: the run noise holds at most 2M
         # normals and the biases are built at no more than M times; only the
         # sums, the FFT and the peak pick are K long.
@@ -273,11 +275,45 @@ class TestRunBlock:
         for noise in (Gaussian(0.01), GaussianLinear(1e-6)):
             normals.clear()
             bias_sizes.clear()
-            coefficients, sums = run_block([1.3], M, K, noise, CountingGenerator(5))
-            assert coefficients.shape == sums.z.shape == (1, K)
+            coefficients = run_block([1.3], M, K, noise, CountingGenerator(5))[0]
+            assert coefficients.shape == drawn_sums[-1].shape == (1, K)
             assert 0 < sum(normals) <= 2 * M
             assert bias_sizes and max(bias_sizes) <= M
-            assert np.count_nonzero(sums.z) <= M
+            assert np.count_nonzero(drawn_sums[-1]) <= M
+
+    @pytest.mark.parametrize("M", [5, 5000], ids=["sparse", "dense"])
+    def test_coefficients_overwrite_the_sum_buffer(self, monkeypatch, M):
+        # the FFT writes over the sampler's (B, K) sums, so a run holds one
+        # K-long complex array, not a second one for its coefficients
+        drawn = []
+
+        def recording(draw):
+            def wrapper(*args):
+                drawn.append(draw(*args))
+                return drawn[-1]
+            return wrapper
+
+        for name in ("sample_outcome_sums", "sums_at_times"):
+            monkeypatch.setattr(rfe.estimator, name, recording(getattr(rfe.estimator, name)))
+        coefficients = run_block([0.4, 1.7], M, 63, Gaussian(0.1), np.random.default_rng(4))[0]
+        [sums] = drawn
+        assert coefficients.shape == (2, 63)
+        assert np.shares_memory(coefficients, sums.z)
+
+    def test_fine_grid_run_peaks_under_two_grid_long_arrays(self):
+        # epsilon = 1e-4, Gaussian sigma = 0.01: K = 62,832 and M = 6,169.  The
+        # 1 MB sum buffer becomes the coefficients and the peak pick's |f|
+        # adds 0.5 MB; a separate FFT output would add another 1 MB.
+        noise = Gaussian(0.01)
+        estimate_phase(1e-4, 0.1, noise, theta=1.3, seed=1)  # first-call setup
+        tracemalloc.start()
+        try:
+            result = estimate_phase(1e-4, 0.1, noise, theta=1.3, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.spectrum.coefficients.size == 62832
+        assert peak < 1.7 * 2 ** 20
 
     def test_rejects_grids_past_the_cap(self):
         rng = np.random.default_rng(8)
@@ -292,16 +328,17 @@ class TestRunBlock:
         # sqrt(2 sigma^2 / K) = 0.025.  Rows sharing one noise draw would
         # agree to the sampling scale.
         B, K, sigma, M = 200, 8, 0.05, 10 ** 6
-        coefficients, _ = run_block(np.full(B, 1.0), M, K, Gaussian(sigma),
-                                    np.random.default_rng(5))
+        coefficients = run_block(np.full(B, 1.0), M, K, Gaussian(sigma),
+                                 np.random.default_rng(5))[0]
         spread = coefficients.var(axis=0).mean()  # mean over j of E|f_j - mean f_j|^2
         assert 0.7 < spread / (2 * sigma ** 2 / K) < 1.3
 
     def test_rows_follow_their_own_phases(self):
         thetas = TWO_PI * np.array([1, 5, 2, 7]) / 8
-        coefficients, sums = run_block(thetas, 10 ** 4, 8, Ideal(), np.random.default_rng(6))
+        coefficients, depth, clamps = run_block(thetas, 10 ** 4, 8, Ideal(),
+                                                np.random.default_rng(6))
         assert list(winning_frequency(coefficients)) == [1, 5, 2, 7]
-        assert sums.z.shape == (4, 8) and sums.total_depth.shape == (4,)
+        assert coefficients.shape == (4, 8) and depth.shape == clamps.shape == (4,)
 
     def test_rejects_bad_phases_and_counts(self):
         rng = np.random.default_rng(7)
