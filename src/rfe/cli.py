@@ -217,6 +217,12 @@ def _cmd_verify(args) -> int:
         directory = Path(args.output).parent
         if not directory.is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory", str(directory))
+    if args.outdir is not None:
+        # so does an artifact directory that is, or lies under, a file
+        outdir = Path(args.outdir)
+        existing = next((path for path in (outdir, *outdir.parents) if path.exists()), outdir)
+        if not existing.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(existing))
     results = run_suites(args.suite, workers=args.workers, trials=args.trials,
                          outdir=args.outdir)
     for result in results:

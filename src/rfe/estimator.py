@@ -132,7 +132,9 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     else:
         sums = sums_at_times(times, bx, by, rng)
     coefficients = np.fft.fft(sums.z, axis=1, out=sums.z)
-    coefficients /= M
+    # numpy's complex division by M runs a scalar loop; scaling both parts by
+    # 1/M is the product it forms, so the bits agree wherever no part is -0.0
+    coefficients.view(float)[...] *= 1.0 / M
     return coefficients, sums.total_depth, sums.clamp_count
 
 

@@ -21,9 +21,10 @@ Three kinds of checks live here:
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,7 +46,7 @@ from .spectrum import (
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
     TWO_PI,
-    dirichlet_kernel,
+    kernel_magnitude,
     validate_phase,
 )
 
@@ -57,8 +58,8 @@ WILSON_Z_95 = 1.959963984540054
 SCAN_TOLERANCE = 1e-12
 # Gaussian shift-variance draws are made this many (draws, K) rows at a time.
 SHIFT_VARIANCE_CHUNK = 20000
-# ... and transformed this many rows at a time, so the complex temporaries
-# stay small next to the chunk.
+# ... and this many rows at a time get their eta2 drawn and are transformed,
+# so every buffer but the chunk's eta1 stays small next to it.
 SHIFT_VARIANCE_FFT_ROWS = 1024
 
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
@@ -179,14 +180,7 @@ class SuccessStats:
     delta_used: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "rate": self.rate,
-            "wilson_ci_95": list(self.wilson_ci_95),
-            "epsilon_used": self.epsilon_used,
-            "delta_used": self.delta_used,
-        }
+        return {**asdict(self), "wilson_ci_95": list(self.wilson_ci_95)}
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -291,7 +285,8 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
     For each draw, eta_hat[j] = mean_k (eta1[k] + i eta2[k]) exp(-2 pi i jk/K)
     with 2K i.i.d. N(0, sigma^2) deviations; returns the per-j mean of
     |eta_hat|^2 over ``draws`` draws.  The analytic value is 2 sigma^2 / K for
-    every j.
+    every j.  A chunk draws its eta1 rows, then its eta2 rows, as one (2, chunk,
+    K) draw would, and only eta1 is held whole (10 MB at the suite's K = 63).
     """
     K = int(grid_size)
     draws = int(draws)
@@ -299,22 +294,27 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
         raise ValueError("need grid size >= 1 and draws >= 1")
     rng = np.random.default_rng(int(seed))
     acc = np.zeros(K)
-    # One buffer serves every chunk: eta1 rows, then eta2 rows, drawn in
-    # that order; the eta1 rows are then overwritten by |eta_hat|^2.
-    buffer = np.empty(2 * min(SHIFT_VARIANCE_CHUNK, draws) * K)
+    # A chunk's eta1 rows, each overwritten by |eta_hat| once transformed.  Freeing
+    # a malloc'd block this size lifts glibc's mmap threshold to it, after which each
+    # thread's arena may keep twice as much freed memory, so it is mapped instead.
+    buffer = np.frombuffer(mmap.mmap(-1, min(SHIFT_VARIANCE_CHUNK, draws) * K * 8))
+    eta2 = np.empty((min(SHIFT_VARIANCE_FFT_ROWS, draws), K))
+    block = np.empty(eta2.shape, dtype=complex)
     done = 0
     while done < draws:
         m = min(SHIFT_VARIANCE_CHUNK, draws - done)
-        eta = buffer[:2 * m * K].reshape(2, m, K)
-        rng.standard_normal(out=eta)
-        eta *= sigma
-        power = eta[0]
+        power = buffer[:m * K].reshape(m, K)
+        rng.standard_normal(out=power)
+        power *= sigma
         for start in range(0, m, SHIFT_VARIANCE_FFT_ROWS):
-            rows = slice(start, start + SHIFT_VARIANCE_FFT_ROWS)
-            shift = eta[0, rows] + 1j * eta[1, rows]
+            rows = power[start:start + SHIFT_VARIANCE_FFT_ROWS]
+            shift, imag = block[:len(rows)], eta2[:len(rows)]
+            shift.real = rows
+            rng.standard_normal(out=imag)
+            np.multiply(imag, sigma, out=shift.imag)
             np.fft.fft(shift, axis=1, out=shift)
-            shift /= K
-            np.abs(shift, out=power[rows])
+            shift.view(float)[...] *= 1.0 / K
+            np.abs(shift, out=rows)
         np.square(power, out=power)
         acc += power.sum(axis=0)
         done += m
@@ -341,26 +341,16 @@ class LemmaScanReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k_values": [int(k) for k in self.k_values],
-            "n_theta": self.n_theta,
-            "tolerance": self.tolerance,
-            "points_checked": self.points_checked,
-            "violation_count": self.violation_count,
-            "violations": list(self.violations),
-            "min_close_magnitude": self.min_close_magnitude,
-            "max_non_adjacent_magnitude": self.max_non_adjacent_magnitude,
-            "close_margin": self.close_margin,
-            "non_adjacent_margin": self.non_adjacent_margin,
-            "envelope_margin": self.envelope_margin,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "k_values": list(self.k_values),
+                "violations": list(self.violations)}
 
 
 def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     """Scan theta in [0, pi] and every index j, checking the magnitude floor
     2/pi for close frequencies and the caps 10/(9 pi) and 1/(2 sqrt 2) for
-    non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE."""
+    non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE.
+    The magnitudes come from :func:`rfe.spectrum.kernel_magnitude`, and a K
+    gets a per-point violation mask only when its extremes break a bound."""
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 4 or max(k_values) > 1024:
         raise ValueError("k_values must be a non-empty subset of [4, 1024]")
@@ -376,7 +366,7 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     for K in k_values:
         tone = K * thetas / TWO_PI                           # (n_theta,)
         x = np.arange(K)[:, None] - tone[None, :]            # (K, n_theta)
-        mags = np.abs(dirichlet_kernel(x, K))
+        mags = kernel_magnitude(x, K)
         # x lies in [-K/2, K - 1], so |x| needs no reduction mod K before
         # the circular distance min(|x|, K - |x|)
         d = np.abs(x)
@@ -384,14 +374,15 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
         points += mags.size
         close = d <= 0.5
         nonadj = d >= 1.0
-        if np.any(close):
-            min_close = min(min_close, float(mags[close].min()))
-        if np.any(nonadj):
-            max_nonadj = max(max_nonadj, float(mags[nonadj].max()))
-        bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE))
-               | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + SCAN_TOLERANCE))
-               | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + SCAN_TOLERANCE)))
-        if np.any(bad):
+        k_close = float(np.min(mags, where=close, initial=math.inf))
+        k_nonadj = float(np.max(mags, where=nonadj, initial=0.0))
+        min_close, max_nonadj = min(min_close, k_close), max(max_nonadj, k_nonadj)
+        # negated, so that a NaN extreme builds the mask too
+        if not (k_close >= CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE and k_nonadj <= min(
+                NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + SCAN_TOLERANCE):
+            bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE))
+                   | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + SCAN_TOLERANCE))
+                   | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + SCAN_TOLERANCE)))
             j_bad, t_bad = np.nonzero(bad)
             violation_count += j_bad.size
             for j_idx, t_idx in zip(j_bad[:5], t_bad[:5]):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -353,6 +353,9 @@ _SUITES = {
 }
 _QUICK = ("oracle", "lemmas", "thresholds", "reductions", "depth")
 _ALL = tuple(_SUITES)
+# The longest suites start first, so that none is left to run alone at the end.
+_START_ORDER = ("gaussian", "lemmas", "oracle", "thresholds", "reductions",
+                "depth", "noiseless", "adversarial", "demo")
 SUITE_NAMES = _ALL + ("quick", "all")
 
 
@@ -364,11 +367,14 @@ def run_suites(names: Sequence[str], workers: int = 1,
 
     ``workers`` must be at least 0 (0 for all cores).  The suites run side
     by side on that many threads (at most one per suite), and each campaign
-    suite also spreads its blocks over ``workers`` threads.  Every suite is
-    seeded by its own constants, so any worker count gives the same
-    results, timings aside.  ``trials``, when given, replaces the trial
-    count of every Monte Carlo suite and must be at least 1; None keeps each
-    suite's own count.  Both are checked before any suite runs.
+    suite also spreads its blocks over ``workers`` threads.  They start in
+    ``_START_ORDER``, longest first, whatever order the results come in; a
+    suite starts only when a thread is free, and once one raises, no other
+    starts and its error is re-raised.  Every suite is seeded by its own
+    constants, so any worker count or start order gives the same results,
+    timings aside.  ``trials``, when given, replaces the trial count of
+    every Monte Carlo suite and must be at least 1; None keeps each suite's
+    own count.  Both are checked before any suite runs.
     """
     threads = pool_size(workers)
     campaign = {"workers": workers}
@@ -381,6 +387,14 @@ def run_suites(names: Sequence[str], workers: int = 1,
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
         requested.update({"quick": _QUICK, "all": _ALL}.get(name, (name,)))
-    selected = [name for name in _ALL if name in requested]
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(selected)))) as pool:
-        return list(pool.map(lambda name: _SUITES[name](campaign, outdir), selected))
+    waiting = [name for name in _START_ORDER if name in requested]
+    results, running = {}, {}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        while waiting or running:
+            while waiting and len(running) < threads:
+                name = waiting.pop(0)
+                running[pool.submit(_SUITES[name], campaign, outdir)] = name
+            for future in wait(running, return_when=FIRST_COMPLETED).done:
+                # the first error leaves the loop, so no further suite starts
+                results[running.pop(future)] = future.result()
+    return [results[name] for name in _ALL if name in requested]

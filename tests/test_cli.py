@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rfe.verify
 from rfe.cli import CliConfig, build_parser, main
 from rfe.noise import MODELS, noise_from_dict
 
@@ -323,6 +324,25 @@ class TestExitCodes:
                                  "--outdir", str(blocker / "artifacts"))
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("outdir", [".", "artifacts", "artifacts/deeper"])
+    def test_verify_refuses_an_outdir_at_or_under_a_file_before_any_suite(
+            self, capsys, monkeypatch, tmp_path, outdir):
+        calls = []
+        for name in rfe.verify._SUITES:
+            def stub(name=name, **options):
+                calls.append(name)
+                return rfe.verify.SuiteResult(name=name, passed=True, summary="",
+                                              details={})
+            monkeypatch.setattr(rfe.verify, f"suite_{name}", stub)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "verify", "--outdir", str(blocker / outdir))
+        assert code == 2 and calls == []
+        assert out == "" and err == f"error: [Errno 20] not a directory: '{blocker}'\n"
+        # a directory that does not exist yet is made by the demo suite
+        code, out, _ = run_cli(capsys, "verify", "--outdir", str(tmp_path / "new" / "dir"))
+        assert code == 0 and len(calls) == len(rfe.verify._SUITES)
 
     def test_epsilon_too_small_to_plan_exits_2(self, capsys):
         for args in (("run", "--epsilon", "5e-324", "--theta", "1.0"),

@@ -300,6 +300,19 @@ class TestRunBlock:
         assert coefficients.shape == (2, 63)
         assert np.shares_memory(coefficients, sums.z)
 
+    @pytest.mark.parametrize("M", [1, 7, 63, 64, 5000], ids=lambda M: f"M{M}")
+    @pytest.mark.parametrize("K", [1, 2, 4, 63, 64])
+    def test_scaling_by_one_over_m_is_numpys_division(self, drawn_sums, K, M):
+        # the coefficients are the FFT of the sums divided by M, bit for bit
+        # and zero signs included, in both regimes; phases on the grid and
+        # at pi make some sums and coefficients cancel to exactly zero
+        thetas = [0.0, 0.4, math.pi, 1.7, TWO_PI * (K - 1) / K, 2.9]
+        for seed, noise in enumerate((Ideal(), Gaussian(0.1), Ban(0.05))):
+            coefficients = run_block(thetas, M, K, noise, np.random.default_rng(seed))[0]
+            reference = np.fft.fft(drawn_sums[-1], axis=1)
+            reference /= M
+            assert np.array_equal(coefficients.view(np.int64), reference.view(np.int64))
+
     def test_fine_grid_run_peaks_under_two_grid_long_arrays(self):
         # epsilon = 1e-4, Gaussian sigma = 0.01: K = 62,832 and M = 6,169.  The
         # 1 MB sum buffer becomes the coefficients and the peak pick's |f|

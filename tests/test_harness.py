@@ -22,7 +22,14 @@ from rfe.harness import (
     wilson_interval,
 )
 from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
-from rfe.spectrum import expected_spectrum
+from rfe.spectrum import (
+    CLOSE_MAGNITUDE_MIN,
+    NON_ADJACENT_ENVELOPE_MAX,
+    NON_ADJACENT_MAGNITUDE_MAX,
+    dirichlet_kernel,
+    expected_spectrum,
+    kernel_magnitude,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -312,15 +319,64 @@ class TestGaussianShiftVariance:
         reference = _shift_variance_reference(0.1, 63, 45000, 3004, chunk=20000)
         assert np.array_equal(variance, reference)
 
-    def test_memory_stays_near_one_chunk(self):
-        # the verify suite's call; the plain formula peaks at about 78 MB
+    def test_memory_stays_near_one_chunk(self, monkeypatch):
+        # the verify suite's call; the plain formula peaks at about 78 MB.
+        # tracemalloc does not see the mapped eta1 chunk, so maps are counted.
+        mapped = []
+        real_mmap = harness.mmap.mmap
+
+        def counting(fileno, length):
+            mapped.append(length)
+            return real_mmap(fileno, length)
+
+        monkeypatch.setattr(harness.mmap, "mmap", counting)
         tracemalloc.start()
         try:
             gaussian_shift_variance(0.1, 63, 10 ** 5, 3004)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2 ** 20
+        # one chunk of eta1 is 10 MB; both halves of a chunk would be 20 MB
+        assert mapped == [20000 * 63 * 8]
+        assert peak + sum(mapped) <= 16 * 2 ** 20
+
+
+def _full_mask_scan(k_values, n_theta, magnitude):
+    """lemma_bound_scan's report as the scan first computed it: every
+    point's violation mask on every K, and the extremes by boolean
+    indexing."""
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    tol = harness.SCAN_TOLERANCE
+    violations, count, points = [], 0, 0
+    min_close, max_nonadj = math.inf, 0.0
+    for K in k_values:
+        x = np.arange(K)[:, None] - (K * thetas / TWO_PI)[None, :]
+        mags = magnitude(x, K)
+        d = np.minimum(np.abs(x), K - np.abs(x))
+        points += mags.size
+        close, nonadj = d <= 0.5, d >= 1.0
+        if np.any(close):
+            min_close = min(min_close, float(mags[close].min()))
+        if np.any(nonadj):
+            max_nonadj = max(max_nonadj, float(mags[nonadj].max()))
+        bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - tol))
+               | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + tol))
+               | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + tol)))
+        j_bad, t_bad = np.nonzero(bad)
+        count += j_bad.size
+        for j, t in zip(j_bad[:5], t_bad[:5]):
+            if len(violations) < 20:
+                violations.append({"K": K, "j": int(j), "theta": float(thetas[t]),
+                                   "magnitude": float(mags[j, t]),
+                                   "distance": float(d[j, t])})
+    return {"k_values": list(k_values), "n_theta": n_theta, "tolerance": tol,
+            "points_checked": points, "violation_count": count,
+            "violations": violations, "min_close_magnitude": min_close,
+            "max_non_adjacent_magnitude": max_nonadj,
+            "close_margin": min_close - CLOSE_MAGNITUDE_MIN,
+            "non_adjacent_margin": NON_ADJACENT_MAGNITUDE_MAX - max_nonadj,
+            "envelope_margin": NON_ADJACENT_ENVELOPE_MAX - max_nonadj,
+            "passed": count == 0}
 
 
 class TestLemmaScan:
@@ -341,6 +397,27 @@ class TestLemmaScan:
         assert report.violation_count == 0
         assert report.min_close_magnitude == float.fromhex("0x1.45f527836f61ep-1")
         assert report.max_non_adjacent_magnitude == float.fromhex("0x1.16b28e944a588p-2")
+
+    def test_default_scan_matches_the_full_mask_scan(self):
+        def signed_kernel(x, K):
+            return np.abs(dirichlet_kernel(x, K))
+
+        assert lemma_bound_scan(range(4, 129), 1000).to_dict() == \
+            _full_mask_scan(range(4, 129), 1000, signed_kernel)
+
+    @pytest.mark.parametrize("scale", [0.9, 2.0])
+    def test_a_scaled_kernel_reports_the_full_mask_violations(self, monkeypatch, scale):
+        # 0.9 breaks the close floor, 2.0 both non-adjacent caps
+        def scaled(x, K):
+            return scale * kernel_magnitude(x, K)
+
+        monkeypatch.setattr(harness, "kernel_magnitude", scaled)
+        report = lemma_bound_scan(range(4, 41), 200).to_dict()
+        reference = _full_mask_scan(range(4, 41), 200, scaled)
+        assert reference["violation_count"] > len(reference["violations"]) > 5
+        assert report["violation_count"] == reference["violation_count"]
+        assert report["violations"] == reference["violations"]
+        assert report == reference
 
     def test_report_serializes(self):
         report = lemma_bound_scan((4, 8, 16), 50)

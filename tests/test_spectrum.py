@@ -13,6 +13,7 @@ from rfe.spectrum import (
     NON_ADJACENT_MAGNITUDE_MAX,
     dirichlet_kernel,
     expected_spectrum,
+    kernel_magnitude,
     validate_phase,
 )
 
@@ -145,6 +146,27 @@ class TestKernelBitIdentity:
                 got = dirichlet_kernel(x, K)
                 assert isinstance(got, float)
                 assert _bits(got) == _bits(_reference_kernel(x, K)), x
+
+    @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
+    def test_magnitude_is_the_kernel_abs(self, K):
+        rng = np.random.default_rng(K)
+        xs = _kernel_inputs(K, rng)
+        with np.errstate(invalid="ignore"):
+            for values in (xs, xs[np.abs(xs) < K]):
+                assert np.array_equal(_bits(kernel_magnitude(values, K)),
+                                      _bits(np.abs(dirichlet_kernel(values, K))))
+            for x in xs[::97].tolist() + [0.0, -0.0, K / 2.0, math.nan, -math.inf]:
+                got = kernel_magnitude(x, K)
+                assert isinstance(got, float)
+                assert _bits(got) == _bits(abs(dirichlet_kernel(x, K))), x
+
+    def test_magnitude_is_the_kernel_abs_on_the_scan_grid(self):
+        # the (K, theta) points of rfe verify's lemma scan
+        thetas = np.linspace(0.0, math.pi, 1000)
+        for K in range(4, 129):
+            x = np.arange(K)[:, None] - (K * thetas / TWO_PI)[None, :]
+            assert np.array_equal(_bits(kernel_magnitude(x, K)),
+                                  _bits(np.abs(dirichlet_kernel(x, K)))), K
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_mod_period_matches_floor_mod(self, K):

@@ -10,6 +10,9 @@ from rfe import bounds, estimator, harness, verify
 CANONICAL = ["oracle", "lemmas", "thresholds", "reductions", "depth",
              "noiseless", "adversarial", "gaussian", "demo"]
 QUICK = CANONICAL[:5]
+# the longest suites start first; results still come in canonical order
+START = ["gaussian", "lemmas", "oracle", "thresholds", "reductions", "depth",
+         "noiseless", "adversarial", "demo"]
 
 
 @pytest.fixture
@@ -37,7 +40,12 @@ class TestRunSuites:
     ])
     def test_aliases_expand_in_canonical_order(self, stub_suites, names, expected):
         assert [r.name for r in verify.run_suites(names)] == expected
-        assert [name for name, _ in stub_suites] == expected
+        # one thread calls the suites in start order
+        assert [name for name, _ in stub_suites] == [n for n in START if n in expected]
+
+    def test_start_order_lists_every_suite_once(self):
+        assert list(verify._START_ORDER) == START
+        assert sorted(START) == sorted(CANONICAL)
 
     def test_unknown_name_raises(self, stub_suites):
         with pytest.raises(ValueError, match="unknown suite 'laws'"):
@@ -101,6 +109,36 @@ class TestThreads:
         monkeypatch.setattr(verify, "suite_depth", broken)
         with pytest.raises(RuntimeError, match="suite broke"):
             verify.run_suites(["quick"], workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_first_error_starts_no_further_suite(self, stub_suites, monkeypatch,
+                                                     workers):
+        # gaussian starts first and raises.  On two threads lemmas runs next
+        # to it, held until run_suites has seen the error, so no thread
+        # comes free for oracle before then.
+        seen_error = threading.Event()
+        real_wait = verify.wait
+
+        def watching(futures, return_when):
+            finished = real_wait(futures, return_when=return_when)
+            if any(future.exception() for future in finished.done):
+                seen_error.set()
+            return finished
+
+        def gaussian(**options):
+            raise RuntimeError("gaussian broke")
+
+        def lemmas():
+            stub_suites.append(("lemmas", {}))
+            assert seen_error.wait(5)
+            return verify.SuiteResult(name="lemmas", passed=True, summary="", details={})
+
+        monkeypatch.setattr(verify, "wait", watching)
+        monkeypatch.setattr(verify, "suite_gaussian", gaussian)
+        monkeypatch.setattr(verify, "suite_lemmas", lemmas)
+        with pytest.raises(RuntimeError, match="gaussian broke"):
+            verify.run_suites(["all"], workers=workers)
+        assert [name for name, _ in stub_suites] == START[1:workers]
 
 
 class TestPlanning:
