@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -236,7 +236,9 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
     all cores) sets the threads, at most one per block, that whole blocks
     are distributed over; it cannot change the statistics.  numpy releases
     the interpreter lock in its generator fills, ufunc loops and FFTs, so
-    blocks overlap on threads.
+    blocks overlap on threads.  At most two blocks per thread are submitted
+    at a time, so memory does not grow with ``trials``, and after the first
+    error no further block starts and the error is re-raised.
     """
     trials = int(trials)
     if trials < 1:
@@ -253,13 +255,13 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
         grid, samples = plan.grid_size, plan.samples
     check_grid_size(grid)
     block = max(1, BLOCK_CELLS // grid)
-    sizes = [min(block, trials - start) for start in range(0, trials, block)]
+    blocks = -(-trials // block)
     master_seed = int(master_seed)
 
-    def block_successes(index: int, size: int) -> int:
+    def block_successes(index: int) -> int:
         """Successes among one block's trials: phases, then one run per phase."""
         rng = block_rng(master_seed, index)
-        thetas = theta_sampling.draw(rng, size)
+        thetas = theta_sampling.draw(rng, min(block, trials - index * block))
         if samples == 0:
             theta_hat = no_sample_result(grid).theta_hat
         else:
@@ -267,12 +269,24 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
             theta_hat = TWO_PI * winning_frequency(coefficients) / grid
         return int(np.count_nonzero(np.abs(theta_hat - thetas) <= query.epsilon))
 
-    threads = min(workers, len(sizes))
+    threads = min(workers, blocks)
     if threads == 1:
-        successes = sum(map(block_successes, range(len(sizes)), sizes))
+        successes = sum(map(block_successes, range(blocks)))
     else:
+        successes = 0
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            successes = sum(pool.map(block_successes, range(len(sizes)), sizes))
+            running = set()
+            try:
+                for index in range(blocks):
+                    if len(running) == 2 * threads:
+                        done, running = wait(running, return_when=FIRST_COMPLETED)
+                        successes += sum(future.result() for future in done)
+                    running.add(pool.submit(block_successes, index))
+                successes += sum(future.result() for future in wait(running).done)
+            finally:
+                # after an error, the blocks queued behind it never start
+                for future in running:
+                    future.cancel()
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),
                         epsilon_used=query.epsilon, delta_used=query.delta)

@@ -8,23 +8,25 @@ and s, the total depth sum k and the clamp count, so the sampler returns
 those and nothing per sample.
 
 There are two ways to draw the sums.  :func:`sample_outcome_sums` draws the
-per-time counts and sums straight from (B, K) bias tables, one run per row:
-O(K) work per run whatever M is, which pays when M > K.  With M <= K most
-times get no sample, so the times come first: :func:`draw_times` draws the
-(B, M) time indices and finds the distinct (run, time) cells among them,
-the caller evaluates the biases at those cells only (and draws any run
-noise there, so repeated times in a run share it), and
-:func:`sums_at_times` draws one outcome pair per sample and accumulates
-them.  That is O(M) work plus one zeroed length-K buffer per run.
+per-time counts, then the c and s sums in one binomial call over (2, B, K)
+likelihoods, from (B, K) bias tables, one run per row: O(K) work per run
+whatever M is, which pays when M > K.  With M <= K most times get no sample,
+so the times come first: :func:`draw_times` draws the (B, M) time indices
+and finds the distinct (run, time) cells among them, the caller evaluates
+the biases at those cells only (and draws any run noise there, so repeated
+times in a run share it), and :func:`sums_at_times` draws one outcome pair
+per sample and accumulates them.  That is O(M) work plus one zeroed length-K
+buffer per run.
 
 Biases outside [-1, 1] make the raw probabilities non-physical; they are
 clamped to [0, 1] and every sample drawn at such a time counts as a clamp
 event, so experiments can see how often a noise model left the physical
-regime.
+regime.  The clamp passes run only when a probability leaves [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,25 +48,25 @@ class OutcomeSums:
     clamp_count: np.ndarray  # (B,) samples drawn at a time whose likelihood was clamped
 
 
-def _finite_pair(bx, by, ndim=1) -> tuple[np.ndarray, np.ndarray]:
-    bx = np.asarray(bx, dtype=float)
-    by = np.asarray(by, dtype=float)
-    if bx.shape != by.shape or bx.ndim != ndim:
+def _likelihoods(bx, by, ndim=1):
+    """Pr(+1) of c and of s, clamped to [0, 1], as rows 0 and 1 of one array,
+    and where either row needed clamping: None when no probability left
+    [0, 1], as the clamp passes would find nothing.  Raises ValueError on a
+    NaN or infinite bias."""
+    if np.shape(bx) != np.shape(by) or np.ndim(bx) != ndim:
         raise ValueError(f"bias arrays must have equal shapes and {ndim} dimension(s)")
-    if not (np.isfinite(bx).all() and np.isfinite(by).all()):
+    p = np.array((bx, by), dtype=float)
+    p += 1.0
+    p /= 2.0
+    # min/max propagate NaN, p is finite where the biases are; 0.5 lets empty blocks by
+    lo, hi = p.min(initial=0.5), p.max(initial=0.5)
+    if lo >= 0.0 and hi <= 1.0:
+        return p, None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("bias values must be finite")
-    return bx, by
-
-
-def _likelihoods(bx: np.ndarray, by: np.ndarray):
-    """Clamped Pr(+1) of c and of s, and where either needed clamping."""
-    p_c_raw = (1.0 + bx) / 2.0
-    p_s_raw = (1.0 + by) / 2.0
     # minimum/maximum equal np.clip on finite input, without its dispatch cost
-    p_c = np.minimum(np.maximum(p_c_raw, 0.0), 1.0)
-    p_s = np.minimum(np.maximum(p_s_raw, 0.0), 1.0)
-    clamped = (np.abs(p_c - p_c_raw) > CLAMP_TOLERANCE) | (np.abs(p_s - p_s_raw) > CLAMP_TOLERANCE)
-    return p_c, p_s, clamped
+    clamped = np.minimum(np.maximum(p, 0.0), 1.0)
+    return clamped, (np.abs(clamped - p) > CLAMP_TOLERANCE).any(axis=0)
 
 
 def sample_pairs(bx: np.ndarray, by: np.ndarray, rng: np.random.Generator):
@@ -74,12 +76,10 @@ def sample_pairs(bx: np.ndarray, by: np.ndarray, rng: np.random.Generator):
     array marking samples whose likelihood needed clamping.  Uniforms are
     consumed in C order: c then s for each sample.
     """
-    bx, by = _finite_pair(bx, by)
-    p_c, p_s, clamped = _likelihoods(bx, by)
-    u = rng.random((bx.shape[0], 2))
-    c = np.where(u[:, 0] < p_c, 1.0, -1.0)
-    s = np.where(u[:, 1] < p_s, 1.0, -1.0)
-    return c, s, clamped
+    p, clamped = _likelihoods(bx, by)
+    u = rng.random((p.shape[1], 2))
+    c, s = np.where(u.T < p, 1.0, -1.0)
+    return c, s, np.zeros(c.size, dtype=bool) if clamped is None else clamped
 
 
 def _total_depths(n: np.ndarray, samples: int) -> np.ndarray:
@@ -141,22 +141,22 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> Outco
     leading axis of B on every field.
 
     Row b is one run of M samples over (bx[b], by[b]).  The per-time counts
-    n ~ Multinomial(M, 1/K) are drawn for all rows, then sum c_k =
-    2 Binomial(n_k, p_c[k]) - n_k for all rows, then sum s_k the same way:
-    O(BK) time and memory, whatever M is.  This law holds at any M; with
-    M <= K, :func:`draw_times` and :func:`sums_at_times` give the same joint
-    law of the returned values in O(M) work, consuming ``rng`` differently.
+    n ~ Multinomial(M, 1/K) are drawn for all rows, then one binomial call
+    over the (2, B, K) likelihoods draws sum c_k = 2 Binomial(n_k, p_c[k]) -
+    n_k for all rows and then sum s_k the same way: O(BK) time and memory,
+    whatever M is.  This law holds at any M; with M <= K, :func:`draw_times`
+    and :func:`sums_at_times` give the same joint law of the returned values
+    in O(M) work, consuming ``rng`` differently.
     """
-    bx, by = _finite_pair(bx, by, ndim=2)
-    B, K = bx.shape
+    p, clamped = _likelihoods(bx, by, ndim=2)
+    _, B, K = p.shape
     M = int(samples)
     if K < 1:
         raise ValueError("bias tables must cover at least one time")
     if M < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
-    p_c, p_s, clamped = _likelihoods(bx, by)
     n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
-    c = 2 * rng.binomial(n, p_c) - n
-    return OutcomeSums(z=c + 1j * (2 * rng.binomial(n, p_s) - n),
-                       total_depth=_total_depths(n, M),
-                       clamp_count=(n * clamped).sum(axis=1))
+    z = np.empty((B, K), dtype=complex)
+    z.real, z.imag = 2 * rng.binomial(n, p) - n
+    clamps = np.zeros(B, dtype=n.dtype) if clamped is None else (n * clamped).sum(axis=1)
+    return OutcomeSums(z=z, total_depth=_total_depths(n, M), clamp_count=clamps)

@@ -353,6 +353,40 @@ class TestRunBlock:
         assert list(winning_frequency(coefficients)) == [1, 5, 2, 7]
         assert coefficients.shape == (4, 8) and depth.shape == clamps.shape == (4,)
 
+    @pytest.mark.parametrize("M", [5, 5000], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("noise", [Ideal(), Gaussian(0.1)], ids=["ideal", "gaussian"])
+    def test_empty_block(self, noise, M):
+        coefficients, depth, clamps = run_block([], M, 63, noise, np.random.default_rng(9))
+        assert coefficients.shape == (0, 63) and depth.shape == clamps.shape == (0,)
+
+    @pytest.mark.parametrize("noise,M,calls", [
+        (Ideal(), 5000, {"multinomial": 1, "binomial": 1}),
+        (Dephasing(630.0), 5000, {"multinomial": 1, "binomial": 1}),
+        (Gaussian(0.1), 5000, {"standard_normal": 1, "multinomial": 1, "binomial": 1}),
+        (Ideal(), 5, {"integers": 1, "random": 1}),
+        (Gaussian(0.1), 5, {"integers": 1, "standard_normal": 1, "random": 1}),
+    ], ids=["dense-ideal", "dense-dephasing", "dense-gaussian", "sparse-ideal",
+            "sparse-gaussian"])
+    def test_one_generator_call_per_draw(self, noise, M, calls):
+        # a block of three runs draws each kind of variate in one call, so a
+        # return to per-run or per-axis draws shows as a count, not a time
+        class CountingGenerator:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+                self.calls = {}
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls[name] = self.calls.get(name, 0) + 1
+                    return method(*args, **kwargs)
+                return counted
+
+        rng = CountingGenerator(3)
+        run_block([0.4, 1.7, 2.9], M, 63, noise, rng)
+        assert rng.calls == calls
+
     def test_rejects_bad_phases_and_counts(self):
         rng = np.random.default_rng(7)
         for thetas in ([1.0, math.nan], [[1.0]], 1.0):

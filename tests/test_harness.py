@@ -1,5 +1,6 @@
 """Oracle spectra, Wilson intervals, Monte Carlo campaigns, scans, sweeps."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -223,6 +224,31 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert stats.successes == 20
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_huge_campaign_stops_at_the_first_error(self, monkeypatch, workers):
+        # 10**15 trials are about 2e12 blocks of 512: the campaign must hold
+        # neither a list of their sizes nor a future per block, and the block
+        # that raises must stop it, with at most two blocks per thread in flight
+        calls = itertools.count()
+        original = harness.run_block
+
+        def failing(*args):
+            if next(calls) >= 3:
+                raise RuntimeError("block broke")
+            return original(*args)
+
+        monkeypatch.setattr(harness, "run_block", failing)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="block broke"):
+                monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 10 ** 15, UniformTheta(),
+                                    master_seed=3, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert next(calls) <= 3 + 2 * workers
 
     def test_fixed_theta_sampling(self):
         stats = monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 16,

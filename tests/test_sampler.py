@@ -9,7 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from rfe.sampler import draw_times, sample_outcome_sums, sample_pairs, sums_at_times
+from rfe.noise import AdversaryStrategy, Ban, Dephasing, Gaussian, HighCoherence, Ideal, biases_at
+from rfe.sampler import (
+    CLAMP_TOLERANCE,
+    draw_times,
+    sample_outcome_sums,
+    sample_pairs,
+    sums_at_times,
+)
 
 
 def sparse_sums(bx, by, samples, rng):
@@ -18,6 +25,64 @@ def sparse_sums(bx, by, samples, rng):
     B, K = np.shape(bx)
     times = draw_times(B, K, samples, rng)
     return sums_at_times(times, np.ravel(bx)[times.cells], np.ravel(by)[times.cells], rng)
+
+
+def reference_likelihoods(bx, by):
+    """Clamped Pr(+1) of c and of s, and where either needed clamping, with
+    every clamp pass run."""
+    p_c_raw = (1.0 + bx) / 2.0
+    p_s_raw = (1.0 + by) / 2.0
+    p_c = np.minimum(np.maximum(p_c_raw, 0.0), 1.0)
+    p_s = np.minimum(np.maximum(p_s_raw, 0.0), 1.0)
+    clamped = (np.abs(p_c - p_c_raw) > CLAMP_TOLERANCE) | (np.abs(p_s - p_s_raw) > CLAMP_TOLERANCE)
+    return p_c, p_s, clamped
+
+
+def reference_dense(bx, by, samples, rng):
+    """The M > K draw of (B, K) tables in the documented order: the counts
+    of every row, then two binomial calls, every c sum before every s sum."""
+    p_c, p_s, clamped = reference_likelihoods(bx, by)
+    n = rng.multinomial(samples, np.full(bx.shape[1], 1.0 / bx.shape[1]), size=bx.shape[0])
+    c = 2 * rng.binomial(n, p_c) - n
+    s = 2 * rng.binomial(n, p_s) - n
+    return c + 1j * s, n @ np.arange(bx.shape[1]), (n * clamped).sum(axis=1)
+
+
+def reference_pairs(bx, by, rng):
+    """One outcome pair per entry of the 1-d tables: a c then an s uniform."""
+    p_c, p_s, clamped = reference_likelihoods(bx, by)
+    u = rng.random((bx.shape[0], 2))
+    return np.where(u[:, 0] < p_c, 1.0, -1.0), np.where(u[:, 1] < p_s, 1.0, -1.0), clamped
+
+
+# Exact edges, in-range neighbours, overshoots within CLAMP_TOLERANCE of the
+# edge once halved (not flagged) and beyond it (flagged).
+EDGE_BIASES = np.array([1.0, -1.0, 1 - 1e-16, -1 + 1e-16, 1 + 1e-15, -1 - 1e-15,
+                        1 + 3e-15, -1 - 3e-15])
+TABLE_MODELS = {
+    "ideal": Ideal(),
+    **{f"ban-{strategy.value}": Ban(0.05, strategy) for strategy in AdversaryStrategy},
+    "ban-clamping": Ban(0.09, AdversaryStrategy.CONSTANT_PLUS),
+    "dephasing": Dephasing(630.0),
+    "high-coherence": HighCoherence(2000.0),
+    "gaussian": Gaussian(0.5),
+}
+CLAMPING_TABLES = {"ban-clamping", "gaussian", "edges"}
+
+
+def bias_tables(kind, runs, grid_size, seed):
+    """(B, K) c and s bias tables of one noise model at B random phases, or
+    of edge values for ``kind`` "edges"."""
+    rng = np.random.default_rng(seed)
+    if kind == "edges":
+        return rng.choice(EDGE_BIASES, (runs, grid_size)), rng.choice(EDGE_BIASES, (runs, grid_size))
+    model, ks = TABLE_MODELS[kind], np.arange(grid_size)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, runs)
+    return biases_at(model, thetas[:, None], ks, model.draw_run_noise(ks, rng, runs))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDeterministicCases:
@@ -116,6 +181,28 @@ class TestInputChecks:
             with pytest.raises(ValueError):
                 draw(np.array([[0.0, math.nan]]), np.zeros((1, 2)), M, rng)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("table", [0, 1], ids=["c", "s"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_non_finite_entry_raises_before_any_draw(self, bad, table, where):
+        # one bad entry of a (3, 63) table, for both regimes and sample_pairs;
+        # the generator is left as it was
+        rng = np.random.default_rng(13)
+        times = draw_times(3, 63, 63, rng)
+        tables = np.zeros((2, 3, 63))
+        cells = np.zeros((2, times.cells.size))
+        for values in (tables[table].reshape(-1), cells[table]):
+            values[{"first": 0, "middle": values.size // 2, "last": -1}[where]] = bad
+        state = rng.bit_generator.state
+        draws = [lambda M=M: sample_outcome_sums(tables[0], tables[1], M, rng)
+                 for M in (64, 10 ** 6)]
+        draws += [lambda: sums_at_times(times, cells[0], cells[1], rng),
+                  lambda: sample_pairs(tables[0].ravel(), tables[1].ravel(), rng)]
+        for draw in draws:
+            with pytest.raises(ValueError, match="finite"):
+                draw()
+            assert rng.bit_generator.state == state
+
     def test_negative_sample_count_rejected(self):
         with pytest.raises(ValueError):
             sample_outcome_sums(np.zeros((1, 4)), np.zeros((1, 4)), -1, np.random.default_rng(9))
@@ -180,6 +267,31 @@ class TestBlocks:
         assert np.array_equal(block.z[0], c + 1j * s)
         assert block.total_depth[0] == int(n @ np.arange(50))
         assert block.clamp_count[0] == int(n[(bx > 1) | (by < -1)].sum())
+
+    @pytest.mark.parametrize("kind", [*TABLE_MODELS, "edges"])
+    @pytest.mark.parametrize("B", [1, 3, 130])
+    def test_stream_matches_the_two_call_reference(self, kind, B):
+        # bit for bit, and the generator left in the reference's state, from
+        # the smallest dense count to the deep_samples plan's; sample_pairs
+        # on the same tables matches the per-sample reference the same way
+        K = 63
+        bx, by = bias_tables(kind, B, K, seed=B)
+        clamp_total = 0
+        for M in (K + 1, 3130, 1_319_077):
+            rng, ref = np.random.default_rng(M), np.random.default_rng(M)
+            sums = sample_outcome_sums(bx, by, M, rng)
+            z, depth, clamps = reference_dense(bx, by, M, ref)
+            assert same_bits(sums.z, z)
+            assert same_bits(sums.total_depth, depth)
+            assert same_bits(sums.clamp_count, clamps)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            clamp_total += clamps.sum()
+        assert clamp_total > 0 or kind not in CLAMPING_TABLES
+        rng, ref = np.random.default_rng(B), np.random.default_rng(B)
+        pairs = sample_pairs(bx.ravel(), by.ravel(), rng)
+        for got, want in zip(pairs, reference_pairs(bx.ravel(), by.ravel(), ref)):
+            assert same_bits(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("M", [30, 400])
     def test_rows_draw_from_their_own_tables(self, M):
