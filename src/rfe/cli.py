@@ -265,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"number of trials (default {trials})")
         if workers:
             p.add_argument("--workers", type=int, default=1,
-                           help="worker threads (default 1; 0 for all cores); "
-                                "never changes results")
+                           help="worker threads (default 1; 0 for all cores; "
+                                "capped at the cores); never changes results")
         p.add_argument("--output", default=None, help="write to this path "
                        "instead of stdout")
 
@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None,
                           help="override trial counts of the Monte Carlo suites")
     p_verify.add_argument("--workers", type=int, default=0,
-                          help="worker threads (default 0: all cores); "
-                               "never changes results")
+                          help="worker threads (default 0: all cores; capped at "
+                               "the cores); never changes results")
     p_verify.add_argument("--outdir", default=None,
                           help="directory for emitted artifacts (demo spectrum CSV)")
     p_verify.add_argument("--output", default=None,

@@ -13,19 +13,25 @@ Three kinds of checks live here:
   full estimation runs.  Trials run in blocks of B = max(1, BLOCK_CELLS // K),
   a constant of the engine, each block as (B, K) arrays through
   :func:`rfe.estimator.run_block`, and blocks run on up to ``workers``
-  threads.  Block b draws everything it needs, its phases first, from a
-  generator spawned from the master seed and b alone, so results are
-  identical for any number of worker threads and any block execution order.
+  threads, capped at the cores.  Block b draws everything it needs, its
+  phases first, from a generator spawned from the master seed and b alone,
+  so results are identical for any number of worker threads and any block
+  execution order.
+
+:func:`thread_map` is the one place that decides how work runs on threads,
+for these blocks and for the suites of :func:`rfe.verify.run_suites`: an
+item starts only when a thread is free.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -209,11 +215,37 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
 
 
 def pool_size(workers: int) -> int:
-    """Worker threads for a ``workers`` setting: itself, or every core for 0."""
+    """Worker threads for a ``workers`` setting: itself capped at the cores,
+    or every core for 0.  The cap keeps a large setting from starting as
+    many operating-system threads."""
     workers = int(workers)
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 for all cores), got {workers}")
-    return workers or os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    return min(workers or cores, cores)
+
+
+def thread_map(fn: Callable, items: Sequence, threads: int) -> Iterator:
+    """Yield ``fn(item)`` for each of the sized ``items`` as the calls
+    finish, on at most ``min(threads, len(items))`` threads.
+
+    ``items`` is read lazily, so ``range(2 * 10**12)`` is fine.  An item
+    starts only when a thread is free, so after the first error no further
+    item starts, and the error is re-raised.  With one thread this is
+    ``map(fn, items)`` in the calling thread.
+    """
+    threads = min(threads, len(items))
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    pending = iter(items)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        running = {pool.submit(fn, item) for item in itertools.islice(pending, threads)}
+        while running:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield future.result()
+            running |= {pool.submit(fn, item) for item in itertools.islice(pending, len(done))}
 
 
 def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
@@ -233,12 +265,13 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
     shorter.  Block b draws from :func:`block_rng` (master seed, b), in this
     order: its B phases, then the run noise and samples of its B runs, which
     :func:`rfe.estimator.run_block` does as (B, K) arrays.  ``workers`` (0:
-    all cores) sets the threads, at most one per block, that whole blocks
-    are distributed over; it cannot change the statistics.  numpy releases
-    the interpreter lock in its generator fills, ufunc loops and FFTs, so
-    blocks overlap on threads.  At most two blocks per thread are submitted
-    at a time, so memory does not grow with ``trials``, and after the first
-    error no further block starts and the error is re-raised.
+    all cores) sets the threads, at most one per block and capped at the
+    cores, that whole blocks are distributed over by :func:`thread_map`; it
+    cannot change the statistics.  numpy releases the interpreter lock in
+    its generator fills, ufunc loops and FFTs, so blocks overlap on threads.
+    A block starts only when a thread is free, so memory does not grow with
+    ``trials``, and after the first error no further block starts and the
+    error is re-raised.
     """
     trials = int(trials)
     if trials < 1:
@@ -269,24 +302,7 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
             theta_hat = TWO_PI * winning_frequency(coefficients) / grid
         return int(np.count_nonzero(np.abs(theta_hat - thetas) <= query.epsilon))
 
-    threads = min(workers, blocks)
-    if threads == 1:
-        successes = sum(map(block_successes, range(blocks)))
-    else:
-        successes = 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            running = set()
-            try:
-                for index in range(blocks):
-                    if len(running) == 2 * threads:
-                        done, running = wait(running, return_when=FIRST_COMPLETED)
-                        successes += sum(future.result() for future in done)
-                    running.add(pool.submit(block_successes, index))
-                successes += sum(future.result() for future in wait(running).done)
-            finally:
-                # after an error, the blocks queued behind it never start
-                for future in running:
-                    future.cancel()
+    successes = sum(thread_map(block_successes, range(blocks), workers))
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),
                         epsilon_used=query.epsilon, delta_used=query.delta)

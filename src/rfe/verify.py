@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,6 +33,7 @@ from .harness import (
     lemma_bound_scan,
     monte_carlo_success,
     pool_size,
+    thread_map,
 )
 from .noise import (
     AdversaryStrategy,
@@ -366,11 +366,12 @@ def run_suites(names: Sequence[str], workers: int = 1,
     order.
 
     ``workers`` must be at least 0 (0 for all cores).  The suites run side
-    by side on that many threads (at most one per suite), and each campaign
-    suite also spreads its blocks over ``workers`` threads.  They start in
-    ``_START_ORDER``, longest first, whatever order the results come in; a
-    suite starts only when a thread is free, and once one raises, no other
-    starts and its error is re-raised.  Every suite is seeded by its own
+    by side on that many threads, at most one per suite and capped at the
+    cores, and each campaign suite also spreads its blocks over ``workers``
+    threads.  They start in ``_START_ORDER``, longest first, whatever order
+    the results come in.  :func:`rfe.harness.thread_map` runs them: a suite
+    starts only when a thread is free, and once one raises, no other starts
+    and its error is re-raised.  Every suite is seeded by its own
     constants, so any worker count or start order gives the same results,
     timings aside.  ``trials``, when given, replaces the trial count of
     every Monte Carlo suite and must be at least 1; None keeps each suite's
@@ -388,13 +389,6 @@ def run_suites(names: Sequence[str], workers: int = 1,
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
         requested.update({"quick": _QUICK, "all": _ALL}.get(name, (name,)))
     waiting = [name for name in _START_ORDER if name in requested]
-    results, running = {}, {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while waiting or running:
-            while waiting and len(running) < threads:
-                name = waiting.pop(0)
-                running[pool.submit(_SUITES[name], campaign, outdir)] = name
-            for future in wait(running, return_when=FIRST_COMPLETED).done:
-                # the first error leaves the loop, so no further suite starts
-                results[running.pop(future)] = future.result()
+    results = dict(thread_map(lambda name: (name, _SUITES[name](campaign, outdir)),
+                              waiting, threads))
     return [results[name] for name in _ALL if name in requested]

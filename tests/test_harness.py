@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,9 @@ from rfe.harness import (
     lemma_bound_scan,
     monte_carlo_success,
     noise_sweep,
+    pool_size,
     sweep_csv,
+    thread_map,
     wilson_interval,
 )
 from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
@@ -160,6 +164,75 @@ class TestBlockSeeding:
         assert len(np.unique(np.concatenate(seen))) == 10
 
 
+class TestThreadMap:
+    def test_at_most_threads_calls_run_at_once(self):
+        lock, full = threading.Lock(), threading.Event()
+        running, peak = [0], [0]
+
+        def call(item):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                if running[0] == 3:
+                    full.set()
+            assert full.wait(5)
+            with lock:
+                running[0] -= 1
+            return item
+
+        assert sorted(thread_map(call, range(20), 3)) == list(range(20))
+        assert peak[0] == 3
+
+    def test_one_thread_is_map_in_the_calling_thread(self):
+        calls = []
+
+        def call(item):
+            calls.append((item, threading.get_ident()))
+            return item * item
+
+        assert list(thread_map(call, range(5), 1)) == [0, 1, 4, 9, 16]
+        assert calls == [(item, threading.get_ident()) for item in range(5)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_huge_range_stops_at_the_first_error(self, threads):
+        calls = itertools.count()
+
+        def call(item):
+            next(calls)
+            if item == 3:
+                raise RuntimeError("item broke")
+            return item
+
+        with pytest.raises(RuntimeError, match="item broke"):
+            list(thread_map(call, range(10 ** 15), threads))
+        assert next(calls) <= 3 + threads
+
+    def test_workers_are_capped_at_the_cores(self):
+        assert pool_size(10 ** 6) == pool_size(0) == (os.cpu_count() or 1)
+        assert pool_size(1) == 1
+
+    def test_a_huge_worker_count_asks_for_a_pool_of_the_cores(self, monkeypatch):
+        # eight blocks of one trial: even uncapped, no more than eight threads
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sizes = []
+
+        class Recording(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        def stub(thetas, samples, grid, noise, rng):
+            return np.zeros((len(thetas), grid), dtype=complex), None, None
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(harness, "run_block", stub)
+        stats = monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 8, FixedTheta(0.0),
+                                    master_seed=1, workers=10 ** 6,
+                                    grid_override=harness.BLOCK_CELLS, samples_override=1)
+        assert sizes == [2]
+        assert stats.successes == 8
+
+
 class TestErrorMetric:
     def test_campaign_error_is_taken_on_the_line(self):
         # 63 (2 pi - 0.02) / (2 pi) = 62.80 bins peaks at bin 0, so theta_hat
@@ -180,8 +253,9 @@ class TestMonteCarlo:
         assert stats.wilson_ci_95[0] <= stats.rate <= stats.wilson_ci_95[1]
         assert stats.epsilon_used == 0.4 and stats.delta_used == 0.2
 
-    def test_worker_count_does_not_change_stats(self):
+    def test_worker_count_does_not_change_stats(self, monkeypatch):
         # 2,000 trials at K = 63 span 16 blocks of 130, split over the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         query = BoundsQuery(0.1, 0.1, Gaussian(0.1))
         inline = monte_carlo_success(query, 2000, UniformTheta(), 99, workers=1,
                                      samples_override=60)
@@ -229,7 +303,8 @@ class TestMonteCarlo:
     def test_huge_campaign_stops_at_the_first_error(self, monkeypatch, workers):
         # 10**15 trials are about 2e12 blocks of 512: the campaign must hold
         # neither a list of their sizes nor a future per block, and the block
-        # that raises must stop it, with at most two blocks per thread in flight
+        # that raises must stop it, with one block per thread in flight
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         calls = itertools.count()
         original = harness.run_block
 
@@ -248,7 +323,7 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
-        assert next(calls) <= 3 + 2 * workers
+        assert next(calls) <= 3 + workers
 
     def test_fixed_theta_sampling(self):
         stats = monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 16,

@@ -29,7 +29,7 @@ def _unused_imports(path: Path) -> set:
     return set(imported) - used
 
 
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

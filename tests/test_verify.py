@@ -1,5 +1,6 @@
 """The suite table of rfe.verify: order, aliases, options, threads and planning."""
 
+import os
 import re
 import threading
 
@@ -87,6 +88,7 @@ def _masked(value):
 class TestThreads:
     def test_suites_run_side_by_side(self, monkeypatch):
         # each stub returns only once the other has started too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         barrier = threading.Barrier(2, timeout=5)
         for name in ("oracle", "lemmas"):
             def stub(name=name):
@@ -116,8 +118,9 @@ class TestThreads:
         # gaussian starts first and raises.  On two threads lemmas runs next
         # to it, held until run_suites has seen the error, so no thread
         # comes free for oracle before then.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seen_error = threading.Event()
-        real_wait = verify.wait
+        real_wait = harness.wait
 
         def watching(futures, return_when):
             finished = real_wait(futures, return_when=return_when)
@@ -133,7 +136,7 @@ class TestThreads:
             assert seen_error.wait(5)
             return verify.SuiteResult(name="lemmas", passed=True, summary="", details={})
 
-        monkeypatch.setattr(verify, "wait", watching)
+        monkeypatch.setattr(harness, "wait", watching)
         monkeypatch.setattr(verify, "suite_gaussian", gaussian)
         monkeypatch.setattr(verify, "suite_lemmas", lemmas)
         with pytest.raises(RuntimeError, match="gaussian broke"):
