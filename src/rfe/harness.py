@@ -68,6 +68,14 @@ SHIFT_VARIANCE_CHUNK = 20000
 # so every buffer but the chunk's eta1 stays small next to it.
 SHIFT_VARIANCE_FFT_ROWS = 1024
 
+# glibc's malloc maps a block of 128 KiB or more with mmap, but freeing such a
+# block raises that threshold to the block's size; from then on blocks that
+# size stay in the heap, where each thread's arena may keep up to twice as much
+# freed memory, so peak RSS creeps up call after call.  The per-call arrays of
+# the oracle, the lemma scan and the shift variance therefore stay below this
+# many bytes (a margin under 128 KiB for malloc's chunk header), or are mapped.
+SMALL_ARRAY_BYTES = 120 * 1024
+
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
 # arrays stay near this many cells at any grid size.
 BLOCK_CELLS = 8192
@@ -77,27 +85,27 @@ BLOCK_CELLS = 8192
 
 @dataclass(frozen=True, eq=False)
 class OracleSpectrum:
-    """Exact estimator expectation, and the spectral shift of a fixed
-    deviation table when one was supplied."""
+    """Exact estimator expectation."""
 
     coefficients: np.ndarray
-    noise_shift: Optional[np.ndarray]
 
 
 def _direct_dft(values: np.ndarray) -> np.ndarray:
     """sum_k values[k] exp(-2 pi i j k / K) via explicit phase matrices.
 
     Deliberately not an FFT: this is the independent cross-check of the
-    transform the estimator relies on.  Evaluated in row blocks to cap the
-    phase-matrix memory.
+    transform the estimator relies on.  Evaluated in blocks of
+    max(1, SMALL_ARRAY_BYTES // (16 K)) rows, so each complex phase matrix
+    stays under :data:`SMALL_ARRAY_BYTES`; a row's sum does not depend on
+    the block it is in.
     """
     K = values.shape[0]
     out = np.empty(K, dtype=complex)
     k = np.arange(K)
-    for start in range(0, K, 256):
-        stop = min(start + 256, K)
-        j = np.arange(start, stop)[:, None]
-        out[start:stop] = (np.exp(-2j * np.pi * j * k / K) * values).sum(axis=1)
+    rows = max(1, SMALL_ARRAY_BYTES // (16 * K))
+    for start in range(0, K, rows):
+        j = np.arange(start, min(start + rows, K))[:, None]
+        out[start:start + rows] = (np.exp(-2j * np.pi * j * k / K) * values).sum(axis=1)
     return out
 
 
@@ -107,8 +115,8 @@ def exact_estimator_expectation(theta: float, grid_size: int,
 
     For each time k the four (c, s) outcomes are weighted by their clamped
     likelihoods; the per-time means are then transformed by direct summation.
-    With a deviation table, ``noise_shift[j]`` carries the exact spectral
-    shift mean_k (eta1[k] + i eta2[k]) exp(-2 pi i j k / K).
+    A deviation table adds its first K entries to the biases before the
+    clamp.
     """
     K = int(grid_size)
     if not 1 <= K <= MAX_ENUMERATION_GRID:
@@ -131,11 +139,7 @@ def exact_estimator_expectation(theta: float, grid_size: int,
         for s in (1.0, -1.0):
             prob = (p_c if c > 0 else 1.0 - p_c) * (p_s if s > 0 else 1.0 - p_s)
             outcome_mean += prob * (c + 1j * s)
-    coefficients = _direct_dft(outcome_mean) / K
-    noise_shift = None
-    if deviations is not None:
-        noise_shift = _direct_dft(deviations.eta1[:K] + 1j * deviations.eta2[:K]) / K
-    return OracleSpectrum(coefficients=coefficients, noise_shift=noise_shift)
+    return OracleSpectrum(coefficients=_direct_dft(outcome_mean) / K)
 
 
 # --- success campaigns --------------------------------------------------------
@@ -317,6 +321,8 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
     |eta_hat|^2 over ``draws`` draws.  The analytic value is 2 sigma^2 / K for
     every j.  A chunk draws its eta1 rows, then its eta2 rows, as one (2, chunk,
     K) draw would, and only eta1 is held whole (10 MB at the suite's K = 63).
+    The chunk's eta1 and the eta2 and complex rows being transformed are
+    mapped, not malloc'd (see :data:`SMALL_ARRAY_BYTES`).
     """
     K = int(grid_size)
     draws = int(draws)
@@ -324,12 +330,10 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
         raise ValueError("need grid size >= 1 and draws >= 1")
     rng = np.random.default_rng(int(seed))
     acc = np.zeros(K)
-    # A chunk's eta1 rows, each overwritten by |eta_hat| once transformed.  Freeing
-    # a malloc'd block this size lifts glibc's mmap threshold to it, after which each
-    # thread's arena may keep twice as much freed memory, so it is mapped instead.
-    buffer = np.frombuffer(mmap.mmap(-1, min(SHIFT_VARIANCE_CHUNK, draws) * K * 8))
-    eta2 = np.empty((min(SHIFT_VARIANCE_FFT_ROWS, draws), K))
-    block = np.empty(eta2.shape, dtype=complex)
+    # A chunk's eta1 rows, each overwritten by |eta_hat| once transformed.
+    buffer = _mapped(min(SHIFT_VARIANCE_CHUNK, draws) * K, float)
+    eta2 = _mapped((min(SHIFT_VARIANCE_FFT_ROWS, draws), K), float)
+    block = _mapped(eta2.shape, complex)
     done = 0
     while done < draws:
         m = min(SHIFT_VARIANCE_CHUNK, draws - done)
@@ -349,6 +353,14 @@ def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
         acc += power.sum(axis=0)
         done += m
     return acc / draws
+
+
+def _mapped(shape, dtype) -> np.ndarray:
+    """A fresh zeroed array in its own anonymous mapping, which goes back to
+    the system when the array is freed."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize),
+                         dtype).reshape(shape)
 
 
 # --- kernel bound scans -------------------------------------------------------
@@ -375,12 +387,28 @@ class LemmaScanReport:
                 "violations": list(self.violations)}
 
 
+def _scan_block(tone: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """|S_K(j - tone)| and the circular distance of j from the tone, each a
+    (K, len(tone)) array over j = 0 .. K - 1."""
+    x = np.arange(K)[:, None] - tone[None, :]
+    mags = kernel_magnitude(x, K)
+    # x lies in [-K/2, K - 1], so |x| needs no reduction mod K before
+    # the circular distance min(|x|, K - |x|)
+    d = np.abs(x, out=x)
+    np.minimum(d, K - d, out=d)
+    return mags, d
+
+
 def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     """Scan theta in [0, pi] and every index j, checking the magnitude floor
     2/pi for close frequencies and the caps 10/(9 pi) and 1/(2 sqrt 2) for
     non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE.
-    The magnitudes come from :func:`rfe.spectrum.kernel_magnitude`, and a K
-    gets a per-point violation mask only when its extremes break a bound."""
+    The magnitudes come from :func:`rfe.spectrum.kernel_magnitude`.  Each K
+    walks theta in blocks of max(1, SMALL_ARRAY_BYTES // (8 K)) columns, so
+    every (K, columns) array stays under :data:`SMALL_ARRAY_BYTES`, and keeps
+    the extremes with NaN-propagating minimum and maximum.  Only a K whose
+    extremes break a bound, or are NaN, gets its full (K, n_theta) arrays
+    rebuilt for a per-point violation mask."""
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 4 or max(k_values) > 1024:
         raise ValueError("k_values must be a non-empty subset of [4, 1024]")
@@ -395,21 +423,21 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     max_nonadj = 0.0
     for K in k_values:
         tone = K * thetas / TWO_PI                           # (n_theta,)
-        x = np.arange(K)[:, None] - tone[None, :]            # (K, n_theta)
-        mags = kernel_magnitude(x, K)
-        # x lies in [-K/2, K - 1], so |x| needs no reduction mod K before
-        # the circular distance min(|x|, K - |x|)
-        d = np.abs(x)
-        np.minimum(d, K - d, out=d)
-        points += mags.size
-        close = d <= 0.5
-        nonadj = d >= 1.0
-        k_close = float(np.min(mags, where=close, initial=math.inf))
-        k_nonadj = float(np.max(mags, where=nonadj, initial=0.0))
+        columns = max(1, SMALL_ARRAY_BYTES // (8 * K))
+        k_close, k_nonadj = math.inf, 0.0
+        for start in range(0, n_theta, columns):
+            mags, d = _scan_block(tone[start:start + columns], K)
+            k_close = np.minimum(k_close, np.min(mags, where=d <= 0.5, initial=math.inf))
+            k_nonadj = np.maximum(k_nonadj, np.max(mags, where=d >= 1.0, initial=0.0))
+        k_close, k_nonadj = float(k_close), float(k_nonadj)
+        points += K * n_theta
         min_close, max_nonadj = min(min_close, k_close), max(max_nonadj, k_nonadj)
         # negated, so that a NaN extreme builds the mask too
         if not (k_close >= CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE and k_nonadj <= min(
                 NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + SCAN_TOLERANCE):
+            mags, d = _scan_block(tone, K)
+            close = d <= 0.5
+            nonadj = d >= 1.0
             bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE))
                    | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + SCAN_TOLERANCE))
                    | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + SCAN_TOLERANCE)))

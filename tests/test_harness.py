@@ -54,16 +54,18 @@ class TestExactOracle:
     def test_zero_deviations_zero_shift(self):
         table = DeviationTable(eta1=np.zeros(16), eta2=np.zeros(16))
         oracle = exact_estimator_expectation(1.3, 16, deviations=table)
-        assert np.max(np.abs(oracle.noise_shift)) == 0.0
+        assert np.array_equal(oracle.coefficients,
+                              exact_estimator_expectation(1.3, 16).coefficients)
 
     def test_constant_deviation_shift_is_dc_indicator(self):
-        # a constant table shifts only coefficient 0, by exactly a + i b
-        a, b, K = 0.04, -0.02, 32
+        # a constant table shifts only coefficient 0, by exactly a + i b;
+        # K theta < 2.1 keeps every bias inside [-1, 1], so nothing is clamped
+        a, b, K, theta = -0.04, -0.02, 8, 0.3
         table = DeviationTable(eta1=np.full(K, a), eta2=np.full(K, b))
-        oracle = exact_estimator_expectation(0.9, K, deviations=table)
-        expected = np.zeros(K, dtype=complex)
-        expected[0] = a + 1j * b
-        assert np.max(np.abs(oracle.noise_shift - expected)) < 1e-12
+        oracle = exact_estimator_expectation(theta, K, deviations=table)
+        expected = expected_spectrum(theta, K).coefficients.copy()
+        expected[0] += a + 1j * b
+        assert np.max(np.abs(oracle.coefficients - expected)) < 1e-12
 
     def test_noisy_expectation_decomposes(self):
         # with all biases inside [-1, 1] the oracle equals tone + shift
@@ -80,7 +82,8 @@ class TestExactOracle:
                 continue
             oracle = exact_estimator_expectation(theta, K, deviations=table)
             tone = expected_spectrum(theta, K).coefficients
-            assert np.max(np.abs(oracle.coefficients - (tone + oracle.noise_shift))) < 1e-12
+            shift = np.fft.fft(table.eta1 + 1j * table.eta2) / K
+            assert np.max(np.abs(oracle.coefficients - (tone + shift))) < 1e-12
 
     def test_clamping_breaks_plain_decomposition(self):
         # biases pushed past 1 get clamped, so the linear split must fail
@@ -88,8 +91,18 @@ class TestExactOracle:
         table = DeviationTable(eta1=np.full(K, 0.8), eta2=np.zeros(K))
         oracle = exact_estimator_expectation(0.0, K, deviations=table)  # bias 1.8 at k=0
         tone = expected_spectrum(0.0, K).coefficients
+        shift = np.fft.fft(table.eta1 + 1j * table.eta2) / K
         assert np.max(np.abs(oracle.coefficients)) <= math.sqrt(2) + 1e-12
-        assert np.max(np.abs(oracle.coefficients - (tone + oracle.noise_shift))) > 1e-3
+        assert np.max(np.abs(oracle.coefficients - (tone + shift))) > 1e-3
+
+    @pytest.mark.parametrize("K", [1, 255, 256, 257, 1024])
+    def test_direct_dft_blocks_match_one_block(self, K):
+        # every row's sum is the same whichever block of rows it is in
+        rng = np.random.default_rng(K)
+        values = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        k = np.arange(K)
+        reference = (np.exp(-2j * np.pi * k[:, None] * k / K) * values).sum(axis=1)
+        assert np.array_equal(harness._direct_dft(values), reference)
 
     def test_grid_size_cap(self):
         with pytest.raises(ValueError):
@@ -437,8 +450,11 @@ class TestGaussianShiftVariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one chunk of eta1 is 10 MB; both halves of a chunk would be 20 MB
-        assert mapped == [20000 * 63 * 8]
+        # one chunk of eta1 is 10 MB; both halves of a chunk would be 20 MB.
+        # The 1,024 rows of eta2 and of complex shifts are mapped too, so
+        # the heap holds no per-call array of 128 KiB or more.
+        assert mapped == [20000 * 63 * 8, 1024 * 63 * 8, 1024 * 63 * 16]
+        assert peak < harness.SMALL_ARRAY_BYTES
         assert peak + sum(mapped) <= 16 * 2 ** 20
 
 
@@ -519,6 +535,37 @@ class TestLemmaScan:
         assert report["violation_count"] == reference["violation_count"]
         assert report["violations"] == reference["violations"]
         assert report == reference
+
+    def test_a_nan_in_the_last_block_builds_the_full_mask(self, monkeypatch):
+        # K = 100 walks its 1,000 thetas in blocks of 153 columns; theta = pi
+        # is in the last one, and j = 50 is its close index.  A NaN there must
+        # reach K's extremes and rebuild that K's full arrays, as the one-block
+        # scan did, and the report must not change.
+        shapes = []
+
+        def one_nan(x, K):
+            shapes.append(x.shape)
+            mags = kernel_magnitude(x, K)
+            if K == 100:
+                mags[50, x[0] == -(K * math.pi / TWO_PI)] = np.nan
+            return mags
+
+        monkeypatch.setattr(harness, "kernel_magnitude", one_nan)
+        report = lemma_bound_scan(range(96, 105), 1000).to_dict()
+        full = [shape for shape in shapes if shape[1] == 1000]
+        assert (100, 153) in shapes and full == [(100, 1000)]
+        assert report == _full_mask_scan(range(96, 105), 1000, one_nan)
+
+    def test_memory_stays_under_one_mib(self):
+        # the scan rfe verify runs; one (128, 1000) float array is 1 MB
+        lemma_bound_scan(range(4, 129), 1000)
+        tracemalloc.start()
+        try:
+            lemma_bound_scan(range(4, 129), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_report_serializes(self):
         report = lemma_bound_scan((4, 8, 16), 50)

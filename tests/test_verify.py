@@ -1,8 +1,10 @@
-"""The suite table of rfe.verify: order, aliases, options, threads and planning."""
+"""The suite table of rfe.verify: order, aliases, options, threads, planning
+and the oracle suite's pinned result and memory."""
 
 import os
 import re
 import threading
+import tracemalloc
 
 import pytest
 
@@ -142,6 +144,24 @@ class TestThreads:
         with pytest.raises(RuntimeError, match="gaussian broke"):
             verify.run_suites(["all"], workers=workers)
         assert [name for name, _ in stub_suites] == START[1:workers]
+
+
+class TestOracleSuite:
+    def test_worst_error_is_pinned(self):
+        # a change to the direct DFT that alters its rounding moves these bits
+        result = verify.suite_oracle()
+        assert result.details["max_abs_error"] == float.fromhex("0x1.8b408be6a4b0bp-44")
+
+    def test_memory_stays_under_512_kib(self):
+        # a 256 x 256 complex phase matrix alone is 1 MB
+        verify.suite_oracle()
+        tracemalloc.start()
+        try:
+            verify.suite_oracle()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2 ** 10
 
 
 class TestPlanning:
