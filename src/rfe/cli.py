@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="master seed (RFE_SEED env var overrides)")
         if trials is not None:
             p.add_argument("--trials", type=int, default=trials,
-                           help=f"number of trials (default {trials})")
+                           help=f"number of trials per point (default {trials}; no "
+                                "cap: run time grows with the count)")
         if workers:
             p.add_argument("--workers", type=int, default=1,
                            help="worker threads (default 1; 0 for all cores; "
@@ -317,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=list(SUITE_NAMES),
                           help="suite name (repeatable; default: all)")
     p_verify.add_argument("--trials", type=int, default=None,
-                          help="override trial counts of the Monte Carlo suites")
+                          help="override trial counts of the Monte Carlo suites (no "
+                               "cap: run time grows with the count)")
     p_verify.add_argument("--workers", type=int, default=0,
                           help="worker threads (default 0: all cores; capped at "
                                "the cores); never changes results")

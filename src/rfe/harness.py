@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
@@ -46,7 +45,7 @@ from .bounds import (
 )
 # run_rfe is not called here; rfebench's traced run wraps rfe.harness.run_rfe.
 from .estimator import no_sample_result, run_block, run_rfe, winning_frequency
-from .noise import MODELS, AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
+from .noise import MODELS, AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal, NoiseModel
 from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
@@ -62,18 +61,13 @@ MAX_ENUMERATION_GRID = 4096
 WILSON_Z_95 = 1.959963984540054
 # Kernel bound scans allow this much rounding past a floor or cap.
 SCAN_TOLERANCE = 1e-12
-# Gaussian shift-variance draws are made this many (draws, K) rows at a time.
-SHIFT_VARIANCE_CHUNK = 20000
-# ... and this many rows at a time get their eta2 drawn and are transformed,
-# so every buffer but the chunk's eta1 stays small next to it.
-SHIFT_VARIANCE_FFT_ROWS = 1024
 
 # glibc's malloc maps a block of 128 KiB or more with mmap, but freeing such a
 # block raises that threshold to the block's size; from then on blocks that
 # size stay in the heap, where each thread's arena may keep up to twice as much
 # freed memory, so peak RSS creeps up call after call.  The per-call arrays of
 # the oracle, the lemma scan and the shift variance therefore stay below this
-# many bytes (a margin under 128 KiB for malloc's chunk header), or are mapped.
+# many bytes (a margin under 128 KiB for malloc's chunk header).
 SMALL_ARRAY_BYTES = 120 * 1024
 
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
@@ -82,13 +76,6 @@ BLOCK_CELLS = 8192
 
 
 # --- exact expectation oracle ------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class OracleSpectrum:
-    """Exact estimator expectation."""
-
-    coefficients: np.ndarray
-
 
 def _direct_dft(values: np.ndarray) -> np.ndarray:
     """sum_k values[k] exp(-2 pi i j k / K) via explicit phase matrices.
@@ -110,8 +97,8 @@ def _direct_dft(values: np.ndarray) -> np.ndarray:
 
 
 def exact_estimator_expectation(theta: float, grid_size: int,
-                                deviations: Optional[DeviationTable] = None) -> OracleSpectrum:
-    """Expected coefficient estimates by exhaustive enumeration.
+                                deviations: Optional[DeviationTable] = None) -> np.ndarray:
+    """The K expected coefficient estimates, by exhaustive enumeration.
 
     For each time k the four (c, s) outcomes are weighted by their clamped
     likelihoods; the per-time means are then transformed by direct summation.
@@ -139,7 +126,7 @@ def exact_estimator_expectation(theta: float, grid_size: int,
         for s in (1.0, -1.0):
             prob = (p_c if c > 0 else 1.0 - p_c) * (p_s if s > 0 else 1.0 - p_s)
             outcome_mean += prob * (c + 1j * s)
-    return OracleSpectrum(coefficients=_direct_dft(outcome_mean) / K)
+    return _direct_dft(outcome_mean) / K
 
 
 # --- success campaigns --------------------------------------------------------
@@ -312,55 +299,39 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
                         epsilon_used=query.epsilon, delta_used=query.delta)
 
 
-def gaussian_shift_variance(sigma: float, grid_size: int, draws: int,
+def gaussian_shift_variance(model: NoiseModel, grid_size: int, draws: int,
                             seed: int) -> np.ndarray:
-    """Empirical Var of the spectral shift of fresh Gaussian deviation draws.
+    """Empirical Var of the spectral shift of ``model``'s run noise.
 
-    For each draw, eta_hat[j] = mean_k (eta1[k] + i eta2[k]) exp(-2 pi i jk/K)
-    with 2K i.i.d. N(0, sigma^2) deviations; returns the per-j mean of
-    |eta_hat|^2 over ``draws`` draws.  The analytic value is 2 sigma^2 / K for
-    every j.  A chunk draws its eta1 rows, then its eta2 rows, as one (2, chunk,
-    K) draw would, and only eta1 is held whole (10 MB at the suite's K = 63).
-    The chunk's eta1 and the eta2 and complex rows being transformed are
-    mapped, not malloc'd (see :data:`SMALL_ARRAY_BYTES`).
+    Each draw is one run's noise from ``model.draw_run_noise`` at the times
+    k = 0 .. K-1, and its shift is eta_hat[j] = mean_k (eta1[k] + i eta2[k])
+    exp(-2 pi i jk/K); returns the per-j mean of |eta_hat|^2 over ``draws``
+    draws.  For independent deviations of scale sigma_k the analytic value is
+    2 sum_k sigma_k^2 / K^2 at every j, so 2 sigma^2 / K for
+    :class:`rfe.noise.Gaussian`.  Runs are drawn and transformed in blocks of
+    max(1, SMALL_ARRAY_BYTES // (16 K)), so each block's arrays stay under
+    :data:`SMALL_ARRAY_BYTES`.  A model without run noise raises
+    ``ValueError``.
     """
     K = int(grid_size)
     draws = int(draws)
     if K < 1 or draws < 1:
         raise ValueError("need grid size >= 1 and draws >= 1")
+    ks = np.arange(K)
     rng = np.random.default_rng(int(seed))
+    rows = max(1, SMALL_ARRAY_BYTES // (16 * K))
+    block = np.empty((min(rows, draws), K), dtype=complex)
     acc = np.zeros(K)
-    # A chunk's eta1 rows, each overwritten by |eta_hat| once transformed.
-    buffer = _mapped(min(SHIFT_VARIANCE_CHUNK, draws) * K, float)
-    eta2 = _mapped((min(SHIFT_VARIANCE_FFT_ROWS, draws), K), float)
-    block = _mapped(eta2.shape, complex)
-    done = 0
-    while done < draws:
-        m = min(SHIFT_VARIANCE_CHUNK, draws - done)
-        power = buffer[:m * K].reshape(m, K)
-        rng.standard_normal(out=power)
-        power *= sigma
-        for start in range(0, m, SHIFT_VARIANCE_FFT_ROWS):
-            rows = power[start:start + SHIFT_VARIANCE_FFT_ROWS]
-            shift, imag = block[:len(rows)], eta2[:len(rows)]
-            shift.real = rows
-            rng.standard_normal(out=imag)
-            np.multiply(imag, sigma, out=shift.imag)
-            np.fft.fft(shift, axis=1, out=shift)
-            shift.view(float)[...] *= 1.0 / K
-            np.abs(shift, out=rows)
-        np.square(power, out=power)
-        acc += power.sum(axis=0)
-        done += m
-    return acc / draws
-
-
-def _mapped(shape, dtype) -> np.ndarray:
-    """A fresh zeroed array in its own anonymous mapping, which goes back to
-    the system when the array is freed."""
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize),
-                         dtype).reshape(shape)
+    for start in range(0, draws, rows):
+        n = min(rows, draws - start)
+        noise = model.draw_run_noise(ks, rng, size=n)
+        if noise is None:
+            raise ValueError(f"{model.kind} models draw no run noise")
+        shift = block[:n]
+        shift.real, shift.imag = noise.eta1, noise.eta2
+        np.fft.fft(shift, axis=1, out=shift)
+        acc += np.square(np.abs(shift)).sum(axis=0)
+    return acc / (draws * K * K)
 
 
 # --- kernel bound scans -------------------------------------------------------

@@ -102,7 +102,7 @@ def suite_oracle() -> SuiteResult:
     for _ in range(ORACLE_PAIRS):
         K = int(rng.integers(1, ORACLE_MAX_GRID + 1))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        oracle = exact_estimator_expectation(theta, K).coefficients
+        oracle = exact_estimator_expectation(theta, K)
         closed = expected_spectrum(theta, K).coefficients
         worst = max(worst, float(np.max(np.abs(oracle - closed))))
     elapsed = time.perf_counter() - start
@@ -110,7 +110,7 @@ def suite_oracle() -> SuiteResult:
     return SuiteResult(
         name="oracle", passed=passed,
         summary=(f"max |enumeration - closed form| = {worst:.3e} over {ORACLE_PAIRS} "
-                 f"random (theta, K <= {ORACLE_MAX_GRID}) pairs in {elapsed:.2f} s"),
+                 f"random (theta, K <= {ORACLE_MAX_GRID}) pairs"),
         details={"pairs": ORACLE_PAIRS, "max_grid": ORACLE_MAX_GRID, "max_abs_error": worst,
                  "tolerance": ORACLE_TOL, "elapsed_s": elapsed},
     )
@@ -129,7 +129,7 @@ def suite_lemmas() -> SuiteResult:
         summary=(f"{report.violation_count} violations over {report.points_checked} points; "
                  f"min close |f| = {report.min_close_magnitude:.6f} (floor 2/pi = "
                  f"{2/math.pi:.6f}), max non-adjacent |f| = "
-                 f"{report.max_non_adjacent_magnitude:.6f} in {elapsed:.2f} s"),
+                 f"{report.max_non_adjacent_magnitude:.6f}"),
         details=details,
     )
 
@@ -145,7 +145,7 @@ def suite_noiseless(trials: int = 500, workers: int = 1) -> SuiteResult:
     return SuiteResult(
         name="noiseless", passed=passed,
         summary=(f"K={plan.grid_size}, M={plan.samples}; success {stats.successes}/"
-                 f"{stats.trials} = {stats.rate:.3f} (need >= {RATE_MIN}) in {elapsed:.1f} s"),
+                 f"{stats.trials} = {stats.rate:.3f} (need >= {RATE_MIN})"),
         details={"plan": plan.to_dict(), "stats": stats.to_dict(),
                  "plan_ok": plan_ok, "elapsed_s": elapsed},
     )
@@ -184,9 +184,11 @@ def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
 
 def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
     """Gaussian guarantee at sigma = 0.1, plus the 2 sigma^2/K variance law."""
-    plan = bounds.bounds_report(0.1, 0.1, Gaussian(sigma=GAUSSIAN_SIGMA))
+    model = Gaussian(sigma=GAUSSIAN_SIGMA)
+    plan = bounds.bounds_report(0.1, 0.1, model)
     stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_GAUSSIAN, workers)
-    variance = gaussian_shift_variance(GAUSSIAN_SIGMA, 63, VARIANCE_DRAWS, _SEED_VARIANCE)
+    # drawn through the model, against the law written out, not model.scale
+    variance = gaussian_shift_variance(model, 63, VARIANCE_DRAWS, _SEED_VARIANCE)
     target = 2.0 * GAUSSIAN_SIGMA ** 2 / 63
     max_rel_dev = float(np.max(np.abs(variance - target) / target))
     variance_ok = max_rel_dev <= VARIANCE_REL_TOL

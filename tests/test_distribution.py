@@ -176,7 +176,7 @@ def _oracle_cases():
                          ids=[case[0] for case in _oracle_cases()])
 def test_mean_coefficients_match_oracle(plan, label, noise, deviations):
     M = 1000 if plan == "dense" else ORACLE_K
-    expected = exact_estimator_expectation(ORACLE_THETA, ORACLE_K, deviations).coefficients
+    expected = exact_estimator_expectation(ORACLE_THETA, ORACLE_K, deviations)
     mean = np.mean([r.spectrum.coefficients for r in
                     runs(ORACLE_K, M, noise, theta=ORACLE_THETA, count=ORACLE_RUNS)], axis=0)
     # One sample (c + i s) e^{-2 pi i k j / K} has E|.|^2 = 2, so each

@@ -26,7 +26,7 @@ from rfe.harness import (
     thread_map,
     wilson_interval,
 )
-from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
+from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, GaussianLinear, Ideal
 from rfe.spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
@@ -46,7 +46,7 @@ class TestExactOracle:
         for _ in range(30):
             K = int(rng.integers(1, 129))
             theta = float(rng.uniform(0.0, TWO_PI))
-            oracle = exact_estimator_expectation(theta, K).coefficients
+            oracle = exact_estimator_expectation(theta, K)
             closed = expected_spectrum(theta, K).coefficients
             worst = max(worst, float(np.max(np.abs(oracle - closed))))
         assert worst < 1e-12
@@ -54,8 +54,7 @@ class TestExactOracle:
     def test_zero_deviations_zero_shift(self):
         table = DeviationTable(eta1=np.zeros(16), eta2=np.zeros(16))
         oracle = exact_estimator_expectation(1.3, 16, deviations=table)
-        assert np.array_equal(oracle.coefficients,
-                              exact_estimator_expectation(1.3, 16).coefficients)
+        assert np.array_equal(oracle, exact_estimator_expectation(1.3, 16))
 
     def test_constant_deviation_shift_is_dc_indicator(self):
         # a constant table shifts only coefficient 0, by exactly a + i b;
@@ -65,7 +64,7 @@ class TestExactOracle:
         oracle = exact_estimator_expectation(theta, K, deviations=table)
         expected = expected_spectrum(theta, K).coefficients.copy()
         expected[0] += a + 1j * b
-        assert np.max(np.abs(oracle.coefficients - expected)) < 1e-12
+        assert np.max(np.abs(oracle - expected)) < 1e-12
 
     def test_noisy_expectation_decomposes(self):
         # with all biases inside [-1, 1] the oracle equals tone + shift
@@ -83,7 +82,7 @@ class TestExactOracle:
             oracle = exact_estimator_expectation(theta, K, deviations=table)
             tone = expected_spectrum(theta, K).coefficients
             shift = np.fft.fft(table.eta1 + 1j * table.eta2) / K
-            assert np.max(np.abs(oracle.coefficients - (tone + shift))) < 1e-12
+            assert np.max(np.abs(oracle - (tone + shift))) < 1e-12
 
     def test_clamping_breaks_plain_decomposition(self):
         # biases pushed past 1 get clamped, so the linear split must fail
@@ -92,8 +91,8 @@ class TestExactOracle:
         oracle = exact_estimator_expectation(0.0, K, deviations=table)  # bias 1.8 at k=0
         tone = expected_spectrum(0.0, K).coefficients
         shift = np.fft.fft(table.eta1 + 1j * table.eta2) / K
-        assert np.max(np.abs(oracle.coefficients)) <= math.sqrt(2) + 1e-12
-        assert np.max(np.abs(oracle.coefficients - (tone + shift))) > 1e-3
+        assert np.max(np.abs(oracle)) <= math.sqrt(2) + 1e-12
+        assert np.max(np.abs(oracle - (tone + shift))) > 1e-3
 
     @pytest.mark.parametrize("K", [1, 255, 256, 257, 1024])
     def test_direct_dft_blocks_match_one_block(self, K):
@@ -403,59 +402,42 @@ class TestMonteCarlo:
                 make()
 
 
-def _shift_variance_reference(sigma, K, draws, seed, chunk):
-    """The plain formula: per chunk, eta1 then eta2 from one stream, one FFT
-    of the whole chunk, and its |eta_hat|^2 summed over the draws."""
-    rng = np.random.default_rng(seed)
-    acc = np.zeros(K)
-    done = 0
-    while done < draws:
-        m = min(chunk, draws - done)
-        eta1 = rng.standard_normal((m, K)) * sigma
-        eta2 = rng.standard_normal((m, K)) * sigma
-        shift = np.fft.fft(eta1 + 1j * eta2, axis=1) / K
-        acc += (np.abs(shift) ** 2).sum(axis=0)
-        done += m
-    return acc / draws
-
-
 class TestGaussianShiftVariance:
     def test_variance_law(self):
         sigma, K = 0.5, 31
-        variance = gaussian_shift_variance(sigma, K, draws=30000, seed=777)
+        variance = gaussian_shift_variance(Gaussian(sigma), K, draws=30000, seed=777)
         target = 2 * sigma ** 2 / K
         assert np.max(np.abs(variance - target) / target) < 0.05
 
-    def test_matches_the_plain_formula_bit_for_bit(self):
-        # 45,000 draws run as chunks of 20,000, 20,000 and 5,000
-        assert harness.SHIFT_VARIANCE_CHUNK == 20000
-        variance = gaussian_shift_variance(0.1, 63, 45000, 3004)
-        reference = _shift_variance_reference(0.1, 63, 45000, 3004, chunk=20000)
-        assert np.array_equal(variance, reference)
+    # the exact law 2 sum_k sigma_k^2 / K^2, written out: sigma_k = sigma for
+    # Gaussian, k sigma for GaussianLinear (sum_{k<30} k^2 = 29 * 30 * 59 / 6)
+    @pytest.mark.parametrize("model,K,v", [
+        (Gaussian(0.5), 31, 2 * 0.5 ** 2 / 31),
+        (GaussianLinear(0.01), 30, 2 * 0.01 ** 2 * (29 * 30 * 59 / 6) / 30 ** 2),
+    ], ids=["gaussian", "gaussian_linear"])
+    def test_every_index_within_five_standard_errors(self, model, K, v):
+        # |eta_hat_j|^2 is exponential with mean v, so its standard deviation
+        # is v too, and the mean of N draws has standard error v / sqrt(N)
+        draws = 20000
+        variance = gaussian_shift_variance(model, K, draws, seed=778)
+        z = (variance - v) * math.sqrt(draws) / v
+        assert variance.shape == (K,)
+        assert np.max(np.abs(z)) <= 5.0
 
-    def test_memory_stays_near_one_chunk(self, monkeypatch):
-        # the verify suite's call; the plain formula peaks at about 78 MB.
-        # tracemalloc does not see the mapped eta1 chunk, so maps are counted.
-        mapped = []
-        real_mmap = harness.mmap.mmap
-
-        def counting(fileno, length):
-            mapped.append(length)
-            return real_mmap(fileno, length)
-
-        monkeypatch.setattr(harness.mmap, "mmap", counting)
+    def test_memory_stays_under_one_mib(self):
+        # the verify suite's grid; blocks of 121 runs keep every array small
+        gaussian_shift_variance(Gaussian(0.1), 63, 10 ** 4, 3004)  # warm-up
         tracemalloc.start()
         try:
-            gaussian_shift_variance(0.1, 63, 10 ** 5, 3004)
+            gaussian_shift_variance(Gaussian(0.1), 63, 10 ** 4, 3004)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one chunk of eta1 is 10 MB; both halves of a chunk would be 20 MB.
-        # The 1,024 rows of eta2 and of complex shifts are mapped too, so
-        # the heap holds no per-call array of 128 KiB or more.
-        assert mapped == [20000 * 63 * 8, 1024 * 63 * 8, 1024 * 63 * 16]
-        assert peak < harness.SMALL_ARRAY_BYTES
-        assert peak + sum(mapped) <= 16 * 2 ** 20
+        assert peak < 2 ** 20
+
+    def test_a_model_without_run_noise_raises(self):
+        with pytest.raises(ValueError, match="run noise"):
+            gaussian_shift_variance(Ideal(), 63, 100, 1)
 
 
 def _full_mask_scan(k_values, n_theta, magnitude):

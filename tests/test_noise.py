@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import rfe.noise
+from rfe.harness import gaussian_shift_variance
 from rfe.noise import (
     AdversaryStrategy,
     Ban,
@@ -194,24 +195,14 @@ class TestGaussianDraws:
     def test_spectral_variance_flat_model(self):
         # Var of the spectral shift is 2 sigma^2 / K for every index
         sigma, K, draws = 1.0, 63, 20000
-        rng = np.random.default_rng(99)
-        acc = np.zeros(K)
-        for _ in range(draws):
-            t = Gaussian(sigma).draw_run_noise(np.arange(K), rng)
-            acc += np.abs(np.fft.fft(t.eta1 + 1j * t.eta2) / K) ** 2
-        variance = acc / draws
+        variance = gaussian_shift_variance(Gaussian(sigma), K, draws, seed=99)
         target = 2 * sigma ** 2 / K  # = 0.031746
         assert np.max(np.abs(variance - target) / target) < 0.05
 
     def test_spectral_variance_linear_model(self):
         # exact Var is (K-1)(2K-1) sigma^2 / (3K) <= 2 K sigma^2 / 3
         sigma, K, draws = 0.01, 30, 4000
-        rng = np.random.default_rng(100)
-        acc = np.zeros(K)
-        for _ in range(draws):
-            t = GaussianLinear(sigma).draw_run_noise(np.arange(K), rng)
-            acc += np.abs(np.fft.fft(t.eta1 + 1j * t.eta2) / K) ** 2
-        variance = acc / draws
+        variance = gaussian_shift_variance(GaussianLinear(sigma), K, draws, seed=100)
         exact = (K - 1) * (2 * K - 1) * sigma ** 2 / (3 * K)
         assert np.all(variance <= 2 * K * sigma ** 2 / 3)  # the 0.002 cap
         assert np.mean(variance) == pytest.approx(exact, rel=0.1)

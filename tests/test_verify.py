@@ -1,14 +1,16 @@
-"""The suite table of rfe.verify: order, aliases, options, threads, planning
-and the oracle suite's pinned result and memory."""
+"""The suite table of rfe.verify: order, aliases, options, threads, planning,
+the oracle suite's pinned result and memory, and the gaussian suite's
+failure on a broken noise path."""
 
 import os
-import re
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rfe import bounds, estimator, harness, verify
+from rfe.noise import DeviationTable, Gaussian
 
 CANONICAL = ["oracle", "lemmas", "thresholds", "reductions", "depth",
              "noiseless", "adversarial", "gaussian", "demo"]
@@ -82,8 +84,6 @@ def _masked(value):
         return {key: _masked(item) for key, item in value.items() if key != "elapsed_s"}
     if isinstance(value, list):
         return [_masked(item) for item in value]
-    if isinstance(value, str):
-        return re.sub(r"in [0-9.]+ s\b", "in <t> s", value)
     return value
 
 
@@ -162,6 +162,32 @@ class TestOracleSuite:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 2 ** 10
+
+
+class TestGaussianSuite:
+    """The variance law is drawn through the shipped model, so the suite
+    fails when the model's noise path breaks."""
+
+    def test_passes(self):
+        result = verify.suite_gaussian(trials=30)
+        assert result.passed
+        assert result.details["variance_max_rel_dev"] <= verify.VARIANCE_REL_TOL
+
+    def test_a_wrong_scale_fails(self, monkeypatch):
+        monkeypatch.setattr(Gaussian, "scale", lambda self, ks: 3.0 * self.sigma)
+        result = verify.suite_gaussian(trials=30)
+        assert not result.passed
+        assert result.details["variance_max_rel_dev"] > verify.VARIANCE_REL_TOL
+
+    def test_zero_run_noise_fails(self, monkeypatch):
+        def zeros(self, ks, rng, size=None):
+            shape = (len(ks),) if size is None else (size, len(ks))
+            return DeviationTable(eta1=np.zeros(shape), eta2=np.zeros(shape))
+
+        monkeypatch.setattr(Gaussian, "draw_run_noise", zeros)
+        result = verify.suite_gaussian(trials=30)
+        assert not result.passed
+        assert result.details["variance_max_rel_dev"] > verify.VARIANCE_REL_TOL
 
 
 class TestPlanning:
