@@ -321,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override trial counts of the Monte Carlo suites (no "
                                "cap: run time grows with the count)")
     p_verify.add_argument("--workers", type=int, default=0,
-                          help="worker threads (default 0: all cores; capped at "
-                               "the cores); never changes results")
+                          help="worker threads in all, suites and their blocks "
+                               "together (default 0: all cores; capped at the "
+                               "cores); never changes results")
     p_verify.add_argument("--outdir", default=None,
                           help="directory for emitted artifacts (demo spectrum CSV)")
     p_verify.add_argument("--output", default=None,

@@ -20,7 +20,8 @@ Three kinds of checks live here:
 
 :func:`thread_map` is the one place that decides how work runs on threads,
 for these blocks and for the suites of :func:`rfe.verify.run_suites`: an
-item starts only when a thread is free.
+item starts only when a thread is free, and a map called from an item of
+another runs inline in that item's thread, so nesting adds no threads.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -216,27 +218,40 @@ def pool_size(workers: int) -> int:
     return min(workers or cores, cores)
 
 
+# Marks the threads of thread_map's pools, so a map nested in one runs inline.
+_pool_thread = threading.local()
+
+
+def _as_worker(fn: Callable, item):
+    """``fn(item)`` on a pool thread, marked as one."""
+    _pool_thread.active = True
+    return fn(item)
+
+
 def thread_map(fn: Callable, items: Sequence, threads: int) -> Iterator:
     """Yield ``fn(item)`` for each of the sized ``items`` as the calls
     finish, on at most ``min(threads, len(items))`` threads.
 
     ``items`` is read lazily, so ``range(2 * 10**12)`` is fine.  An item
     starts only when a thread is free, so after the first error no further
-    item starts, and the error is re-raised.  With one thread this is
-    ``map(fn, items)`` in the calling thread.
+    item starts, and the error is re-raised.  With one thread, or when
+    called from an item that another ``thread_map`` runs on its pool, this
+    is ``map(fn, items)`` in the calling thread, so nesting adds no threads.
     """
     threads = min(threads, len(items))
-    if threads <= 1:
+    if threads <= 1 or getattr(_pool_thread, "active", False):
         yield from map(fn, items)
         return
     pending = iter(items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        running = {pool.submit(fn, item) for item in itertools.islice(pending, threads)}
+        running = {pool.submit(_as_worker, fn, item)
+                   for item in itertools.islice(pending, threads)}
         while running:
             done, running = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
                 yield future.result()
-            running |= {pool.submit(fn, item) for item in itertools.islice(pending, len(done))}
+            running |= {pool.submit(_as_worker, fn, item)
+                        for item in itertools.islice(pending, len(done))}
 
 
 def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
@@ -257,9 +272,10 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
     order: its B phases, then the run noise and samples of its B runs, which
     :func:`rfe.estimator.run_block` does as (B, K) arrays.  ``workers`` (0:
     all cores) sets the threads, at most one per block and capped at the
-    cores, that whole blocks are distributed over by :func:`thread_map`; it
-    cannot change the statistics.  numpy releases the interpreter lock in
-    its generator fills, ufunc loops and FFTs, so blocks overlap on threads.
+    cores, that whole blocks are distributed over by :func:`thread_map` (none
+    inside another map's item); it cannot change the statistics.  numpy
+    releases the interpreter lock in its generator fills, ufunc loops and
+    FFTs, so blocks overlap on threads.
     A block starts only when a thread is free, so memory does not grow with
     ``trials``, and after the first error no further block starts and the
     error is re-raised.

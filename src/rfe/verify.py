@@ -369,13 +369,13 @@ def run_suites(names: Sequence[str], workers: int = 1,
 
     ``workers`` must be at least 0 (0 for all cores).  The suites run side
     by side on that many threads, at most one per suite and capped at the
-    cores, and each campaign suite also spreads its blocks over ``workers``
-    threads.  They start in ``_START_ORDER``, longest first, whatever order
-    the results come in.  :func:`rfe.harness.thread_map` runs them: a suite
-    starts only when a thread is free, and once one raises, no other starts
-    and its error is re-raised.  Every suite is seeded by its own
-    constants, so any worker count or start order gives the same results,
-    timings aside.  ``trials``, when given, replaces the trial count of
+    cores; a campaign suite runs its blocks in its own suite's thread, or,
+    when it runs alone, on ``workers`` threads.  They start in
+    ``_START_ORDER``, longest first, whatever order the results come in.
+    :func:`rfe.harness.thread_map` runs them: a suite starts only when a
+    thread is free, and once one raises, no other starts and its error is
+    re-raised.  Every suite is seeded by its own constants, so any worker
+    count or start order gives the same results, timings aside.  ``trials``, when given, replaces the trial count of
     every Monte Carlo suite and must be at least 1; None keeps each suite's
     own count.  Both are checked before any suite runs.
     """

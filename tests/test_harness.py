@@ -205,6 +205,15 @@ class TestThreadMap:
         assert list(thread_map(call, range(5), 1)) == [0, 1, 4, 9, 16]
         assert calls == [(item, threading.get_ident()) for item in range(5)]
 
+    @pytest.mark.parametrize("outer", [1, 2])
+    def test_a_map_nested_in_a_pool_item_runs_in_that_items_thread(self, outer):
+        # on a one-thread (inline) outer map the nested map still builds its pool
+        def item(_):
+            nested = thread_map(lambda _: threading.get_ident(), range(4), 2)
+            return {ident == threading.get_ident() for ident in nested}
+
+        assert list(thread_map(item, range(2), outer)) == [{outer == 2}] * 2
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_a_huge_range_stops_at_the_first_error(self, threads):
         calls = itertools.count()

@@ -1,4 +1,5 @@
-"""Every name a module of rfe imports is used there (no linter is installed)."""
+"""Every name a module of rfe imports is used there (no linter is installed),
+and only rfe.harness imports the thread modules."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,24 @@ MODULES = sorted(SRC.glob("*.py"))
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == ALLOWED.get(path.stem, set())
+
+
+# thread_map in rfe.harness is the only code that builds a pool or reads threads
+THREAD_MODULES = {"concurrent", "threading"}
+
+
+def _top_level_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "harness"],
+                         ids=lambda p: p.stem)
+def test_only_harness_imports_thread_modules(path):
+    assert _top_level_imports(path) & THREAD_MODULES == set()

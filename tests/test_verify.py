@@ -107,6 +107,30 @@ class TestThreads:
             [_masked(r.to_dict()) for r in inline]
         assert [r.name for r in threaded] == CANONICAL
 
+    def test_pool_threads_never_exceed_the_cores(self, monkeypatch):
+        # 131 trials make two blocks at K = 63 and at K = 79, so every
+        # campaign suite would open a pool of its own if it could
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        lock = threading.Lock()
+        alive, peak = [0], [0]
+
+        class Recording(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                self.threads = max_workers
+                with lock:
+                    alive[0] += max_workers
+                    peak[0] = max(peak[0], alive[0])
+                super().__init__(max_workers)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                with lock:
+                    alive[0] -= self.threads
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        verify.run_suites(["all"], workers=2, trials=131)
+        assert peak[0] == 2
+
     def test_a_failing_suite_raises_from_its_thread(self, monkeypatch):
         def broken():
             raise RuntimeError("suite broke")
