@@ -8,7 +8,9 @@ grid size is K = ceil(2 pi / epsilon) and the sufficient sample counts are
     gaussian:     ceil( (81 pi^2 / 2) ln(16 pi / (delta epsilon))
                         * (1 - (9 sigma / 8) sqrt(epsilon pi / ln(16 pi/(delta epsilon))))^-2 )
 
-with ceilings applied once around the whole expression.  Each noisy variant
+with ceilings applied once around the whole expression.  ``bounds_report``
+is the one function that returns a sample count: it writes each formula
+once, and plans every other model through one of them.  Each noisy variant
 pays an inflation factor that diverges as its noise parameter approaches a
 hard threshold (eta_bar -> 2 sqrt(2)/(9 pi), sigma -> sigma_max); queries at
 or past a threshold raise :class:`BoundsUnachievable` instead of
@@ -39,9 +41,6 @@ TWO_PI = 2.0 * math.pi
 # All sample counts share the base constant 81 pi^2 / 2 from the Hoeffding
 # budget against the 4/(9 pi) in-spec radius.
 _BASE = 81.0 * math.pi ** 2 / 2.0
-# Largest-magnitude single-sample deviation splits the in-spec radius as
-# 4/(9 pi) = 2 * (2 sqrt 2 / (9 pi)); kept for reporting.
-IN_SPEC_RADIUS = 4.0 / (9.0 * math.pi)
 # Largest sample count a run accepts, so per-time counts fit in int64.
 MAX_SAMPLES = 2 ** 62
 # Largest grid size a run or a spectrum accepts (epsilon down to about
@@ -152,16 +151,7 @@ def grid_size(epsilon: float) -> int:
     return math.ceil(TWO_PI / epsilon)
 
 
-def samples_noiseless(epsilon: float, delta: float) -> int:
-    """ceil((81 pi^2 / 2) ln(8 pi / (delta epsilon))) samples suffice for an
-    epsilon-accurate estimate with probability > 1 - delta, absent noise."""
-    _check_epsilon_delta(epsilon, delta)
-    if epsilon >= math.pi / 2.0:
-        raise ValueError("epsilon >= pi/2 needs no samples; see estimate_phase")
-    return math.ceil(_BASE * math.log(8.0 * math.pi / (delta * epsilon)))
-
-
-def ban_inflation(eta_bar: float) -> float:
+def _ban_inflation(eta_bar: float) -> float:
     """Sample-count inflation (1 - (9 pi / (2 sqrt 2)) eta_bar)^-2 paid to
     keep the guarantee under adversarial deviations bounded by eta_bar."""
     limit = ban_threshold()
@@ -174,63 +164,12 @@ def ban_inflation(eta_bar: float) -> float:
     return (1.0 - (9.0 * math.pi / (2.0 * math.sqrt(2.0))) * eta_bar) ** -2
 
 
-def samples_ban(epsilon: float, delta: float, eta_bar: float) -> int:
-    """Sufficient samples under adversarial deviations bounded by eta_bar;
-    equals the noiseless count exactly at eta_bar = 0."""
-    _check_epsilon_delta(epsilon, delta)
-    factor = ban_inflation(eta_bar)
-    if epsilon >= math.pi / 2.0:
-        raise ValueError("epsilon >= pi/2 needs no samples; see estimate_phase")
-    return math.ceil(_BASE * factor * math.log(8.0 * math.pi / (delta * epsilon)))
-
-
 def sigma_max(epsilon: float, delta: float) -> float:
     """Largest Gaussian scale with a guarantee:
     sqrt(64 / (81 pi epsilon) * ln(16 pi / (delta epsilon)))."""
     _check_epsilon_delta(epsilon, delta)
     log_term = math.log(16.0 * math.pi / (delta * epsilon))
     return math.sqrt(64.0 / (81.0 * math.pi * epsilon) * log_term)
-
-
-def gaussian_inflation(epsilon: float, delta: float, sigma: float) -> float:
-    """Inflation (1 - (9 sigma/8) sqrt(epsilon pi / ln(16 pi/(delta epsilon))))^-2."""
-    _check_epsilon_delta(epsilon, delta)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
-    limit = sigma_max(epsilon, delta)
-    if sigma >= limit:
-        raise BoundsUnachievable(
-            f"sigma={sigma} is at or above sigma_max(epsilon={epsilon}, delta={delta})={limit:.6f}"
-        )
-    log_term = math.log(16.0 * math.pi / (delta * epsilon))
-    return (1.0 - (9.0 * sigma / 8.0) * math.sqrt(epsilon * math.pi / log_term)) ** -2
-
-
-def samples_gaussian(epsilon: float, delta: float, sigma: float) -> int:
-    """Sufficient samples under once-per-run Gaussian deviations of scale
-    sigma.  The log argument is 16 pi/(delta epsilon) — half the failure
-    budget is spent on the noise draw — so the sigma = 0 value exceeds the
-    noiseless count."""
-    factor = gaussian_inflation(epsilon, delta, sigma)
-    if epsilon >= math.pi / 2.0:
-        raise ValueError("epsilon >= pi/2 needs no samples; see estimate_phase")
-    log_term = math.log(16.0 * math.pi / (delta * epsilon))
-    return math.ceil(_BASE * log_term * factor)
-
-
-def inspec_failure_bound(samples: int, grid_size: int, eta_bar: float | None = None) -> float:
-    """Probability bound (capped at 1) that any of the K coefficient
-    estimates lands more than 4/(9 pi) from its expectation:
-    4 K exp(-2 M / (81 pi^2)), with the exponent shrunk by
-    (1 - (9 pi/(2 sqrt 2)) eta_bar)^2 under adversarial noise."""
-    M = int(samples)
-    K = int(grid_size)
-    if M < 0 or K < 1:
-        raise ValueError("need samples >= 0 and grid size >= 1")
-    shrink = 1.0
-    if eta_bar is not None:
-        shrink = ban_inflation(eta_bar) ** -1  # (1 - (9 pi/(2 sqrt2)) eta_bar)^2
-    return min(1.0, 4.0 * K * math.exp(-2.0 * M * shrink / (81.0 * math.pi ** 2)))
 
 
 def expected_total_depth(samples: int, grid_size: int) -> float:
@@ -274,8 +213,19 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
                             thresholds=thresholds)
     K = grid_size(epsilon)
     if type(noise) is Gaussian:
-        M = samples_gaussian(epsilon, delta, noise.sigma)
-        inflation = gaussian_inflation(epsilon, delta, noise.sigma)
+        sigma = noise.sigma
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+        limit = thresholds["sigma_max"]
+        if sigma >= limit:
+            raise BoundsUnachievable(
+                f"sigma={sigma} is at or above sigma_max(epsilon={epsilon}, delta={delta})={limit:.6f}"
+            )
+        # Half the failure budget is spent on the noise draw, hence 16 pi
+        # where the envelope path has 8 pi.
+        log_term = math.log(16.0 * math.pi / (delta * epsilon))
+        inflation = (1.0 - (9.0 * sigma / 8.0) * math.sqrt(epsilon * math.pi / log_term)) ** -2
+        M = math.ceil(_BASE * log_term * inflation)
     else:
         eta = noise.envelope(K)
         if eta is None:
@@ -287,8 +237,8 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
         # report shows it.
         if isinstance(noise, (Dephasing, HighCoherence)):
             thresholds["implied_eta_bar"] = eta
-        M = samples_ban(epsilon, delta, eta)
-        inflation = ban_inflation(eta)
+        inflation = _ban_inflation(eta)
+        M = math.ceil(_BASE * inflation * math.log(8.0 * math.pi / (delta * epsilon)))
     if M > MAX_SAMPLES:
         raise BoundsUnachievable(
             f"certified sample count {M:.3e} exceeds the runnable maximum 2**62"
@@ -326,13 +276,12 @@ def derivation_report() -> dict:
     c = ban_threshold()
     bisection = bisect(lambda x: (1.0 - math.exp(-x)) / 2.0 - c, 1e-12, 5.0)
     log_term = math.log(16.0 * math.pi / (delta * epsilon))
-    quoted_root = (9.0 * sigma / 8.0) * math.sqrt(epsilon * math.pi / log_term)
     rederived_root = (9.0 * sigma / 8.0) * math.sqrt(epsilon * math.pi * log_term)
     gaussian = {
         "epsilon": epsilon,
         "delta": delta,
         "sigma": sigma,
-        "nominal_factor": (1.0 - quoted_root) ** -2,
+        "nominal_factor": bounds_report(epsilon, delta, Gaussian(sigma)).inflation_factor,
         "rederived_factor": (1.0 - rederived_root) ** -2 if rederived_root < 1.0 else None,
         "note": ("substituting the adversarial budget a gaussian draw respects, "
                  "sqrt(sigma^2/(4K) ln(8K/delta)), into the adversarial factor puts "

@@ -154,7 +154,7 @@ def _cmd_spectrum(args) -> int:
         coefficients = result.spectrum.coefficients
         extra = trial_to_dict(result)
     else:
-        coefficients = expected_spectrum(theta, K).coefficients
+        coefficients = expected_spectrum(theta, K)
         extra = None
     if args.format == "csv":
         _emit(spectrum_csv(coefficients), args.output)

@@ -20,7 +20,6 @@ buffer that statistical estimates of the coefficients are allowed to consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +31,6 @@ CLOSE_MAGNITUDE_MIN = 2.0 / math.pi
 NON_ADJACENT_MAGNITUDE_MAX = 10.0 / (9.0 * math.pi)
 # Envelope value 1/(K sin(pi/K)) at K = 4, the worst case over K >= 4.
 NON_ADJACENT_ENVELOPE_MAX = 1.0 / (2.0 * math.sqrt(2.0))
-
-
-@dataclass(frozen=True, eq=False)
-class ExpectedSpectrum:
-    """Closed-form expected coefficients for one (theta, K) pair."""
-
-    grid_size: int
-    coefficients: np.ndarray  # complex, length grid_size
 
 
 def validate_phase(theta: float) -> float:
@@ -170,9 +161,10 @@ def kernel_magnitude(x, grid_size: int):
     return _kernel(x, grid_size, signed=False)
 
 
-def expected_spectrum(theta: float, grid_size: int) -> ExpectedSpectrum:
-    """All K expected coefficients of a tone at phase theta; K above
-    :data:`rfe.bounds.MAX_GRID_SIZE` is refused before anything is built.
+def expected_spectrum(theta: float, grid_size: int) -> np.ndarray:
+    """All K expected coefficients of a tone at phase theta, as a complex
+    array of length K; K above :data:`rfe.bounds.MAX_GRID_SIZE` is refused
+    before anything is built.
 
     Coefficient j equals (1/K) sum_k exp(i k theta) exp(-2 pi i j k / K),
     evaluated in the well-conditioned product form
@@ -183,5 +175,4 @@ def expected_spectrum(theta: float, grid_size: int) -> ExpectedSpectrum:
     K = check_grid_size(grid_size)
     theta = validate_phase(theta)
     x = np.arange(K) - K * theta / TWO_PI
-    coefficients = np.exp(-1j * np.pi * x * (K - 1) / K) * dirichlet_kernel(x, K)
-    return ExpectedSpectrum(grid_size=K, coefficients=coefficients)
+    return np.exp(-1j * np.pi * x * (K - 1) / K) * dirichlet_kernel(x, K)

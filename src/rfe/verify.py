@@ -103,7 +103,7 @@ def suite_oracle() -> SuiteResult:
         K = int(rng.integers(1, ORACLE_MAX_GRID + 1))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         oracle = exact_estimator_expectation(theta, K)
-        closed = expected_spectrum(theta, K).coefficients
+        closed = expected_spectrum(theta, K)
         worst = max(worst, float(np.max(np.abs(oracle - closed))))
     elapsed = time.perf_counter() - start
     passed = worst <= ORACLE_TOL and elapsed < ORACLE_TIME_LIMIT_S
@@ -153,21 +153,23 @@ def suite_noiseless(trials: int = 500, workers: int = 1) -> SuiteResult:
 
 def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
     """Adversarial guarantee at eta_bar = 0.05 with the sign-flip adversary."""
+    start = time.perf_counter()
     model = Ban(eta_bar=BAN_ETA, strategy=AdversaryStrategy.SIGN_FLIP)
     plan = bounds.bounds_report(0.1, 0.1, model)
     inflation_ok = abs(plan.inflation_factor - BAN_INFLATION_EXPECTED) <= BAN_INFLATION_TOL
     plan_ok = plan.samples == 12510 and plan.grid_size == 63
-    # Formula-level divergence: M grows strictly without bound approaching
+    # Divergence: the certified M grows strictly without bound approaching
     # the threshold, and the threshold itself is rejected.
-    ladder = [bounds.samples_ban(0.1, 0.1, ban_threshold() * (1.0 - 10.0 ** -t))
+    ladder = [bounds.bounds_report(0.1, 0.1, Ban(ban_threshold() * (1.0 - 10.0 ** -t))).samples
               for t in range(1, 7)]
     diverges = all(a < b for a, b in zip(ladder, ladder[1:]))
     try:
-        bounds.samples_ban(0.1, 0.1, ban_threshold())
+        bounds.bounds_report(0.1, 0.1, Ban(ban_threshold()))
         rejects_threshold = False
     except bounds.BoundsUnachievable:
         rejects_threshold = True
     stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_ADVERSARIAL, workers)
+    elapsed = time.perf_counter() - start
     passed = (plan_ok and inflation_ok and diverges and rejects_threshold
               and stats.rate >= RATE_MIN)
     return SuiteResult(
@@ -178,12 +180,13 @@ def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
                  f"divergence ladder {'ok' if diverges else 'BROKEN'}"),
         details={"plan": plan.to_dict(), "stats": stats.to_dict(),
                  "inflation_ok": inflation_ok, "divergence_ladder": ladder,
-                 "rejects_threshold": rejects_threshold},
+                 "rejects_threshold": rejects_threshold, "elapsed_s": elapsed},
     )
 
 
 def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
     """Gaussian guarantee at sigma = 0.1, plus the 2 sigma^2/K variance law."""
+    start = time.perf_counter()
     model = Gaussian(sigma=GAUSSIAN_SIGMA)
     plan = bounds.bounds_report(0.1, 0.1, model)
     stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_GAUSSIAN, workers)
@@ -192,6 +195,7 @@ def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
     target = 2.0 * GAUSSIAN_SIGMA ** 2 / 63
     max_rel_dev = float(np.max(np.abs(variance - target) / target))
     variance_ok = max_rel_dev <= VARIANCE_REL_TOL
+    elapsed = time.perf_counter() - start
     passed = stats.rate >= RATE_MIN and variance_ok and plan.samples == 3559
     return SuiteResult(
         name="gaussian", passed=passed,
@@ -200,7 +204,7 @@ def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
                  f"vs 2 sigma^2/K (need <= {VARIANCE_REL_TOL})"),
         details={"plan": plan.to_dict(), "stats": stats.to_dict(),
                  "variance_target": target, "variance_max_rel_dev": max_rel_dev,
-                 "variance_draws": VARIANCE_DRAWS},
+                 "variance_draws": VARIANCE_DRAWS, "elapsed_s": elapsed},
     )
 
 
@@ -232,7 +236,8 @@ def suite_reductions() -> SuiteResult:
              for eps in (0.05, 0.1, 0.15, 0.2, 0.3)
              for delta in (0.01, 0.05, 0.1, 0.2)]
     samples_equal = all(
-        bounds.samples_ban(eps, delta, 0.0) == bounds.samples_noiseless(eps, delta)
+        bounds.bounds_report(eps, delta, Ban(0.0)).samples
+        == bounds.bounds_report(eps, delta, Ideal()).samples
         for eps, delta in pairs)
 
     K = 63
@@ -266,7 +271,7 @@ def suite_reductions() -> SuiteResult:
               and dephasing_1e9_dev <= envelope_1e9 * (1.0 + 1e-9))
     return SuiteResult(
         name="reductions", passed=passed,
-        summary=(f"samples_ban(.,.,0) == samples_noiseless on {len(pairs)} pairs: "
+        summary=(f"M for Ban(0) == M for Ideal on {len(pairs)} pairs: "
                  f"{samples_equal}; zero-setting bias deviations: ban {ban_dev:.1e}, "
                  f"gaussian {gauss_dev:.1e}, dephasing(t2=inf) {dephasing_inf_dev:.1e}, "
                  f"t2=1e18 {dephasing_1e18_dev:.1e}, t2=1e9 {dephasing_1e9_dev:.2e} "
@@ -310,6 +315,7 @@ def suite_demo(trials: int = 200, workers: int = 1,
     still reads 1.000: the certified count covers the worst phase and the
     union bound over all K frequencies, and this phase needs far fewer
     samples.  No rate threshold is claimed."""
+    start = time.perf_counter()
     K = bounds.grid_size(0.08)
     run = run_rfe(RunConfig(samples=80, grid_size=K, theta=2.25, seed=7))
     csv_text = spectrum_csv(run.spectrum.coefficients)
@@ -325,6 +331,7 @@ def suite_demo(trials: int = 200, workers: int = 1,
     # delta at which the certified count is exactly 40x the demo's 80 samples:
     # solve (81 pi^2/2) ln(8 pi/(0.08 delta)) = 3200 in closed form
     backsolved = (8.0 * math.pi / 0.08) * math.exp(-3200.0 / (81.0 * math.pi ** 2 / 2.0))
+    elapsed = time.perf_counter() - start
     return SuiteResult(
         name="demo", passed=True,
         summary=(f"K={K}, M=80 single run: winning index {run.winning_index}, "
@@ -336,7 +343,8 @@ def suite_demo(trials: int = 200, workers: int = 1,
                  "stats": stats.to_dict(),
                  "delta_backsolved_for_3200": backsolved,
                  "spectrum_csv_path": csv_path,
-                 "spectrum_csv": csv_text},
+                 "spectrum_csv": csv_text,
+                 "elapsed_s": elapsed},
     )
 
 

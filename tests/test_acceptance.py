@@ -82,7 +82,7 @@ def test_criterion_4_adversarial_guarantee():
 
 @pytest.mark.acceptance(label="criterion 5: gaussian desk-scale, rate >= 0.90, Var(shift) within 5% of 2 sigma^2/K at 1e5 draws")
 def test_criterion_5_gaussian_guarantee():
-    assert bounds.samples_gaussian(0.1, 0.1, 0.1) == 3559
+    assert bounds.bounds_report(0.1, 0.1, Gaussian(0.1)).samples == 3559
     result = verify.suite_gaussian(trials=300)
     assert result.details["stats"]["trials"] >= 300
     assert result.details["stats"]["rate"] >= 0.90

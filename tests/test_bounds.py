@@ -10,17 +10,11 @@ from rfe.bounds import (
     MAX_SAMPLES,
     BoundsReport,
     BoundsUnachievable,
-    ban_inflation,
     bounds_report,
     bisect,
     derivation_report,
     expected_total_depth,
-    gaussian_inflation,
     grid_size,
-    inspec_failure_bound,
-    samples_ban,
-    samples_gaussian,
-    samples_noiseless,
     sigma_max,
 )
 from rfe.noise import (
@@ -61,17 +55,31 @@ class TestGridSize:
                 bounds_report(epsilon, delta)
 
 
+def samples(epsilon, delta, noise=Ideal()):
+    return bounds_report(epsilon, delta, noise).samples
+
+
+def in_spec_failure_bound(samples, grid_size, inflation=1.0):
+    """4 K exp(-2 M / (81 pi^2 inflation)), capped at 1: the union bound that
+    one of K coefficient estimates from M samples lands more than 4/(9 pi)
+    from its expectation; adversarial noise shrinks the exponent by the
+    inflation factor."""
+    return min(1.0, 4.0 * grid_size * math.exp(
+        -2.0 * samples / (inflation * 81.0 * math.pi ** 2)))
+
+
 class TestSampleCounts:
     def test_noiseless_frozen(self):
-        assert samples_noiseless(0.1, 0.1) == 3130
+        assert samples(0.1, 0.1) == 3130
 
     def test_noiseless_monotonicity(self):
-        assert samples_noiseless(0.1, 0.05) > samples_noiseless(0.1, 0.1)
-        assert samples_noiseless(0.05, 0.1) > samples_noiseless(0.1, 0.1)
+        assert samples(0.1, 0.05) > samples(0.1, 0.1)
+        assert samples(0.05, 0.1) > samples(0.1, 0.1)
 
     def test_ban_frozen(self):
-        assert samples_ban(0.1, 0.1, 0.05) == 12510
-        assert ban_inflation(0.05) == pytest.approx(3.9971907692598534, abs=1e-12)
+        report = bounds_report(0.1, 0.1, Ban(0.05))
+        assert report.samples == 12510
+        assert report.inflation_factor == pytest.approx(3.9971907692598534, abs=1e-12)
 
     def test_ban_reduces_to_noiseless_on_grid(self):
         pairs = [(eps, delta)
@@ -79,52 +87,52 @@ class TestSampleCounts:
                  for delta in (0.01, 0.05, 0.1, 0.2)]
         assert len(pairs) == 20
         for eps, delta in pairs:
-            assert samples_ban(eps, delta, 0.0) == samples_noiseless(eps, delta)
+            noiseless = math.ceil(81 * math.pi ** 2 / 2 * math.log(8 * math.pi / (delta * eps)))
+            assert samples(eps, delta, Ban(0.0)) == samples(eps, delta, Ideal()) == noiseless
 
     def test_ban_monotone_and_divergent(self):
         grid = [0.0, 0.02, 0.04, 0.06, 0.08, 0.098]
-        counts = [samples_ban(0.1, 0.1, e) for e in grid]
+        counts = [samples(0.1, 0.1, Ban(e)) for e in grid]
         assert all(a < b for a, b in zip(counts, counts[1:]))
-        ladder = [samples_ban(0.1, 0.1, ban_threshold() * (1 - 10.0 ** -t))
+        ladder = [samples(0.1, 0.1, Ban(ban_threshold() * (1 - 10.0 ** -t)))
                   for t in range(1, 7)]
         assert all(a < b for a, b in zip(ladder, ladder[1:]))
         assert ladder[-1] > 10 ** 12  # diverging toward the threshold
 
     def test_ban_threshold_rejected(self):
         with pytest.raises(BoundsUnachievable) as info:
-            samples_ban(0.1, 0.1, ban_threshold())
+            bounds_report(0.1, 0.1, Ban(ban_threshold()))
         assert "0.100035" in str(info.value)
         with pytest.raises(BoundsUnachievable):
-            samples_ban(0.1, 0.1, 0.15)
+            bounds_report(0.1, 0.1, Ban(0.15))
 
     def test_gaussian_frozen(self):
-        assert samples_gaussian(0.1, 0.1, 0.0) == 3407
-        assert samples_gaussian(0.1, 0.1, 1.0) == 5543
-        assert samples_gaussian(0.1, 0.1, 0.1) == 3559
-        assert gaussian_inflation(0.1, 0.1, 1.0) == pytest.approx(1.6269066469004698, abs=1e-12)
+        assert samples(0.1, 0.1, Gaussian(0.0)) == 3407
+        assert samples(0.1, 0.1, Gaussian(1.0)) == 5543
+        assert samples(0.1, 0.1, Gaussian(0.1)) == 3559
+        assert bounds_report(0.1, 0.1, Gaussian(1.0)).inflation_factor == pytest.approx(
+            1.6269066469004698, abs=1e-12)
 
     def test_gaussian_exceeds_noiseless_at_zero(self):
         # the half failure budget spent on the draw costs ~ln 2 extra
-        assert samples_gaussian(0.1, 0.1, 0.0) > samples_noiseless(0.1, 0.1)
+        assert samples(0.1, 0.1, Gaussian(0.0)) > samples(0.1, 0.1)
 
     def test_gaussian_monotone_in_sigma(self):
-        counts = [samples_gaussian(0.1, 0.1, s) for s in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        counts = [samples(0.1, 0.1, Gaussian(s)) for s in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
     def test_gaussian_threshold_rejected(self):
         with pytest.raises(BoundsUnachievable) as info:
-            samples_gaussian(0.1, 0.1, 5.0)
+            bounds_report(0.1, 0.1, Gaussian(5.0))
         assert "4.6297" in str(info.value)
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            samples_noiseless(2.0, 0.1)  # >= pi/2 has no sampling formula
+            bounds_report(0.1, 0.0)
         with pytest.raises(ValueError):
-            samples_noiseless(0.1, 0.0)
+            bounds_report(-0.1, 0.5)
         with pytest.raises(ValueError):
-            samples_noiseless(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            samples_ban(0.1, 1.5, 0.01)
+            bounds_report(0.1, 1.5, Ban(0.01))
 
 
 class TestSigmaMax:
@@ -143,31 +151,23 @@ class TestSigmaMax:
     def test_divergence_point_matches_sigma_max(self):
         # the gaussian inflation blows up exactly at sigma_max
         limit = sigma_max(0.1, 0.1)
-        assert gaussian_inflation(0.1, 0.1, limit * (1 - 1e-9)) > 1e14
-        with pytest.raises(BoundsUnachievable):
-            gaussian_inflation(0.1, 0.1, limit)
+        assert bounds_report(0.1, 0.1, Gaussian(limit * (1 - 1e-7))).inflation_factor > 1e13
+        with pytest.raises(BoundsUnachievable, match="at or above sigma_max"):
+            bounds_report(0.1, 0.1, Gaussian(limit))
 
 
 class TestInspecFailureBound:
-    def test_frozen_values(self):
-        # these exceed delta = 0.1 slightly: K = ceil(2 pi/eps) = 63 makes
-        # 4K larger than the 8 pi/eps the sample formula budgets for
-        assert inspec_failure_bound(3130, 63) == pytest.approx(
-            0.10015139723069309, rel=1e-12)
-        assert inspec_failure_bound(12510, 63, eta_bar=0.05) == pytest.approx(
-            0.10022709053846993, rel=1e-12)
-
-    def test_zero_samples_caps_at_one(self):
-        assert inspec_failure_bound(0, 63) == 1.0
-        assert inspec_failure_bound(0, 63, eta_bar=0.05) == 1.0
+    """The certified M keeps every coefficient estimate in spec with
+    probability 1 - delta, up to the ceiling slack on K."""
 
     def test_generic_grid_provable_cap(self):
         # bound <= delta * K eps/(2 pi): the ceiling slack on K costs at most
         # that factor over delta
         for eps in (0.05, 0.08, 0.1, 0.15, 0.2, 0.3):
             for delta in (0.01, 0.05, 0.1, 0.2):
-                bound = inspec_failure_bound(samples_noiseless(eps, delta), grid_size(eps))
-                cap = delta * grid_size(eps) * eps / TWO_PI
+                plan = bounds_report(eps, delta)
+                bound = in_spec_failure_bound(plan.samples, plan.grid_size)
+                cap = delta * plan.grid_size * eps / TWO_PI
                 assert bound <= cap * (1 + 1e-9)
 
     def test_exact_construction_grid(self):
@@ -177,11 +177,17 @@ class TestInspecFailureBound:
             for delta in (0.05, 0.1):
                 eps = TWO_PI / K * (1 + 1e-9)
                 assert grid_size(eps) == K
-                assert inspec_failure_bound(samples_noiseless(eps, delta), K) <= delta
+                assert in_spec_failure_bound(samples(eps, delta), K) <= delta
 
     def test_ban_variant_needs_valid_eta(self):
+        # the adversarial M pays for the shrunk exponent in full; past the
+        # threshold there is no plan
+        for eta in (0.01, 0.05, 0.09):
+            plan = bounds_report(0.1, 0.1, Ban(eta))
+            bound = in_spec_failure_bound(plan.samples, 63, plan.inflation_factor)
+            assert bound <= 0.1 * 63 * 0.1 / TWO_PI * (1 + 1e-9)
         with pytest.raises(BoundsUnachievable):
-            inspec_failure_bound(1000, 63, eta_bar=0.2)
+            bounds_report(0.1, 0.1, Ban(0.2))
 
 
 class TestExpectedTotalDepth:
@@ -213,12 +219,26 @@ class TestBoundsReport:
         report = bounds_report(0.1, 0.1, Gaussian(0.1))
         assert report.samples == 3559
 
+    @pytest.mark.parametrize("epsilon,delta,model,plan", [
+        (0.1, 0.1, Dephasing(6300.0), (63, 3860)),
+        (0.1, 0.1, HighCoherence(6300.0), (63, 3864)),
+        (0.1, 0.1, Dephasing(630.0), (63, 1319077)),
+        (1e-4, 0.1, Gaussian(0.01), (62832, 6169)),
+        (0.08, 0.105, Ideal(), (79, 3200)),
+    ], ids=["dephasing_6300", "high_coherence_6300", "dephasing_630",
+            "gaussian_fine_grid", "demo_ideal"])
+    def test_benchmarked_plans(self, epsilon, delta, model, plan):
+        # the campaign, deep-sample and fine-grid runs and rfe verify's demo
+        # run at these (K, M)
+        report = bounds_report(epsilon, delta, model)
+        assert (report.grid_size, report.samples) == plan
+
     def test_dephasing_embedding(self):
         # K = 63, ratio K/T2 = 0.1 -> implied eta_bar = 1 - exp(-0.1)
         report = bounds_report(0.1, 0.1, Dephasing(630.0))
         implied = -math.expm1(-63 / 630.0)
         assert report.thresholds["implied_eta_bar"] == pytest.approx(implied, rel=1e-12)
-        assert report.samples == samples_ban(0.1, 0.1, implied)
+        assert report.samples == samples(0.1, 0.1, Ban(implied))
 
     def test_dephasing_past_threshold(self):
         # ratio 0.2 implies eta_bar ~ 0.181 > threshold
@@ -228,7 +248,7 @@ class TestBoundsReport:
     def test_high_coherence_embedding(self):
         report = bounds_report(0.1, 0.1, HighCoherence(6300.0))
         assert report.thresholds["implied_eta_bar"] == pytest.approx(0.01, rel=1e-12)
-        assert report.samples == samples_ban(0.1, 0.1, 0.01)
+        assert report.samples == samples(0.1, 0.1, Ban(0.01))
 
     def test_gaussian_linear_rejected(self):
         with pytest.raises(BoundsUnachievable):
@@ -243,8 +263,7 @@ class TestBoundsReport:
     def test_sample_count_past_int64_guard_rejected(self):
         # the formula alone certifies ~3e27 samples this close to the threshold
         eta = ban_threshold() * (1 - 1e-12)
-        assert samples_ban(0.1, 0.1, eta) > MAX_SAMPLES
-        with pytest.raises(BoundsUnachievable):
+        with pytest.raises(BoundsUnachievable, match=r"sample count 3\.130e\+27 exceeds"):
             bounds_report(0.1, 0.1, Ban(eta))
         assert bounds_report(0.1, 0.1, Ban(0.0999)).samples <= MAX_SAMPLES
 

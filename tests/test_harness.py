@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rfe import harness
-from rfe.bounds import MAX_GRID_SIZE, BoundsQuery, bounds_report, samples_ban
+from rfe.bounds import MAX_GRID_SIZE, BoundsQuery, bounds_report
 from rfe.estimator import RunConfig, run_rfe
 from rfe.harness import (
     FixedTheta,
@@ -47,7 +47,7 @@ class TestExactOracle:
             K = int(rng.integers(1, 129))
             theta = float(rng.uniform(0.0, TWO_PI))
             oracle = exact_estimator_expectation(theta, K)
-            closed = expected_spectrum(theta, K).coefficients
+            closed = expected_spectrum(theta, K)
             worst = max(worst, float(np.max(np.abs(oracle - closed))))
         assert worst < 1e-12
 
@@ -62,7 +62,7 @@ class TestExactOracle:
         a, b, K, theta = -0.04, -0.02, 8, 0.3
         table = DeviationTable(eta1=np.full(K, a), eta2=np.full(K, b))
         oracle = exact_estimator_expectation(theta, K, deviations=table)
-        expected = expected_spectrum(theta, K).coefficients.copy()
+        expected = expected_spectrum(theta, K)
         expected[0] += a + 1j * b
         assert np.max(np.abs(oracle - expected)) < 1e-12
 
@@ -80,7 +80,7 @@ class TestExactOracle:
             if np.max(np.abs(bx)) > 1.0 or np.max(np.abs(by)) > 1.0:
                 continue
             oracle = exact_estimator_expectation(theta, K, deviations=table)
-            tone = expected_spectrum(theta, K).coefficients
+            tone = expected_spectrum(theta, K)
             shift = np.fft.fft(table.eta1 + 1j * table.eta2) / K
             assert np.max(np.abs(oracle - (tone + shift))) < 1e-12
 
@@ -89,7 +89,7 @@ class TestExactOracle:
         K = 8
         table = DeviationTable(eta1=np.full(K, 0.8), eta2=np.zeros(K))
         oracle = exact_estimator_expectation(0.0, K, deviations=table)  # bias 1.8 at k=0
-        tone = expected_spectrum(0.0, K).coefficients
+        tone = expected_spectrum(0.0, K)
         shift = np.fft.fft(table.eta1 + 1j * table.eta2) / K
         assert np.max(np.abs(oracle)) <= math.sqrt(2) + 1e-12
         assert np.max(np.abs(oracle - (tone + shift))) > 1e-3
@@ -582,7 +582,8 @@ class TestNoiseSweep:
         assert all(a < b for a, b in zip(predicted, predicted[1:]))
         assert all(p.achievable and p.stats is not None for p in points)
         # formula-level monotonicity across the full grid, without running
-        full = [samples_ban(0.1, 0.1, e) for e in (0.0, 0.02, 0.04, 0.06, 0.08, 0.098)]
+        full = [bounds_report(0.1, 0.1, Ban(e)).samples
+                for e in (0.0, 0.02, 0.04, 0.06, 0.08, 0.098)]
         assert all(a < b for a, b in zip(full, full[1:]))
 
     def test_dephasing_marks_threshold_points(self):

@@ -57,3 +57,37 @@ def _top_level_imports(path: Path) -> set:
                          ids=lambda p: p.stem)
 def test_only_harness_imports_thread_modules(path):
     assert _top_level_imports(path) & THREAD_MODULES == set()
+
+
+def _public_definitions(tree: ast.Module) -> set:
+    """Names of the module's public top-level functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                names.update(elt.id for elt in elts if isinstance(elt, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Every name the module reads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_in_src():
+    # a public name that only tests read is a helper the program does not need
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    unread = {f"{stem}.{name}" for stem, tree in trees.items()
+              for name in _public_definitions(tree) - read}
+    assert unread == set()

@@ -181,7 +181,7 @@ class TestKernelBitIdentity:
 
 def expected_coefficient(theta, j, K):
     """Coefficient j of the closed-form expected spectrum."""
-    return expected_spectrum(theta, K).coefficients[j]
+    return expected_spectrum(theta, K)[j]
 
 
 class TestExpectedCoefficient:
@@ -225,38 +225,38 @@ class TestExpectedSpectrum:
             expected_spectrum(1.0, MAX_GRID_SIZE + 1)
 
     def test_constant_signal_peaks_at_zero(self):
-        spec = expected_spectrum(0.0, 8)
+        coefficients = expected_spectrum(0.0, 8)
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1.0
-        assert np.max(np.abs(spec.coefficients - expected)) < 1e-12
+        assert np.max(np.abs(coefficients - expected)) < 1e-12
 
     def test_on_grid_indicator(self):
-        spec = expected_spectrum(TWO_PI * 3 / 8, 8)
+        coefficients = expected_spectrum(TWO_PI * 3 / 8, 8)
         expected = np.zeros(8, dtype=complex)
         expected[3] = 1.0
-        assert np.max(np.abs(spec.coefficients - expected)) < 1e-12
+        assert np.max(np.abs(coefficients - expected)) < 1e-12
 
     def test_off_grid_argmax(self):
         # 79 * 2.25 / (2 pi) ~ 28.29, so the peak bin is 28
-        spec = expected_spectrum(2.25, 79)
-        assert int(np.argmax(np.abs(spec.coefficients))) == 28
+        coefficients = expected_spectrum(2.25, 79)
+        assert int(np.argmax(np.abs(coefficients))) == 28
 
     def test_matches_elementwise_coefficients(self):
         # the product form exp(-i pi x (K-1)/K) S_K(x), one scalar kernel
         # call per index
-        spec = expected_spectrum(1.234, 31)
+        coefficients = expected_spectrum(1.234, 31)
         per_element = []
         for j in range(31):
             x = j - 31 * 1.234 / TWO_PI
             per_element.append(np.exp(-1j * np.pi * x * 30 / 31) * dirichlet_kernel(x, 31))
-        assert np.max(np.abs(spec.coefficients - np.array(per_element))) < 1e-14
+        assert np.max(np.abs(coefficients - np.array(per_element))) < 1e-14
 
     def test_magnitudes_bounded_by_one(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             K = int(rng.integers(1, 300))
             theta = float(rng.uniform(0.0, TWO_PI))
-            mags = np.abs(expected_spectrum(theta, K).coefficients)
+            mags = np.abs(expected_spectrum(theta, K))
             assert np.all(mags <= 1.0 + 1e-12)
 
 
@@ -269,7 +269,7 @@ class TestMagnitudeBounds:
         thetas = np.linspace(0.0, math.pi, 101)
         for K in range(4, 21):
             for theta in thetas:
-                mags = np.abs(expected_spectrum(float(theta), K).coefficients)
+                mags = np.abs(expected_spectrum(float(theta), K))
                 for j in range(K):
                     r = (j - K * theta / TWO_PI) % K
                     d = min(r, K - r)
@@ -281,8 +281,8 @@ class TestMagnitudeBounds:
 
     def test_on_grid_close_magnitude_is_one(self):
         # K = 4, theta = pi/2 sits exactly on bin 1
-        spec = expected_spectrum(math.pi / 2.0, 4)
-        assert abs(spec.coefficients[1]) == pytest.approx(1.0, abs=1e-12)
+        coefficients = expected_spectrum(math.pi / 2.0, 4)
+        assert abs(coefficients[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPhaseValidation:

@@ -100,6 +100,11 @@ class TestThreads:
         results = verify.run_suites(["lemmas", "oracle"], workers=2)
         assert [r.name for r in results] == ["oracle", "lemmas"]
 
+    def test_every_suite_that_runs_long_reports_its_time(self):
+        results = verify.run_suites(["all"], trials=10)
+        timed = {r.name for r in results if r.details.get("elapsed_s", -1.0) >= 0.0}
+        assert timed == {"oracle", "lemmas", "noiseless", "adversarial", "gaussian", "demo"}
+
     def test_worker_count_does_not_change_the_report(self):
         inline = verify.run_suites(["all"], workers=1, trials=30)
         threaded = verify.run_suites(["all"], workers=2, trials=30)
@@ -228,7 +233,10 @@ class TestPlanning:
         monkeypatch.setattr(harness, "bounds_report", counting)
         result = getattr(verify, f"suite_{suite}")(trials=20)
         assert result.details["plan"]["K"] == 63
-        assert len(calls) == 1
+        # the adversarial suite's divergence ladder plans other models too
+        campaign = [args for args in calls
+                    if args[2].to_dict() == result.details["plan"]["noise"]]
+        assert len(campaign) == 1
 
     def test_thresholds_bisect_once(self, monkeypatch):
         # the suite reads the derivation report's bisection, not one of its own
