@@ -7,11 +7,11 @@ become (1 + cos(k theta) + eta1[k]) / 2 and (1 + sin(k theta) + eta2[k]) / 2.
 Each model kind is one frozen dataclass deriving from :class:`NoiseModel`:
 ``Ideal``, ``Ban`` (bounded adversarial), ``Gaussian``, ``GaussianLinear``,
 ``Dephasing`` and ``HighCoherence``.  The class owns all of the kind's
-behaviour: its biases, its per-run random state, its bound on |eta| and
-its JSON form.  The biases (:func:`biases_at`) and the run noise (the
-model's ``draw_run_noise``) act at whatever times they are given: the whole
-grid k = 0 .. K-1, or only the distinct times a sparse run sampled.  Run
-noise is aligned with those times, entry for entry.
+behaviour: its biases, its per-run random state and that state's scale,
+its bound on |eta| and its JSON form.  The biases (:func:`biases_at`) and
+the run noise (the model's ``draw_run_noise``) act at whatever times they
+are given: the whole grid k = 0 .. K-1, or only the distinct times a sparse
+run sampled.  Run noise is aligned with those times, entry for entry.
 :func:`noise_from_dict` parses the wire format.  Adding a model
 means one class plus one entry in :data:`MODELS`, and a rule in
 :func:`rfe.bounds.bounds_report` only if it is certifiable without an
@@ -91,6 +91,12 @@ class NoiseModel:
         at time ks[i], one row per run when ``size`` is given; None when the
         model has none."""
         return None
+
+    def scale(self, ks: np.ndarray):
+        """Standard deviation of the run noise at the times ``ks``, which is
+        independent and normal at each time and in each bias; 0 for a model
+        that draws none."""
+        return 0.0
 
     def envelope(self, grid_size: int) -> Optional[float]:
         """Bound on |eta| over times k <= grid_size; None when the

@@ -8,7 +8,9 @@ periodic kernel
 
 a normalized Dirichlet kernel: coefficient j has magnitude
 |S_K(j - K theta / (2 pi))|.  This module evaluates the kernel and the full
-complex coefficients in closed form.
+complex coefficients in closed form, and, for any noise model, the exact
+mean and run-noise variance of what a run estimates
+(:func:`expected_coefficients`).
 
 Two magnitude landmarks make peak picking robust: a frequency within half a
 bin of the tone has magnitude at least 2/pi, while a frequency one bin or
@@ -24,6 +26,7 @@ import math
 import numpy as np
 
 from .bounds import check_grid_size
+from .noise import DeviationTable, NoiseModel, biases_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,3 +179,70 @@ def expected_spectrum(theta: float, grid_size: int) -> np.ndarray:
     theta = validate_phase(theta)
     x = np.arange(K) - K * theta / TWO_PI
     return np.exp(-1j * np.pi * x * (K - 1) / K) * dirichlet_kernel(x, K)
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_tail(x: np.ndarray) -> np.ndarray:
+    """P(Z > x) for a standard normal Z, elementwise, from math.erfc (no
+    cancellation far out in either tail)."""
+    return 0.5 * _erfc(x / math.sqrt(2.0)).astype(float)
+
+
+def clipped_normal_moments(b, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of clip(b + eta, -1, 1) for eta ~ N(0, sigma^2),
+    elementwise over the broadcast arrays ``b`` and ``sigma``.
+
+    With a = -1 - b and c = 1 - b, clip(b + eta) - b is eta clipped to
+    [a, c], whose moments are those of a normal censored at a and c:
+    weights Phi(a/sigma) at a and 1 - Phi(c/sigma) at c, and the truncated
+    normal's moments in between, in phi(a/sigma) and phi(c/sigma).  Working
+    with that shift, not with b + eta, keeps the variance free of the
+    cancellation b^2 + ... - b^2.  Where sigma is 0 the value is clip(b)
+    with variance 0.
+    """
+    b, sigma = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(sigma, dtype=float))
+    a, c = -1.0 - b, 1.0 - b
+    shift = np.clip(0.0, a, c)
+    variance = np.zeros(b.shape)
+    noisy = sigma > 0.0
+    if noisy.any():
+        s, a, c = sigma[noisy], a[noisy], c[noisy]
+        lo, hi = a / s, c / s
+        below, above = _normal_tail(-lo), _normal_tail(hi)
+        dens_lo = np.exp(-0.5 * lo * lo) / math.sqrt(TWO_PI)
+        dens_hi = np.exp(-0.5 * hi * hi) / math.sqrt(TWO_PI)
+        mean = a * below + c * above + s * (dens_lo - dens_hi)
+        square = (a * a * below + c * c * above
+                  + s * s * (1.0 - below - above + lo * dens_lo - hi * dens_hi))
+        shift[noisy] = mean
+        variance[noisy] = np.maximum(square - mean * mean, 0.0)
+    return b + shift, variance
+
+
+def expected_coefficients(model: NoiseModel, theta: float,
+                          grid_size: int) -> tuple[np.ndarray, float]:
+    """(E f_j, Var_eta mu_j) of a run of ``model`` at phase theta on a grid
+    of K, exact for any sample count M.
+
+    A sample's outcome c has mean clip(b_x, -1, 1) at a time with bias b_x,
+    and s likewise, so E f_j = FFT(E clip b_x + i E clip b_y)_j / K, with b
+    from :func:`rfe.noise.biases_at` at zero run noise.  The run noise adds
+    independent N(0, sigma_k^2) deviations to both biases at each time, with
+    sigma_k = ``model.scale(ks)`` (0 for a deterministic model), so the
+    clipped means and variances come from :func:`clipped_normal_moments`,
+    and the run's conditional mean mu_j varies with the noise by
+    Var_eta mu_j = sum_k (Var clip b_x,k + Var clip b_y,k) / K^2, the same
+    at every j.  A single run's coefficient then has
+    Var f_j = (2 - |E f_j|^2 - Var_eta mu_j) / M + Var_eta mu_j.
+    """
+    K = check_grid_size(grid_size)
+    theta = validate_phase(theta)
+    ks = np.arange(K)
+    bx, by = biases_at(model, theta, ks, DeviationTable(eta1=np.zeros(K), eta2=np.zeros(K)))
+    sigma = model.scale(ks)
+    mean_x, var_x = clipped_normal_moments(bx, sigma)
+    mean_y, var_y = clipped_normal_moments(by, sigma)
+    mean = np.fft.fft(mean_x + 1j * mean_y) / K
+    return mean, float(np.sum(var_x + var_y)) / (K * K)

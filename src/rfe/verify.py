@@ -28,8 +28,9 @@ from .harness import (
     BoundsQuery,
     FixedTheta,
     UniformTheta,
+    block_rng,
+    coefficient_law_z,
     exact_estimator_expectation,
-    gaussian_shift_variance,
     lemma_bound_scan,
     monte_carlo_success,
     pool_size,
@@ -40,7 +41,9 @@ from .noise import (
     Ban,
     Dephasing,
     Gaussian,
+    GaussianLinear,
     Ideal,
+    NoiseModel,
     ban_threshold,
     biases_at,
 )
@@ -60,8 +63,15 @@ BAN_ETA = 0.05
 BAN_INFLATION_EXPECTED = 3.997
 BAN_INFLATION_TOL = 1e-3
 GAUSSIAN_SIGMA = 0.1
-VARIANCE_DRAWS = 10 ** 5
-VARIANCE_REL_TOL = 0.05
+# The Gaussian law is checked on both Gaussian models; the linear one's scale
+# k sigma/31 reaches GAUSSIAN_SIGMA at the mean depth 31 of the K = 63 grid.
+LAW_MODELS = (Gaussian(GAUSSIAN_SIGMA), GaussianLinear(GAUSSIAN_SIGMA / 31))
+LAW_THETA = 1.0
+LAW_RUNS = 1000
+# Over 1,500 seeds per model, a correct run path put the largest per-index
+# |z| past 5.0 once (gaussian_linear) and never past 5.5; each mutant of the
+# noise path reads 12 or more.
+LAW_Z_MAX = 5.5
 BAN_THRESHOLD_EXPECTED = 0.100035
 BAN_THRESHOLD_TOL = 1e-6
 DEPHASING_NOMINAL_EXPECTED = 0.916
@@ -77,7 +87,7 @@ _SEED_ORACLE = 101
 _SEED_NOISELESS = 3001
 _SEED_ADVERSARIAL = 3002
 _SEED_GAUSSIAN = 3003
-_SEED_VARIANCE = 3004
+_SEED_LAW = 3004
 _SEED_DEPTH = 3005
 _SEED_DEMO = 3006
 
@@ -184,27 +194,46 @@ def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
     )
 
 
+def _law_check(model: NoiseModel, grid_size: int, samples: int,
+               rng: np.random.Generator) -> dict:
+    """Score LAW_RUNS runs of ``model`` at LAW_THETA against the exact
+    clipped-normal law, gated at LAW_Z_MAX on each index's variance z, on
+    the pooled variance z (their sum over sqrt(K), about standard normal)
+    and on each index's mean z."""
+    variance_z, mean_z = coefficient_law_z(model, LAW_THETA, grid_size, samples,
+                                           LAW_RUNS, rng)
+    max_z = float(np.max(np.abs(variance_z)))
+    pooled_z = float(np.sum(variance_z)) / math.sqrt(grid_size)
+    mean_max_z = float(np.max(mean_z))
+    return {"model": model.to_dict(), "variance_max_abs_z": max_z,
+            "variance_pooled_z": pooled_z, "mean_max_z": mean_max_z,
+            "passed": max(max_z, abs(pooled_z), mean_max_z) <= LAW_Z_MAX}
+
+
 def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
-    """Gaussian guarantee at sigma = 0.1, plus the 2 sigma^2/K variance law."""
+    """Gaussian guarantee at sigma = 0.1, plus the exact clipped-normal law
+    of every coefficient, checked on run_block's own rows for both Gaussian
+    models."""
     start = time.perf_counter()
-    model = Gaussian(sigma=GAUSSIAN_SIGMA)
-    plan = bounds.bounds_report(0.1, 0.1, model)
+    plan = bounds.bounds_report(0.1, 0.1, Gaussian(sigma=GAUSSIAN_SIGMA))
     stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_GAUSSIAN, workers)
-    # drawn through the model, against the law written out, not model.scale
-    variance = gaussian_shift_variance(model, 63, VARIANCE_DRAWS, _SEED_VARIANCE)
-    target = 2.0 * GAUSSIAN_SIGMA ** 2 / 63
-    max_rel_dev = float(np.max(np.abs(variance - target) / target))
-    variance_ok = max_rel_dev <= VARIANCE_REL_TOL
+    laws = [_law_check(model, plan.grid_size, plan.samples, block_rng(_SEED_LAW, index))
+            for index, model in enumerate(LAW_MODELS)]
+    max_z = max(law["variance_max_abs_z"] for law in laws)
+    pooled_z = max((law["variance_pooled_z"] for law in laws), key=abs)
+    mean_z = max(law["mean_max_z"] for law in laws)
     elapsed = time.perf_counter() - start
-    passed = stats.rate >= RATE_MIN and variance_ok and plan.samples == 3559
+    passed = (stats.rate >= RATE_MIN and all(law["passed"] for law in laws)
+              and plan.samples == 3559)
     return SuiteResult(
         name="gaussian", passed=passed,
         summary=(f"M={plan.samples}; success {stats.successes}/{stats.trials} = "
-                 f"{stats.rate:.3f}; Var(shift) max rel dev = {max_rel_dev:.4f} "
-                 f"vs 2 sigma^2/K (need <= {VARIANCE_REL_TOL})"),
-        details={"plan": plan.to_dict(), "stats": stats.to_dict(),
-                 "variance_target": target, "variance_max_rel_dev": max_rel_dev,
-                 "variance_draws": VARIANCE_DRAWS, "elapsed_s": elapsed},
+                 f"{stats.rate:.3f}; exact clipped-normal law on {LAW_RUNS} runs of each "
+                 f"Gaussian model: variance max |z| {max_z:.2f}, pooled z {pooled_z:.2f}, "
+                 f"mean max z {mean_z:.2f} (each need <= {LAW_Z_MAX})"),
+        details={"plan": plan.to_dict(), "stats": stats.to_dict(), "laws": laws,
+                 "law_theta": LAW_THETA, "law_runs": LAW_RUNS, "law_z_max": LAW_Z_MAX,
+                 "elapsed_s": elapsed},
     )
 
 
@@ -235,9 +264,11 @@ def suite_reductions() -> SuiteResult:
     pairs = [(eps, delta)
              for eps in (0.05, 0.1, 0.15, 0.2, 0.3)
              for delta in (0.01, 0.05, 0.1, 0.2)]
+    # the noiseless count written out, not read from rfe.bounds
     samples_equal = all(
         bounds.bounds_report(eps, delta, Ban(0.0)).samples
         == bounds.bounds_report(eps, delta, Ideal()).samples
+        == math.ceil(81.0 * math.pi ** 2 / 2.0 * math.log(8.0 * math.pi / (delta * eps)))
         for eps, delta in pairs)
 
     K = 63
@@ -271,7 +302,8 @@ def suite_reductions() -> SuiteResult:
               and dephasing_1e9_dev <= envelope_1e9 * (1.0 + 1e-9))
     return SuiteResult(
         name="reductions", passed=passed,
-        summary=(f"M for Ban(0) == M for Ideal on {len(pairs)} pairs: "
+        summary=(f"M for Ban(0) == M for Ideal == ceil((81 pi^2/2) ln(8 pi/(eps delta))) "
+                 f"on {len(pairs)} pairs: "
                  f"{samples_equal}; zero-setting bias deviations: ban {ban_dev:.1e}, "
                  f"gaussian {gauss_dev:.1e}, dephasing(t2=inf) {dephasing_inf_dev:.1e}, "
                  f"t2=1e18 {dephasing_1e18_dev:.1e}, t2=1e9 {dephasing_1e9_dev:.2e} "
@@ -364,7 +396,7 @@ _SUITES = {
 _QUICK = ("oracle", "lemmas", "thresholds", "reductions", "depth")
 _ALL = tuple(_SUITES)
 # The longest suites start first, so that none is left to run alone at the end.
-_START_ORDER = ("gaussian", "lemmas", "oracle", "thresholds", "reductions",
+_START_ORDER = ("lemmas", "gaussian", "oracle", "thresholds", "reductions",
                 "depth", "noiseless", "adversarial", "demo")
 SUITE_NAMES = _ALL + ("quick", "all")
 
@@ -383,9 +415,10 @@ def run_suites(names: Sequence[str], workers: int = 1,
     :func:`rfe.harness.thread_map` runs them: a suite starts only when a
     thread is free, and once one raises, no other starts and its error is
     re-raised.  Every suite is seeded by its own constants, so any worker
-    count or start order gives the same results, timings aside.  ``trials``, when given, replaces the trial count of
-    every Monte Carlo suite and must be at least 1; None keeps each suite's
-    own count.  Both are checked before any suite runs.
+    count or start order gives the same results, timings aside.
+    ``trials``, when given, replaces the trial count of every Monte Carlo
+    suite and must be at least 1; None keeps each suite's own count.  Both
+    are checked before any suite runs.
     """
     threads = pool_size(workers)
     campaign = {"workers": workers}

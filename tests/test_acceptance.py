@@ -80,13 +80,18 @@ def test_criterion_4_adversarial_guarantee():
     assert result.passed
 
 
-@pytest.mark.acceptance(label="criterion 5: gaussian desk-scale, rate >= 0.90, Var(shift) within 5% of 2 sigma^2/K at 1e5 draws")
+@pytest.mark.acceptance(label="criterion 5: gaussian desk-scale, rate >= 0.90, exact clipped-normal coefficient law within 5.5 z on 1e3 runs per model")
 def test_criterion_5_gaussian_guarantee():
     assert bounds.bounds_report(0.1, 0.1, Gaussian(0.1)).samples == 3559
     result = verify.suite_gaussian(trials=300)
     assert result.details["stats"]["trials"] >= 300
     assert result.details["stats"]["rate"] >= 0.90
-    assert result.details["variance_max_rel_dev"] <= 0.05
+    assert [law["model"]["kind"] for law in result.details["laws"]] == [
+        "gaussian", "gaussian_linear"]
+    for law in result.details["laws"]:
+        assert law["variance_max_abs_z"] <= 5.5
+        assert abs(law["variance_pooled_z"]) <= 5.5
+        assert law["mean_max_z"] <= 5.5
     assert result.passed
 
 

@@ -15,7 +15,9 @@ holds for any correct way of drawing the outcomes:
 Each Pearson statistic is gated by a z-bound built from its exact mean and
 variance, once summed over runs (which sees dependence inside a run) and
 once on the counts pooled over runs (which sees small shifts of the law).
-Both sampling regimes are covered: M > K and M <= K.
+Both sampling regimes are covered: M > K and M <= K.  The exact law of
+``rfe.spectrum.expected_coefficients`` is checked against the same
+hand-written oracle tables, without runs.
 """
 
 import math
@@ -34,6 +36,7 @@ from rfe.noise import (
     HighCoherence,
     Ideal,
 )
+from rfe.spectrum import expected_coefficients
 
 # |z| bound for one gated statistic: a two-sided normal tail of about 7e-6.
 Z_MAX = 4.5
@@ -183,6 +186,15 @@ def test_mean_coefficients_match_oracle(plan, label, noise, deviations):
     # coefficient has total variance (2 - |E f_j|^2) / M per run.
     sd = np.sqrt((2.0 - np.abs(expected) ** 2) / (M * ORACLE_RUNS))
     assert np.max(np.abs(mean - expected) / sd) <= Z_ORACLE
+
+
+@pytest.mark.parametrize("label,noise,deviations", _oracle_cases(),
+                         ids=[case[0] for case in _oracle_cases()])
+def test_expected_coefficients_match_oracle(label, noise, deviations):
+    mean, var_mu = expected_coefficients(noise, ORACLE_THETA, ORACLE_K)
+    expected = exact_estimator_expectation(ORACLE_THETA, ORACLE_K, deviations)
+    assert np.max(np.abs(mean - expected)) < 1e-12
+    assert var_mu == 0.0
 
 
 # --- Gaussian run noise: one deviation per run and time -----------------------

@@ -16,8 +16,8 @@ from rfe.harness import (
     FixedTheta,
     UniformTheta,
     block_rng,
+    coefficient_law_z,
     exact_estimator_expectation,
-    gaussian_shift_variance,
     lemma_bound_scan,
     monte_carlo_success,
     noise_sweep,
@@ -26,7 +26,7 @@ from rfe.harness import (
     thread_map,
     wilson_interval,
 )
-from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, GaussianLinear, Ideal
+from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
 from rfe.spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
@@ -411,42 +411,16 @@ class TestMonteCarlo:
                 make()
 
 
-class TestGaussianShiftVariance:
-    def test_variance_law(self):
-        sigma, K = 0.5, 31
-        variance = gaussian_shift_variance(Gaussian(sigma), K, draws=30000, seed=777)
-        target = 2 * sigma ** 2 / K
-        assert np.max(np.abs(variance - target) / target) < 0.05
+class TestCoefficientLaw:
+    def test_scores_have_one_entry_per_index(self):
+        variance_z, mean_z = coefficient_law_z(Ideal(), 1.0, 31, 100, 50,
+                                               np.random.default_rng(1))
+        assert variance_z.shape == mean_z.shape == (31,)
+        assert np.all(mean_z >= 0.0)
 
-    # the exact law 2 sum_k sigma_k^2 / K^2, written out: sigma_k = sigma for
-    # Gaussian, k sigma for GaussianLinear (sum_{k<30} k^2 = 29 * 30 * 59 / 6)
-    @pytest.mark.parametrize("model,K,v", [
-        (Gaussian(0.5), 31, 2 * 0.5 ** 2 / 31),
-        (GaussianLinear(0.01), 30, 2 * 0.01 ** 2 * (29 * 30 * 59 / 6) / 30 ** 2),
-    ], ids=["gaussian", "gaussian_linear"])
-    def test_every_index_within_five_standard_errors(self, model, K, v):
-        # |eta_hat_j|^2 is exponential with mean v, so its standard deviation
-        # is v too, and the mean of N draws has standard error v / sqrt(N)
-        draws = 20000
-        variance = gaussian_shift_variance(model, K, draws, seed=778)
-        z = (variance - v) * math.sqrt(draws) / v
-        assert variance.shape == (K,)
-        assert np.max(np.abs(z)) <= 5.0
-
-    def test_memory_stays_under_one_mib(self):
-        # the verify suite's grid; blocks of 121 runs keep every array small
-        gaussian_shift_variance(Gaussian(0.1), 63, 10 ** 4, 3004)  # warm-up
-        tracemalloc.start()
-        try:
-            gaussian_shift_variance(Gaussian(0.1), 63, 10 ** 4, 3004)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
-
-    def test_a_model_without_run_noise_raises(self):
-        with pytest.raises(ValueError, match="run noise"):
-            gaussian_shift_variance(Ideal(), 63, 100, 1)
+    def test_rejects_an_empty_campaign(self):
+        with pytest.raises(ValueError, match="runs >= 1"):
+            coefficient_law_z(Gaussian(0.1), 1.0, 63, 3559, 0, np.random.default_rng(1))
 
 
 def _full_mask_scan(k_values, n_theta, magnitude):

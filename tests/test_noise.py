@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import rfe.noise
-from rfe.harness import gaussian_shift_variance
+from rfe import verify
 from rfe.noise import (
     AdversaryStrategy,
     Ban,
@@ -25,6 +25,7 @@ from rfe.noise import (
     dephasing_ratio_threshold_rederived,
     noise_from_dict,
 )
+from rfe.spectrum import expected_coefficients
 
 
 def bias_at(model, theta, k, run_noise=None):
@@ -193,19 +194,24 @@ class TestGaussianDraws:
         assert abs(draws.mean()) < 0.01
 
     def test_spectral_variance_flat_model(self):
-        # Var of the spectral shift is 2 sigma^2 / K for every index
-        sigma, K, draws = 1.0, 63, 20000
-        variance = gaussian_shift_variance(Gaussian(sigma), K, draws, seed=99)
-        target = 2 * sigma ** 2 / K  # = 0.031746
-        assert np.max(np.abs(variance - target) / target) < 0.05
+        # at sigma = 1 most deviations clip: the exact law sits far below the
+        # unclipped 2 sigma^2 / K, and runs of either regime follow it
+        sigma, K = 1.0, 63
+        var_mu = expected_coefficients(Gaussian(sigma), 1.0, K)[1]
+        assert var_mu < 0.5 * 2 * sigma ** 2 / K
+        for M, seed in ((200, 99), (40, 98)):
+            law = verify._law_check(Gaussian(sigma), K, M, np.random.default_rng(seed))
+            assert law["passed"], law
 
     def test_spectral_variance_linear_model(self):
-        # exact Var is (K-1)(2K-1) sigma^2 / (3K) <= 2 K sigma^2 / 3
-        sigma, K, draws = 0.01, 30, 4000
-        variance = gaussian_shift_variance(GaussianLinear(sigma), K, draws, seed=100)
-        exact = (K - 1) * (2 * K - 1) * sigma ** 2 / (3 * K)
-        assert np.all(variance <= 2 * K * sigma ** 2 / 3)  # the 0.002 cap
-        assert np.mean(variance) == pytest.approx(exact, rel=0.1)
+        # below the unclipped 2 sum_k (k sigma)^2 / K^2 = (K-1)(2K-1) sigma^2
+        # / (3K), and runs of either regime follow it
+        sigma, K = 0.01, 30
+        var_mu = expected_coefficients(GaussianLinear(sigma), 1.0, K)[1]
+        assert var_mu < (K - 1) * (2 * K - 1) * sigma ** 2 / (3 * K)
+        for M, seed in ((200, 100), (20, 101)):
+            law = verify._law_check(GaussianLinear(sigma), K, M, np.random.default_rng(seed))
+            assert law["passed"], law
 
     def test_linear_scale_starts_at_zero(self):
         table = GaussianLinear(0.3).draw_run_noise(np.arange(8), np.random.default_rng(4))

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from rfe.bounds import MAX_GRID_SIZE
+from rfe.harness import exact_estimator_expectation
+from rfe.noise import Ban, DeviationTable, Gaussian, GaussianLinear, Ideal, ban_threshold
 from rfe.spectrum import (
     _mod_period,
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
+    clipped_normal_moments,
     dirichlet_kernel,
+    expected_coefficients,
     expected_spectrum,
     kernel_magnitude,
     validate_phase,
@@ -258,6 +262,74 @@ class TestExpectedSpectrum:
             theta = float(rng.uniform(0.0, TWO_PI))
             mags = np.abs(expected_spectrum(theta, K))
             assert np.all(mags <= 1.0 + 1e-12)
+
+
+def quadrature_moments(b, sigma):
+    """Mean and variance of clip(b + eta, -1, 1), eta ~ N(0, sigma^2), by
+    the trapezoid rule over +-12 sigma, independently of rfe.spectrum."""
+    eta = np.linspace(-12.0 * sigma, 12.0 * sigma, 400_001)
+    density = np.exp(-0.5 * (eta / sigma) ** 2) / (sigma * math.sqrt(TWO_PI))
+    x = np.clip(b + eta, -1.0, 1.0)
+    mean = np.trapezoid(x * density, eta)
+    return mean, np.trapezoid((x - mean) ** 2 * density, eta)
+
+
+class TestExpectedCoefficients:
+    @pytest.mark.parametrize("theta,K", [(0.0, 8), (1.0, 63), (2.25, 79), (3.0, 256)])
+    def test_ideal_is_the_closed_form(self, theta, K):
+        mean, var_mu = expected_coefficients(Ideal(), theta, K)
+        assert np.max(np.abs(mean - expected_spectrum(theta, K))) < 1e-12
+        assert var_mu == 0.0
+
+    @pytest.mark.parametrize("theta", [0.0, 0.05, math.pi / 2, 3.1])
+    def test_a_clamping_adversary_matches_enumeration(self, theta):
+        # deviations of +-(threshold - 1e-6), signed so most biases are
+        # pushed past +-1 and clamp
+        K = 40
+        k = np.arange(K)
+        e = ban_threshold() - 1e-6
+        table = DeviationTable(eta1=e * np.where(np.cos(k * theta) >= 0.0, 1.0, -1.0),
+                               eta2=e * np.where(np.sin(k * theta) >= 0.0, 1.0, -1.0))
+        bx = np.cos(k * theta) + table.eta1
+        assert np.count_nonzero(np.abs(bx) > 1.0) > 0
+        mean, var_mu = expected_coefficients(Ban(ban_threshold(), table), theta, K)
+        assert np.max(np.abs(mean - exact_estimator_expectation(theta, K, table))) < 1e-12
+        assert var_mu == 0.0
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.1, 1.0])
+    def test_clipped_moments_match_quadrature(self, sigma):
+        b = np.array([-1.0, -0.99, 0.0, 0.99, 1.0])
+        mean, variance = clipped_normal_moments(b, sigma)
+        for i, value in enumerate(b):
+            q_mean, q_variance = quadrature_moments(value, sigma)
+            assert mean[i] == pytest.approx(q_mean, rel=1e-7, abs=1e-12)
+            assert variance[i] == pytest.approx(q_variance, rel=1e-6)
+
+    def test_zero_sigma_is_the_clip(self):
+        b = np.array([-1.5, -1.0, -0.3, 0.0, 0.7, 1.0, 1.2])
+        mean, variance = clipped_normal_moments(b, 0.0)
+        assert np.array_equal(mean, np.clip(b, -1.0, 1.0))
+        assert np.array_equal(variance, np.zeros(b.size))
+        mean, var_mu = expected_coefficients(Gaussian(0.0), 1.0, 63)
+        assert np.array_equal(mean, expected_coefficients(Ideal(), 1.0, 63)[0])
+        assert var_mu == 0.0
+
+    def test_gaussian_law_is_below_the_unclipped_one(self):
+        # clipping is 1-Lipschitz, so it cannot raise a variance:
+        # Var_eta mu <= 2 sum_k sigma_k^2 / K^2, the law without the clip,
+        # with sigma_k written out (a wrong model.scale fails here)
+        K = 63
+        for model, unclipped in [
+                (Gaussian(0.1), 2 * 0.1 ** 2 / K),
+                (GaussianLinear(0.01), 2 * 0.01 ** 2 * (62 * 63 * 125 / 6) / K ** 2)]:
+            var_mu = expected_coefficients(model, 1.0, K)[1]
+            assert 0.5 * unclipped < var_mu < unclipped
+
+    def test_rejects_bad_grids_and_phases(self):
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            expected_coefficients(Ideal(), 1.0, MAX_GRID_SIZE + 1)
+        with pytest.raises(ValueError, match="phase"):
+            expected_coefficients(Gaussian(0.1), TWO_PI, 63)
 
 
 class TestMagnitudeBounds:

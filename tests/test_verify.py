@@ -1,6 +1,6 @@
 """The suite table of rfe.verify: order, aliases, options, threads, planning,
-the oracle suite's pinned result and memory, and the gaussian suite's
-failure on a broken noise path."""
+the oracle suite's pinned result and memory, the gaussian suite's failure on
+a broken noise path and the reductions suite's failure on a wrong count."""
 
 import os
 import threading
@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from rfe import bounds, estimator, harness, verify
-from rfe.noise import DeviationTable, Gaussian
+from rfe.noise import DeviationTable, Gaussian, Ideal
 
 CANONICAL = ["oracle", "lemmas", "thresholds", "reductions", "depth",
              "noiseless", "adversarial", "gaussian", "demo"]
 QUICK = CANONICAL[:5]
 # the longest suites start first; results still come in canonical order
-START = ["gaussian", "lemmas", "oracle", "thresholds", "reductions", "depth",
+START = ["lemmas", "gaussian", "oracle", "thresholds", "reductions", "depth",
          "noiseless", "adversarial", "demo"]
 
 
@@ -146,7 +146,7 @@ class TestThreads:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_first_error_starts_no_further_suite(self, stub_suites, monkeypatch,
                                                      workers):
-        # gaussian starts first and raises.  On two threads lemmas runs next
+        # lemmas starts first and raises.  On two threads gaussian runs next
         # to it, held until run_suites has seen the error, so no thread
         # comes free for oracle before then.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -159,18 +159,18 @@ class TestThreads:
                 seen_error.set()
             return finished
 
-        def gaussian(**options):
-            raise RuntimeError("gaussian broke")
-
         def lemmas():
-            stub_suites.append(("lemmas", {}))
+            raise RuntimeError("lemmas broke")
+
+        def gaussian(**options):
+            stub_suites.append(("gaussian", options))
             assert seen_error.wait(5)
-            return verify.SuiteResult(name="lemmas", passed=True, summary="", details={})
+            return verify.SuiteResult(name="gaussian", passed=True, summary="", details={})
 
         monkeypatch.setattr(harness, "wait", watching)
         monkeypatch.setattr(verify, "suite_gaussian", gaussian)
         monkeypatch.setattr(verify, "suite_lemmas", lemmas)
-        with pytest.raises(RuntimeError, match="gaussian broke"):
+        with pytest.raises(RuntimeError, match="lemmas broke"):
             verify.run_suites(["all"], workers=workers)
         assert [name for name, _ in stub_suites] == START[1:workers]
 
@@ -194,19 +194,36 @@ class TestOracleSuite:
 
 
 class TestGaussianSuite:
-    """The variance law is drawn through the shipped model, so the suite
-    fails when the model's noise path breaks."""
+    """The exact clipped-normal law is checked on run_block's own rows, so
+    the suite fails when the noise is drawn wrong or the run path drops it."""
+
+    @staticmethod
+    def law_failed(result):
+        return [law["model"]["kind"] for law in result.details["laws"] if not law["passed"]]
 
     def test_passes(self):
         result = verify.suite_gaussian(trials=30)
         assert result.passed
-        assert result.details["variance_max_rel_dev"] <= verify.VARIANCE_REL_TOL
+        assert self.law_failed(result) == []
+        for law in result.details["laws"]:
+            assert law["variance_max_abs_z"] <= verify.LAW_Z_MAX
+            assert abs(law["variance_pooled_z"]) <= verify.LAW_Z_MAX
+            assert law["mean_max_z"] <= verify.LAW_Z_MAX
 
     def test_a_wrong_scale_fails(self, monkeypatch):
-        monkeypatch.setattr(Gaussian, "scale", lambda self, ks: 3.0 * self.sigma)
+        # the law takes sigma_k from model.scale, so the mutant triples the
+        # drawn deviations, not the scale both sides read
+        original = Gaussian.draw_run_noise
+
+        def tripled(self, ks, rng, size=None):
+            table = original(self, ks, rng, size)
+            return DeviationTable(eta1=3.0 * table.eta1, eta2=3.0 * table.eta2)
+
+        monkeypatch.setattr(Gaussian, "draw_run_noise", tripled)
         result = verify.suite_gaussian(trials=30)
         assert not result.passed
-        assert result.details["variance_max_rel_dev"] > verify.VARIANCE_REL_TOL
+        assert self.law_failed(result) == ["gaussian", "gaussian_linear"]
+        assert min(law["variance_pooled_z"] for law in result.details["laws"]) > verify.LAW_Z_MAX
 
     def test_zero_run_noise_fails(self, monkeypatch):
         def zeros(self, ks, rng, size=None):
@@ -216,7 +233,55 @@ class TestGaussianSuite:
         monkeypatch.setattr(Gaussian, "draw_run_noise", zeros)
         result = verify.suite_gaussian(trials=30)
         assert not result.passed
-        assert result.details["variance_max_rel_dev"] > verify.VARIANCE_REL_TOL
+        assert self.law_failed(result) == ["gaussian", "gaussian_linear"]
+        assert max(law["variance_pooled_z"] for law in result.details["laws"]) < -verify.LAW_Z_MAX
+
+    def test_a_run_path_that_ignores_the_noise_fails(self, monkeypatch):
+        # the noise is drawn as before, but run_block builds ideal biases
+        original = estimator.biases_at
+
+        def ideal_biases(model, theta, ks, run_noise=None):
+            return original(Ideal(), theta, ks)
+
+        monkeypatch.setattr(estimator, "biases_at", ideal_biases)
+        result = verify.suite_gaussian(trials=30)
+        assert not result.passed
+        assert self.law_failed(result) == ["gaussian", "gaussian_linear"]
+
+    @pytest.mark.parametrize("index", range(len(verify.LAW_MODELS)),
+                             ids=[model.kind for model in verify.LAW_MODELS])
+    def test_the_gate_never_trips_over_twenty_seeds(self, index):
+        model = verify.LAW_MODELS[index]
+        for seed in range(20):
+            law = verify._law_check(model, 63, 3559, np.random.default_rng(900 + seed))
+            assert law["passed"], (seed, law)
+
+    def test_memory_stays_under_one_mib(self):
+        # blocks of 121 runs at K = 63 keep every array under 120 KiB
+        model = verify.LAW_MODELS[0]
+        harness.coefficient_law_z(model, 1.0, 63, 3559, 200, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            harness.coefficient_law_z(model, 1.0, 63, 3559, verify.LAW_RUNS,
+                                      np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+class TestReductionsSuite:
+    def test_passes(self):
+        result = verify.suite_reductions()
+        assert result.passed and result.details["samples_equal"]
+
+    def test_a_wrong_base_constant_fails(self, monkeypatch):
+        # Ban(0) and Ideal share one branch of bounds_report, so comparing
+        # them alone cannot see this; the written-out count does
+        monkeypatch.setattr(bounds, "_BASE", bounds._BASE * 1.01)
+        result = verify.suite_reductions()
+        assert not result.passed
+        assert not result.details["samples_equal"]
 
 
 class TestPlanning:
