@@ -1,6 +1,6 @@
 """Enumeration oracles, bound scans, and seeded Monte Carlo campaigns.
 
-Four kinds of checks live here:
+Three kinds of checks live here:
 
 * :func:`exact_estimator_expectation` computes the estimator's expectation by
   brute force — summing over every time index and all four outcome pairs
@@ -9,8 +9,6 @@ Four kinds of checks live here:
   certifies.
 * :func:`lemma_bound_scan` sweeps (K, theta) grids and checks the kernel
   magnitude floor/caps with zero tolerance for violations.
-* :func:`coefficient_law_z` scores seeded runs against the exact mean and
-  variance of every coefficient (:func:`rfe.spectrum.expected_coefficients`).
 * :func:`monte_carlo_success` and :func:`noise_sweep` run seeded campaigns of
   full estimation runs.  Trials run in blocks of B = max(1, BLOCK_CELLS // K),
   a constant of the engine, each block as (B, K) arrays through
@@ -49,13 +47,12 @@ from .bounds import (
 )
 # run_rfe is not called here; rfebench's traced run wraps rfe.harness.run_rfe.
 from .estimator import no_sample_result, run_block, run_rfe, winning_frequency
-from .noise import MODELS, AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal, NoiseModel
+from .noise import MODELS, AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
 from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
     TWO_PI,
-    expected_coefficients,
     kernel_magnitude,
     validate_phase,
 )
@@ -71,8 +68,8 @@ SCAN_TOLERANCE = 1e-12
 # block raises that threshold to the block's size; from then on blocks that
 # size stay in the heap, where each thread's arena may keep up to twice as much
 # freed memory, so peak RSS creeps up call after call.  The per-call arrays of
-# the oracle, the lemma scan and the coefficient law therefore stay below this
-# many bytes (a margin under 128 KiB for malloc's chunk header).
+# the oracle, the lemma scan and rfe.verify's coefficient law therefore stay
+# below this many bytes (a margin under 128 KiB for malloc's chunk header).
 SMALL_ARRAY_BYTES = 120 * 1024
 
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
@@ -316,41 +313,6 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),
                         epsilon_used=query.epsilon, delta_used=query.delta)
-
-
-def coefficient_law_z(model: NoiseModel, theta: float, grid_size: int, samples: int,
-                      runs: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index z-scores of ``runs`` seeded runs of ``model`` against the
-    exact law of :func:`rfe.spectrum.expected_coefficients`.
-
-    The runs go through :func:`rfe.estimator.run_block` at phase theta, all
-    drawn from ``rng``, in blocks of max(1, SMALL_ARRAY_BYTES // (16 K))
-    rows, so each block's arrays stay under :data:`SMALL_ARRAY_BYTES`.  With
-    v_j = (2 - |E f_j|^2 - Var_eta mu_j) / M + Var_eta mu_j the variance of
-    one run's f_j, it returns
-
-    * the variance z, (v_hat_j - v_j) sqrt(N) / v_j, where v_hat_j is the
-      mean of |f_j - E f_j|^2 over the N runs (its standard error is about
-      v_j / sqrt(N), as for an exponential of mean v_j), and
-    * the mean z, |mean f_j - E f_j| / sqrt(v_j / N).
-    """
-    K = check_grid_size(grid_size)
-    M, runs = int(samples), int(runs)
-    if M < 1 or runs < 1:
-        raise ValueError(f"need samples >= 1 and runs >= 1, got {samples} and {runs}")
-    mean, var_mu = expected_coefficients(model, theta, K)
-    variance = (2.0 - np.square(np.abs(mean)) - var_mu) / M + var_mu
-    rows = max(1, SMALL_ARRAY_BYTES // (16 * K))
-    total = np.zeros(K, dtype=complex)
-    squares = np.zeros(K)
-    for start in range(0, runs, rows):
-        f = run_block(np.full(min(rows, runs - start), float(theta)), M, K, model, rng)[0]
-        total += f.sum(axis=0)
-        f -= mean
-        squares += (f.real ** 2 + f.imag ** 2).sum(axis=0)
-    variance_z = (squares / runs - variance) * math.sqrt(runs) / variance
-    mean_z = np.abs(total / runs - mean) / np.sqrt(variance / runs)
-    return variance_z, mean_z
 
 
 # --- kernel bound scans -------------------------------------------------------

@@ -23,13 +23,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .estimator import RunConfig, run_rfe, spectrum_csv
+from .estimator import RunConfig, run_block, run_rfe, spectrum_csv
 from .harness import (
+    SMALL_ARRAY_BYTES,
     BoundsQuery,
     FixedTheta,
     UniformTheta,
     block_rng,
-    coefficient_law_z,
     exact_estimator_expectation,
     lemma_bound_scan,
     monte_carlo_success,
@@ -47,7 +47,7 @@ from .noise import (
     ban_threshold,
     biases_at,
 )
-from .spectrum import expected_spectrum
+from .spectrum import expected_coefficients, expected_spectrum
 
 # Pinned tolerances for the acceptance battery.
 ORACLE_TOL = 1e-12
@@ -63,15 +63,24 @@ BAN_ETA = 0.05
 BAN_INFLATION_EXPECTED = 3.997
 BAN_INFLATION_TOL = 1e-3
 GAUSSIAN_SIGMA = 0.1
-# The Gaussian law is checked on both Gaussian models; the linear one's scale
+# The Gaussian law is checked on both Gaussian models, each with its sigma_k
+# at k = 0 .. 62 written out here, not read from the model; the linear one's
 # k sigma/31 reaches GAUSSIAN_SIGMA at the mean depth 31 of the K = 63 grid.
-LAW_MODELS = (Gaussian(GAUSSIAN_SIGMA), GaussianLinear(GAUSSIAN_SIGMA / 31))
+LAW_MODELS = (
+    (Gaussian(GAUSSIAN_SIGMA), np.full(63, GAUSSIAN_SIGMA)),
+    (GaussianLinear(GAUSSIAN_SIGMA / 31), np.arange(63) * (GAUSSIAN_SIGMA / 31)),
+)
 LAW_THETA = 1.0
 LAW_RUNS = 1000
+LAW_SCALE_TOL = 1e-12
 # Over 1,500 seeds per model, a correct run path put the largest per-index
 # |z| past 5.0 once (gaussian_linear) and never past 5.5; each mutant of the
 # noise path reads 12 or more.
 LAW_Z_MAX = 5.5
+# The mean z is the modulus of a complex deviation, so its square is about
+# Exp(1) and P(z > t) = exp(-t^2): this gate (4.13) has the same tail as the
+# two-sided normal one at LAW_Z_MAX.
+LAW_MEAN_Z_MAX = math.sqrt(-math.log(math.erfc(LAW_Z_MAX / math.sqrt(2.0))))
 BAN_THRESHOLD_EXPECTED = 0.100035
 BAN_THRESHOLD_TOL = 1e-6
 DEPHASING_NOMINAL_EXPECTED = 0.916
@@ -194,20 +203,52 @@ def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
     )
 
 
-def _law_check(model: NoiseModel, grid_size: int, samples: int,
+def _law_check(model: NoiseModel, sigma_k: np.ndarray, samples: int,
                rng: np.random.Generator) -> dict:
     """Score LAW_RUNS runs of ``model`` at LAW_THETA against the exact
-    clipped-normal law, gated at LAW_Z_MAX on each index's variance z, on
-    the pooled variance z (their sum over sqrt(K), about standard normal)
-    and on each index's mean z."""
-    variance_z, mean_z = coefficient_law_z(model, LAW_THETA, grid_size, samples,
-                                           LAW_RUNS, rng)
+    clipped-normal law of :func:`rfe.spectrum.expected_coefficients`.
+
+    ``sigma_k`` is the run noise's standard deviation at k = 0 .. K-1 as
+    the caller writes it out, and its length is the grid size K.  The law
+    reads sigma_k from ``model.scale``, which the model's draws scale by
+    too, so a wrong scale moves both together: only the comparison of
+    ``model.scale`` with ``sigma_k``, to LAW_SCALE_TOL, can see it.
+
+    The runs go through :func:`rfe.estimator.run_block`, all drawn from
+    ``rng``, in blocks of max(1, SMALL_ARRAY_BYTES // (16 K)) rows, so each
+    block's arrays stay under :data:`rfe.harness.SMALL_ARRAY_BYTES`.  With
+    v_j = (2 - |E f_j|^2 - Var_eta mu_j) / M + Var_eta mu_j the variance of
+    one run's f_j and v_hat_j the mean of |f_j - E f_j|^2 over the N runs
+    (its standard error is about v_j / sqrt(N), as for an exponential of
+    mean v_j), the check gates at LAW_Z_MAX each index's variance z,
+    (v_hat_j - v_j) sqrt(N) / v_j, and their pooled z, the sum over
+    sqrt(K), which is about standard normal; and at LAW_MEAN_Z_MAX each
+    index's mean z, |mean f_j - E f_j| / sqrt(v_j / N).
+    """
+    K = len(sigma_k)
+    ks = np.arange(K)
+    scale_dev = float(np.max(np.abs(model.scale(ks) - sigma_k)))
+    mean, var_mu = expected_coefficients(model, LAW_THETA, K)
+    variance = (2.0 - np.square(np.abs(mean)) - var_mu) / samples + var_mu
+    rows = max(1, SMALL_ARRAY_BYTES // (16 * K))
+    total = np.zeros(K, dtype=complex)
+    squares = np.zeros(K)
+    for start in range(0, LAW_RUNS, rows):
+        thetas = np.full(min(rows, LAW_RUNS - start), LAW_THETA)
+        f = run_block(thetas, samples, K, model, rng)[0]
+        total += f.sum(axis=0)
+        f -= mean
+        squares += (f.real ** 2 + f.imag ** 2).sum(axis=0)
+    variance_z = (squares / LAW_RUNS - variance) * math.sqrt(LAW_RUNS) / variance
+    mean_z = np.abs(total / LAW_RUNS - mean) / np.sqrt(variance / LAW_RUNS)
     max_z = float(np.max(np.abs(variance_z)))
-    pooled_z = float(np.sum(variance_z)) / math.sqrt(grid_size)
+    pooled_z = float(np.sum(variance_z)) / math.sqrt(K)
     mean_max_z = float(np.max(mean_z))
-    return {"model": model.to_dict(), "variance_max_abs_z": max_z,
-            "variance_pooled_z": pooled_z, "mean_max_z": mean_max_z,
-            "passed": max(max_z, abs(pooled_z), mean_max_z) <= LAW_Z_MAX}
+    return {"model": model.to_dict(), "scale_max_abs_dev": scale_dev,
+            "variance_max_abs_z": max_z, "variance_pooled_z": pooled_z,
+            "mean_max_z": mean_max_z,
+            "passed": (scale_dev <= LAW_SCALE_TOL and max(max_z, abs(pooled_z)) <= LAW_Z_MAX
+                       and mean_max_z <= LAW_MEAN_Z_MAX)}
 
 
 def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
@@ -217,8 +258,9 @@ def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
     start = time.perf_counter()
     plan = bounds.bounds_report(0.1, 0.1, Gaussian(sigma=GAUSSIAN_SIGMA))
     stats = monte_carlo_success(plan, trials, UniformTheta(), _SEED_GAUSSIAN, workers)
-    laws = [_law_check(model, plan.grid_size, plan.samples, block_rng(_SEED_LAW, index))
-            for index, model in enumerate(LAW_MODELS)]
+    laws = [_law_check(model, sigma_k, plan.samples, block_rng(_SEED_LAW, index))
+            for index, (model, sigma_k) in enumerate(LAW_MODELS)]
+    scale_dev = max(law["scale_max_abs_dev"] for law in laws)
     max_z = max(law["variance_max_abs_z"] for law in laws)
     pooled_z = max((law["variance_pooled_z"] for law in laws), key=abs)
     mean_z = max(law["mean_max_z"] for law in laws)
@@ -229,11 +271,13 @@ def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
         name="gaussian", passed=passed,
         summary=(f"M={plan.samples}; success {stats.successes}/{stats.trials} = "
                  f"{stats.rate:.3f}; exact clipped-normal law on {LAW_RUNS} runs of each "
-                 f"Gaussian model: variance max |z| {max_z:.2f}, pooled z {pooled_z:.2f}, "
-                 f"mean max z {mean_z:.2f} (each need <= {LAW_Z_MAX})"),
+                 f"Gaussian model: sigma_k max dev {scale_dev:.1e} "
+                 f"(need <= {LAW_SCALE_TOL:.0e}), variance max |z| {max_z:.2f}, "
+                 f"pooled z {pooled_z:.2f} (each need <= {LAW_Z_MAX}), "
+                 f"mean max z {mean_z:.2f} (need <= {LAW_MEAN_Z_MAX:.2f})"),
         details={"plan": plan.to_dict(), "stats": stats.to_dict(), "laws": laws,
                  "law_theta": LAW_THETA, "law_runs": LAW_RUNS, "law_z_max": LAW_Z_MAX,
-                 "elapsed_s": elapsed},
+                 "law_mean_z_max": LAW_MEAN_Z_MAX, "elapsed_s": elapsed},
     )
 
 

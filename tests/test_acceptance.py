@@ -80,7 +80,7 @@ def test_criterion_4_adversarial_guarantee():
     assert result.passed
 
 
-@pytest.mark.acceptance(label="criterion 5: gaussian desk-scale, rate >= 0.90, exact clipped-normal coefficient law within 5.5 z on 1e3 runs per model")
+@pytest.mark.acceptance(label="criterion 5: gaussian desk-scale, rate >= 0.90, exact clipped-normal coefficient law (variance within 5.5 z, mean within 4.13 z, sigma_k as written) on 1e3 runs per model")
 def test_criterion_5_gaussian_guarantee():
     assert bounds.bounds_report(0.1, 0.1, Gaussian(0.1)).samples == 3559
     result = verify.suite_gaussian(trials=300)
@@ -89,9 +89,10 @@ def test_criterion_5_gaussian_guarantee():
     assert [law["model"]["kind"] for law in result.details["laws"]] == [
         "gaussian", "gaussian_linear"]
     for law in result.details["laws"]:
+        assert law["scale_max_abs_dev"] <= 1e-12
         assert law["variance_max_abs_z"] <= 5.5
         assert abs(law["variance_pooled_z"]) <= 5.5
-        assert law["mean_max_z"] <= 5.5
+        assert law["mean_max_z"] <= 4.13
     assert result.passed
 
 

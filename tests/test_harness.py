@@ -16,7 +16,6 @@ from rfe.harness import (
     FixedTheta,
     UniformTheta,
     block_rng,
-    coefficient_law_z,
     exact_estimator_expectation,
     lemma_bound_scan,
     monte_carlo_success,
@@ -409,18 +408,6 @@ class TestMonteCarlo:
                      lambda: UniformTheta(0.0, 7.0)):
             with pytest.raises(ValueError):
                 make()
-
-
-class TestCoefficientLaw:
-    def test_scores_have_one_entry_per_index(self):
-        variance_z, mean_z = coefficient_law_z(Ideal(), 1.0, 31, 100, 50,
-                                               np.random.default_rng(1))
-        assert variance_z.shape == mean_z.shape == (31,)
-        assert np.all(mean_z >= 0.0)
-
-    def test_rejects_an_empty_campaign(self):
-        with pytest.raises(ValueError, match="runs >= 1"):
-            coefficient_law_z(Gaussian(0.1), 1.0, 63, 3559, 0, np.random.default_rng(1))
 
 
 def _full_mask_scan(k_values, n_theta, magnitude):

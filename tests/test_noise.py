@@ -200,7 +200,8 @@ class TestGaussianDraws:
         var_mu = expected_coefficients(Gaussian(sigma), 1.0, K)[1]
         assert var_mu < 0.5 * 2 * sigma ** 2 / K
         for M, seed in ((200, 99), (40, 98)):
-            law = verify._law_check(Gaussian(sigma), K, M, np.random.default_rng(seed))
+            law = verify._law_check(Gaussian(sigma), np.full(K, sigma), M,
+                                   np.random.default_rng(seed))
             assert law["passed"], law
 
     def test_spectral_variance_linear_model(self):
@@ -210,7 +211,8 @@ class TestGaussianDraws:
         var_mu = expected_coefficients(GaussianLinear(sigma), 1.0, K)[1]
         assert var_mu < (K - 1) * (2 * K - 1) * sigma ** 2 / (3 * K)
         for M, seed in ((200, 100), (20, 101)):
-            law = verify._law_check(GaussianLinear(sigma), K, M, np.random.default_rng(seed))
+            law = verify._law_check(GaussianLinear(sigma), sigma * np.arange(K), M,
+                                   np.random.default_rng(seed))
             assert law["passed"], law
 
     def test_linear_scale_starts_at_zero(self):

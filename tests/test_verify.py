@@ -194,8 +194,10 @@ class TestOracleSuite:
 
 
 class TestGaussianSuite:
-    """The exact clipped-normal law is checked on run_block's own rows, so
-    the suite fails when the noise is drawn wrong or the run path drops it."""
+    """The exact clipped-normal law is checked on run_block's own rows, and
+    each model's scale against sigma_k written out in the suite, so the
+    suite fails when the noise is drawn or scaled wrong or the run path
+    drops it."""
 
     @staticmethod
     def law_failed(result):
@@ -206,13 +208,23 @@ class TestGaussianSuite:
         assert result.passed
         assert self.law_failed(result) == []
         for law in result.details["laws"]:
+            assert law["scale_max_abs_dev"] <= verify.LAW_SCALE_TOL
             assert law["variance_max_abs_z"] <= verify.LAW_Z_MAX
             assert abs(law["variance_pooled_z"]) <= verify.LAW_Z_MAX
-            assert law["mean_max_z"] <= verify.LAW_Z_MAX
+            assert law["mean_max_z"] <= verify.LAW_MEAN_Z_MAX
 
     def test_a_wrong_scale_fails(self, monkeypatch):
-        # the law takes sigma_k from model.scale, so the mutant triples the
-        # drawn deviations, not the scale both sides read
+        # the law and the draws both read model.scale, so they still agree;
+        # the sigma_k written out in the suite does not
+        monkeypatch.setattr(Gaussian, "scale", lambda self, ks: 3.0 * self.sigma)
+        result = verify.suite_gaussian(trials=30)
+        assert not result.passed
+        assert self.law_failed(result) == ["gaussian"]
+        law = result.details["laws"][0]
+        assert law["scale_max_abs_dev"] == pytest.approx(2.0 * verify.GAUSSIAN_SIGMA)
+        assert law["variance_max_abs_z"] <= verify.LAW_Z_MAX
+
+    def test_tripled_draws_fail(self, monkeypatch):
         original = Gaussian.draw_run_noise
 
         def tripled(self, ks, rng, size=None):
@@ -248,22 +260,43 @@ class TestGaussianSuite:
         assert not result.passed
         assert self.law_failed(result) == ["gaussian", "gaussian_linear"]
 
+    def test_a_small_bias_offset_fails_on_the_mean(self, monkeypatch):
+        # 0.0055 on every b_x moves E f_0 by about 4.8 standard errors: the
+        # mean gate sees it, the variance gates do not, and a mean gate at
+        # LAW_Z_MAX would not either
+        original = estimator.biases_at
+
+        def offset(model, theta, ks, run_noise=None):
+            bx, by = original(model, theta, ks, run_noise)
+            return bx + 0.0055, by
+
+        monkeypatch.setattr(estimator, "biases_at", offset)
+        result = verify.suite_gaussian(trials=30)
+        assert not result.passed
+        assert self.law_failed(result) == ["gaussian", "gaussian_linear"]
+        for law in result.details["laws"]:
+            assert verify.LAW_MEAN_Z_MAX < law["mean_max_z"] <= verify.LAW_Z_MAX
+            assert law["variance_max_abs_z"] <= verify.LAW_Z_MAX
+
+    def test_a_model_without_run_noise_follows_its_law(self):
+        law = verify._law_check(Ideal(), np.zeros(31), 100, np.random.default_rng(1))
+        assert law["passed"], law
+
     @pytest.mark.parametrize("index", range(len(verify.LAW_MODELS)),
-                             ids=[model.kind for model in verify.LAW_MODELS])
+                             ids=[model.kind for model, _ in verify.LAW_MODELS])
     def test_the_gate_never_trips_over_twenty_seeds(self, index):
-        model = verify.LAW_MODELS[index]
+        model, sigma_k = verify.LAW_MODELS[index]
         for seed in range(20):
-            law = verify._law_check(model, 63, 3559, np.random.default_rng(900 + seed))
+            law = verify._law_check(model, sigma_k, 3559, np.random.default_rng(900 + seed))
             assert law["passed"], (seed, law)
 
     def test_memory_stays_under_one_mib(self):
         # blocks of 121 runs at K = 63 keep every array under 120 KiB
-        model = verify.LAW_MODELS[0]
-        harness.coefficient_law_z(model, 1.0, 63, 3559, 200, np.random.default_rng(1))
+        model, sigma_k = verify.LAW_MODELS[0]
+        verify._law_check(model, sigma_k, 3559, np.random.default_rng(1))
         tracemalloc.start()
         try:
-            harness.coefficient_law_z(model, 1.0, 63, 3559, verify.LAW_RUNS,
-                                      np.random.default_rng(1))
+            verify._law_check(model, sigma_k, 3559, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
