@@ -219,7 +219,8 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
         limit = thresholds["sigma_max"]
         if sigma >= limit:
             raise BoundsUnachievable(
-                f"sigma={sigma} is at or above sigma_max(epsilon={epsilon}, delta={delta})={limit:.6f}"
+                f"sigma={sigma} is at or above "
+                f"sigma_max(epsilon={epsilon}, delta={delta})={limit:.6f}"
             )
         # Half the failure budget is spent on the noise draw, hence 16 pi
         # where the envelope path has 8 pi.

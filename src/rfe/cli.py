@@ -36,7 +36,7 @@ from .estimator import (
 )
 from .harness import SWEEP_FAMILIES, FixedTheta, UniformTheta, noise_sweep, sweep_csv
 from .noise import MODELS, AdversaryStrategy, Ban, noise_from_dict
-from .spectrum import expected_spectrum
+from .spectrum import expected_coefficients
 from .verify import SUITE_NAMES, run_suites
 
 _DEFAULT_NOISE = '{"kind": "ideal"}'
@@ -154,7 +154,7 @@ def _cmd_spectrum(args) -> int:
         coefficients = result.spectrum.coefficients
         extra = trial_to_dict(result)
     else:
-        coefficients = expected_spectrum(theta, K)
+        coefficients = expected_coefficients(noise, theta, K)[0]
         extra = None
     if args.format == "csv":
         _emit(spectrum_csv(coefficients), args.output)
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
            delta=False, theta="random")
     p_spec.add_argument("--samples", type=int, default=None,
                         help="simulate with this many samples (omit for the "
-                             "exact expected spectrum)")
+                             "exact expected spectrum under --noise)")
     p_spec.add_argument("--grid", type=int, default=None,
                         help="override the grid size K")
     p_spec.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -18,10 +18,10 @@ Three kinds of checks live here:
   so results are identical for any number of worker threads and any block
   execution order.
 
-:func:`thread_map` is the one place that decides how work runs on threads,
-for these blocks and for the suites of :func:`rfe.verify.run_suites`: an
-item starts only when a thread is free, and a map called from an item of
-another runs inline in that item's thread, so nesting adds no threads.
+:func:`thread_map` is the one place that builds a thread pool, for these
+blocks and for the suites of :func:`rfe.verify.run_suites`: an item starts
+only when a thread is free.  It never nests on its own; a caller that runs
+maps inside the items of another gives them one thread each.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -218,82 +217,63 @@ def pool_size(workers: int) -> int:
     return min(workers or cores, cores)
 
 
-# Marks the threads of thread_map's pools, so a map nested in one runs inline.
-_pool_thread = threading.local()
-
-
-def _as_worker(fn: Callable, item):
-    """``fn(item)`` on a pool thread, marked as one."""
-    _pool_thread.active = True
-    return fn(item)
-
-
 def thread_map(fn: Callable, items: Sequence, threads: int) -> Iterator:
     """Yield ``fn(item)`` for each of the sized ``items`` as the calls
     finish, on at most ``min(threads, len(items))`` threads.
 
     ``items`` is read lazily, so ``range(2 * 10**12)`` is fine.  An item
     starts only when a thread is free, so after the first error no further
-    item starts, and the error is re-raised.  With one thread, or when
-    called from an item that another ``thread_map`` runs on its pool, this
-    is ``map(fn, items)`` in the calling thread, so nesting adds no threads.
+    item starts, and the error is re-raised.  With one thread this is
+    ``map(fn, items)`` in the calling thread.
     """
     threads = min(threads, len(items))
-    if threads <= 1 or getattr(_pool_thread, "active", False):
+    if threads <= 1:
         yield from map(fn, items)
         return
     pending = iter(items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        running = {pool.submit(_as_worker, fn, item)
-                   for item in itertools.islice(pending, threads)}
+        running = {pool.submit(fn, item) for item in itertools.islice(pending, threads)}
         while running:
             done, running = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
                 yield future.result()
-            running |= {pool.submit(_as_worker, fn, item)
+            running |= {pool.submit(fn, item)
                         for item in itertools.islice(pending, len(done))}
 
 
-def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
+def monte_carlo_success(plan: Union[BoundsQuery, BoundsReport], trials: int,
                         theta_sampling: ThetaSampling,
-                        master_seed: int, workers: int = 1,
-                        samples_override: Optional[int] = None,
-                        grid_override: Optional[int] = None) -> SuccessStats:
+                        master_seed: int, workers: int = 1) -> SuccessStats:
     """Estimate the success rate Pr(|theta_hat - theta| <= epsilon), with the
     error taken on the line, not folded mod 2 pi.
 
-    ``query`` is a question for :func:`rfe.bounds.bounds_report`, which
-    then plans (K, M) once, or a plan it already returned, which is used as
-    it is.  ``samples_override``/``grid_override`` replace the plan (to
-    bypass the certified sample count, e.g. for deliberately under-sampled
-    demos).  The trials
-    then run in blocks of B = max(1, BLOCK_CELLS // K), the last one
-    shorter.  Block b draws from :func:`block_rng` (master seed, b), in this
-    order: its B phases, then the run noise and samples of its B runs, which
-    :func:`rfe.estimator.run_block` does as (B, K) arrays.  ``workers`` (0:
-    all cores) sets the threads, at most one per block and capped at the
-    cores, that whole blocks are distributed over by :func:`thread_map` (none
-    inside another map's item); it cannot change the statistics.  numpy
-    releases the interpreter lock in its generator fills, ufunc loops and
-    FFTs, so blocks overlap on threads.
-    A block starts only when a thread is free, so memory does not grow with
-    ``trials``, and after the first error no further block starts and the
-    error is re-raised.
+    The campaign runs exactly ``plan``: a :class:`rfe.bounds.BoundsReport`
+    as it is, or a :class:`rfe.bounds.BoundsQuery` planned once by
+    :func:`rfe.bounds.bounds_report`.  An uncertified plan, such as an
+    under-sampled demo, is a report with fields replaced,
+    ``dataclasses.replace(report, samples=M, grid_size=K)``; K must pass
+    :func:`rfe.bounds.check_grid_size` and M lie in [0, 2**62], else
+    ``ValueError``.  The trials run in blocks of B = max(1, BLOCK_CELLS // K),
+    the last one shorter.  Block b draws from :func:`block_rng` (master seed,
+    b), in this order: its B phases, then the run noise and samples of its B
+    runs, which :func:`rfe.estimator.run_block` does as (B, K) arrays.
+    ``workers`` (0: all cores) sets the threads, at most one per block and
+    capped at the cores, that whole blocks are distributed over by
+    :func:`thread_map`; it cannot change the statistics.  numpy releases the
+    interpreter lock in its generator fills, ufunc loops and FFTs, so blocks
+    overlap on threads.  A block starts only when a thread is free, so
+    memory does not grow with ``trials``, and after the first error no
+    further block starts and the error is re-raised.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     workers = pool_size(workers)
-    if samples_override is not None:
-        grid = int(grid_override) if grid_override is not None else grid_size(query.epsilon)
-        samples = int(samples_override)
-        if not 1 <= samples <= MAX_SAMPLES:
-            raise ValueError(f"samples_override must lie in [1, 2**62], got {samples_override}")
-    else:
-        plan = (query if isinstance(query, BoundsReport)
-                else bounds_report(query.epsilon, query.delta, query.noise))
-        grid, samples = plan.grid_size, plan.samples
-    check_grid_size(grid)
+    if not isinstance(plan, BoundsReport):
+        plan = bounds_report(plan.epsilon, plan.delta, plan.noise)
+    grid, samples = check_grid_size(plan.grid_size), int(plan.samples)
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [0, 2**62], got {plan.samples}")
     block = max(1, BLOCK_CELLS // grid)
     blocks = -(-trials // block)
     master_seed = int(master_seed)
@@ -305,14 +285,14 @@ def monte_carlo_success(query: Union[BoundsQuery, BoundsReport], trials: int,
         if samples == 0:
             theta_hat = no_sample_result(grid).theta_hat
         else:
-            coefficients = run_block(thetas, samples, grid, query.noise, rng)[0]
+            coefficients = run_block(thetas, samples, grid, plan.noise, rng)[0]
             theta_hat = TWO_PI * winning_frequency(coefficients) / grid
-        return int(np.count_nonzero(np.abs(theta_hat - thetas) <= query.epsilon))
+        return int(np.count_nonzero(np.abs(theta_hat - thetas) <= plan.epsilon))
 
     successes = sum(thread_map(block_successes, range(blocks), workers))
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),
-                        epsilon_used=query.epsilon, delta_used=query.delta)
+                        epsilon_used=plan.epsilon, delta_used=plan.delta)
 
 
 # --- kernel bound scans -------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,7 +26,6 @@ from . import bounds
 from .estimator import RunConfig, run_block, run_rfe, spectrum_csv
 from .harness import (
     SMALL_ARRAY_BYTES,
-    BoundsQuery,
     FixedTheta,
     UniformTheta,
     block_rng,
@@ -265,8 +264,8 @@ def suite_gaussian(trials: int = 300, workers: int = 1) -> SuiteResult:
     pooled_z = max((law["variance_pooled_z"] for law in laws), key=abs)
     mean_z = max(law["mean_max_z"] for law in laws)
     elapsed = time.perf_counter() - start
-    passed = (stats.rate >= RATE_MIN and all(law["passed"] for law in laws)
-              and plan.samples == 3559)
+    plan_ok = plan.grid_size == 63 and plan.samples == 3559
+    passed = plan_ok and stats.rate >= RATE_MIN and all(law["passed"] for law in laws)
     return SuiteResult(
         name="gaussian", passed=passed,
         summary=(f"M={plan.samples}; success {stats.successes}/{stats.trials} = "
@@ -392,7 +391,8 @@ def suite_demo(trials: int = 200, workers: int = 1,
     union bound over all K frequencies, and this phase needs far fewer
     samples.  No rate threshold is claimed."""
     start = time.perf_counter()
-    K = bounds.grid_size(0.08)
+    plan = replace(bounds.bounds_report(0.08, 0.105, Ideal()), samples=80)
+    K = plan.grid_size
     run = run_rfe(RunConfig(samples=80, grid_size=K, theta=2.25, seed=7))
     csv_text = spectrum_csv(run.spectrum.coefficients)
     csv_path = None
@@ -401,9 +401,7 @@ def suite_demo(trials: int = 200, workers: int = 1,
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(csv_text, encoding="utf-8")
         csv_path = str(path)
-    stats = monte_carlo_success(BoundsQuery(0.08, 0.105, Ideal()), trials,
-                                FixedTheta(2.25), _SEED_DEMO, workers=workers,
-                                samples_override=80, grid_override=K)
+    stats = monte_carlo_success(plan, trials, FixedTheta(2.25), _SEED_DEMO, workers)
     # delta at which the certified count is exactly 40x the demo's 80 samples:
     # solve (81 pi^2/2) ln(8 pi/(0.08 delta)) = 3200 in closed form
     backsolved = (8.0 * math.pi / 0.08) * math.exp(-3200.0 / (81.0 * math.pi ** 2 / 2.0))
@@ -453,9 +451,10 @@ def run_suites(names: Sequence[str], workers: int = 1,
 
     ``workers`` must be at least 0 (0 for all cores).  The suites run side
     by side on that many threads, at most one per suite and capped at the
-    cores; a campaign suite runs its blocks in its own suite's thread, or,
-    when it runs alone, on ``workers`` threads.  They start in
-    ``_START_ORDER``, longest first, whatever order the results come in.
+    cores.  A campaign suite runs its blocks on ``workers`` threads when it
+    runs alone, and in its own suite's thread beside other suites, so
+    nesting adds no threads.  The suites start in ``_START_ORDER``, longest
+    first, whatever order the results come in.
     :func:`rfe.harness.thread_map` runs them: a suite starts only when a
     thread is free, and once one raises, no other starts and its error is
     re-raised.  Every suite is seeded by its own constants, so any worker
@@ -465,17 +464,17 @@ def run_suites(names: Sequence[str], workers: int = 1,
     are checked before any suite runs.
     """
     threads = pool_size(workers)
-    campaign = {"workers": workers}
-    if trials is not None:
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        campaign["trials"] = trials
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     requested: set[str] = set()
     for name in names:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
         requested.update({"quick": _QUICK, "all": _ALL}.get(name, (name,)))
     waiting = [name for name in _START_ORDER if name in requested]
+    campaign = {"workers": workers if min(threads, len(waiting)) <= 1 else 1}
+    if trials is not None:
+        campaign["trials"] = trials
     results = dict(thread_map(lambda name: (name, _SUITES[name](campaign, outdir)),
                               waiting, threads))
     return [results[name] for name in _ALL if name in requested]

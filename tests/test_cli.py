@@ -10,7 +10,9 @@ import pytest
 
 import rfe.verify
 from rfe.cli import CliConfig, build_parser, main
+from rfe.estimator import spectrum_csv
 from rfe.noise import MODELS, noise_from_dict
+from rfe.spectrum import expected_coefficients, expected_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,17 @@ class TestSpectrum:
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[3]) == pytest.approx(1.0, abs=1e-12)
         assert all(float(line.split(",")[3]) < 1e-12 for line in lines[2:])
+
+    @pytest.mark.parametrize("noise", [{"kind": "dephasing", "t2": 2.0},
+                                       {"kind": "gaussian", "sigma": 0.5}],
+                             ids=["dephasing", "gaussian"])
+    def test_exact_spectrum_follows_the_noise(self, capsys, noise):
+        code, out, _ = run_cli(capsys, "spectrum", "--grid", "8", "--theta", "1",
+                               "--noise", json.dumps(noise))
+        assert code == 0
+        exact = expected_coefficients(noise_from_dict(noise), 1.0, 8)[0]
+        assert out == spectrum_csv(exact)
+        assert out != spectrum_csv(expected_spectrum(1.0, 8))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--theta", "1.0",

@@ -5,6 +5,7 @@ import math
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from rfe.harness import (
     thread_map,
     wilson_interval,
 )
-from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
+from rfe.noise import AdversaryStrategy, Ban, DeviationTable, Gaussian, GaussianLinear, Ideal
 from rfe.spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
@@ -169,8 +170,8 @@ class TestBlockSeeding:
 
         monkeypatch.setattr(harness, "run_block", recording)
         K = harness.BLOCK_CELLS // 4  # four trials per block
-        monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 10, UniformTheta(), 3,
-                            samples_override=20, grid_override=K)
+        plan = replace(bounds_report(0.4, 0.2, Ideal()), samples=20, grid_size=K)
+        monte_carlo_success(plan, 10, UniformTheta(), 3)
         assert [t.size for t in seen] == [4, 4, 2]
         assert len(np.unique(np.concatenate(seen))) == 10
 
@@ -203,15 +204,6 @@ class TestThreadMap:
 
         assert list(thread_map(call, range(5), 1)) == [0, 1, 4, 9, 16]
         assert calls == [(item, threading.get_ident()) for item in range(5)]
-
-    @pytest.mark.parametrize("outer", [1, 2])
-    def test_a_map_nested_in_a_pool_item_runs_in_that_items_thread(self, outer):
-        # on a one-thread (inline) outer map the nested map still builds its pool
-        def item(_):
-            nested = thread_map(lambda _: threading.get_ident(), range(4), 2)
-            return {ident == threading.get_ident() for ident in nested}
-
-        assert list(thread_map(item, range(2), outer)) == [{outer == 2}] * 2
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_a_huge_range_stops_at_the_first_error(self, threads):
@@ -246,9 +238,9 @@ class TestThreadMap:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(harness, "run_block", stub)
-        stats = monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 8, FixedTheta(0.0),
-                                    master_seed=1, workers=10 ** 6,
-                                    grid_override=harness.BLOCK_CELLS, samples_override=1)
+        plan = replace(bounds_report(0.4, 0.2, Ideal()), samples=1,
+                       grid_size=harness.BLOCK_CELLS)
+        stats = monte_carlo_success(plan, 8, FixedTheta(0.0), master_seed=1, workers=10 ** 6)
         assert sizes == [2]
         assert stats.successes == 8
 
@@ -258,9 +250,8 @@ class TestErrorMetric:
         # 63 (2 pi - 0.02) / (2 pi) = 62.80 bins peaks at bin 0, so theta_hat
         # = 0: the line error 2 pi - 0.02 fails epsilon = 0.1, where the
         # circular error 0.02 would pass
-        stats = monte_carlo_success(BoundsQuery(0.1, 0.1, Ideal()), 20,
-                                    FixedTheta(TWO_PI - 0.02), 1,
-                                    samples_override=3130, grid_override=63)
+        stats = monte_carlo_success(bounds_report(0.1, 0.1, Ideal()), 20,
+                                    FixedTheta(TWO_PI - 0.02), 1)
         assert stats.successes == 0
 
 
@@ -276,11 +267,9 @@ class TestMonteCarlo:
     def test_worker_count_does_not_change_stats(self, monkeypatch):
         # 2,000 trials at K = 63 span 16 blocks of 130, split over the pool
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        query = BoundsQuery(0.1, 0.1, Gaussian(0.1))
-        inline = monte_carlo_success(query, 2000, UniformTheta(), 99, workers=1,
-                                     samples_override=60)
-        pooled = monte_carlo_success(query, 2000, UniformTheta(), 99, workers=2,
-                                     samples_override=60)
+        plan = replace(bounds_report(0.1, 0.1, Gaussian(0.1)), samples=60)
+        inline = monte_carlo_success(plan, 2000, UniformTheta(), 99, workers=1)
+        pooled = monte_carlo_success(plan, 2000, UniformTheta(), 99, workers=2)
         assert inline == pooled
         assert 0 < inline.successes < 2000
 
@@ -294,8 +283,8 @@ class TestMonteCarlo:
         # samples of one rate.
         n = 3000
         sampling = UniformTheta()
-        stats = monte_carlo_success(BoundsQuery(eps, 0.1, Ideal()), n, sampling,
-                                    master_seed=2024, samples_override=M, grid_override=K)
+        plan = replace(bounds_report(eps, 0.1, Ideal()), samples=M, grid_size=K)
+        stats = monte_carlo_success(plan, n, sampling, master_seed=2024)
         thetas = sampling.draw(np.random.default_rng(2024), n)
         single = sum(abs(run_rfe(RunConfig(samples=M, grid_size=K, theta=theta,
                                            seed=seed)).theta_hat - theta) <= eps
@@ -350,12 +339,11 @@ class TestMonteCarlo:
                                     FixedTheta(1.234), master_seed=5)
         assert stats.rate >= 0.9
 
-    def test_overrides_run_without_plan(self):
-        # GaussianLinear has no certified count, but an explicit one runs fine
-        from rfe.noise import GaussianLinear
-        stats = monte_carlo_success(BoundsQuery(0.4, 0.2, GaussianLinear(0.001)), 8,
-                                    FixedTheta(1.0), master_seed=6,
-                                    samples_override=2000, grid_override=16)
+    def test_an_uncertified_plan_runs(self):
+        # GaussianLinear has no certified count, but an explicit plan runs fine
+        plan = replace(bounds_report(0.4, 0.2, Ideal()), noise=GaussianLinear(0.001),
+                       samples=2000, grid_size=16)
+        stats = monte_carlo_success(plan, 8, FixedTheta(1.0), master_seed=6)
         assert stats.trials == 8
 
     def test_plan_resolved_once_per_campaign(self, monkeypatch):
@@ -388,16 +376,11 @@ class TestMonteCarlo:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 0, FixedTheta(1.0), 1)
-        with pytest.raises(ValueError):
-            monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
-                                samples_override=0)
-        with pytest.raises(ValueError):
-            monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
-                                samples_override=2 ** 62 + 1)
-        for grid in (0, MAX_GRID_SIZE + 1):
-            with pytest.raises(ValueError):
-                monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
-                                    samples_override=10, grid_override=grid)
+        plan = bounds_report(0.4, 0.2, Ideal())
+        for bad in ({"samples": -1}, {"samples": 2 ** 62 + 1},
+                    {"grid_size": 0}, {"grid_size": MAX_GRID_SIZE + 1}):
+            with pytest.raises(ValueError, match="(samples|grid size) must lie in"):
+                monte_carlo_success(replace(plan, **bad), 4, FixedTheta(1.0), 1)
         with pytest.raises(ValueError, match="workers must be >= 0"):
             monte_carlo_success(BoundsQuery(0.4, 0.2, Ideal()), 4, FixedTheta(1.0), 1,
                                 workers=-1)

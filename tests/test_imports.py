@@ -1,5 +1,6 @@
-"""Every name a module of rfe imports is used there (no linter is installed),
-and only rfe.harness imports the thread modules."""
+"""Checks a linter would make, since none is installed: every name a module
+of rfe imports is used there, only rfe.harness imports the thread modules,
+every public name is read in src, and no line runs past MAX_LINE."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,12 @@ def test_every_public_name_is_read_in_src():
     unread = {f"{stem}.{name}" for stem, tree in trees.items()
               for name in _public_definitions(tree) - read}
     assert unread == set()
+
+
+MAX_LINE = 100
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_line_is_longer_than_max_line(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [number for number, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []

@@ -1,10 +1,12 @@
 """The suite table of rfe.verify: order, aliases, options, threads, planning,
 the oracle suite's pinned result and memory, the gaussian suite's failure on
-a broken noise path and the reductions suite's failure on a wrong count."""
+a broken noise path or an off-pin plan, and the reductions suite's failure
+on a wrong count."""
 
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,14 +59,19 @@ class TestRunSuites:
             verify.run_suites(["oracle", "laws"])
         assert stub_suites == []
 
-    def test_campaign_options_reach_only_the_campaign_suites(self, stub_suites):
-        verify.run_suites(["all"], workers=2, trials=7, outdir="out")
-        options = dict(stub_suites)
-        for name in QUICK:
-            assert options[name] == {}
-        for name in ("noiseless", "adversarial", "gaussian"):
-            assert options[name] == {"workers": 2, "trials": 7}
-        assert options["demo"] == {"workers": 2, "trials": 7, "outdir": "out"}
+    @pytest.mark.parametrize("names,campaign_workers", [
+        (CANONICAL, 1),      # beside other suites: blocks in the suite's own thread
+        (["noiseless"], 2),  # alone: blocks on the workers
+    ], ids=["beside_other_suites", "alone"])
+    def test_campaign_options_reach_only_the_campaign_suites(self, stub_suites, monkeypatch,
+                                                             names, campaign_workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        verify.run_suites(names, workers=2, trials=7, outdir="out")
+        campaign = {"workers": campaign_workers, "trials": 7}
+        expected = {**dict.fromkeys(QUICK, {}),
+                    **dict.fromkeys(("noiseless", "adversarial", "gaussian"), campaign),
+                    "demo": {**campaign, "outdir": "out"}}
+        assert dict(stub_suites) == {name: expected[name] for name in names}
 
     def test_default_trials_are_left_to_each_suite(self, stub_suites):
         verify.run_suites(["noiseless", "demo"])
@@ -277,6 +284,17 @@ class TestGaussianSuite:
         for law in result.details["laws"]:
             assert verify.LAW_MEAN_Z_MAX < law["mean_max_z"] <= verify.LAW_Z_MAX
             assert law["variance_max_abs_z"] <= verify.LAW_Z_MAX
+
+    def test_a_plan_off_the_pinned_grid_fails(self, monkeypatch):
+        # M stays 3559 and every law passes: only the K pin can see it
+        original = bounds.bounds_report
+        monkeypatch.setattr(bounds, "bounds_report",
+                            lambda *args: replace(original(*args), grid_size=64))
+        result = verify.suite_gaussian(trials=30)
+        assert not result.passed
+        assert result.details["plan"]["K"] == 64 and result.details["plan"]["M"] == 3559
+        assert self.law_failed(result) == []
+        assert result.details["stats"]["rate"] == 1.0
 
     def test_a_model_without_run_noise_follows_its_law(self):
         law = verify._law_check(Ideal(), np.zeros(31), 100, np.random.default_rng(1))
