@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .estimator import (
     RunConfig,
     estimate_phase,
     run_rfe,
-    spectrum_csv,
+    spectrum_csv_chunks,
     trial_to_dict,
 )
 from .harness import SWEEP_FAMILIES, FixedTheta, UniformTheta, noise_sweep, sweep_csv
@@ -86,11 +86,14 @@ def _parse_values(text: str) -> tuple:
         raise ValueError(f"--grid wants comma-separated numbers, got {text!r}") from exc
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: Union[str, Iterable[str]], output: Optional[str]) -> None:
+    """Write ``text``, or each of its pieces in turn, to ``output`` or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if output:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_text(obj) -> str:
@@ -125,7 +128,7 @@ def _cmd_run(args) -> int:
     else:
         result = estimate_phase(args.epsilon, args.delta, noise, theta, seed=run_seed)
     if args.format == "csv":
-        _emit(spectrum_csv(result.spectrum.coefficients), args.output)
+        _emit(spectrum_csv_chunks(result.spectrum.coefficients), args.output)
         return 0
     error = abs(result.theta_hat - theta)
     payload = {
@@ -157,7 +160,7 @@ def _cmd_spectrum(args) -> int:
         coefficients = expected_coefficients(noise, theta, K)[0]
         extra = None
     if args.format == "csv":
-        _emit(spectrum_csv(coefficients), args.output)
+        _emit(spectrum_csv_chunks(coefficients), args.output)
         return 0
     payload = {"config": config.to_dict(), "theta_true": theta, "grid_size": K,
                "coefficients": [[float(v.real), float(v.imag)] for v in coefficients]}

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -193,10 +194,20 @@ def trial_to_dict(result: TrialResult) -> dict:
     }
 
 
+# CSV rows formatted at a time, so a large grid's text is never held whole
+CSV_CHUNK_ROWS = 65536
+
+
+def spectrum_csv_chunks(coefficients: np.ndarray) -> Iterator[str]:
+    """:func:`spectrum_csv`'s text in pieces: the header, then at most
+    CSV_CHUNK_ROWS rows at a time."""
+    coefficients = np.asarray(coefficients)
+    yield "j,re,im,abs\n"
+    for start in range(0, len(coefficients), CSV_CHUNK_ROWS):
+        rows = map(complex, coefficients[start:start + CSV_CHUNK_ROWS])
+        yield "".join(f"{j},{v.real!r},{v.imag!r},{abs(v)!r}\n" for j, v in enumerate(rows, start))
+
+
 def spectrum_csv(coefficients: np.ndarray) -> str:
     """CSV dump of a coefficient vector: one row (j, re, im, abs) per index."""
-    lines = ["j,re,im,abs"]
-    for j, v in enumerate(np.asarray(coefficients)):
-        v = complex(v)
-        lines.append(f"{j},{v.real!r},{v.imag!r},{abs(v)!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(spectrum_csv_chunks(coefficients))

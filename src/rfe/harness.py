@@ -3,20 +3,16 @@
 Three kinds of checks live here:
 
 * :func:`exact_estimator_expectation` computes the estimator's expectation by
-  brute force — summing over every time index and all four outcome pairs
-  weighted by their (clamped) probabilities, with an explicit direct DFT —
-  independent of both the closed-form spectrum and the sampling path it
-  certifies.
-* :func:`lemma_bound_scan` sweeps (K, theta) grids and checks the kernel
-  magnitude floor/caps with zero tolerance for violations.
+  brute force, over every time index and all four outcome pairs weighted by
+  their clamped probabilities, with a direct DFT from a table of roots of
+  unity: independent of the closed-form spectrum and of the sampling path.
+* :func:`lemma_bound_scan` checks the kernel magnitude floor and caps at
+  every point of a (K, theta) grid, with zero tolerance for violations.
 * :func:`monte_carlo_success` and :func:`noise_sweep` run seeded campaigns of
-  full estimation runs.  Trials run in blocks of B = max(1, BLOCK_CELLS // K),
-  a constant of the engine, each block as (B, K) arrays through
-  :func:`rfe.estimator.run_block`, and blocks run on up to ``workers``
-  threads, capped at the cores.  Block b draws everything it needs, its
-  phases first, from a generator spawned from the master seed and b alone,
-  so results are identical for any number of worker threads and any block
-  execution order.
+  full estimation runs, in blocks of B = max(1, BLOCK_CELLS // K) trials
+  through :func:`rfe.estimator.run_block`.  Block b draws everything from a
+  generator spawned from the master seed and b alone, so results do not
+  depend on the number of worker threads or the block order.
 
 :func:`thread_map` is the one place that builds a thread pool, for these
 blocks and for the suites of :func:`rfe.verify.run_suites`: an item starts
@@ -52,7 +48,6 @@ from .spectrum import (
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
     TWO_PI,
-    kernel_magnitude,
     validate_phase,
 )
 
@@ -82,18 +77,20 @@ def _direct_dft(values: np.ndarray) -> np.ndarray:
     """sum_k values[k] exp(-2 pi i j k / K) via explicit phase matrices.
 
     Deliberately not an FFT: this is the independent cross-check of the
-    transform the estimator relies on.  Evaluated in blocks of
-    max(1, SMALL_ARRAY_BYTES // (16 K)) rows, so each complex phase matrix
-    stays under :data:`SMALL_ARRAY_BYTES`; a row's sum does not depend on
-    the block it is in.
+    transform the estimator relies on.  Each phase is read from a table of
+    the K roots of unity at m = j k mod K, exact in integers, so no phase
+    rounds a large angle.  Rows go in blocks of max(1, SMALL_ARRAY_BYTES //
+    (16 K)), each complex phase matrix under :data:`SMALL_ARRAY_BYTES`, and
+    a row's sum does not depend on its block.
     """
     K = values.shape[0]
     out = np.empty(K, dtype=complex)
     k = np.arange(K)
+    roots = np.exp(-2j * np.pi * k / K)
     rows = max(1, SMALL_ARRAY_BYTES // (16 * K))
     for start in range(0, K, rows):
-        j = np.arange(start, min(start + rows, K))[:, None]
-        out[start:start + rows] = (np.exp(-2j * np.pi * j * k / K) * values).sum(axis=1)
+        j = k[start:start + rows, None]
+        out[start:start + rows] = (roots[j * k % K] * values).sum(axis=1)
     return out
 
 
@@ -258,12 +255,10 @@ def monte_carlo_success(plan: Union[BoundsQuery, BoundsReport], trials: int,
     b), in this order: its B phases, then the run noise and samples of its B
     runs, which :func:`rfe.estimator.run_block` does as (B, K) arrays.
     ``workers`` (0: all cores) sets the threads, at most one per block and
-    capped at the cores, that whole blocks are distributed over by
-    :func:`thread_map`; it cannot change the statistics.  numpy releases the
-    interpreter lock in its generator fills, ufunc loops and FFTs, so blocks
-    overlap on threads.  A block starts only when a thread is free, so
-    memory does not grow with ``trials``, and after the first error no
-    further block starts and the error is re-raised.
+    capped at the cores, that :func:`thread_map` spreads whole blocks over
+    (numpy's generator fills, ufunc loops and FFTs release the interpreter
+    lock); it cannot change the statistics, memory does not grow with
+    ``trials``, and the first error stops the campaign.
     """
     trials = int(trials)
     if trials < 1:
@@ -320,27 +315,33 @@ class LemmaScanReport:
 
 
 def _scan_block(tone: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """|S_K(j - tone)| and the circular distance of j from the tone, each a
-    (K, len(tone)) array over j = 0 .. K - 1."""
+    """|S_K(j - tone)| and the circular distance d of j from the tone, each a
+    (K, len(tone)) array over j = 0 .. K - 1, for tones in [0, K/2].  For
+    integer j, |sin(pi (j - t))| = |sin(pi t)|: one reduced sine per column
+    for the numerator, and one sine per point, of pi d / K; d = 0 gives 1."""
     x = np.arange(K)[:, None] - tone[None, :]
-    mags = kernel_magnitude(x, K)
-    # x lies in [-K/2, K - 1], so |x| needs no reduction mod K before
-    # the circular distance min(|x|, K - |x|)
+    # x lies in [-K/2, K - 1], so d = min(|x|, K - |x|) needs no reduction
     d = np.abs(x, out=x)
     np.minimum(d, K - d, out=d)
+    numerator = np.abs(np.sin(np.pi * (tone - np.rint(tone)))) / K
+    mags = np.multiply(d, np.pi / K)
+    np.sin(mags, out=mags)
+    with np.errstate(invalid="ignore"):
+        np.divide(numerator, mags, out=mags)
+    mags[d == 0.0] = 1.0
     return mags, d
 
 
 def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     """Scan theta in [0, pi] and every index j, checking the magnitude floor
     2/pi for close frequencies and the caps 10/(9 pi) and 1/(2 sqrt 2) for
-    non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE.
-    The magnitudes come from :func:`rfe.spectrum.kernel_magnitude`.  Each K
-    walks theta in blocks of max(1, SMALL_ARRAY_BYTES // (8 K)) columns, so
-    every (K, columns) array stays under :data:`SMALL_ARRAY_BYTES`, and keeps
-    the extremes with NaN-propagating minimum and maximum.  Only a K whose
-    extremes break a bound, or are NaN, gets its full (K, n_theta) arrays
-    rebuilt for a per-point violation mask."""
+    non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE, at
+    all sum(k_values) * n_theta points, magnitudes from :func:`_scan_block`.
+    Each K walks theta in blocks of max(1, SMALL_ARRAY_BYTES // (8 K))
+    columns, each (K, columns) array under :data:`SMALL_ARRAY_BYTES`, and
+    keeps the extremes with NaN-propagating minimum and maximum.  Only a K
+    whose extremes break a bound, or are NaN, gets its full (K, n_theta)
+    arrays rebuilt for a per-point violation mask."""
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 4 or max(k_values) > 1024:
         raise ValueError("k_values must be a non-empty subset of [4, 1024]")

@@ -82,7 +82,7 @@ def _mod_period(xs: np.ndarray, K: int) -> np.ndarray:
     return np.mod(xs, K)
 
 
-def _sinpi(v: np.ndarray, signed: bool) -> np.ndarray:
+def _sinpi(v: np.ndarray) -> np.ndarray:
     """sin(pi v) with the argument reduced to the nearest integer first.
 
     Naive sin(np.pi * v) loses all relative accuracy near the zeros at
@@ -90,52 +90,15 @@ def _sinpi(v: np.ndarray, signed: bool) -> np.ndarray:
     distance to the zero); reducing v first keeps the relative error at
     machine level everywhere.  Both steps are exact: v - rint(v) is an exact
     difference (Sterbenz's lemma when rint(v) is not 0), and the sign
-    (-1)^rint(v), left out when not ``signed``, comes from
-    :func:`_parity_sign`, not a floor-mod.  v has at least one dimension.
+    (-1)^rint(v) comes from :func:`_parity_sign`, not a floor-mod.  v has at
+    least one dimension.
     """
     n = np.rint(v)
     out = np.subtract(v, n)
     out *= np.pi
     np.sin(out, out=out)
-    if signed:
-        out *= _parity_sign(n)
+    out *= _parity_sign(n)
     return out
-
-
-def _kernel(x, grid_size: int, signed: bool):
-    """S_K(x), or |S_K(x)| without the sign passes when not ``signed``."""
-    K = check_grid_size(grid_size)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    if scalar:
-        xs = xs.reshape(1)
-    r = _mod_period(xs, K)
-    folded = r > K / 2.0
-    period_sign = signed and K % 2 == 0
-    if period_sign:
-        m = np.subtract(xs, r)
-        m /= K
-        np.rint(m, out=m)
-        m += folded
-        m *= K - 1
-        sign = _parity_sign(m)
-    np.subtract(r, K, out=r, where=folded)
-    zero = r == 0.0
-    # |pi r / K| <= pi/2 keeps the denominator clear of every sine zero
-    # except r = 0, which is the removable point handled explicitly.
-    den = np.multiply(np.pi, r)
-    den /= K
-    np.sin(den, out=den)
-    den *= K
-    den[zero] = 1.0
-    out = _sinpi(r, signed)
-    out /= den
-    out[zero] = 1.0
-    if period_sign:
-        out *= sign
-    if not signed:
-        np.abs(out, out=out)
-    return float(out[0]) if scalar else out
 
 
 def dirichlet_kernel(x, grid_size: int):
@@ -154,14 +117,36 @@ def dirichlet_kernel(x, grid_size: int):
     Each step writes into an array it owns, so a call allocates a handful of
     full-size buffers, not one per operation.
     """
-    return _kernel(x, grid_size, signed=True)
-
-
-def kernel_magnitude(x, grid_size: int):
-    """|S_K(x)|, bit for bit np.abs(dirichlet_kernel(x, K)): the same fold and
-    denominator, without the parity and period-sign passes, which multiply by
-    exactly +1 or -1 and so cannot change a magnitude."""
-    return _kernel(x, grid_size, signed=False)
+    K = check_grid_size(grid_size)
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    if scalar:
+        xs = xs.reshape(1)
+    r = _mod_period(xs, K)
+    folded = r > K / 2.0
+    period_sign = K % 2 == 0
+    if period_sign:
+        m = np.subtract(xs, r)
+        m /= K
+        np.rint(m, out=m)
+        m += folded
+        m *= K - 1
+        sign = _parity_sign(m)
+    np.subtract(r, K, out=r, where=folded)
+    zero = r == 0.0
+    # |pi r / K| <= pi/2 keeps the denominator clear of every sine zero
+    # except r = 0, which is the removable point handled explicitly.
+    den = np.multiply(np.pi, r)
+    den /= K
+    np.sin(den, out=den)
+    den *= K
+    den[zero] = 1.0
+    out = _sinpi(r)
+    out /= den
+    out[zero] = 1.0
+    if period_sign:
+        out *= sign
+    return float(out[0]) if scalar else out
 
 
 def expected_spectrum(theta: float, grid_size: int) -> np.ndarray:

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import rfe.cli
+import rfe.estimator
 import rfe.verify
 from rfe.cli import CliConfig, build_parser, main
-from rfe.estimator import spectrum_csv
+from rfe.estimator import spectrum_csv, spectrum_csv_chunks
 from rfe.noise import MODELS, noise_from_dict
 from rfe.spectrum import expected_coefficients, expected_spectrum
 
@@ -85,6 +87,30 @@ class TestSpectrum:
         payload = json.loads(out)
         assert payload["grid_size"] == 13
         assert len(payload["coefficients"]) == 13
+
+    def test_csv_is_written_in_chunks(self, capsys, monkeypatch, tmp_path):
+        # three rows a piece, so K = 8 spans three chunks after the header;
+        # stdout and the file hold the text one join of all rows gives
+        monkeypatch.setattr(rfe.estimator, "CSV_CHUNK_ROWS", 3)
+        pieces = []
+
+        def recording(coefficients):
+            for piece in spectrum_csv_chunks(coefficients):
+                pieces.append(piece)
+                yield piece
+
+        monkeypatch.setattr(rfe.cli, "spectrum_csv_chunks", recording)
+        code, out, _ = run_cli(capsys, "spectrum", "--grid", "8", "--theta", "1")
+        assert code == 0
+        assert [piece.count("\n") for piece in pieces] == [1, 3, 3, 2]
+        rows = [f"{j},{v.real!r},{v.imag!r},{abs(v)!r}"
+                for j, v in enumerate(map(complex, expected_coefficients(
+                    noise_from_dict({"kind": "ideal"}), 1.0, 8)[0]))]
+        assert out == "\n".join(["j,re,im,abs"] + rows) + "\n"
+        path = tmp_path / "spectrum.csv"
+        code, _, _ = run_cli(capsys, "spectrum", "--grid", "8", "--theta", "1",
+                             "--output", str(path))
+        assert code == 0 and path.read_bytes() == out.encode()
 
     def test_grid_needs_no_epsilon(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--grid", "50", "--theta", "1.0")

@@ -33,7 +33,6 @@ from rfe.spectrum import (
     NON_ADJACENT_MAGNITUDE_MAX,
     dirichlet_kernel,
     expected_spectrum,
-    kernel_magnitude,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -100,8 +99,25 @@ class TestExactOracle:
         rng = np.random.default_rng(K)
         values = rng.standard_normal(K) + 1j * rng.standard_normal(K)
         k = np.arange(K)
-        reference = (np.exp(-2j * np.pi * k[:, None] * k / K) * values).sum(axis=1)
+        roots = np.exp(-2j * np.pi * k / K)
+        reference = (roots[k[:, None] * k % K] * values).sum(axis=1)
         assert np.array_equal(harness._direct_dft(values), reference)
+
+    @pytest.mark.parametrize("K", [1, 7, 255, 256])
+    def test_direct_dft_matches_a_long_double_dft(self, K):
+        # an 80-bit reference, with each angle reduced exactly mod K first
+        rng = np.random.default_rng(K)
+        values = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        k = np.arange(K)
+        angle = (k[:, None] * k % K).astype(np.longdouble)
+        angle *= -2 * np.longdouble("3.14159265358979323846264338327950288") / K
+        re = values.real.astype(np.longdouble)
+        im = values.imag.astype(np.longdouble)
+        ref_re = (np.cos(angle) * re - np.sin(angle) * im).sum(axis=1)
+        ref_im = (np.cos(angle) * im + np.sin(angle) * re).sum(axis=1)
+        got = harness._direct_dft(values)
+        error = np.hypot((got.real - ref_re).astype(float), (got.imag - ref_im).astype(float))
+        assert np.max(error) < 5e-14
 
     def test_grid_size_cap(self):
         with pytest.raises(ValueError):
@@ -460,12 +476,16 @@ class TestLemmaScan:
     @pytest.mark.parametrize("scale", [0.9, 2.0])
     def test_a_scaled_kernel_reports_the_full_mask_violations(self, monkeypatch, scale):
         # 0.9 breaks the close floor, 2.0 both non-adjacent caps
-        def scaled(x, K):
-            return scale * kernel_magnitude(x, K)
+        scan_block = harness._scan_block
 
-        monkeypatch.setattr(harness, "kernel_magnitude", scaled)
+        def scaled(tone, K):
+            mags, d = scan_block(tone, K)
+            return scale * mags, d
+
+        monkeypatch.setattr(harness, "_scan_block", scaled)
         report = lemma_bound_scan(range(4, 41), 200).to_dict()
-        reference = _full_mask_scan(range(4, 41), 200, scaled)
+        # x[0] = 0 - tone is -tone exactly
+        reference = _full_mask_scan(range(4, 41), 200, lambda x, K: scaled(-x[0], K)[0])
         assert reference["violation_count"] > len(reference["violations"]) > 5
         assert report["violation_count"] == reference["violation_count"]
         assert report["violations"] == reference["violations"]
@@ -476,20 +496,22 @@ class TestLemmaScan:
         # is in the last one, and j = 50 is its close index.  A NaN there must
         # reach K's extremes and rebuild that K's full arrays, as the one-block
         # scan did, and the report must not change.
+        scan_block = harness._scan_block
         shapes = []
 
-        def one_nan(x, K):
-            shapes.append(x.shape)
-            mags = kernel_magnitude(x, K)
+        def one_nan(tone, K):
+            mags, d = scan_block(tone, K)
+            shapes.append(mags.shape)
             if K == 100:
-                mags[50, x[0] == -(K * math.pi / TWO_PI)] = np.nan
-            return mags
+                mags[50, tone == K * math.pi / TWO_PI] = np.nan
+            return mags, d
 
-        monkeypatch.setattr(harness, "kernel_magnitude", one_nan)
+        monkeypatch.setattr(harness, "_scan_block", one_nan)
         report = lemma_bound_scan(range(96, 105), 1000).to_dict()
         full = [shape for shape in shapes if shape[1] == 1000]
         assert (100, 153) in shapes and full == [(100, 1000)]
-        assert report == _full_mask_scan(range(96, 105), 1000, one_nan)
+        assert report == _full_mask_scan(range(96, 105), 1000,
+                                         lambda x, K: one_nan(-x[0], K)[0])
 
     def test_memory_stays_under_one_mib(self):
         # the scan rfe verify runs; one (128, 1000) float array is 1 MB

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rfe.bounds import MAX_GRID_SIZE
-from rfe.harness import exact_estimator_expectation
+from rfe.harness import _scan_block, exact_estimator_expectation
 from rfe.noise import Ban, DeviationTable, Gaussian, GaussianLinear, Ideal, ban_threshold
 from rfe.spectrum import (
     _mod_period,
@@ -17,7 +17,6 @@ from rfe.spectrum import (
     dirichlet_kernel,
     expected_coefficients,
     expected_spectrum,
-    kernel_magnitude,
     validate_phase,
 )
 
@@ -135,7 +134,8 @@ BIT_IDENTITY_GRID_SIZES = list(range(1, 140)) + [1000, 62832, 62833]
 
 class TestKernelBitIdentity:
     """The kernel's shortcuts (the fmod-free fold, exact parity signs, no
-    period sign for odd K) must not move a single bit."""
+    period sign for odd K) must not move a single bit.  The lemma scan's
+    magnitudes skip the kernel and must stay within rounding of its abs."""
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_matches_reference_kernel(self, K):
@@ -153,24 +153,27 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_magnitude_is_the_kernel_abs(self, K):
+        # the lemma scan's magnitudes take one reduced sine per tone, not the
+        # kernel's; j - t rounds at ulp(K), so they agree to about K eps
         rng = np.random.default_rng(K)
-        xs = _kernel_inputs(K, rng)
-        with np.errstate(invalid="ignore"):
-            for values in (xs, xs[np.abs(xs) < K]):
-                assert np.array_equal(_bits(kernel_magnitude(values, K)),
-                                      _bits(np.abs(dirichlet_kernel(values, K))))
-            for x in xs[::97].tolist() + [0.0, -0.0, K / 2.0, math.nan, -math.inf]:
-                got = kernel_magnitude(x, K)
-                assert isinstance(got, float)
-                assert _bits(got) == _bits(abs(dirichlet_kernel(x, K))), x
+        half = K / 2.0
+        ints = np.arange(0.0, math.floor(half) + 1.0, max(1, K // 8))
+        tones = np.concatenate([rng.uniform(0.0, half, 8), [0.0, half], ints + 1e-13,
+                                np.maximum(ints - 1e-13, 0.0), np.minimum(ints + 0.5, half)])
+        mags, d = _scan_block(tones, K)
+        x = np.arange(K)[:, None] - tones
+        assert np.array_equal(d, np.minimum(np.abs(x), K - np.abs(x)))
+        assert np.max(np.abs(mags - np.abs(dirichlet_kernel(x, K)))) < 1e-15 * max(K, 100)
 
     def test_magnitude_is_the_kernel_abs_on_the_scan_grid(self):
         # the (K, theta) points of rfe verify's lemma scan
         thetas = np.linspace(0.0, math.pi, 1000)
         for K in range(4, 129):
-            x = np.arange(K)[:, None] - (K * thetas / TWO_PI)[None, :]
-            assert np.array_equal(_bits(kernel_magnitude(x, K)),
-                                  _bits(np.abs(dirichlet_kernel(x, K)))), K
+            tone = K * thetas / TWO_PI
+            mags, d = _scan_block(tone, K)
+            x = np.arange(K)[:, None] - tone[None, :]
+            assert np.array_equal(d, np.minimum(np.abs(x), K - np.abs(x))), K
+            assert np.max(np.abs(mags - np.abs(dirichlet_kernel(x, K)))) < 1e-13, K
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_mod_period_matches_floor_mod(self, K):
@@ -196,7 +199,7 @@ class TestExpectedCoefficient:
     def test_grid_orthogonality(self):
         assert abs(expected_coefficient(TWO_PI * 3 / 8, 5, 8)) < 1e-12
 
-    def test_kernel_magnitude_identity_spot(self):
+    def test_coefficient_is_the_kernel_abs_spot(self):
         value = expected_coefficient(2.25, 28, 79)
         kernel = dirichlet_kernel(28 - 79 * 2.25 / TWO_PI, 79)
         assert abs(abs(value) - abs(kernel)) < 1e-12
@@ -212,7 +215,7 @@ class TestExpectedCoefficient:
                                    - direct_sum_coefficient(theta, j, K)))
         assert worst < 1e-12
 
-    def test_kernel_magnitude_identity_random(self):
+    def test_coefficient_is_the_kernel_abs_random(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
             K = int(rng.integers(1, 257))
