@@ -217,9 +217,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.output:
         # a report that cannot be written fails before the battery runs
-        directory = Path(args.output).parent
-        if not directory.is_dir():
-            raise FileNotFoundError(errno.ENOENT, "no such directory", str(directory))
+        target = Path(args.output)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "is a directory", str(target))
+        if not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", str(target.parent))
     if args.outdir is not None:
         # so does an artifact directory that is, or lies under, a file
         outdir = Path(args.outdir)

@@ -38,10 +38,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .bounds import MAX_SAMPLES, bounds_report, check_grid_size, check_seed
+from .bounds import MAX_SAMPLES, TWO_PI, bounds_report, check_grid_size, check_seed
 from .noise import Ideal, NoiseModel, biases_at
 from .sampler import draw_times, sample_outcome_sums, sums_at_times
-from .spectrum import TWO_PI, validate_phase
+from .spectrum import validate_phase
 
 
 @dataclass(frozen=True)

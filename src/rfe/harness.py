@@ -33,6 +33,7 @@ import numpy as np
 
 from .bounds import (
     MAX_SAMPLES,
+    TWO_PI,
     BoundsQuery,
     BoundsReport,
     BoundsUnachievable,
@@ -47,7 +48,6 @@ from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
-    TWO_PI,
     validate_phase,
 )
 
@@ -466,9 +466,12 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
     threshold, more than 2**62 samples, or a grid above
     :data:`rfe.bounds.MAX_GRID_SIZE`) are marked so and not run; the others
     run their campaign on that same plan, with the success test of
-    :func:`monte_carlo_success`.  A negative ``workers`` raises first too.
+    :func:`monte_carlo_success`.  A negative ``workers`` or a
+    ``trials_per_point`` below 1 raises first too.
     """
     pool_size(workers)
+    if int(trials_per_point) < 1:
+        raise ValueError(f"trials must be >= 1, got {trials_per_point}")
     if theta_sampling is None:
         theta_sampling = UniformTheta()
     parameters = [float(value) for value in values]

@@ -25,10 +25,8 @@ import math
 
 import numpy as np
 
-from .bounds import check_grid_size
+from .bounds import TWO_PI, check_grid_size
 from .noise import DeviationTable, NoiseModel, biases_at
-
-TWO_PI = 2.0 * math.pi
 
 CLOSE_MAGNITUDE_MIN = 2.0 / math.pi
 NON_ADJACENT_MAGNITUDE_MAX = 10.0 / (9.0 * math.pi)
@@ -49,58 +47,6 @@ def validate_phase(theta: float) -> float:
     return theta
 
 
-def _parity_sign(n: np.ndarray) -> np.ndarray:
-    """(-1)^n for an integer-valued float array n, without a floor-mod
-    pass, written over n's own buffer and returned.
-
-    n/2 and 2 floor(n/2) are exact in binary floating point, so
-    n - 2 floor(n/2) is exactly 0 or 1 and the sign exactly +1 or -1.  Every
-    float of magnitude 2**53 or more is an even integer and gets +1, as
-    np.mod(n, 2.0) == 0.0 does.  A NaN n gives NaN where that test gives -1;
-    in the kernel such a sign only ever multiplies a NaN, so the result keeps
-    its bits.
-    """
-    twice_half = n / 2.0
-    np.floor(twice_half, out=twice_half)
-    twice_half *= 2.0
-    n -= twice_half
-    n *= 2.0
-    return np.subtract(1.0, n, out=n)
-
-
-def _mod_period(xs: np.ndarray, K: int) -> np.ndarray:
-    """np.mod(xs, K), equal bit for bit, without fmod where it is not needed.
-
-    When every |xs| < K, fmod(xs, K) is xs itself, so the floor-mod is
-    xs + K for negative xs and xs otherwise; adding 0.0 turns -0.0 into
-    +0.0, as np.mod does.  Any other input (larger values, NaN, infinities,
-    an empty array) goes to np.mod.
-    """
-    if xs.size and -K < xs.min() and xs.max() < K:
-        r = np.add(xs, 0.0, out=np.empty(xs.shape))
-        return np.add(r, K, out=r, where=xs < 0.0)
-    return np.mod(xs, K)
-
-
-def _sinpi(v: np.ndarray) -> np.ndarray:
-    """sin(pi v) with the argument reduced to the nearest integer first.
-
-    Naive sin(np.pi * v) loses all relative accuracy near the zeros at
-    integer v (the absolute error of the rounded argument pi*v rivals the
-    distance to the zero); reducing v first keeps the relative error at
-    machine level everywhere.  Both steps are exact: v - rint(v) is an exact
-    difference (Sterbenz's lemma when rint(v) is not 0), and the sign
-    (-1)^rint(v) comes from :func:`_parity_sign`, not a floor-mod.  v has at
-    least one dimension.
-    """
-    n = np.rint(v)
-    out = np.subtract(v, n)
-    out *= np.pi
-    np.sin(out, out=out)
-    out *= _parity_sign(n)
-    return out
-
-
 def dirichlet_kernel(x, grid_size: int):
     """Evaluate S_K(x) = sin(pi x) / (K sin(pi x / K)).
 
@@ -108,45 +54,25 @@ def dirichlet_kernel(x, grid_size: int):
     filled with their limit (-1)^(m (K-1)).  Accepts scalars or arrays.  The
     argument is folded into [-K/2, K/2] before evaluation (|S_K| is
     K-periodic), and the numerator sine is reduced to its nearest zero, so
-    values stay relatively accurate arbitrarily close to the singularities.
-
-    The shortcuts return the same bits as evaluating np.mod at every step:
-    the fold uses :func:`_mod_period`, which skips fmod when |x| < K; the
-    parity signs are exact (:func:`_parity_sign`); and for odd K the period
-    sign (-1)^(m (K-1)) is always +1, so the period count m is not computed.
-    Each step writes into an array it owns, so a call allocates a handful of
-    full-size buffers, not one per operation.
+    values stay relatively accurate arbitrarily close to the singularities:
+    sin(pi r) = (-1)^n sin(pi (r - n)) with n = rint(r), where r - n is an
+    exact difference and the parity is exact.
     """
     K = check_grid_size(grid_size)
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    if scalar:
-        xs = xs.reshape(1)
-    r = _mod_period(xs, K)
+    r = np.mod(xs, K)
     folded = r > K / 2.0
-    period_sign = K % 2 == 0
-    if period_sign:
-        m = np.subtract(xs, r)
-        m /= K
-        np.rint(m, out=m)
-        m += folded
-        m *= K - 1
-        sign = _parity_sign(m)
-    np.subtract(r, K, out=r, where=folded)
-    zero = r == 0.0
+    m = np.rint((xs - r) / K) + folded
+    r = np.where(folded, r - K, r)
+    sign = np.where(np.mod(m * (K - 1), 2.0) == 0.0, 1.0, -1.0)
+    n = np.rint(r)
+    numerator = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0) * np.sin(np.pi * (r - n))
     # |pi r / K| <= pi/2 keeps the denominator clear of every sine zero
     # except r = 0, which is the removable point handled explicitly.
-    den = np.multiply(np.pi, r)
-    den /= K
-    np.sin(den, out=den)
-    den *= K
-    den[zero] = 1.0
-    out = _sinpi(r)
-    out /= den
-    out[zero] = 1.0
-    if period_sign:
-        out *= sign
-    return float(out[0]) if scalar else out
+    zero = r == 0.0
+    den = np.where(zero, 1.0, K * np.sin(np.pi * r / K))
+    out = sign * np.where(zero, 1.0, numerator / den)
+    return float(out) if out.ndim == 0 else out
 
 
 def expected_spectrum(theta: float, grid_size: int) -> np.ndarray:

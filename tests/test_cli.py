@@ -335,7 +335,7 @@ class TestExitCodes:
                                "--theta", "1.0")
         assert code == 0 and len(out.splitlines()) == 101
 
-    @pytest.mark.parametrize("where", ["missing", "under_a_file"])
+    @pytest.mark.parametrize("where", ["missing", "under_a_file", "a_directory"])
     @pytest.mark.parametrize("args", [
         ("bounds", "--epsilon", "0.1"),
         ("bounds", "--epsilon", "0.1", "--format", "csv"),
@@ -350,11 +350,14 @@ class TestExitCodes:
         # written is bad input, reported in one line.  verify refuses it
         # before its battery runs, so it prints no suite lines.
         (tmp_path / "file").write_text("")
-        target = tmp_path / ("missing" if where == "missing" else "file") / "out"
+        (tmp_path / "dir").mkdir()
+        target = {"missing": tmp_path / "missing" / "out",
+                  "under_a_file": tmp_path / "file" / "out",
+                  "a_directory": tmp_path / "dir"}[where]
         code, out, err = run_cli(capsys, *args, "--output", str(target))
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert str(target.parent) in err
+        assert str(target if where == "a_directory" else target.parent) in err
 
     def test_verify_outdir_under_a_file_exits_2(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -605,6 +605,12 @@ class TestNoiseSweep:
                         master_seed=15)
         assert calls == []
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bad_trials_rejected_when_no_point_runs(self, trials):
+        # eta_bar = 0.2 is past the threshold, so no campaign would check trials
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            noise_sweep("ban", (0.2,), 0.1, 0.1, trials_per_point=trials, master_seed=15)
+
     def test_ideal_sweep_needs_no_samples_past_half_pi(self):
         points = noise_sweep("ideal", (2.0,), 0.1, 0.2, trials_per_point=8,
                              master_seed=16)

@@ -1,6 +1,7 @@
 """Checks a linter would make, since none is installed: every name a module
 of rfe imports is used there, only rfe.harness imports the thread modules,
-every public name is read in src, and no line runs past MAX_LINE."""
+every top-level name is defined in one module and read in src, and no line
+runs past MAX_LINE."""
 
 import ast
 from pathlib import Path
@@ -60,8 +61,11 @@ def test_only_harness_imports_thread_modules(path):
     assert _top_level_imports(path) & THREAD_MODULES == set()
 
 
-def _public_definitions(tree: ast.Module) -> set:
-    """Names of the module's public top-level functions, classes and constants."""
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+
+def _definitions(tree: ast.Module) -> set:
+    """Names of the module's top-level functions, classes and constants."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -71,7 +75,7 @@ def _public_definitions(tree: ast.Module) -> set:
             for target in targets:
                 elts = target.elts if isinstance(target, ast.Tuple) else [target]
                 names.update(elt.id for elt in elts if isinstance(elt, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+    return names
 
 
 def _read_names(tree: ast.Module) -> set:
@@ -85,13 +89,32 @@ def _read_names(tree: ast.Module) -> set:
     return read
 
 
+def _unread_definitions(private: bool) -> set:
+    """module.name for each public (or private, dunders aside) top-level name
+    that no module in src reads."""
+    read = set().union(*(_read_names(tree) for tree in TREES.values()))
+    return {f"{stem}.{name}" for stem, tree in TREES.items()
+            for name in _definitions(tree) - read
+            if name.startswith("_") == private and not name.startswith("__")}
+
+
 def test_every_public_name_is_read_in_src():
     # a public name that only tests read is a helper the program does not need
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
-    read = set().union(*(_read_names(tree) for tree in trees.values()))
-    unread = {f"{stem}.{name}" for stem, tree in trees.items()
-              for name in _public_definitions(tree) - read}
-    assert unread == set()
+    assert _unread_definitions(private=False) == set()
+
+
+def test_every_private_name_is_read_in_src():
+    # a private helper that nothing calls is left over from a rewrite
+    assert _unread_definitions(private=True) == set()
+
+
+def test_no_name_is_defined_in_two_modules():
+    # a second definition can drift from the first; import the one instead
+    owners = {}
+    for stem, tree in TREES.items():
+        for name in _definitions(tree):
+            owners.setdefault(name, []).append(stem)
+    assert {name: stems for name, stems in owners.items() if len(stems) > 1} == {}
 
 
 MAX_LINE = 100
