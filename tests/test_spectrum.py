@@ -174,6 +174,19 @@ class TestKernelBitIdentity:
             assert np.array_equal(d, np.minimum(np.abs(x), K - np.abs(x))), K
             assert np.max(np.abs(mags - np.abs(dirichlet_kernel(x, K)))) < 1e-13, K
 
+    @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
+    def test_mod_period_matches_floor_mod(self, K):
+        # |S_K| is K-periodic and the kernel folds by floor mod, so the value
+        # at x and at np.mod(x, K) have the same magnitude, exactly
+        rng = np.random.default_rng(K)
+        xs = _kernel_inputs(K, rng)
+        inner = xs[np.abs(xs) < K]
+        with np.errstate(invalid="ignore"):
+            for values in (xs, inner, inner[:1].reshape(()), np.empty(0)):
+                assert np.array_equal(np.abs(dirichlet_kernel(values, K)),
+                                      np.abs(dirichlet_kernel(np.mod(values, K), K)),
+                                      equal_nan=True)
+
 
 def expected_coefficient(theta, j, K):
     """Coefficient j of the closed-form expected spectrum."""
