@@ -94,12 +94,14 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     Returns the (B, K) coefficient estimates, row b for thetas[b], and the
     B runs' total depths and clamp counts.  The coefficients are the
     sampler's (B, K) sum buffer, transformed in place, so the per-time sums
-    are not kept.  The run noise (the Gaussian deviations) and the
-    biases are built in one place for both regimes, at the times ``ks``:
-    every time of the grid, one row per run, when M > K, and the distinct
-    (run, time) cells of the drawn indices, in sorted order, when M <= K.
-    Run noise is drawn once per run and time and held fixed for every
-    sample of that run at that time.  ``rng`` is consumed in a fixed order:
+    are not kept.  Both regimes build the biases in one place, at the
+    times ``ks``: every time of the grid when M > K, with a (B, 2, K) run
+    noise array, and the distinct (run, time) cells of the drawn indices, in
+    sorted order, when M <= K, with a (2, cells) one.  The model's
+    ``draw_run_noise`` draws the run noise (the Gaussian deviations), and
+    :func:`rfe.noise.biases_at` adds it to the model's biases, so it is
+    fixed for every sample of a run at a time.  ``rng`` is consumed in a
+    fixed order:
 
     * M > K: the run noise of each run, if the model has it, then the
       per-time counts of all B runs, then their c sums, then their s sums;
@@ -109,8 +111,8 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
       is longer than B M.
 
     The phases are used as given: :class:`RunConfig` and the campaign's
-    phase samplers keep them in [0, 2 pi), and a non-finite phase fails the
-    sampler's finiteness check.  A grid above
+    phase samplers keep them in [0, 2 pi), and a non-finite phase or run
+    noise fails the sampler's finiteness check.  A grid above
     :data:`rfe.bounds.MAX_GRID_SIZE` is refused before anything is drawn.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -199,15 +201,10 @@ CSV_CHUNK_ROWS = 65536
 
 
 def spectrum_csv_chunks(coefficients: np.ndarray) -> Iterator[str]:
-    """:func:`spectrum_csv`'s text in pieces: the header, then at most
-    CSV_CHUNK_ROWS rows at a time."""
+    """CSV dump of a coefficient vector, one row (j, re, im, abs) per index,
+    in pieces: the header, then at most CSV_CHUNK_ROWS rows at a time."""
     coefficients = np.asarray(coefficients)
     yield "j,re,im,abs\n"
     for start in range(0, len(coefficients), CSV_CHUNK_ROWS):
         rows = map(complex, coefficients[start:start + CSV_CHUNK_ROWS])
         yield "".join(f"{j},{v.real!r},{v.imag!r},{abs(v)!r}\n" for j, v in enumerate(rows, start))
-
-
-def spectrum_csv(coefficients: np.ndarray) -> str:
-    """CSV dump of a coefficient vector: one row (j, re, im, abs) per index."""
-    return "".join(spectrum_csv_chunks(coefficients))

@@ -110,8 +110,6 @@ def exact_estimator_expectation(theta: float, grid_size: int,
     bx = np.cos(k * theta)
     by = np.sin(k * theta)
     if deviations is not None:
-        if deviations.eta1.ndim != 1:
-            raise ValueError("the oracle takes one 1-d deviation table")
         if len(deviations) < K:
             raise ValueError(f"deviation table of length {len(deviations)} "
                              f"does not cover grid size {K}")
@@ -466,12 +464,14 @@ def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
     threshold, more than 2**62 samples, or a grid above
     :data:`rfe.bounds.MAX_GRID_SIZE`) are marked so and not run; the others
     run their campaign on that same plan, with the success test of
-    :func:`monte_carlo_success`.  A negative ``workers`` or a
-    ``trials_per_point`` below 1 raises first too.
+    :func:`monte_carlo_success`.  A negative ``workers``, a
+    ``trials_per_point`` below 1 or a missing ``epsilon`` raises first too.
     """
     pool_size(workers)
     if int(trials_per_point) < 1:
         raise ValueError(f"trials must be >= 1, got {trials_per_point}")
+    if epsilon is None and family != "ideal":
+        raise ValueError(f"the {family!r} sweep needs an epsilon")
     if theta_sampling is None:
         theta_sampling = UniformTheta()
     parameters = [float(value) for value in values]

@@ -7,13 +7,20 @@ become (1 + cos(k theta) + eta1[k]) / 2 and (1 + sin(k theta) + eta2[k]) / 2.
 Each model kind is one frozen dataclass deriving from :class:`NoiseModel`:
 ``Ideal``, ``Ban`` (bounded adversarial), ``Gaussian``, ``GaussianLinear``,
 ``Dephasing`` and ``HighCoherence``.  The class owns all of the kind's
-behaviour: its biases, its per-run random state and that state's scale,
-its bound on |eta| and its JSON form.  The biases (:func:`biases_at`) and
-the run noise (the model's ``draw_run_noise``) act at whatever times they
-are given: the whole grid k = 0 .. K-1, or only the distinct times a sparse
-run sampled.  Run noise is aligned with those times, entry for entry.
-:func:`noise_from_dict` parses the wire format.  Adding a model
-means one class plus one entry in :data:`MODELS`, and a rule in
+behaviour: its deterministic deviations (``biases``), its per-run random
+state and that state's scale, its bound on |eta| and its JSON form.
+
+The deviations come in two parts.  The model's ``biases`` add the
+deterministic one: an adversary's fixed choice (a built-in strategy or a
+1-d :class:`DeviationTable`), dephasing's decay or a drift.  The run noise
+of the Gaussian models is the plain array ``draw_run_noise`` draws once per
+run, (2, n) at n times (eta1 in row 0, eta2 in row 1) or (B, 2, n) for B
+runs, and :func:`biases_at` is the one place that adds it.  Both act at
+whatever times they are given: the whole grid k = 0 .. K-1, or only the
+distinct times a sparse run sampled.
+
+:func:`noise_from_dict` parses the wire format.  Adding a model means one
+class plus one entry in :data:`MODELS`, and a rule in
 :func:`rfe.bounds.bounds_report` only if it is certifiable without an
 envelope.
 
@@ -45,8 +52,8 @@ class AdversaryStrategy(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class DeviationTable:
-    """Fixed per-time deviations, indexed by time k on the last axis; a 2-d
-    table holds one row per run.  Immutable once built."""
+    """A custom adversary's fixed deviations, eta1[k] and eta2[k] at time k.
+    Immutable once built."""
 
     eta1: np.ndarray
     eta2: np.ndarray
@@ -54,8 +61,8 @@ class DeviationTable:
     def __post_init__(self):
         eta1 = np.array(self.eta1, dtype=float)
         eta2 = np.array(self.eta2, dtype=float)
-        if eta1.ndim not in (1, 2) or eta1.shape != eta2.shape:
-            raise ValueError("deviation table needs two equal-shape 1-d or 2-d arrays")
+        if eta1.ndim != 1 or eta1.shape != eta2.shape:
+            raise ValueError("deviation table needs two equal-length 1-d arrays")
         if not (np.all(np.isfinite(eta1)) and np.all(np.isfinite(eta2))):
             raise ValueError("deviation table entries must be finite")
         eta1.setflags(write=False)
@@ -64,32 +71,28 @@ class DeviationTable:
         object.__setattr__(self, "eta2", eta2)
 
     def __len__(self) -> int:
-        return self.eta1.shape[-1]
+        return len(self.eta1)
 
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.eta1)), np.max(np.abs(self.eta2))))
 
 
-def _require_cover(table: DeviationTable, ks: np.ndarray, what: str) -> None:
-    if ks.size and int(ks.max()) >= len(table):
-        raise ValueError(
-            f"{what} table of length {len(table)} does not cover time index {int(ks.max())}"
-        )
-
-
 class NoiseModel:
     """Base of the noise models.  A subclass is a frozen dataclass whose
-    fields are its float parameters; it sets ``kind``, defines
-    ``biases(cos_k, sin_k, ks, run_noise)``, which adds its unclamped
-    deviations at the times ``ks`` to the ideal biases there (run noise, if
-    any, aligned with ``ks`` on its last axis), and overrides the defaults
-    below where it differs."""
+    fields are its float parameters; it sets ``kind`` and overrides the
+    defaults below where it differs."""
+
+    def biases(self, cos_k, sin_k, ks):
+        """The ideal biases ``cos_k``, ``sin_k`` at the times ``ks`` plus the
+        model's unclamped deterministic deviations there; run noise is added
+        by :func:`biases_at`.  The default has none."""
+        return cos_k, sin_k
 
     def draw_run_noise(self, ks: np.ndarray, rng: np.random.Generator,
-                       size: Optional[int] = None) -> Optional[DeviationTable]:
-        """Random state fixed for one run at the 1-d times ``ks``, entry i
-        at time ks[i], one row per run when ``size`` is given; None when the
-        model has none."""
+                       size: Optional[int] = None) -> Optional[np.ndarray]:
+        """Random deviations fixed for one run at the 1-d times ``ks``:
+        shape (2, len(ks)), eta1 then eta2, entry i at time ks[i], or
+        (size, 2, len(ks)) for ``size`` runs; None when the model has none."""
         return None
 
     def scale(self, ks: np.ndarray):
@@ -119,9 +122,6 @@ class Ideal(NoiseModel):
 
     kind = "ideal"
 
-    def biases(self, cos_k, sin_k, ks, run_noise):
-        return cos_k, sin_k
-
     def envelope(self, grid_size):
         return 0.0
 
@@ -143,8 +143,6 @@ class Ban(NoiseModel):
         if not math.isfinite(self.eta_bar) or self.eta_bar < 0.0:
             raise ValueError(f"eta_bar must be finite and >= 0, got {self.eta_bar!r}")
         if isinstance(self.strategy, DeviationTable):
-            if self.strategy.eta1.ndim != 1:
-                raise ValueError("custom deviation table must be 1-d: one table for every run")
             if len(self.strategy) == 0:
                 raise ValueError("custom deviation table must not be empty")
             if self.strategy.max_abs() > self.eta_bar:
@@ -155,10 +153,12 @@ class Ban(NoiseModel):
         elif not isinstance(self.strategy, AdversaryStrategy):
             raise ValueError(f"unknown adversary strategy {self.strategy!r}")
 
-    def biases(self, cos_k, sin_k, ks, run_noise):
+    def biases(self, cos_k, sin_k, ks):
         strategy = self.strategy
         if isinstance(strategy, DeviationTable):
-            _require_cover(strategy, ks, "custom adversary")
+            if ks.size and int(ks.max()) >= len(strategy):
+                raise ValueError(f"custom adversary table of length {len(strategy)} "
+                                 f"does not cover time index {int(ks.max())}")
             return cos_k + strategy.eta1[ks], sin_k + strategy.eta2[ks]
         e = self.eta_bar
         if strategy is AdversaryStrategy.ZERO:
@@ -213,9 +213,9 @@ class Gaussian(NoiseModel):
         return float(self.sigma)
 
     def draw_run_noise(self, ks, rng, size=None):
-        """Independent normal deviations at the times ``ks``, two per time
-        (eta1 and eta2), for one run or, as the rows of a 2-d table, for each
-        of ``size`` runs, scaled by :meth:`scale`.  Normals are consumed run
+        """Independent normal deviations at the times ``ks``, scaled by
+        :meth:`scale`, in the array they are drawn into: (2, len(ks)) for one
+        run, (size, 2, len(ks)) for ``size`` runs.  Normals are consumed run
         by run: eta1 at every time, then eta2."""
         ks = np.asarray(ks)
         if ks.ndim != 1:
@@ -223,18 +223,7 @@ class Gaussian(NoiseModel):
         shape = (2, ks.size) if size is None else (int(size), 2, ks.size)
         eta = rng.standard_normal(shape)
         eta *= self.scale(ks)
-        return DeviationTable(eta1=eta[..., 0, :], eta2=eta[..., 1, :])
-
-    def biases(self, cos_k, sin_k, ks, run_noise):
-        if run_noise is None:
-            raise ValueError(
-                "gaussian models need run noise (drawn once per run); "
-                "see draw_run_noise"
-            )
-        if len(run_noise) != np.shape(ks)[-1]:
-            raise ValueError(f"run noise of length {len(run_noise)} is not aligned "
-                             f"with {np.shape(ks)[-1]} times")
-        return cos_k + run_noise.eta1, sin_k + run_noise.eta2
+        return eta
 
 
 @dataclass(frozen=True)
@@ -264,7 +253,7 @@ class Dephasing(NoiseModel):
         if math.isnan(self.t2) or not self.t2 > 0.0:
             raise ValueError(f"t2 must be > 0, got {self.t2!r}")
 
-    def biases(self, cos_k, sin_k, ks, run_noise):
+    def biases(self, cos_k, sin_k, ks):
         decay = np.exp(-ks / self.t2)
         return decay * cos_k, decay * sin_k
 
@@ -285,7 +274,7 @@ class HighCoherence(NoiseModel):
         if math.isnan(self.t2) or not self.t2 > 0.0:
             raise ValueError(f"t2 must be > 0, got {self.t2!r}")
 
-    def biases(self, cos_k, sin_k, ks, run_noise):
+    def biases(self, cos_k, sin_k, ks):
         drift = ks / self.t2
         return cos_k + drift, sin_k + drift
 
@@ -299,14 +288,21 @@ MODELS = {cls.kind: cls
 
 
 def biases_at(model: NoiseModel, theta, ks: np.ndarray,
-              run_noise: Optional[DeviationTable] = None):
+              run_noise: Optional[np.ndarray] = None):
     """Unclamped biases at the 1-d times ``ks`` for the phases ``theta``,
     which broadcast against ``ks``: one phase for every time, one phase per
-    time, or a column of B phases for (B, len(ks)) biases.  Gaussian-family
-    models require ``run_noise`` aligned with ``ks``; a Ban model with a
-    custom strategy reads its embedded table at ``ks``."""
+    time, or a column of B phases for (B, len(ks)) biases.  They are the
+    model's :meth:`~NoiseModel.biases` plus ``run_noise``, an array from
+    ``draw_run_noise`` at ``ks``, if given; None adds no run noise, which
+    gives a Gaussian model its mean biases."""
     phase = ks * theta
-    return model.biases(np.cos(phase), np.sin(phase), ks, run_noise)
+    bx, by = model.biases(np.cos(phase), np.sin(phase), ks)
+    if run_noise is None:
+        return bx, by
+    if run_noise.shape[-2:] != (2, len(ks)):
+        raise ValueError(f"run noise of shape {run_noise.shape} is not aligned "
+                         f"with {len(ks)} times")
+    return bx + run_noise[..., 0, :], by + run_noise[..., 1, :]
 
 
 def ban_threshold() -> float:

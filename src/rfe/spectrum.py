@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .bounds import TWO_PI, check_grid_size
-from .noise import DeviationTable, NoiseModel, biases_at
+from .noise import NoiseModel, biases_at
 
 CLOSE_MAGNITUDE_MIN = 2.0 / math.pi
 NON_ADJACENT_MAGNITUDE_MAX = 10.0 / (9.0 * math.pi)
@@ -139,7 +139,7 @@ def expected_coefficients(model: NoiseModel, theta: float,
 
     A sample's outcome c has mean clip(b_x, -1, 1) at a time with bias b_x,
     and s likewise, so E f_j = FFT(E clip b_x + i E clip b_y)_j / K, with b
-    from :func:`rfe.noise.biases_at` at zero run noise.  The run noise adds
+    from :func:`rfe.noise.biases_at` without run noise.  The run noise adds
     independent N(0, sigma_k^2) deviations to both biases at each time, with
     sigma_k = ``model.scale(ks)`` (0 for a deterministic model), so the
     clipped means and variances come from :func:`clipped_normal_moments`,
@@ -151,7 +151,7 @@ def expected_coefficients(model: NoiseModel, theta: float,
     K = check_grid_size(grid_size)
     theta = validate_phase(theta)
     ks = np.arange(K)
-    bx, by = biases_at(model, theta, ks, DeviationTable(eta1=np.zeros(K), eta2=np.zeros(K)))
+    bx, by = biases_at(model, theta, ks)
     sigma = model.scale(ks)
     mean_x, var_x = clipped_normal_moments(bx, sigma)
     mean_y, var_y = clipped_normal_moments(by, sigma)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .estimator import RunConfig, run_block, run_rfe, spectrum_csv
+from .estimator import RunConfig, run_block, run_rfe, spectrum_csv_chunks
 from .harness import (
     SMALL_ARRAY_BYTES,
     FixedTheta,
@@ -394,7 +394,7 @@ def suite_demo(trials: int = 200, workers: int = 1,
     plan = replace(bounds.bounds_report(0.08, 0.105, Ideal()), samples=80)
     K = plan.grid_size
     run = run_rfe(RunConfig(samples=80, grid_size=K, theta=2.25, seed=7))
-    csv_text = spectrum_csv(run.spectrum.coefficients)
+    csv_text = "".join(spectrum_csv_chunks(run.spectrum.coefficients))
     csv_path = None
     if outdir is not None:
         path = Path(outdir) / "demo_spectrum.csv"

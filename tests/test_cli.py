@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rfe.cli
 import rfe.estimator
 import rfe.verify
 from rfe.cli import CliConfig, build_parser, main
-from rfe.estimator import spectrum_csv, spectrum_csv_chunks
+from rfe.estimator import spectrum_csv_chunks
 from rfe.noise import MODELS, noise_from_dict
 from rfe.spectrum import expected_coefficients, expected_spectrum
 
@@ -78,8 +79,8 @@ class TestSpectrum:
                                "--noise", json.dumps(noise))
         assert code == 0
         exact = expected_coefficients(noise_from_dict(noise), 1.0, 8)[0]
-        assert out == spectrum_csv(exact)
-        assert out != spectrum_csv(expected_spectrum(1.0, 8))
+        assert out == "".join(spectrum_csv_chunks(exact))
+        assert out != "".join(spectrum_csv_chunks(expected_spectrum(1.0, 8)))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--theta", "1.0",
@@ -324,6 +325,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "bounds", "--epsilon", "1e-10")
         assert code == 2
         assert out == "" and "certified grid size 62831853072" in err
+
+    @pytest.mark.parametrize("samples", ["40", "5000"], ids=["sparse", "dense"])
+    def test_run_noise_past_the_float_range_exits_2(self, capsys, samples):
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, "run", "--epsilon", "0.1", "--theta", "1.0",
+                                     "--samples", samples,
+                                     "--noise", '{"kind":"gaussian_linear","sigma":1e308}')
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "finite" in err
 
     def test_run_grid_needs_samples(self, capsys):
         code, out, err = run_cli(capsys, "run", "--epsilon", "0.1", "--grid", "100",

@@ -14,7 +14,7 @@ from rfe.estimator import (
     estimate_phase,
     run_block,
     run_rfe,
-    spectrum_csv,
+    spectrum_csv_chunks,
     trial_to_dict,
     winning_frequency,
 )
@@ -26,6 +26,7 @@ from rfe.noise import (
     GaussianLinear,
     HighCoherence,
     Ideal,
+    NoiseModel,
     biases_at,
 )
 from rfe.sampler import sample_outcome_sums, sample_pairs
@@ -214,6 +215,13 @@ def sparse_reference(thetas, M, K, sigma, seed):
 
 
 class TestRunBlock:
+    @pytest.mark.parametrize("M", [40, 5000], ids=["sparse", "dense"])
+    def test_run_noise_past_the_float_range_is_refused(self, M):
+        # k * 1e308 overflows to infinity for k >= 2, so the biases are not
+        # finite and the sampler refuses them before drawing any outcome
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            run_block([1.0], M, 63, GaussianLinear(1e308), np.random.default_rng(0))
+
     @pytest.mark.parametrize("M", [5000])
     def test_block_of_one_keeps_the_unbatched_stream(self, M):
         # M > K.  The reference is one unbatched run from one generator: a
@@ -265,13 +273,13 @@ class TestRunBlock:
             def __getattr__(self, name):
                 return getattr(self._rng, name)
 
-        biases = Gaussian.biases
+        biases = NoiseModel.biases
 
-        def recording(model, cos_k, sin_k, ks, run_noise):
+        def recording(model, cos_k, sin_k, ks):
             bias_sizes.append(np.size(cos_k))
-            return biases(model, cos_k, sin_k, ks, run_noise)
+            return biases(model, cos_k, sin_k, ks)
 
-        monkeypatch.setattr(Gaussian, "biases", recording)
+        monkeypatch.setattr(NoiseModel, "biases", recording)
         for noise in (Gaussian(0.01), GaussianLinear(1e-6)):
             normals.clear()
             bias_sizes.clear()
@@ -406,7 +414,7 @@ class TestSerialization:
 
     def test_spectrum_csv_layout(self):
         result = run_rfe(RunConfig(samples=100, grid_size=9, theta=0.4, seed=2))
-        text = spectrum_csv(result.spectrum.coefficients)
+        text = "".join(spectrum_csv_chunks(result.spectrum.coefficients))
         lines = text.splitlines()
         assert lines[0] == "j,re,im,abs"
         assert len(lines) == 10

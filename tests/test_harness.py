@@ -129,8 +129,8 @@ class TestExactOracle:
             exact_estimator_expectation(1.0, 8, deviations=table)
 
     def test_deviation_table_must_be_one_run(self):
-        table = DeviationTable(eta1=np.zeros((8, 8)), eta2=np.zeros((8, 8)))
         with pytest.raises(ValueError):
+            table = DeviationTable(eta1=np.zeros((8, 8)), eta2=np.zeros((8, 8)))
             exact_estimator_expectation(1.0, 8, deviations=table)
 
 
@@ -610,6 +610,12 @@ class TestNoiseSweep:
         # eta_bar = 0.2 is past the threshold, so no campaign would check trials
         with pytest.raises(ValueError, match="trials must be >= 1"):
             noise_sweep("ban", (0.2,), 0.1, 0.1, trials_per_point=trials, master_seed=15)
+
+    @pytest.mark.parametrize("family", ["ban", "gaussian", "dephasing", "high_coherence"])
+    def test_missing_epsilon_rejected(self, family):
+        # only the ideal sweep takes its epsilons from the grid
+        with pytest.raises(ValueError, match="needs an epsilon"):
+            noise_sweep(family, (0.05,), None, 0.1, trials_per_point=2, master_seed=17)
 
     def test_ideal_sweep_needs_no_samples_past_half_pi(self):
         points = noise_sweep("ideal", (2.0,), 0.1, 0.2, trials_per_point=8,

@@ -97,11 +97,14 @@ class TestBias:
         with pytest.raises(ValueError):
             biases_at(model, 1.0, np.arange(5))  # needs time index 4
 
-    def test_gaussian_requires_run_noise(self):
-        with pytest.raises(ValueError):
-            biases_at(Gaussian(0.1), 1.0, np.arange(4))
-        with pytest.raises(ValueError):
-            biases_at(GaussianLinear(0.1), 1.0, np.arange(8))
+    def test_gaussian_without_run_noise_is_ideal(self):
+        # no run noise means the Gaussian models' mean biases: the ideal ones
+        ks = np.arange(64)
+        for theta in (0.0, 1.0, 2.7, np.array([[0.4], [3.1]])):
+            ix, iy = biases_at(Ideal(), theta, ks)
+            for model in (Gaussian(0.1), GaussianLinear(0.1)):
+                bx, by = biases_at(model, theta, ks)
+                assert bx.tobytes() == ix.tobytes() and by.tobytes() == iy.tobytes()
 
     def test_gaussian_run_noise_cover(self):
         table = Gaussian(0.1).draw_run_noise(np.arange(4), np.random.default_rng(0))
@@ -109,8 +112,8 @@ class TestBias:
             biases_at(Gaussian(0.1), 1.0, np.arange(10), table)
 
     def test_gaussian_uses_supplied_table(self):
-        table = DeviationTable(eta1=np.array([0.0, 0.2]), eta2=np.array([0.0, -0.2]))
-        bx, by = bias_at(Gaussian(1.0), 0.5, 1, run_noise=table)
+        eta = np.array([[0.0, 0.2], [0.0, -0.2]])
+        bx, by = bias_at(Gaussian(1.0), 0.5, 1, run_noise=eta)
         assert bx == pytest.approx(math.cos(0.5) + 0.2, abs=1e-15)
         assert by == pytest.approx(math.sin(0.5) - 0.2, abs=1e-15)
 
@@ -124,7 +127,7 @@ class TestBias:
             bx, by = biases_at(model, thetas[:, None], ks, noise)
             assert bx.shape == by.shape == (3, 16)
             for b, theta in enumerate(thetas):
-                one = None if noise is None else DeviationTable(noise.eta1[b], noise.eta2[b])
+                one = None if noise is None else noise[b]
                 ox, oy = biases_at(model, theta, ks, one)
                 assert np.array_equal(bx[b], ox) and np.array_equal(by[b], oy)
 
@@ -184,11 +187,11 @@ class TestZeroParameterReductions:
 class TestGaussianDraws:
     def test_zero_sigma_zero_table(self):
         table = Gaussian(0.0).draw_run_noise(np.arange(16), np.random.default_rng(3))
-        assert np.all(table.eta1 == 0.0) and np.all(table.eta2 == 0.0)
+        assert table.shape == (2, 16) and np.all(table == 0.0)
 
     def test_entry_scale(self):
         rng = np.random.default_rng(8)
-        draws = np.array([Gaussian(0.5).draw_run_noise(np.arange(64), rng).eta1
+        draws = np.array([Gaussian(0.5).draw_run_noise(np.arange(64), rng)[0]
                           for _ in range(500)])
         assert draws.std() == pytest.approx(0.5, rel=0.05)
         assert abs(draws.mean()) < 0.01
@@ -217,7 +220,7 @@ class TestGaussianDraws:
 
     def test_linear_scale_starts_at_zero(self):
         table = GaussianLinear(0.3).draw_run_noise(np.arange(8), np.random.default_rng(4))
-        assert table.eta1[0] == 0.0 and table.eta2[0] == 0.0
+        assert table[0, 0] == 0.0 and table[1, 0] == 0.0
 
     def test_draw_run_noise_dispatch(self):
         rng = np.random.default_rng(5)
@@ -225,8 +228,8 @@ class TestGaussianDraws:
         assert Ideal().draw_run_noise(ks, rng) is None
         assert Ban(0.05).draw_run_noise(ks, rng) is None
         assert Dephasing(10.0).draw_run_noise(ks, rng) is None
-        assert isinstance(Gaussian(0.1).draw_run_noise(ks, rng), DeviationTable)
-        assert isinstance(GaussianLinear(0.1).draw_run_noise(ks, rng), DeviationTable)
+        assert isinstance(Gaussian(0.1).draw_run_noise(ks, rng), np.ndarray)
+        assert isinstance(GaussianLinear(0.1).draw_run_noise(ks, rng), np.ndarray)
 
     def test_rows_extend_the_one_run_stream(self):
         # a block of one draws exactly the one-run table; larger blocks draw
@@ -234,12 +237,12 @@ class TestGaussianDraws:
         ks = np.arange(8)
         one = Gaussian(0.1).draw_run_noise(ks, np.random.default_rng(2))
         block = Gaussian(0.1).draw_run_noise(ks, np.random.default_rng(2), size=3)
-        assert block.eta1.shape == block.eta2.shape == (3, 8) and len(block) == 8
-        assert np.array_equal(block.eta1[0], one.eta1)
-        assert np.array_equal(block.eta2[0], one.eta2)
-        assert not np.array_equal(block.eta1[1], block.eta1[0])
+        assert block.shape == (3, 2, 8) and one.shape == (2, 8)
+        assert np.array_equal(block[0, 0], one[0])
+        assert np.array_equal(block[0, 1], one[1])
+        assert not np.array_equal(block[1, 0], block[0, 0])
         rows = GaussianLinear(0.1).draw_run_noise(ks, np.random.default_rng(2), size=4)
-        assert rows.eta1.shape == (4, 8) and np.all(rows.eta1[:, 0] == 0.0)
+        assert rows.shape == (4, 2, 8) and np.all(rows[:, :, 0] == 0.0)
         assert Ideal().draw_run_noise(ks, np.random.default_rng(2), size=4) is None
 
     def test_run_noise_at_given_times(self):
@@ -248,12 +251,12 @@ class TestGaussianDraws:
         ks = np.array([7, 0, 7, 2])
         for model in (Gaussian(0.5), GaussianLinear(0.5)):
             table = model.draw_run_noise(ks, np.random.default_rng(3))
-            assert table.eta1.shape == table.eta2.shape == (4,)
+            assert table.shape == (2, 4)
             normals = np.random.default_rng(3).standard_normal((2, 4))
             scale = 0.5 if type(model) is Gaussian else 0.5 * ks
-            assert np.array_equal(table.eta1, normals[0] * scale)
-            assert np.array_equal(table.eta2, normals[1] * scale)
-        assert GaussianLinear(0.5).draw_run_noise(ks, np.random.default_rng(3)).eta1[1] == 0.0
+            assert np.array_equal(table[0], normals[0] * scale)
+            assert np.array_equal(table[1], normals[1] * scale)
+        assert GaussianLinear(0.5).draw_run_noise(ks, np.random.default_rng(3))[0, 1] == 0.0
         with pytest.raises(ValueError):
             Gaussian(0.5).draw_run_noise(np.zeros((2, 2), dtype=int), np.random.default_rng(3))
 
@@ -262,17 +265,18 @@ class TestGaussianDraws:
         with pytest.raises(ValueError, match="aligned"):
             biases_at(Gaussian(0.1), 1.0, np.array([1, 5, 6]), table)
         bx, _ = biases_at(Gaussian(0.1), 1.0, np.array([1, 5]), table)
-        assert np.array_equal(bx, np.cos(np.array([1.0, 5.0])) + table.eta1)
+        assert np.array_equal(bx, np.cos(np.array([1.0, 5.0])) + table[0])
 
     def test_custom_adversary_needs_one_table(self):
-        table = DeviationTable(eta1=np.zeros((2, 4)), eta2=np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            Ban(0.05, table)
+        with pytest.raises(ValueError, match="1-d"):
+            Ban(0.05, DeviationTable(eta1=np.zeros((2, 4)), eta2=np.zeros((2, 4))))
 
     def test_table_immutable(self):
-        table = Gaussian(0.1).draw_run_noise(np.arange(8), np.random.default_rng(6))
+        table = Ban(0.05, DeviationTable(eta1=np.zeros(8), eta2=np.zeros(8))).strategy
         with pytest.raises(ValueError):
             table.eta1[0] = 1.0
+        with pytest.raises(ValueError):
+            table.eta2[0] = 1.0
 
 
 class TestThresholds:

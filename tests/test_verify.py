@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rfe import bounds, estimator, harness, verify
-from rfe.noise import DeviationTable, Gaussian, Ideal
+from rfe.noise import Gaussian, Ideal
 
 CANONICAL = ["oracle", "lemmas", "thresholds", "reductions", "depth",
              "noiseless", "adversarial", "gaussian", "demo"]
@@ -242,8 +242,7 @@ class TestGaussianSuite:
         original = Gaussian.draw_run_noise
 
         def tripled(self, ks, rng, size=None):
-            table = original(self, ks, rng, size)
-            return DeviationTable(eta1=3.0 * table.eta1, eta2=3.0 * table.eta2)
+            return 3.0 * original(self, ks, rng, size)
 
         monkeypatch.setattr(Gaussian, "draw_run_noise", tripled)
         result = verify.suite_gaussian(trials=30)
@@ -253,8 +252,7 @@ class TestGaussianSuite:
 
     def test_zero_run_noise_fails(self, monkeypatch):
         def zeros(self, ks, rng, size=None):
-            shape = (len(ks),) if size is None else (size, len(ks))
-            return DeviationTable(eta1=np.zeros(shape), eta2=np.zeros(shape))
+            return np.zeros((2, len(ks)) if size is None else (size, 2, len(ks)))
 
         monkeypatch.setattr(Gaussian, "draw_run_noise", zeros)
         result = verify.suite_gaussian(trials=30)
