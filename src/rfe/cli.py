@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -34,7 +35,7 @@ from .estimator import (
     spectrum_csv_chunks,
     trial_to_dict,
 )
-from .harness import SWEEP_FAMILIES, FixedTheta, UniformTheta, noise_sweep, sweep_csv
+from .harness import FixedTheta, UniformTheta, noise_sweep
 from .noise import MODELS, AdversaryStrategy, Ban, noise_from_dict
 from .spectrum import expected_coefficients
 from .verify import SUITE_NAMES, run_suites
@@ -187,6 +188,34 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _sweep_point(args, value: float) -> tuple:
+    """One ``rfe sweep`` point: its plan, None when unachievable, and extras.
+
+    The swept ``value`` is epsilon for ``ideal``, eta_bar for ``ban`` (with
+    ``--strategy``) and sigma for ``gaussian``.  For ``dephasing`` and
+    ``high_coherence`` it is the ratio K/T2 at the grid size K of
+    ``--epsilon``, finite and > 0: the model gets t2 = K / value, and the
+    extras its envelope as ``implied_eta_bar``.  A bad value raises ValueError.
+    """
+    family, epsilon, extras = args.family, args.epsilon, {}
+    if family == "ideal":
+        model, epsilon = MODELS[family](), value
+    elif family == "ban":
+        model = MODELS[family](eta_bar=value, strategy=AdversaryStrategy(args.strategy))
+    elif family == "gaussian":
+        model = MODELS[family](sigma=value)
+    else:
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"the {family} ratio K/T2 must be finite and > 0, got {value!r}")
+        K = grid_size(epsilon)
+        model = MODELS[family](t2=K / value)
+        extras["implied_eta_bar"] = model.envelope(K)
+    try:
+        return bounds_report(epsilon, args.delta, model), extras
+    except BoundsUnachievable:
+        return None, extras
+
+
 def _cmd_sweep(args) -> int:
     if args.family == "ideal" and args.epsilon is not None:
         raise ValueError("--epsilon does not apply to --family ideal: "
@@ -196,21 +225,28 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.grid)
     if not values:
         raise ValueError("--grid must list at least one parameter value")
-    strategy = AdversaryStrategy(args.strategy)
     sampling = FixedTheta(float(args.theta)) if args.theta != "random" else UniformTheta()
-    points = noise_sweep(args.family, values, args.epsilon, args.delta,
-                         trials_per_point=args.trials, master_seed=args.seed,
-                         strategy=strategy, theta_sampling=sampling,
-                         workers=args.workers)
+    # every point is planned before any campaign runs
+    plans, extras = zip(*(_sweep_point(args, value) for value in values))
+    stats = noise_sweep(plans, args.trials, args.seed, sampling, args.workers)
     if args.format == "csv":
-        _emit(sweep_csv(points), args.output)
+        # an unachievable point keeps empty numeric cells
+        rows = [f"{value!r},,0,0,,,\n" if point is None else
+                f"{value!r},{plan.samples},{point.trials},{point.successes},{point.rate!r},"
+                f"{point.wilson_ci_95[0]!r},{point.wilson_ci_95[1]!r}\n"
+                for value, plan, point in zip(values, plans, stats)]
+        _emit(["parameter,M_predicted,trials,successes,rate,ci_lo,ci_hi\n", *rows], args.output)
         return 0
     config = CliConfig(subcommand="sweep", epsilon=args.epsilon, delta=args.delta,
                        theta=args.theta, trials=args.trials, seed=args.seed,
                        workers=args.workers, family=args.family, values=values,
                        strategy=args.strategy, format=args.format)
-    payload = {"config": config.to_dict(), "points": [p.to_dict() for p in points]}
-    _emit(_json_text(payload), args.output)
+    points = [{"family": args.family, "parameter": value,
+               "predicted_samples": None if plan is None else plan.samples,
+               "achievable": plan is not None,
+               "stats": None if point is None else point.to_dict(), "extras": point_extras}
+              for value, plan, point_extras, point in zip(values, plans, extras, stats)]
+    _emit(_json_text({"config": config.to_dict(), "points": points}), args.output)
     return 0
 
 
@@ -307,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, epsilon_needed_for="every family but ideal, whose --grid values "
            "are the epsilons", theta="random", noise=False, trials=100, workers=True)
     p_sweep.add_argument("--family", required=True,
-                         choices=SWEEP_FAMILIES,
+                         choices=("ideal", "ban", "gaussian", "dephasing",
+                                  "high_coherence"),
                          help="swept parameter: epsilon (ideal), eta_bar (ban), "
                               "sigma (gaussian), K/T2 (dephasing, high_coherence)")
     p_sweep.add_argument("--grid", required=True,
@@ -364,6 +401,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,11 +8,13 @@ Three kinds of checks live here:
   unity: independent of the closed-form spectrum and of the sampling path.
 * :func:`lemma_bound_scan` checks the kernel magnitude floor and caps at
   every point of a (K, theta) grid, with zero tolerance for violations.
-* :func:`monte_carlo_success` and :func:`noise_sweep` run seeded campaigns of
-  full estimation runs, in blocks of B = max(1, BLOCK_CELLS // K) trials
-  through :func:`rfe.estimator.run_block`.  Block b draws everything from a
+* :func:`monte_carlo_success` runs a seeded campaign of full estimation runs
+  on one plan, in blocks of B = max(1, BLOCK_CELLS // K) trials through
+  :func:`rfe.estimator.run_block`.  Block b draws everything from a
   generator spawned from the master seed and b alone, so results do not
   depend on the number of worker threads or the block order.
+  :func:`noise_sweep` maps it over a list of plans, each on its own spawned
+  seed; which model and plan a point has is the caller's choice.
 
 :func:`thread_map` is the one place that builds a thread pool, for these
 blocks and for the suites of :func:`rfe.verify.run_suites`: an item starts
@@ -26,7 +28,7 @@ import itertools
 import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -36,14 +38,12 @@ from .bounds import (
     TWO_PI,
     BoundsQuery,
     BoundsReport,
-    BoundsUnachievable,
     bounds_report,
     check_grid_size,
-    grid_size,
 )
 # run_rfe is not called here; rfebench's traced run wraps rfe.harness.run_rfe.
 from .estimator import no_sample_result, run_block, run_rfe, winning_frequency
-from .noise import MODELS, AdversaryStrategy, Ban, DeviationTable, Gaussian, Ideal
+from .noise import DeviationTable
 from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
@@ -396,109 +396,26 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
 
 # --- noise sweeps --------------------------------------------------------------
 
-SWEEP_FAMILIES = ("ideal", "ban", "gaussian", "dephasing", "high_coherence")
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of a sweep: prediction, achievability, measured stats."""
-
-    family: str
-    parameter: float
-    predicted_samples: Optional[int]
-    achievable: bool
-    stats: Optional[SuccessStats]
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameter": self.parameter,
-            "predicted_samples": self.predicted_samples,
-            "achievable": self.achievable,
-            "stats": self.stats.to_dict() if self.stats else None,
-            "extras": dict(self.extras),
-        }
-
-
-def _sweep_point_plan(family: str, parameter: float, epsilon: Optional[float],
-                      delta: float, strategy: AdversaryStrategy):
-    """Resolve (bounds_report plan or None, extras) of a point."""
-    extras: dict = {}
-    if family == "ideal":
-        model, epsilon = Ideal(), parameter
-    elif family == "ban":
-        model = Ban(eta_bar=parameter, strategy=strategy)
-    elif family == "gaussian":
-        model = Gaussian(sigma=parameter)
-    elif family in ("dephasing", "high_coherence"):
-        # parameter is the timescale ratio K/T2 at this point's grid size
-        if not (math.isfinite(parameter) and parameter > 0.0):
-            raise ValueError(f"the {family} ratio K/T2 must be finite and > 0, "
-                             f"got {parameter!r}")
-        K = grid_size(epsilon)
-        model = MODELS[family](t2=K / parameter)
-        extras["implied_eta_bar"] = model.envelope(K)
-    else:
-        raise ValueError(f"unknown sweep family {family!r}; choose from {SWEEP_FAMILIES}")
-    try:
-        return bounds_report(epsilon, delta, model), extras
-    except BoundsUnachievable:
-        return None, extras
-
-
-def noise_sweep(family: str, values: Sequence[float], epsilon: Optional[float],
-                delta: float, trials_per_point: int, master_seed: int,
-                strategy: AdversaryStrategy = AdversaryStrategy.SIGN_FLIP,
+def noise_sweep(plans: Sequence[Optional[Union[BoundsQuery, BoundsReport]]],
+                trials_per_point: int, master_seed: int,
                 theta_sampling: Optional[ThetaSampling] = None,
-                workers: int = 1) -> list[SweepPoint]:
-    """Success-rate sweep over one noise family's parameter grid.
+                workers: int = 1) -> list[Optional[SuccessStats]]:
+    """The stats of a :func:`monte_carlo_success` campaign on each plan, or
+    None for a None plan (one the planner rejected).
 
-    For family ``ideal`` the swept parameter is epsilon itself, and the
-    ``epsilon`` argument is ignored (it may be None); for ``ban``
-    it is eta_bar, for ``gaussian`` sigma, and for ``dephasing`` /
-    ``high_coherence`` the timescale ratio K/T2 (finite and > 0).  Every
-    point is planned by :func:`rfe.bounds.bounds_report` before any trial
-    runs, so a bad value anywhere in the grid raises ``ValueError`` first.
-    Points the planner rejects as unachievable (noise at or past its
-    threshold, more than 2**62 samples, or a grid above
-    :data:`rfe.bounds.MAX_GRID_SIZE`) are marked so and not run; the others
-    run their campaign on that same plan, with the success test of
-    :func:`monte_carlo_success`.  A negative ``workers``, a
-    ``trials_per_point`` below 1 or a missing ``epsilon`` raises first too.
+    Plan i runs ``trials_per_point`` trials of ``theta_sampling`` (default
+    :class:`UniformTheta`) from the i-th seed spawned from ``master_seed``,
+    SeedSequence(master_seed, spawn_key=(i,)), so a point's stream depends
+    on its index alone, not on the others.  A negative ``workers`` or a
+    ``trials_per_point`` below 1 raises ``ValueError`` before any campaign,
+    even when no plan runs.
     """
     pool_size(workers)
     if int(trials_per_point) < 1:
         raise ValueError(f"trials must be >= 1, got {trials_per_point}")
-    if epsilon is None and family != "ideal":
-        raise ValueError(f"the {family!r} sweep needs an epsilon")
-    if theta_sampling is None:
-        theta_sampling = UniformTheta()
-    parameters = [float(value) for value in values]
-    plans = [_sweep_point_plan(family, parameter, epsilon, delta, strategy)
-             for parameter in parameters]
-    points: list[SweepPoint] = []
-    for index, (parameter, (plan, extras)) in enumerate(zip(parameters, plans)):
-        stats = None
-        if plan is not None:
-            point_seed = int(np.random.SeedSequence(int(master_seed), spawn_key=(index,))
-                             .generate_state(1, np.uint64)[0])
-            stats = monte_carlo_success(plan, trials_per_point, theta_sampling, point_seed,
-                                        workers=workers)
-        points.append(SweepPoint(family=family, parameter=parameter,
-                                 predicted_samples=None if plan is None else plan.samples,
-                                 achievable=plan is not None, stats=stats, extras=extras))
-    return points
-
-
-def sweep_csv(points: Sequence[SweepPoint]) -> str:
-    """Sweep table as CSV; unachievable points keep empty numeric cells."""
-    lines = ["parameter,M_predicted,trials,successes,rate,ci_lo,ci_hi"]
-    for p in points:
-        if p.stats is None:
-            lines.append(f"{p.parameter!r},,0,0,,,")
-        else:
-            lo, hi = p.stats.wilson_ci_95
-            lines.append(f"{p.parameter!r},{p.predicted_samples},{p.stats.trials},"
-                         f"{p.stats.successes},{p.stats.rate!r},{lo!r},{hi!r}")
-    return "\n".join(lines) + "\n"
+    sampling = theta_sampling or UniformTheta()
+    seeds = np.random.SeedSequence(int(master_seed)).spawn(len(plans))
+    return [None if plan is None else
+            monte_carlo_success(plan, trials_per_point, sampling,
+                                int(seed.generate_state(1, np.uint64)[0]), workers=workers)
+            for plan, seed in zip(plans, seeds)]

@@ -264,7 +264,9 @@ class Dephasing(NoiseModel):
 
 @dataclass(frozen=True)
 class HighCoherence(NoiseModel):
-    """Linearized dephasing, valid for k << T2: bias += k/T2."""
+    """A drift of +k/T2 on both biases at time k, whatever theta is.  It is
+    not linearized dephasing, (1 - k/T2) cos(k theta); the certificate reads
+    only the envelope K/T2, which bounds the drift."""
 
     t2: float
 

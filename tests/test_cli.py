@@ -488,6 +488,24 @@ class TestDefaults:
         subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
 
 
+class TestModuleEntryPoint:
+    @staticmethod
+    def python_m_rfe(*argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.run([sys.executable, "-m", "rfe", *argv], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_python_m_rfe_prints_what_main_prints(self, capsys):
+        child = self.python_m_rfe("bounds", "--epsilon", "0.1")
+        assert child.returncode == main(["bounds", "--epsilon", "0.1"]) == 0
+        assert child.stdout == capsys.readouterr().out
+
+    def test_python_m_rfe_exits_with_mains_code(self):
+        child = self.python_m_rfe("sweep", "--family", "ideal", "--grid", "0.3,0")
+        assert child.returncode == 2
+        assert child.stdout == "" and "epsilon must be > 0" in child.stderr
+
+
 class TestVerify:
     def test_lemmas_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas")
