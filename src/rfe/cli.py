@@ -6,8 +6,8 @@ the seed) produce byte-identical output.  The environment variable
 ``--output`` as JSON or CSV (comma-separated, UTF-8, LF, mandatory header).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (bad flags,
-malformed noise JSON, noise past its threshold, an output path that cannot
-be written).
+malformed noise JSON or an unknown key in it, noise past its threshold, an
+output path that cannot be written).
 
 Noise models are passed as one JSON object in the wire format of
 :mod:`rfe.noise`, e.g. ``{"kind": "ban", "eta_bar": 0.05, "strategy": "sign_flip"}``.

@@ -337,9 +337,10 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     all sum(k_values) * n_theta points, magnitudes from :func:`_scan_block`.
     Each K walks theta in blocks of max(1, SMALL_ARRAY_BYTES // (8 K))
     columns, each (K, columns) array under :data:`SMALL_ARRAY_BYTES`, and
-    keeps the extremes with NaN-propagating minimum and maximum.  Only a K
-    whose extremes break a bound, or are NaN, gets its full (K, n_theta)
-    arrays rebuilt for a per-point violation mask."""
+    keeps the extremes with NaN-propagating minimum and maximum.  A block
+    whose extremes break a bound, or are NaN, builds its violation mask from
+    the same arrays; K's violations are the first five offenders of its
+    failing blocks in (j, theta) order, and the report keeps the first 20."""
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 4 or max(k_values) > 1024:
         raise ValueError("k_values must be a non-empty subset of [4, 1024]")
@@ -347,44 +348,36 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     if n_theta < 2:
         raise ValueError("need at least 2 theta grid points")
     thetas = np.linspace(0.0, math.pi, n_theta)
+    floor = CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE
+    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + SCAN_TOLERANCE
     violations: list[dict] = []
     violation_count = 0
-    points = 0
-    min_close = math.inf
-    max_nonadj = 0.0
+    min_close, max_nonadj = math.inf, 0.0
     for K in k_values:
         tone = K * thetas / TWO_PI                           # (n_theta,)
         columns = max(1, SMALL_ARRAY_BYTES // (8 * K))
-        k_close, k_nonadj = math.inf, 0.0
+        k_close, k_nonadj, offenders = math.inf, 0.0, []
         for start in range(0, n_theta, columns):
             mags, d = _scan_block(tone[start:start + columns], K)
-            k_close = np.minimum(k_close, np.min(mags, where=d <= 0.5, initial=math.inf))
-            k_nonadj = np.maximum(k_nonadj, np.max(mags, where=d >= 1.0, initial=0.0))
-        k_close, k_nonadj = float(k_close), float(k_nonadj)
-        points += K * n_theta
-        min_close, max_nonadj = min(min_close, k_close), max(max_nonadj, k_nonadj)
-        # negated, so that a NaN extreme builds the mask too
-        if not (k_close >= CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE and k_nonadj <= min(
-                NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + SCAN_TOLERANCE):
-            mags, d = _scan_block(tone, K)
-            close = d <= 0.5
-            nonadj = d >= 1.0
-            bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE))
-                   | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + SCAN_TOLERANCE))
-                   | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + SCAN_TOLERANCE)))
-            j_bad, t_bad = np.nonzero(bad)
-            violation_count += j_bad.size
-            for j_idx, t_idx in zip(j_bad[:5], t_bad[:5]):
-                if len(violations) < 20:
-                    violations.append({
-                        "K": K, "j": int(j_idx), "theta": float(thetas[t_idx]),
-                        "magnitude": float(mags[j_idx, t_idx]),
-                        "distance": float(d[j_idx, t_idx]),
-                    })
+            close, nonadj = d <= 0.5, d >= 1.0
+            low = np.min(mags, where=close, initial=math.inf)
+            high = np.max(mags, where=nonadj, initial=0.0)
+            k_close, k_nonadj = np.minimum(k_close, low), np.maximum(k_nonadj, high)
+            # negated, so that a NaN extreme builds the mask too
+            if not (low >= floor and high <= cap):
+                j_bad, t_bad = np.nonzero((close & (mags < floor)) | (nonadj & (mags > cap)))
+                violation_count += j_bad.size
+                # a block's offenders are in (j, theta) order, so K's first
+                # five are among its blocks' first five
+                offenders += [(int(j), start + int(t), float(mags[j, t]), float(d[j, t]))
+                              for j, t in zip(j_bad[:5], t_bad[:5])]
+        violations += [{"K": K, "j": j, "theta": float(thetas[t]), "magnitude": mag,
+                        "distance": dist} for j, t, mag, dist in sorted(offenders)[:5]]
+        min_close, max_nonadj = min(min_close, float(k_close)), max(max_nonadj, float(k_nonadj))
     return LemmaScanReport(
         k_values=k_values, n_theta=n_theta, tolerance=SCAN_TOLERANCE,
-        points_checked=points, violation_count=violation_count,
-        violations=tuple(violations),
+        points_checked=sum(k_values) * n_theta, violation_count=violation_count,
+        violations=tuple(violations[:20]),
         min_close_magnitude=min_close,
         max_non_adjacent_magnitude=max_nonadj,
         close_margin=min_close - CLOSE_MAGNITUDE_MIN,

@@ -113,7 +113,7 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, data: dict) -> NoiseModel:
         """The model described by a wire-format dict of this kind."""
-        return cls(**{f.name: float(data[f.name]) for f in fields(cls)})
+        return cls(**{f.name: _number(data[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,13 @@ class Ban(NoiseModel):
     def from_dict(cls, data):
         raw = data.get("strategy", AdversaryStrategy.SIGN_FLIP.value)
         if isinstance(raw, dict):
-            if raw.get("name") != "custom":
+            if raw.get("name") != "custom" or set(raw) - {"name", "eta1", "eta2"}:
                 raise ValueError(f"unknown strategy object {raw!r}")
-            strategy = DeviationTable(eta1=np.asarray(raw["eta1"], dtype=float),
-                                      eta2=np.asarray(raw["eta2"], dtype=float))
+            strategy = DeviationTable(eta1=[_number(v) for v in raw["eta1"]],
+                                      eta2=[_number(v) for v in raw["eta2"]])
         else:
             strategy = AdversaryStrategy(raw)
-        return cls(eta_bar=float(data["eta_bar"]), strategy=strategy)
+        return cls(eta_bar=_number(data["eta_bar"]), strategy=strategy)
 
 
 @dataclass(frozen=True)
@@ -340,6 +340,15 @@ def dephasing_ratio_threshold_rederived() -> float:
 # {"kind": "gaussian_linear", "sigma": 0.01}
 # {"kind": "dephasing", "t2": 100.0}
 # {"kind": "high_coherence", "t2": 1000.0}
+# Unknown keys are refused (a custom strategy has only name, eta1 and eta2),
+# and so is a boolean or a string where a number belongs.
+
+def _number(value) -> float:
+    """A wire-format number as a float; a boolean or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
 
 def noise_from_dict(data: dict) -> NoiseModel:
     """Parse the JSON wire format back into a noise model."""
@@ -349,7 +358,9 @@ def noise_from_dict(data: dict) -> NoiseModel:
     model_class = MODELS.get(kind) if isinstance(kind, str) else None
     if model_class is None:
         raise ValueError(f"unknown noise kind {kind!r}")
+    if unknown := set(data) - {"kind", *(f.name for f in fields(model_class))}:
+        raise ValueError(f"unknown keys for noise kind {kind!r}: {sorted(map(str, unknown))}")
     try:
         return model_class.from_dict(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed noise JSON for kind {kind!r}: {exc}") from exc

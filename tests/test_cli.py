@@ -261,6 +261,19 @@ class TestExitCodes:
                                "--delta", "0.1", "--noise", '{"kind":"bogus"}')
         assert code == 2
 
+    @pytest.mark.parametrize("noise", [
+        '{"kind":"ban","eta_bar":0.05,"stratgy":"zero"}',
+        '{"kind":"gaussian","sigma":0.1,"junk":2}',
+        '{"kind":"gaussian","sigma":true}',
+        '{"kind":"ban","eta_bar":0.05,"strategy":{"name":"custom","eta1":[false],"eta2":[0]}}',
+    ])
+    def test_misspelled_or_mistyped_noise_json_exits_2(self, capsys, noise):
+        # a misspelled key would otherwise plan the default sign_flip adversary
+        code, out, err = run_cli(capsys, "bounds", "--epsilon", "0.1",
+                                 "--delta", "0.1", "--noise", noise)
+        assert code == 2
+        assert out == "" and "error:" in err
+
     def test_threshold_violation(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--epsilon", "0.1", "--delta", "0.1", "--theta", "1.0",

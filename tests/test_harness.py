@@ -475,7 +475,11 @@ class TestLemmaScan:
 
     @pytest.mark.parametrize("scale", [0.9, 2.0])
     def test_a_scaled_kernel_reports_the_full_mask_violations(self, monkeypatch, scale):
-        # 0.9 breaks the close floor, 2.0 both non-adjacent caps
+        # 0.9 breaks the close floor, 2.0 both non-adjacent caps.  At 200
+        # thetas every K is one block; at 1,000 each K from 96 to 104 takes
+        # seven, so one K's offenders come from several blocks.  At 10,000 the
+        # first block ends below tone 1, where 2.0's offenders are all at
+        # j = K - 1, so they sort after those at j = 0 from later blocks.
         scan_block = harness._scan_block
 
         def scaled(tone, K):
@@ -483,19 +487,22 @@ class TestLemmaScan:
             return scale * mags, d
 
         monkeypatch.setattr(harness, "_scan_block", scaled)
-        report = lemma_bound_scan(range(4, 41), 200).to_dict()
-        # x[0] = 0 - tone is -tone exactly
-        reference = _full_mask_scan(range(4, 41), 200, lambda x, K: scaled(-x[0], K)[0])
-        assert reference["violation_count"] > len(reference["violations"]) > 5
-        assert report["violation_count"] == reference["violation_count"]
-        assert report["violations"] == reference["violations"]
-        assert report == reference
+        for k_values, n_theta in ((range(4, 41), 200), (range(96, 105), 1000),
+                                  (range(100, 102), 10_000)):
+            report = lemma_bound_scan(k_values, n_theta).to_dict()
+            # x[0] = 0 - tone is -tone exactly
+            reference = _full_mask_scan(k_values, n_theta,
+                                        lambda x, K: scaled(-x[0], K)[0])
+            assert reference["violation_count"] > len(reference["violations"]) > 5
+            assert report["violation_count"] == reference["violation_count"]
+            assert report["violations"] == reference["violations"]
+            assert report == reference
 
-    def test_a_nan_in_the_last_block_builds_the_full_mask(self, monkeypatch):
+    def test_a_nan_in_the_last_block_stays_within_the_column_budget(self, monkeypatch):
         # K = 100 walks its 1,000 thetas in blocks of 153 columns; theta = pi
         # is in the last one, and j = 50 is its close index.  A NaN there must
-        # reach K's extremes and rebuild that K's full arrays, as the one-block
-        # scan did, and the report must not change.
+        # reach K's extremes and build that block's violation mask without a
+        # wider array, and the report must equal the full-mask scan's.
         scan_block = harness._scan_block
         shapes = []
 
@@ -508,14 +515,33 @@ class TestLemmaScan:
 
         monkeypatch.setattr(harness, "_scan_block", one_nan)
         report = lemma_bound_scan(range(96, 105), 1000).to_dict()
-        full = [shape for shape in shapes if shape[1] == 1000]
-        assert (100, 153) in shapes and full == [(100, 1000)]
+        widths = [columns for K, columns in shapes if K == 100]
+        assert len(widths) == 7 and max(widths) == 153
         assert report == _full_mask_scan(range(96, 105), 1000,
                                          lambda x, K: one_nan(-x[0], K)[0])
 
     def test_memory_stays_under_one_mib(self):
         # the scan rfe verify runs; one (128, 1000) float array is 1 MB
         lemma_bound_scan(range(4, 129), 1000)
+        tracemalloc.start()
+        try:
+            lemma_bound_scan(range(4, 129), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_memory_stays_under_one_mib_when_every_k_fails(self, monkeypatch):
+        # a kernel scaled by 2.0 breaks the caps at every K, and each failing
+        # block builds its violation mask
+        scan_block = harness._scan_block
+
+        def doubled(tone, K):
+            mags, d = scan_block(tone, K)
+            return 2.0 * mags, d
+
+        monkeypatch.setattr(harness, "_scan_block", doubled)
+        assert lemma_bound_scan(range(4, 129), 1000).violation_count > 0
         tracemalloc.start()
         try:
             lemma_bound_scan(range(4, 129), 1000)

@@ -352,7 +352,20 @@ class TestJsonWireFormat:
         for bad in ({}, {"kind": "bogus"}, {"kind": "ban"},
                     {"kind": "ban", "eta_bar": 0.05, "strategy": "nope"},
                     {"kind": "ban", "eta_bar": 0.05, "strategy": {"name": "x"}},
-                    {"kind": "gaussian"}, {"kind": ["ban"]}, "not a dict"):
+                    {"kind": "gaussian"}, {"kind": ["ban"]}, "not a dict",
+                    # unknown keys, in the model and in a custom strategy
+                    {"kind": "ban", "eta_bar": 0.05, "stratgy": "zero"},
+                    {"kind": "gaussian", "sigma": 0.1, "junk": 2},
+                    {"kind": "ideal", "sigma": 0.1},
+                    {"kind": "ban", "eta_bar": 0.05,
+                     "strategy": {"name": "custom", "eta1": [0.0], "eta2": [0.0], "eta3": [0.0]}},
+                    # a boolean, a string or an integer past float range as a number
+                    {"kind": "gaussian", "sigma": True}, {"kind": "ban", "eta_bar": False},
+                    {"kind": "dephasing", "t2": "100"}, {"kind": "gaussian", "sigma": 10 ** 400},
+                    {"kind": "ban", "eta_bar": 0.05,
+                     "strategy": {"name": "custom", "eta1": [0.0, False], "eta2": [0.0, 0.0]}},
+                    {"kind": "ban", "eta_bar": 0.05,
+                     "strategy": {"name": "custom", "eta1": 0.0, "eta2": [0.0]}}):
             with pytest.raises(ValueError):
                 noise_from_dict(bad)
 
