@@ -28,13 +28,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .bounds import BoundsUnachievable, bounds_report, check_seed, grid_size
-from .estimator import (
-    RunConfig,
-    estimate_phase,
-    run_rfe,
-    spectrum_csv_chunks,
-    trial_to_dict,
-)
+from .estimator import estimate_phase, run_rfe, spectrum_csv_chunks, trial_to_dict
 from .harness import FixedTheta, UniformTheta, noise_sweep
 from .noise import MODELS, AdversaryStrategy, Ban, noise_from_dict
 from .spectrum import expected_coefficients
@@ -124,12 +118,11 @@ def _cmd_run(args) -> int:
     theta, run_seed = _resolve_theta(args.theta, args.seed)
     if args.samples is not None:
         K = args.grid if args.grid is not None else grid_size(args.epsilon)
-        result = run_rfe(RunConfig(samples=args.samples, grid_size=K, theta=theta,
-                                   noise=noise, seed=run_seed))
+        result = run_rfe(args.samples, K, theta, noise, run_seed)
     else:
         result = estimate_phase(args.epsilon, args.delta, noise, theta, seed=run_seed)
     if args.format == "csv":
-        _emit(spectrum_csv_chunks(result.spectrum.coefficients), args.output)
+        _emit(spectrum_csv_chunks(result.coefficients), args.output)
         return 0
     error = abs(result.theta_hat - theta)
     payload = {
@@ -153,9 +146,8 @@ def _cmd_spectrum(args) -> int:
                        noise=noise.to_dict(), seed=args.seed, samples=args.samples,
                        grid=args.grid, format=args.format)
     if args.samples is not None:
-        result = run_rfe(RunConfig(samples=args.samples, grid_size=K, theta=theta,
-                                   noise=noise, seed=run_seed))
-        coefficients = result.spectrum.coefficients
+        result = run_rfe(args.samples, K, theta, noise, run_seed)
+        coefficients = result.coefficients
         extra = trial_to_dict(result)
     else:
         coefficients = expected_coefficients(noise, theta, K)[0]

@@ -22,7 +22,9 @@ sample.  Only the outcome draw then differs: per-time counts and sums
 straight from the (B, K) biases (:func:`rfe.sampler.sample_outcome_sums`),
 or one c and s uniform per sample (:func:`rfe.sampler.sums_at_times`), so a
 sparse run costs O(M) work plus the sum buffer, the FFT and the peak pick.
-:func:`run_rfe` is a block of one.
+:func:`run_rfe` is a block of one: it checks its arguments, seeds its own
+generator and returns one flat :class:`TrialResult`, the estimate with its
+coefficients and provenance.
 
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
@@ -44,41 +46,17 @@ from .sampler import draw_times, sample_outcome_sums, sums_at_times
 from .spectrum import validate_phase
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete, reproducible description of one estimation run."""
-
-    samples: int
-    grid_size: int
-    theta: float
-    noise: NoiseModel = Ideal()
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= int(self.samples) <= MAX_SAMPLES:
-            raise ValueError(f"samples must lie in [1, 2**62], got {self.samples}")
-        check_grid_size(self.grid_size)
-        validate_phase(self.theta)
-        check_seed(self.seed)
-
-
 @dataclass(frozen=True, eq=False)
-class SpectrumEstimate:
-    """Estimated coefficients plus run provenance; each |f_j| <= sqrt(2)."""
+class TrialResult:
+    """One run's output: theta_hat = 2 pi winning_index / grid_size, the
+    estimated coefficients (each |f_j| <= sqrt(2)) and the run's provenance."""
 
+    theta_hat: float
+    winning_index: int
     coefficients: np.ndarray  # complex, length grid_size
     samples_used: int
     total_depth: int
     clamp_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class TrialResult:
-    """One run's output: theta_hat = 2 pi winning_index / grid_size."""
-
-    theta_hat: float
-    winning_index: int
-    spectrum: SpectrumEstimate
 
 
 def winning_frequency(coefficients: np.ndarray):
@@ -110,10 +88,11 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
       uniforms of each sample, run by run.  No noise, cos/sin or bias array
       is longer than B M.
 
-    The phases are used as given: :class:`RunConfig` and the campaign's
-    phase samplers keep them in [0, 2 pi), and a non-finite phase or run
-    noise fails the sampler's finiteness check.  A grid above
-    :data:`rfe.bounds.MAX_GRID_SIZE` is refused before anything is drawn.
+    The phases are used as given: :func:`run_rfe` checks its phase with
+    :func:`validate_phase`, the campaign's phase samplers draw in [0, 2 pi),
+    and a non-finite phase or run noise fails the sampler's finiteness
+    check.  A grid above :data:`rfe.bounds.MAX_GRID_SIZE` is refused before
+    anything is drawn.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
@@ -141,27 +120,31 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     return coefficients, sums.total_depth, sums.clamp_count
 
 
-def run_rfe(config: RunConfig) -> TrialResult:
+def run_rfe(samples: int, grid_size: int, theta: float, noise: NoiseModel = Ideal(),
+            seed: int = 0) -> TrialResult:
     """Execute one randomized-Fourier-estimation run: :func:`run_block` with
-    one phase and the generator seeded by ``config.seed``, so equal configs
-    give bitwise-equal results."""
-    K = int(config.grid_size)
-    rng = np.random.default_rng(int(config.seed))
-    coefficients, depth, clamps = run_block([config.theta], config.samples, K,
-                                            config.noise, rng)
+    one phase and the generator seeded by ``seed``, so equal arguments give
+    bitwise-equal results.  Before anything is drawn, samples must lie in
+    [1, 2**62], then the grid size, the phase and the seed are checked."""
+    if not 1 <= int(samples) <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [1, 2**62], got {samples}")
+    K = check_grid_size(grid_size)
+    theta = validate_phase(theta)
+    rng = np.random.default_rng(check_seed(seed))
+    coefficients, depth, clamps = run_block([theta], samples, K, noise, rng)
     j = int(winning_frequency(coefficients)[0])
-    spectrum = SpectrumEstimate(coefficients=coefficients[0], samples_used=int(config.samples),
-                                total_depth=int(depth[0]), clamp_count=int(clamps[0]))
-    return TrialResult(theta_hat=TWO_PI * j / K, winning_index=j, spectrum=spectrum)
+    return TrialResult(theta_hat=TWO_PI * j / K, winning_index=j,
+                       coefficients=coefficients[0], samples_used=int(samples),
+                       total_depth=int(depth[0]), clamp_count=int(clamps[0]))
 
 
 def no_sample_result(grid_size: int) -> TrialResult:
     """The answer of a plan with no samples, the epsilon >= pi/2 regime of
     :func:`rfe.bounds.bounds_report`: theta_hat = pi/2 is epsilon-accurate
     for any phase in [0, pi], encoded as winning index 1 on the plan's grid."""
-    spectrum = SpectrumEstimate(coefficients=np.zeros(grid_size, dtype=complex),
-                                samples_used=0, total_depth=0, clamp_count=0)
-    return TrialResult(theta_hat=math.pi / 2.0, winning_index=1, spectrum=spectrum)
+    return TrialResult(theta_hat=math.pi / 2.0, winning_index=1,
+                       coefficients=np.zeros(grid_size, dtype=complex),
+                       samples_used=0, total_depth=0, clamp_count=0)
 
 
 def estimate_phase(epsilon: float, delta: float, noise: NoiseModel,
@@ -176,22 +159,19 @@ def estimate_phase(epsilon: float, delta: float, noise: NoiseModel,
     plan = bounds_report(epsilon, delta, noise)
     if plan.samples == 0:
         return no_sample_result(plan.grid_size)
-    config = RunConfig(samples=plan.samples, grid_size=plan.grid_size,
-                       theta=theta, noise=noise, seed=seed)
-    return run_rfe(config)
+    return run_rfe(plan.samples, plan.grid_size, theta, noise, seed)
 
 
 def trial_to_dict(result: TrialResult) -> dict:
     """JSON-ready description of a trial result."""
-    coeffs = result.spectrum.coefficients
     return {
         "theta_hat": float(result.theta_hat),
         "winning_index": int(result.winning_index),
         "spectrum": {
-            "samples_used": int(result.spectrum.samples_used),
-            "total_depth": int(result.spectrum.total_depth),
-            "clamp_count": int(result.spectrum.clamp_count),
-            "coefficients": [[float(v.real), float(v.imag)] for v in coeffs],
+            "samples_used": int(result.samples_used),
+            "total_depth": int(result.total_depth),
+            "clamp_count": int(result.clamp_count),
+            "coefficients": [[float(v.real), float(v.imag)] for v in result.coefficients],
         },
     }
 

@@ -48,6 +48,7 @@ from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
+    SMALL_ARRAY_BYTES,
     validate_phase,
 )
 
@@ -57,14 +58,6 @@ MAX_ENUMERATION_GRID = 4096
 WILSON_Z_95 = 1.959963984540054
 # Kernel bound scans allow this much rounding past a floor or cap.
 SCAN_TOLERANCE = 1e-12
-
-# glibc's malloc maps a block of 128 KiB or more with mmap, but freeing such a
-# block raises that threshold to the block's size; from then on blocks that
-# size stay in the heap, where each thread's arena may keep up to twice as much
-# freed memory, so peak RSS creeps up call after call.  The per-call arrays of
-# the oracle, the lemma scan and rfe.verify's coefficient law therefore stay
-# below this many bytes (a margin under 128 KiB for malloc's chunk header).
-SMALL_ARRAY_BYTES = 120 * 1024
 
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
 # arrays stay near this many cells at any grid size.
@@ -337,10 +330,12 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     all sum(k_values) * n_theta points, magnitudes from :func:`_scan_block`.
     Each K walks theta in blocks of max(1, SMALL_ARRAY_BYTES // (8 K))
     columns, each (K, columns) array under :data:`SMALL_ARRAY_BYTES`, and
-    keeps the extremes with NaN-propagating minimum and maximum.  A block
-    whose extremes break a bound, or are NaN, builds its violation mask from
-    the same arrays; K's violations are the first five offenders of its
-    failing blocks in (j, theta) order, and the report keeps the first 20."""
+    keeps the extremes with NaN-propagating minimum and maximum, across K
+    too.  A block whose extremes break a bound, or are NaN, builds its
+    violation mask from the same arrays, where a NaN magnitude at a close or
+    non-adjacent point is a violation; K's violations are the first five
+    offenders of its failing blocks in (j, theta) order, and the report
+    keeps the first 20."""
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 4 or max(k_values) > 1024:
         raise ValueError("k_values must be a non-empty subset of [4, 1024]")
@@ -363,9 +358,10 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
             low = np.min(mags, where=close, initial=math.inf)
             high = np.max(mags, where=nonadj, initial=0.0)
             k_close, k_nonadj = np.minimum(k_close, low), np.maximum(k_nonadj, high)
-            # negated, so that a NaN extreme builds the mask too
+            # negated, so that a NaN extreme builds the mask and a NaN
+            # magnitude counts as a violation
             if not (low >= floor and high <= cap):
-                j_bad, t_bad = np.nonzero((close & (mags < floor)) | (nonadj & (mags > cap)))
+                j_bad, t_bad = np.nonzero((close & ~(mags >= floor)) | (nonadj & ~(mags <= cap)))
                 violation_count += j_bad.size
                 # a block's offenders are in (j, theta) order, so K's first
                 # five are among its blocks' first five
@@ -373,7 +369,8 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
                               for j, t in zip(j_bad[:5], t_bad[:5])]
         violations += [{"K": K, "j": j, "theta": float(thetas[t]), "magnitude": mag,
                         "distance": dist} for j, t, mag, dist in sorted(offenders)[:5]]
-        min_close, max_nonadj = min(min_close, float(k_close)), max(max_nonadj, float(k_nonadj))
+        min_close, max_nonadj = np.minimum(min_close, k_close), np.maximum(max_nonadj, k_nonadj)
+    min_close, max_nonadj = float(min_close), float(max_nonadj)
     return LemmaScanReport(
         k_values=k_values, n_theta=n_theta, tolerance=SCAN_TOLERANCE,
         points_checked=sum(k_values) * n_theta, violation_count=violation_count,

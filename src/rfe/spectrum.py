@@ -10,7 +10,7 @@ a normalized Dirichlet kernel: coefficient j has magnitude
 |S_K(j - K theta / (2 pi))|.  This module evaluates the kernel and the full
 complex coefficients in closed form, and, for any noise model, the exact
 mean and run-noise variance of what a run estimates
-(:func:`expected_coefficients`).
+(:func:`expected_coefficients`, in about 24 bytes per index).
 
 Two magnitude landmarks make peak picking robust: a frequency within half a
 bin of the tone has magnitude at least 2/pi, while a frequency one bin or
@@ -32,6 +32,15 @@ CLOSE_MAGNITUDE_MIN = 2.0 / math.pi
 NON_ADJACENT_MAGNITUDE_MAX = 10.0 / (9.0 * math.pi)
 # Envelope value 1/(K sin(pi/K)) at K = 4, the worst case over K >= 4.
 NON_ADJACENT_ENVELOPE_MAX = 1.0 / (2.0 * math.sqrt(2.0))
+
+# glibc's malloc maps a block of 128 KiB or more with mmap, but freeing such a
+# block raises that threshold to the block's size; from then on blocks that
+# size stay in the heap, where each thread's arena may keep up to twice as much
+# freed memory, so peak RSS creeps up call after call.  The per-call arrays of
+# the oracle, the lemma scan and rfe.verify's coefficient law, and the
+# per-block float arrays of expected_coefficients, therefore stay below this
+# many bytes (a margin under 128 KiB for malloc's chunk header).
+SMALL_ARRAY_BYTES = 120 * 1024
 
 
 def validate_phase(theta: float) -> float:
@@ -147,13 +156,24 @@ def expected_coefficients(model: NoiseModel, theta: float,
     Var_eta mu_j = sum_k (Var clip b_x,k + Var clip b_y,k) / K^2, the same
     at every j.  A single run's coefficient then has
     Var f_j = (2 - |E f_j|^2 - Var_eta mu_j) / M + Var_eta mu_j.
+
+    The moments go in blocks of SMALL_ARRAY_BYTES // 8 times into one
+    complex and one float array of length K, and the FFT overwrites the
+    complex one, so the working memory is about 24 bytes per index plus a
+    block's, whatever the model.
     """
     K = check_grid_size(grid_size)
     theta = validate_phase(theta)
-    ks = np.arange(K)
-    bx, by = biases_at(model, theta, ks)
-    sigma = model.scale(ks)
-    mean_x, var_x = clipped_normal_moments(bx, sigma)
-    mean_y, var_y = clipped_normal_moments(by, sigma)
-    mean = np.fft.fft(mean_x + 1j * mean_y) / K
-    return mean, float(np.sum(var_x + var_y)) / (K * K)
+    values, variance = np.empty(K, dtype=complex), np.empty(K)
+    block = SMALL_ARRAY_BYTES // 8
+    for start in range(0, K, block):
+        ks = np.arange(start, min(start + block, K))
+        bx, by = biases_at(model, theta, ks)
+        sigma = model.scale(ks)
+        mean_x, var_x = clipped_normal_moments(bx, sigma)
+        mean_y, var_y = clipped_normal_moments(by, sigma)
+        values[start:start + ks.size] = mean_x + 1j * mean_y
+        variance[start:start + ks.size] = var_x + var_y
+    mean = np.fft.fft(values, out=values)
+    mean /= K
+    return mean, float(np.sum(variance)) / (K * K)

@@ -23,9 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .estimator import RunConfig, run_block, run_rfe, spectrum_csv_chunks
+from .estimator import run_block, run_rfe, spectrum_csv_chunks
 from .harness import (
-    SMALL_ARRAY_BYTES,
     FixedTheta,
     UniformTheta,
     block_rng,
@@ -46,7 +45,7 @@ from .noise import (
     ban_threshold,
     biases_at,
 )
-from .spectrum import expected_coefficients, expected_spectrum
+from .spectrum import SMALL_ARRAY_BYTES, expected_coefficients, expected_spectrum
 
 # Pinned tolerances for the acceptance battery.
 ORACLE_TOL = 1e-12
@@ -205,7 +204,7 @@ def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
 def _law_check(model: NoiseModel, sigma_k: np.ndarray, samples: int,
                rng: np.random.Generator) -> dict:
     """Score LAW_RUNS runs of ``model`` at LAW_THETA against the exact
-    clipped-normal law of :func:`rfe.spectrum.expected_coefficients`.
+    clipped-normal law of :func:`expected_coefficients`.
 
     ``sigma_k`` is the run noise's standard deviation at k = 0 .. K-1 as
     the caller writes it out, and its length is the grid size K.  The law
@@ -215,7 +214,7 @@ def _law_check(model: NoiseModel, sigma_k: np.ndarray, samples: int,
 
     The runs go through :func:`rfe.estimator.run_block`, all drawn from
     ``rng``, in blocks of max(1, SMALL_ARRAY_BYTES // (16 K)) rows, so each
-    block's arrays stay under :data:`rfe.harness.SMALL_ARRAY_BYTES`.  With
+    block's arrays stay under :data:`SMALL_ARRAY_BYTES`.  With
     v_j = (2 - |E f_j|^2 - Var_eta mu_j) / M + Var_eta mu_j the variance of
     one run's f_j and v_hat_j the mean of |f_j - E f_j|^2 over the N runs
     (its standard error is about v_j / sqrt(N), as for an exponential of
@@ -363,8 +362,8 @@ def suite_reductions() -> SuiteResult:
 
 def suite_depth() -> SuiteResult:
     """Depth accounting: uniform time draws average (K-1)/2 ~ pi/epsilon."""
-    result = run_rfe(RunConfig(samples=DEPTH_DRAWS, grid_size=63, theta=1.0, seed=_SEED_DEPTH))
-    mean_depth = result.spectrum.total_depth / DEPTH_DRAWS
+    result = run_rfe(DEPTH_DRAWS, 63, 1.0, seed=_SEED_DEPTH)
+    mean_depth = result.total_depth / DEPTH_DRAWS
     mean_ok = abs(mean_depth - DEPTH_MEAN_EXPECTED) <= DEPTH_MEAN_TOL
     budget = bounds.expected_total_depth(3130, 63)
     budget_ok = budget == 97030.0
@@ -393,8 +392,8 @@ def suite_demo(trials: int = 200, workers: int = 1,
     start = time.perf_counter()
     plan = replace(bounds.bounds_report(0.08, 0.105, Ideal()), samples=80)
     K = plan.grid_size
-    run = run_rfe(RunConfig(samples=80, grid_size=K, theta=2.25, seed=7))
-    csv_text = "".join(spectrum_csv_chunks(run.spectrum.coefficients))
+    run = run_rfe(80, K, 2.25, seed=7)
+    csv_text = "".join(spectrum_csv_chunks(run.coefficients))
     csv_path = None
     if outdir is not None:
         path = Path(outdir) / "demo_spectrum.csv"

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, formats, reproducibility."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -190,6 +191,31 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "--epsilon", "0.3", "--delta", "0.2",
                                "--theta", "1.1", "--seed", "5", "--format", "csv")
         assert out.splitlines()[0] == "j,re,im,abs"
+
+
+# SHA-256 of the whole stdout of four seeded commands: any change to a run's
+# draws, its coefficients or their formatting shows here
+PINNED_OUTPUTS = [
+    (("run", "--epsilon", "0.3", "--delta", "0.2", "--theta", "1.1", "--seed", "5"),
+     "f38bf7ac0fae66a3bc37c1eabda95b7558488da09f0e8c938264e3eb34ce60a0"),
+    (("run", "--epsilon", "0.3", "--delta", "0.2", "--theta", "1.1", "--seed", "5",
+      "--format", "csv"),
+     "a13eb0be3be88657d26a4a6175c0ddf47f1a58f8426015baf43f567ce1761527"),
+    (("spectrum", "--grid", "64", "--samples", "200", "--theta", "1.0", "--seed", "3"),
+     "47d25047335a9cd7cd61bdfc625d19ce2580d6e5c6c5ac72d3733e1644bcb9f9"),
+    (("spectrum", "--grid", "64", "--samples", "200", "--theta", "1.0", "--seed", "3",
+      "--format", "json"),
+     "47b7642deabf2eb5a855881ed3b3449eb315235a27e9b4183b488cbb8f74218f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
+                         ids=["run-json", "run-csv", "spectrum-csv", "spectrum-json"])
+def test_output_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("RFE_SEED", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSweep:

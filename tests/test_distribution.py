@@ -25,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from rfe.estimator import RunConfig, run_block, run_rfe
+from rfe.estimator import run_block, run_rfe
 from rfe.harness import exact_estimator_expectation
 from rfe.noise import (
     AdversaryStrategy,
@@ -52,13 +52,13 @@ PLANS = {"dense": (16, 200), "sparse": (64, 40)}
 
 def per_time_sums(result):
     """Per-time outcome sums (sum c_k, sum s_k) recovered from the spectrum."""
-    z = np.fft.ifft(result.spectrum.coefficients) * result.spectrum.samples_used
+    z = np.fft.ifft(result.coefficients) * result.samples_used
     return np.rint(z.real).astype(np.int64), np.rint(z.imag).astype(np.int64)
 
 
 def runs(K, M, noise, theta=0.0, count=RUNS, seed0=0):
-    return [run_rfe(RunConfig(samples=M, grid_size=K, theta=theta, noise=noise,
-                              seed=seed0 + i)) for i in range(count)]
+    return [run_rfe(samples=M, grid_size=K, theta=theta, noise=noise,
+                    seed=seed0 + i) for i in range(count)]
 
 
 def z_score(total, mean, variance):
@@ -118,7 +118,7 @@ class TestPerTimeLaws:
             c_sums, s_sums = per_time_sums(result)
             n, sums = (s_sums, c_sums) if channel == "c" else (c_sums, s_sums)
             assert n.sum() == M
-            assert result.spectrum.clamp_count == int(n[clamped].sum())
+            assert result.clamp_count == int(n[clamped].sum())
             assert np.array_equal(sums[~random], np.where(p[~random] == 1.0, 1, -1) * n[~random])
             assert np.all(np.abs(sums) <= n) and np.all((sums + n) % 2 == 0)
             plus = (sums + n) // 2
@@ -130,7 +130,7 @@ class TestPerTimeLaws:
 
     def test_total_depth_moments(self, plan):
         K, M = PLANS[plan]
-        depths = np.array([r.spectrum.total_depth for r in runs(K, M, Ideal(), theta=1.1)],
+        depths = np.array([r.total_depth for r in runs(K, M, Ideal(), theta=1.1)],
                           dtype=float)
         mu = M * (K - 1) / 2.0
         var_u = (K * K - 1) / 12.0
@@ -180,7 +180,7 @@ def _oracle_cases():
 def test_mean_coefficients_match_oracle(plan, label, noise, deviations):
     M = 1000 if plan == "dense" else ORACLE_K
     expected = exact_estimator_expectation(ORACLE_THETA, ORACLE_K, deviations)
-    mean = np.mean([r.spectrum.coefficients for r in
+    mean = np.mean([r.coefficients for r in
                     runs(ORACLE_K, M, noise, theta=ORACLE_THETA, count=ORACLE_RUNS)], axis=0)
     # One sample (c + i s) e^{-2 pi i k j / K} has E|.|^2 = 2, so each
     # coefficient has total variance (2 - |E f_j|^2) / M per run.

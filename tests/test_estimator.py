@@ -10,7 +10,6 @@ import pytest
 import rfe.estimator
 from rfe.bounds import MAX_GRID_SIZE, BoundsUnachievable, bounds_report
 from rfe.estimator import (
-    RunConfig,
     estimate_phase,
     run_block,
     run_rfe,
@@ -35,68 +34,79 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestRunConfigValidation:
+    """The checks run_rfe makes before it draws anything."""
+
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            RunConfig(samples=0, grid_size=8, theta=1.0)
+            run_rfe(samples=0, grid_size=8, theta=1.0)
         with pytest.raises(ValueError):
-            RunConfig(samples=10, grid_size=0, theta=1.0)
+            run_rfe(samples=10, grid_size=0, theta=1.0)
         with pytest.raises(ValueError):
-            RunConfig(samples=10, grid_size=8, theta=-0.5)
+            run_rfe(samples=10, grid_size=8, theta=-0.5)
         with pytest.raises(ValueError):
-            RunConfig(samples=10, grid_size=8, theta=1.0, seed=-1)
+            run_rfe(samples=10, grid_size=8, theta=1.0, seed=-1)
         with pytest.raises(ValueError):
-            RunConfig(samples=10, grid_size=8, theta=1.0, seed=2 ** 64)
+            run_rfe(samples=10, grid_size=8, theta=1.0, seed=2 ** 64)
 
 
     def test_rejects_samples_past_int64_guard(self):
-        RunConfig(samples=2 ** 62, grid_size=8, theta=1.0)
+        run_rfe(samples=2 ** 62, grid_size=8, theta=1.0)
         with pytest.raises(ValueError):
-            RunConfig(samples=2 ** 62 + 1, grid_size=8, theta=1.0)
+            run_rfe(samples=2 ** 62 + 1, grid_size=8, theta=1.0)
 
     def test_rejects_grids_past_the_cap(self):
-        RunConfig(samples=6169, grid_size=62832, theta=1.0)  # the epsilon = 1e-4 plan
+        run_rfe(samples=6169, grid_size=62832, theta=1.0)  # the epsilon = 1e-4 plan
         for K in (MAX_GRID_SIZE + 1, 62831853072):
             with pytest.raises(ValueError, match="2\\*\\*22"):
-                RunConfig(samples=10, grid_size=K, theta=1.0)
+                run_rfe(samples=10, grid_size=K, theta=1.0)
+
+    def test_checks_run_in_order(self):
+        # samples, then the grid size, the phase and the seed
+        bad = dict(samples=0, grid_size=0, theta=-0.5, seed=-1)
+        for field, match in [("samples", "samples"), ("grid_size", "grid size"),
+                             ("theta", "phase"), ("seed", "seed")]:
+            with pytest.raises(ValueError, match=match):
+                run_rfe(**bad)
+            bad[field] = dict(samples=10, grid_size=8, theta=1.0, seed=0)[field]
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("noise", [Ideal(), Gaussian(0.3),
                                        Ban(0.05, AdversaryStrategy.SIGN_FLIP)])
     def test_equal_config_equal_result(self, noise):
-        config = RunConfig(samples=2000, grid_size=31, theta=1.7, noise=noise, seed=99)
-        a = run_rfe(config)
-        b = run_rfe(config)
+        config = dict(samples=2000, grid_size=31, theta=1.7, noise=noise, seed=99)
+        a = run_rfe(**config)
+        b = run_rfe(**config)
         assert a.theta_hat == b.theta_hat
         assert a.winning_index == b.winning_index
-        assert np.array_equal(a.spectrum.coefficients, b.spectrum.coefficients)
-        assert a.spectrum.total_depth == b.spectrum.total_depth
-        assert a.spectrum.clamp_count == b.spectrum.clamp_count
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert a.total_depth == b.total_depth
+        assert a.clamp_count == b.clamp_count
 
     def test_different_seeds_differ(self):
         base = dict(samples=2000, grid_size=31, theta=1.7, noise=Gaussian(0.3))
-        a = run_rfe(RunConfig(seed=1, **base))
-        b = run_rfe(RunConfig(seed=2, **base))
-        assert not np.array_equal(a.spectrum.coefficients, b.spectrum.coefficients)
+        a = run_rfe(seed=1, **base)
+        b = run_rfe(seed=2, **base)
+        assert not np.array_equal(a.coefficients, b.coefficients)
 
 
 class TestOnGridRuns:
     def test_large_sample_peak(self):
-        result = run_rfe(RunConfig(samples=10 ** 5, grid_size=8,
-                                   theta=TWO_PI * 3 / 8, seed=1))
+        result = run_rfe(samples=10 ** 5, grid_size=8,
+                         theta=TWO_PI * 3 / 8, seed=1)
         assert result.winning_index == 3
         assert result.theta_hat == pytest.approx(3 * math.pi / 4, abs=1e-15)
 
     def test_on_grid_succeeds_over_100_seeds(self):
         hits = 0
         for seed in range(100):
-            result = run_rfe(RunConfig(samples=10 ** 5, grid_size=8,
-                                       theta=TWO_PI * 3 / 8, seed=seed))
+            result = run_rfe(samples=10 ** 5, grid_size=8,
+                             theta=TWO_PI * 3 / 8, seed=seed)
             hits += result.winning_index == 3
         assert hits == 100
 
     def test_constant_signal(self):
-        result = run_rfe(RunConfig(samples=10 ** 4, grid_size=8, theta=0.0, seed=5))
+        result = run_rfe(samples=10 ** 4, grid_size=8, theta=0.0, seed=5)
         assert result.winning_index == 0
         assert result.theta_hat == 0.0
 
@@ -104,34 +114,34 @@ class TestOnGridRuns:
 class TestResultInvariants:
     def test_theta_hat_matches_index(self):
         for seed in range(10):
-            result = run_rfe(RunConfig(samples=50, grid_size=13, theta=2.0, seed=seed))
+            result = run_rfe(samples=50, grid_size=13, theta=2.0, seed=seed)
             assert 0 <= result.winning_index < 13
             assert result.theta_hat == TWO_PI * result.winning_index / 13
 
     def test_magnitudes_bounded_by_sqrt2(self):
-        result = run_rfe(RunConfig(samples=400, grid_size=17, theta=0.9, seed=3))
-        assert np.max(np.abs(result.spectrum.coefficients)) <= math.sqrt(2) + 1e-9
+        result = run_rfe(samples=400, grid_size=17, theta=0.9, seed=3)
+        assert np.max(np.abs(result.coefficients)) <= math.sqrt(2) + 1e-9
 
     def test_depth_range_and_counts(self):
         M, K = 3000, 21
-        result = run_rfe(RunConfig(samples=M, grid_size=K, theta=1.0, seed=4))
-        assert 0 <= result.spectrum.total_depth <= M * (K - 1)
-        assert result.spectrum.samples_used == M
-        assert result.spectrum.clamp_count == 0  # ideal model never clamps
+        result = run_rfe(samples=M, grid_size=K, theta=1.0, seed=4)
+        assert 0 <= result.total_depth <= M * (K - 1)
+        assert result.samples_used == M
+        assert result.clamp_count == 0  # ideal model never clamps
 
     def test_mean_depth_over_runs(self):
         # mean of total_depth / M approaches (K-1)/2 within 2%
         M, K = 2000, 63
-        means = [run_rfe(RunConfig(samples=M, grid_size=K, theta=1.3,
-                                   seed=s)).spectrum.total_depth / M
+        means = [run_rfe(samples=M, grid_size=K, theta=1.3,
+                         seed=s).total_depth / M
                  for s in range(50)]
         assert np.mean(means) == pytest.approx((K - 1) / 2, rel=0.02)
 
     def test_clamp_counting_under_overdriven_noise(self):
         # k/T2 beyond 2 pushes the +1 probability past 1 for most times
-        result = run_rfe(RunConfig(samples=500, grid_size=16, theta=1.0,
-                                   noise=HighCoherence(4.0), seed=6))
-        assert result.spectrum.clamp_count > 0
+        result = run_rfe(samples=500, grid_size=16, theta=1.0,
+                         noise=HighCoherence(4.0), seed=6)
+        assert result.clamp_count > 0
 
 
 class TestWinningFrequency:
@@ -148,16 +158,16 @@ class TestEstimatePhase:
     def test_trivial_wide_target(self):
         result = estimate_phase(2.0, 0.1, Ideal(), theta=1.0, seed=0)
         assert result.theta_hat == math.pi / 2
-        assert result.spectrum.samples_used == 0
-        assert result.spectrum.total_depth == 0
+        assert result.samples_used == 0
+        assert result.total_depth == 0
         assert result.winning_index == 1
         assert result.theta_hat == TWO_PI * result.winning_index / len(
-            result.spectrum.coefficients)
+            result.coefficients)
 
     def test_certified_plan_is_used(self):
         result = estimate_phase(0.1, 0.1, Ideal(), theta=1.3, seed=11)
-        assert result.spectrum.samples_used == 3130
-        assert len(result.spectrum.coefficients) == 63
+        assert result.samples_used == 3130
+        assert len(result.coefficients) == 63
 
     def test_threshold_violation_raises(self):
         with pytest.raises(BoundsUnachievable):
@@ -182,14 +192,14 @@ class TestEstimatePhase:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 2 ** 20
-        assert result.spectrum.samples_used == M
+        assert result.samples_used == M
         assert abs(result.theta_hat - 1.3) <= 0.1
-        assert result.spectrum.total_depth == pytest.approx(M * 31, rel=1e-3)
+        assert result.total_depth == pytest.approx(M * 31, rel=1e-3)
 
     def test_depth_past_int64_does_not_wrap(self):
         # M (K - 1) / 2 = 3.5 * 2**62: an int64 depth sum would wrap
-        result = run_rfe(RunConfig(samples=2 ** 62, grid_size=8, theta=1.0, seed=3))
-        assert 2 ** 63 < result.spectrum.total_depth <= 2 ** 62 * 7
+        result = run_rfe(samples=2 ** 62, grid_size=8, theta=1.0, seed=3)
+        assert 2 ** 63 < result.total_depth <= 2 ** 62 * 7
         assert result.winning_index == round(1.0 * 8 / TWO_PI)
 
 
@@ -231,10 +241,10 @@ class TestRunBlock:
         table = noise.draw_run_noise(np.arange(K), rng)
         bx, by = biases_at(noise, theta, np.arange(K), table)
         sums = sample_outcome_sums(bx[None], by[None], M, rng)
-        result = run_rfe(RunConfig(samples=M, grid_size=K, theta=theta, noise=noise, seed=31))
-        assert np.array_equal(result.spectrum.coefficients, np.fft.fft(sums.z[0]) / M)
-        assert result.spectrum.total_depth == sums.total_depth[0]
-        assert result.spectrum.clamp_count == sums.clamp_count[0]
+        result = run_rfe(samples=M, grid_size=K, theta=theta, noise=noise, seed=31)
+        assert np.array_equal(result.coefficients, np.fft.fft(sums.z[0]) / M)
+        assert result.total_depth == sums.total_depth[0]
+        assert result.clamp_count == sums.clamp_count[0]
 
     @pytest.mark.parametrize("M", [1, 40, 63])
     def test_sparse_run_follows_the_documented_draw_order(self, M, drawn_sums):
@@ -242,11 +252,11 @@ class TestRunBlock:
         # bit for bit; sigma = 0.5 clamps some samples.
         K, sigma = 63, 0.5
         coefficients, z, depth, clamps = sparse_reference([1.7], M, K, sigma, 31)
-        result = run_rfe(RunConfig(samples=M, grid_size=K, theta=1.7,
-                                   noise=Gaussian(sigma), seed=31))
-        assert np.array_equal(result.spectrum.coefficients, coefficients[0])
-        assert result.spectrum.total_depth == depth[0]
-        assert result.spectrum.clamp_count == clamps[0]
+        result = run_rfe(samples=M, grid_size=K, theta=1.7,
+                         noise=Gaussian(sigma), seed=31)
+        assert np.array_equal(result.coefficients, coefficients[0])
+        assert result.total_depth == depth[0]
+        assert result.clamp_count == clamps[0]
         thetas = [0.4, 1.7, 2.9]
         coefficients, z, depth, clamps = sparse_reference(thetas, M, K, sigma, 32)
         block, block_depth, block_clamps = run_block(thetas, M, K, Gaussian(sigma),
@@ -333,7 +343,7 @@ class TestRunBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.spectrum.coefficients.size == 62832
+        assert result.coefficients.size == 62832
         assert peak < 1.7 * 2 ** 20
 
     def test_rejects_grids_past_the_cap(self):
@@ -406,15 +416,15 @@ class TestRunBlock:
 
 class TestSerialization:
     def test_trial_dict_shape(self):
-        result = run_rfe(RunConfig(samples=100, grid_size=9, theta=0.4, seed=2))
+        result = run_rfe(samples=100, grid_size=9, theta=0.4, seed=2)
         data = trial_to_dict(result)
         assert set(data) == {"theta_hat", "winning_index", "spectrum"}
         assert len(data["spectrum"]["coefficients"]) == 9
         assert data["spectrum"]["samples_used"] == 100
 
     def test_spectrum_csv_layout(self):
-        result = run_rfe(RunConfig(samples=100, grid_size=9, theta=0.4, seed=2))
-        text = "".join(spectrum_csv_chunks(result.spectrum.coefficients))
+        result = run_rfe(samples=100, grid_size=9, theta=0.4, seed=2)
+        text = "".join(spectrum_csv_chunks(result.coefficients))
         lines = text.splitlines()
         assert lines[0] == "j,re,im,abs"
         assert len(lines) == 10

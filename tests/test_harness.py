@@ -13,7 +13,7 @@ import pytest
 
 from rfe import cli, harness
 from rfe.bounds import MAX_GRID_SIZE, BoundsQuery, bounds_report
-from rfe.estimator import RunConfig, run_rfe
+from rfe.estimator import run_rfe
 from rfe.harness import (
     FixedTheta,
     UniformTheta,
@@ -302,8 +302,8 @@ class TestMonteCarlo:
         plan = replace(bounds_report(eps, 0.1, Ideal()), samples=M, grid_size=K)
         stats = monte_carlo_success(plan, n, sampling, master_seed=2024)
         thetas = sampling.draw(np.random.default_rng(2024), n)
-        single = sum(abs(run_rfe(RunConfig(samples=M, grid_size=K, theta=theta,
-                                           seed=seed)).theta_hat - theta) <= eps
+        single = sum(abs(run_rfe(samples=M, grid_size=K, theta=theta,
+                                 seed=seed).theta_hat - theta) <= eps
                      for seed, theta in enumerate(thetas))
         pooled = (stats.successes + single) / (2 * n)
         assert 0.5 < pooled < 0.95
@@ -412,7 +412,7 @@ class TestMonteCarlo:
 def _full_mask_scan(k_values, n_theta, magnitude):
     """lemma_bound_scan's report as the scan first computed it: every
     point's violation mask on every K, and the extremes by boolean
-    indexing."""
+    indexing, NaN-propagating across K."""
     thetas = np.linspace(0.0, math.pi, n_theta)
     tol = harness.SCAN_TOLERANCE
     violations, count, points = [], 0, 0
@@ -424,12 +424,13 @@ def _full_mask_scan(k_values, n_theta, magnitude):
         points += mags.size
         close, nonadj = d <= 0.5, d >= 1.0
         if np.any(close):
-            min_close = min(min_close, float(mags[close].min()))
+            min_close = float(np.minimum(min_close, mags[close].min()))
         if np.any(nonadj):
-            max_nonadj = max(max_nonadj, float(mags[nonadj].max()))
-        bad = ((close & (mags < CLOSE_MAGNITUDE_MIN - tol))
-               | (nonadj & (mags > NON_ADJACENT_MAGNITUDE_MAX + tol))
-               | (nonadj & (mags > NON_ADJACENT_ENVELOPE_MAX + tol)))
+            max_nonadj = float(np.maximum(max_nonadj, mags[nonadj].max()))
+        # a NaN magnitude fails every comparison, so it is a violation
+        bad = ((close & ~(mags >= CLOSE_MAGNITUDE_MIN - tol))
+               | (nonadj & ~(mags <= NON_ADJACENT_MAGNITUDE_MAX + tol))
+               | (nonadj & ~(mags <= NON_ADJACENT_ENVELOPE_MAX + tol)))
         j_bad, t_bad = np.nonzero(bad)
         count += j_bad.size
         for j, t in zip(j_bad[:5], t_bad[:5]):
@@ -445,6 +446,17 @@ def _full_mask_scan(k_values, n_theta, magnitude):
             "non_adjacent_margin": NON_ADJACENT_MAGNITUDE_MAX - max_nonadj,
             "envelope_margin": NON_ADJACENT_ENVELOPE_MAX - max_nonadj,
             "passed": count == 0}
+
+
+def _nan_equal(a, b):
+    """a == b over nested dicts and lists, with NaN equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_nan_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_nan_equal, a, b))
+    return a == b
 
 
 class TestLemmaScan:
@@ -501,8 +513,9 @@ class TestLemmaScan:
     def test_a_nan_in_the_last_block_stays_within_the_column_budget(self, monkeypatch):
         # K = 100 walks its 1,000 thetas in blocks of 153 columns; theta = pi
         # is in the last one, and j = 50 is its close index.  A NaN there must
-        # reach K's extremes and build that block's violation mask without a
-        # wider array, and the report must equal the full-mask scan's.
+        # build that block's violation mask without a wider array, count as
+        # one violation and reach the report's close extreme, and the report
+        # must equal the full-mask scan's.
         scan_block = harness._scan_block
         shapes = []
 
@@ -517,8 +530,10 @@ class TestLemmaScan:
         report = lemma_bound_scan(range(96, 105), 1000).to_dict()
         widths = [columns for K, columns in shapes if K == 100]
         assert len(widths) == 7 and max(widths) == 153
-        assert report == _full_mask_scan(range(96, 105), 1000,
-                                         lambda x, K: one_nan(-x[0], K)[0])
+        assert report["passed"] is False and report["violation_count"] == 1
+        assert math.isnan(report["min_close_magnitude"])
+        assert _nan_equal(report, _full_mask_scan(range(96, 105), 1000,
+                                                  lambda x, K: one_nan(-x[0], K)[0]))
 
     def test_memory_stays_under_one_mib(self):
         # the scan rfe verify runs; one (128, 1000) float array is 1 MB

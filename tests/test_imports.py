@@ -1,9 +1,10 @@
 """Checks a linter would make, since none is installed: every name a module
 of rfe imports is used there, only rfe.harness imports the thread modules,
 every top-level name is defined in one module and read in src, and no line
-runs past MAX_LINE."""
+runs past MAX_LINE; and the module globals rfebench patches are bound."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,12 @@ MAX_LINE = 100
 def test_no_line_is_longer_than_max_line(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [number for number, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []
+
+
+# rfebench's AllocProbe patches run_rfe by module global in these three
+# modules and reads it with no fallback, so a traced benchmark run (--trace 1)
+# breaks if one of them stops binding the estimator's run_rfe
+@pytest.mark.parametrize("module", ["rfe.estimator", "rfe.harness", "rfe.verify"])
+def test_run_rfe_is_a_module_global(module):
+    estimator = importlib.import_module("rfe.estimator")
+    assert importlib.import_module(module).run_rfe is estimator.run_rfe

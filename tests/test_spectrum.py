@@ -1,13 +1,23 @@
 """Kernel and closed-form spectrum checks against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfe.bounds import MAX_GRID_SIZE
 from rfe.harness import _scan_block, exact_estimator_expectation
-from rfe.noise import Ban, DeviationTable, Gaussian, GaussianLinear, Ideal, ban_threshold
+from rfe.noise import (
+    Ban,
+    DeviationTable,
+    Dephasing,
+    Gaussian,
+    GaussianLinear,
+    Ideal,
+    ban_threshold,
+    biases_at,
+)
 from rfe.spectrum import (
     CLOSE_MAGNITUDE_MIN,
     NON_ADJACENT_ENVELOPE_MAX,
@@ -329,6 +339,36 @@ class TestExpectedCoefficients:
                 (GaussianLinear(0.01), 2 * 0.01 ** 2 * (62 * 63 * 125 / 6) / K ** 2)]:
             var_mu = expected_coefficients(model, 1.0, K)[1]
             assert 0.5 * unclipped < var_mu < unclipped
+
+    @pytest.mark.parametrize("model", [Ideal(), Gaussian(0.1), GaussianLinear(1e-5),
+                                       Dephasing(630.0)], ids=lambda m: m.kind)
+    def test_blocks_give_the_whole_grid_bits(self, model):
+        # K = 40,000 spans three blocks; the reference builds the moments of
+        # every time at once
+        K, theta = 40_000, 1.0
+        ks = np.arange(K)
+        bx, by = biases_at(model, theta, ks)
+        mean_x, var_x = clipped_normal_moments(bx, model.scale(ks))
+        mean_y, var_y = clipped_normal_moments(by, model.scale(ks))
+        mean, var_mu = expected_coefficients(model, theta, K)
+        assert np.array_equal(mean.view(np.int64),
+                              (np.fft.fft(mean_x + 1j * mean_y) / K).view(np.int64))
+        assert var_mu == float(np.sum(var_x + var_y)) / (K * K)
+
+    @pytest.mark.parametrize("model", [Ideal(), Gaussian(0.1)], ids=lambda m: m.kind)
+    def test_working_memory_is_o_of_k(self, model):
+        # one complex and one float array of length K, 24 bytes per index,
+        # plus a block's moments; the whole grid's moments at once take 88
+        # and 169 bytes per index
+        K = 2 ** 18
+        expected_coefficients(model, 1.0, 64)  # first-call setup
+        tracemalloc.start()
+        try:
+            expected_coefficients(model, 1.0, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / K < 64
 
     def test_rejects_bad_grids_and_phases(self):
         with pytest.raises(ValueError, match="2\\*\\*22"):
