@@ -12,11 +12,12 @@ with ceilings applied once around the whole expression.  ``bounds_report``
 is the one function that returns a sample count: it writes each formula
 once, and plans every other model through one of them.  Each noisy variant
 pays an inflation factor that diverges as its noise parameter approaches a
-hard threshold (eta_bar -> 2 sqrt(2)/(9 pi), sigma -> sigma_max); queries at
-or past a threshold raise :class:`BoundsUnachievable` instead of
+hard threshold (eta_bar -> :data:`BAN_THRESHOLD`, sigma -> sigma_max); queries
+at or past a threshold raise :class:`BoundsUnachievable` instead of
 extrapolating.  ``derivation_report`` cross-checks the quoted threshold
-constants against independent re-derivations and records the discrepancies
-instead of hiding them.
+constants, :data:`BAN_THRESHOLD`, :data:`DEPHASING_RATIO_NOMINAL` and
+:data:`DEPHASING_RATIO_REDERIVED`, against independent re-derivations and
+records the discrepancies instead of hiding them.
 """
 
 from __future__ import annotations
@@ -26,21 +27,22 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .noise import (
-    Dephasing,
-    Gaussian,
-    HighCoherence,
-    Ideal,
-    NoiseModel,
-    ban_threshold,
-    dephasing_ratio_threshold_nominal,
-    dephasing_ratio_threshold_rederived,
-)
+from .noise import Dephasing, Gaussian, HighCoherence, Ideal, NoiseModel
 
 TWO_PI = 2.0 * math.pi
 # All sample counts share the base constant 81 pi^2 / 2 from the Hoeffding
 # budget against the 4/(9 pi) in-spec radius.
 _BASE = 81.0 * math.pi ** 2 / 2.0
+# Supremum of adversarial bounds admitting a sample-count guarantee:
+# 2 sqrt(2) / (9 pi) ~ 0.1000 (a ~0.05 shift of the outcome probability).
+BAN_THRESHOLD = 2.0 * math.sqrt(2.0) / (9.0 * math.pi)
+# Depth-to-dephasing-scale ratio limit as conventionally quoted,
+# -ln(1/2 - 2 sqrt(2)/(9 pi)) ~ 0.916.  It does not follow from the deviation
+# bound implemented here; see derivation_report for the discrepancy.
+DEPHASING_RATIO_NOMINAL = -math.log(0.5 - BAN_THRESHOLD)
+# Ratio limit solving (1 - exp(-x))/2 = 2 sqrt(2)/(9 pi), i.e. reading the
+# constraint against half the deviation: -ln(1 - 4 sqrt(2)/(9 pi)) ~ 0.223.
+DEPHASING_RATIO_REDERIVED = -math.log(1.0 - 2.0 * BAN_THRESHOLD)
 # Largest sample count a run accepts, so per-time counts fit in int64.
 MAX_SAMPLES = 2 ** 62
 # Largest grid size a run or a spectrum accepts (epsilon down to about
@@ -111,8 +113,12 @@ class BoundsReport:
     grid_size: int
     samples: int
     inflation_factor: float
-    expected_total_depth: float
     thresholds: dict = field(default_factory=dict)
+
+    @property
+    def expected_total_depth(self) -> float:
+        """:func:`expected_total_depth` of this plan's own M and K."""
+        return expected_total_depth(self.samples, self.grid_size)
 
     def to_dict(self) -> dict:
         return {
@@ -153,13 +159,13 @@ def grid_size(epsilon: float) -> int:
 
 def _ban_inflation(eta_bar: float) -> float:
     """Sample-count inflation (1 - (9 pi / (2 sqrt 2)) eta_bar)^-2 paid to
-    keep the guarantee under adversarial deviations bounded by eta_bar."""
-    limit = ban_threshold()
-    if not (math.isfinite(eta_bar) and 0.0 <= eta_bar):
+    keep the guarantee under adversarial deviations bounded by eta_bar; an
+    infinite eta_bar is past the threshold like any other."""
+    if not 0.0 <= eta_bar:
         raise ValueError(f"eta_bar must be >= 0, got {eta_bar!r}")
-    if eta_bar >= limit:
+    if eta_bar >= BAN_THRESHOLD:
         raise BoundsUnachievable(
-            f"eta_bar={eta_bar} is at or above the threshold 2*sqrt(2)/(9*pi)={limit:.6f}"
+            f"eta_bar={eta_bar} is at or above the threshold 2*sqrt(2)/(9*pi)={BAN_THRESHOLD:.6f}"
         )
     return (1.0 - (9.0 * math.pi / (2.0 * math.sqrt(2.0))) * eta_bar) ** -2
 
@@ -184,10 +190,10 @@ def expected_total_depth(samples: int, grid_size: int) -> float:
 
 def _default_thresholds(epsilon: float, delta: float) -> dict:
     return {
-        "ban_eta_bar": ban_threshold(),
+        "ban_eta_bar": BAN_THRESHOLD,
         "sigma_max": sigma_max(epsilon, delta),
-        "dephasing_ratio_nominal": dephasing_ratio_threshold_nominal(),
-        "dephasing_ratio_rederived": dephasing_ratio_threshold_rederived(),
+        "dephasing_ratio_nominal": DEPHASING_RATIO_NOMINAL,
+        "dephasing_ratio_rederived": DEPHASING_RATIO_REDERIVED,
     }
 
 
@@ -209,13 +215,10 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
     thresholds = _default_thresholds(epsilon, delta)
     if epsilon >= math.pi / 2.0:
         return BoundsReport(epsilon=epsilon, delta=delta, noise=noise, grid_size=4,
-                            samples=0, inflation_factor=1.0, expected_total_depth=0.0,
-                            thresholds=thresholds)
+                            samples=0, inflation_factor=1.0, thresholds=thresholds)
     K = grid_size(epsilon)
     if type(noise) is Gaussian:
         sigma = noise.sigma
-        if not (math.isfinite(sigma) and sigma >= 0.0):
-            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
         limit = thresholds["sigma_max"]
         if sigma >= limit:
             raise BoundsUnachievable(
@@ -249,9 +252,7 @@ def bounds_report(epsilon: float, delta: float, noise: NoiseModel = Ideal()) -> 
             f"certified grid size {K} exceeds the runnable maximum 2**22 = {MAX_GRID_SIZE}"
         )
     return BoundsReport(epsilon=epsilon, delta=delta, noise=noise, grid_size=K,
-                        samples=M, inflation_factor=inflation,
-                        expected_total_depth=expected_total_depth(M, K),
-                        thresholds=thresholds)
+                        samples=M, inflation_factor=inflation, thresholds=thresholds)
 
 
 def derivation_report() -> dict:
@@ -274,7 +275,7 @@ def derivation_report() -> dict:
     # the gaussian section's plan, the one the acceptance battery certifies
     # (K = 63, M = 3559)
     epsilon = delta = sigma = 0.1
-    c = ban_threshold()
+    c = BAN_THRESHOLD
     bisection = bisect(lambda x: (1.0 - math.exp(-x)) / 2.0 - c, 1e-12, 5.0)
     log_term = math.log(16.0 * math.pi / (delta * epsilon))
     rederived_root = (9.0 * sigma / 8.0) * math.sqrt(epsilon * math.pi * log_term)
@@ -306,8 +307,8 @@ def derivation_report() -> dict:
             "probability_deviation_at_threshold": c / 2.0,
         },
         "dephasing_ratio": {
-            "nominal": dephasing_ratio_threshold_nominal(),
-            "rederived": dephasing_ratio_threshold_rederived(),
+            "nominal": DEPHASING_RATIO_NOMINAL,
+            "rederived": DEPHASING_RATIO_REDERIVED,
             "strict": -math.log(1.0 - c),
             "bisection_check": bisection,
             "note": ("nominal does not follow from the deviation bound; "

@@ -239,12 +239,15 @@ def monte_carlo_success(plan: Union[BoundsQuery, BoundsReport], trials: int,
     as it is, or a :class:`rfe.bounds.BoundsQuery` planned once by
     :func:`rfe.bounds.bounds_report`.  An uncertified plan, such as an
     under-sampled demo, is a report with fields replaced,
-    ``dataclasses.replace(report, samples=M, grid_size=K)``; K must pass
-    :func:`rfe.bounds.check_grid_size` and M lie in [0, 2**62], else
-    ``ValueError``.  The trials run in blocks of B = max(1, BLOCK_CELLS // K),
-    the last one shorter.  Block b draws from :func:`block_rng` (master seed,
-    b), in this order: its B phases, then the run noise and samples of its B
-    runs, which :func:`rfe.estimator.run_block` does as (B, K) arrays.
+    ``dataclasses.replace(report, samples=M, grid_size=K)``: its
+    ``expected_total_depth`` follows its own M and K, while its
+    ``inflation_factor`` and ``thresholds`` still describe the certified
+    query.  K must pass :func:`rfe.bounds.check_grid_size` and M lie in
+    [0, 2**62], else ``ValueError``.  The trials run in blocks of
+    B = max(1, BLOCK_CELLS // K), the last one shorter.  Block b draws from
+    :func:`block_rng` (master seed, b), in this order: its B phases, then the
+    run noise and samples of its B runs, which :func:`rfe.estimator.run_block`
+    does as (B, K) arrays.
     ``workers`` (0: all cores) sets the threads, at most one per block and
     capped at the cores, that :func:`thread_map` spreads whole blocks over
     (numpy's generator fills, ufunc loops and FFTs release the interpreter

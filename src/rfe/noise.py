@@ -307,29 +307,6 @@ def biases_at(model: NoiseModel, theta, ks: np.ndarray,
     return bx + run_noise[..., 0, :], by + run_noise[..., 1, :]
 
 
-def ban_threshold() -> float:
-    """Supremum of adversarial bounds admitting a sample-count guarantee:
-    2 sqrt(2) / (9 pi) ~ 0.1000 (a ~0.05 shift of the outcome probability)."""
-    return 2.0 * math.sqrt(2.0) / (9.0 * math.pi)
-
-
-def dephasing_ratio_threshold_nominal() -> float:
-    """Depth-to-dephasing-scale ratio limit as conventionally quoted:
-    -ln(1/2 - 2 sqrt(2)/(9 pi)) ~ 0.916.
-
-    This value does not follow from the deviation bound implemented here; see
-    :func:`dephasing_ratio_threshold_rederived` and
-    :func:`rfe.bounds.derivation_report` for the discrepancy.
-    """
-    return -math.log(0.5 - ban_threshold())
-
-
-def dephasing_ratio_threshold_rederived() -> float:
-    """Ratio limit solving (1 - exp(-x))/2 = 2 sqrt(2)/(9 pi), i.e. reading
-    the constraint against half the deviation: -ln(1 - 4 sqrt(2)/(9 pi)) ~ 0.223."""
-    return -math.log(1.0 - 2.0 * ban_threshold())
-
-
 # --- JSON wire format -------------------------------------------------------
 #
 # {"kind": "ideal"}

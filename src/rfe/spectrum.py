@@ -160,7 +160,8 @@ def expected_coefficients(model: NoiseModel, theta: float,
     The moments go in blocks of SMALL_ARRAY_BYTES // 8 times into one
     complex and one float array of length K, and the FFT overwrites the
     complex one, so the working memory is about 24 bytes per index plus a
-    block's, whatever the model.
+    block's, whatever the model.  A bias or sigma_k that is not finite
+    raises ValueError, as in a run.
     """
     K = check_grid_size(grid_size)
     theta = validate_phase(theta)
@@ -170,6 +171,8 @@ def expected_coefficients(model: NoiseModel, theta: float,
         ks = np.arange(start, min(start + block, K))
         bx, by = biases_at(model, theta, ks)
         sigma = model.scale(ks)
+        if not all(np.isfinite(v).all() for v in (bx, by, sigma)):
+            raise ValueError("bias values must be finite")
         mean_x, var_x = clipped_normal_moments(bx, sigma)
         mean_y, var_y = clipped_normal_moments(by, sigma)
         values[start:start + ks.size] = mean_x + 1j * mean_y

@@ -42,7 +42,6 @@ from .noise import (
     GaussianLinear,
     Ideal,
     NoiseModel,
-    ban_threshold,
     biases_at,
 )
 from .spectrum import SMALL_ARRAY_BYTES, expected_coefficients, expected_spectrum
@@ -177,11 +176,11 @@ def suite_adversarial(trials: int = 300, workers: int = 1) -> SuiteResult:
     plan_ok = plan.samples == 12510 and plan.grid_size == 63
     # Divergence: the certified M grows strictly without bound approaching
     # the threshold, and the threshold itself is rejected.
-    ladder = [bounds.bounds_report(0.1, 0.1, Ban(ban_threshold() * (1.0 - 10.0 ** -t))).samples
+    ladder = [bounds.bounds_report(0.1, 0.1, Ban(bounds.BAN_THRESHOLD * (1.0 - 10.0 ** -t))).samples
               for t in range(1, 7)]
     diverges = all(a < b for a, b in zip(ladder, ladder[1:]))
     try:
-        bounds.bounds_report(0.1, 0.1, Ban(ban_threshold()))
+        bounds.bounds_report(0.1, 0.1, Ban(bounds.BAN_THRESHOLD))
         rejects_threshold = False
     except bounds.BoundsUnachievable:
         rejects_threshold = True

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from rfe import bounds, verify
+from rfe.bounds import BAN_THRESHOLD, DEPHASING_RATIO_NOMINAL, DEPHASING_RATIO_REDERIVED
 from rfe.harness import BoundsQuery, FixedTheta, monte_carlo_success
 from rfe.noise import (
     AdversaryStrategy,
@@ -21,10 +22,7 @@ from rfe.noise import (
     Dephasing,
     Gaussian,
     Ideal,
-    ban_threshold,
     biases_at,
-    dephasing_ratio_threshold_nominal,
-    dephasing_ratio_threshold_rederived,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -98,9 +96,9 @@ def test_criterion_5_gaussian_guarantee():
 
 @pytest.mark.acceptance(label="criterion 6: threshold constants 0.100035/0.916/0.223 and discrepancy report emitted")
 def test_criterion_6_threshold_constants(tmp_path):
-    assert abs(ban_threshold() - 0.100035) <= 1e-6
-    assert abs(dephasing_ratio_threshold_nominal() - 0.916) <= 1e-3
-    assert abs(dephasing_ratio_threshold_rederived() - 0.223) <= 1e-3
+    assert abs(BAN_THRESHOLD - 0.100035) <= 1e-6
+    assert abs(DEPHASING_RATIO_NOMINAL - 0.916) <= 1e-3
+    assert abs(DEPHASING_RATIO_REDERIVED - 0.223) <= 1e-3
     # the discrepancy is emitted as a report, never asserted away
     report = bounds.derivation_report()
     path = tmp_path / "derivation_report.json"

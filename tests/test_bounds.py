@@ -1,11 +1,13 @@
 """Resource formulas: frozen values, monotonicity, thresholds, reports."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from scipy.optimize import brentq
 
 from rfe.bounds import (
+    BAN_THRESHOLD,
     MAX_GRID_SIZE,
     MAX_SAMPLES,
     BoundsReport,
@@ -24,7 +26,6 @@ from rfe.noise import (
     GaussianLinear,
     HighCoherence,
     Ideal,
-    ban_threshold,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -94,14 +95,14 @@ class TestSampleCounts:
         grid = [0.0, 0.02, 0.04, 0.06, 0.08, 0.098]
         counts = [samples(0.1, 0.1, Ban(e)) for e in grid]
         assert all(a < b for a, b in zip(counts, counts[1:]))
-        ladder = [samples(0.1, 0.1, Ban(ban_threshold() * (1 - 10.0 ** -t)))
+        ladder = [samples(0.1, 0.1, Ban(BAN_THRESHOLD * (1 - 10.0 ** -t)))
                   for t in range(1, 7)]
         assert all(a < b for a, b in zip(ladder, ladder[1:]))
         assert ladder[-1] > 10 ** 12  # diverging toward the threshold
 
     def test_ban_threshold_rejected(self):
         with pytest.raises(BoundsUnachievable) as info:
-            bounds_report(0.1, 0.1, Ban(ban_threshold()))
+            bounds_report(0.1, 0.1, Ban(BAN_THRESHOLD))
         assert "0.100035" in str(info.value)
         with pytest.raises(BoundsUnachievable):
             bounds_report(0.1, 0.1, Ban(0.15))
@@ -208,7 +209,7 @@ class TestBoundsReport:
         assert (report.grid_size, report.samples) == (63, 3130)
         assert report.inflation_factor == 1.0
         assert report.expected_total_depth == 97030.0
-        assert report.thresholds["ban_eta_bar"] == ban_threshold()
+        assert report.thresholds["ban_eta_bar"] == BAN_THRESHOLD
 
     def test_ban(self):
         report = bounds_report(0.1, 0.1, Ban(0.05))
@@ -245,6 +246,11 @@ class TestBoundsReport:
         with pytest.raises(BoundsUnachievable):
             bounds_report(0.1, 0.1, Dephasing(63 / 0.2))
 
+    def test_infinite_envelope_is_past_the_threshold(self):
+        # K/T2 overflows to inf: past the threshold, not a malformed eta_bar
+        with pytest.raises(BoundsUnachievable, match="eta_bar=inf is at or above"):
+            bounds_report(0.1, 0.1, HighCoherence(5e-324))
+
     def test_high_coherence_embedding(self):
         report = bounds_report(0.1, 0.1, HighCoherence(6300.0))
         assert report.thresholds["implied_eta_bar"] == pytest.approx(0.01, rel=1e-12)
@@ -260,9 +266,16 @@ class TestBoundsReport:
         assert report.grid_size >= grid_size(2.0)
         assert report.inflation_factor == 1.0
 
+    def test_replaced_plan_reports_its_own_depth(self):
+        # an uncertified plan built by replace keeps the certified K and the
+        # thresholds, but its depth follows its own M
+        report = replace(bounds_report(0.1, 0.1, Ideal()), samples=80)
+        assert report.expected_total_depth == 2480.0
+        assert report.to_dict()["expected_total_depth"] == 2480.0
+
     def test_sample_count_past_int64_guard_rejected(self):
         # the formula alone certifies ~3e27 samples this close to the threshold
-        eta = ban_threshold() * (1 - 1e-12)
+        eta = BAN_THRESHOLD * (1 - 1e-12)
         with pytest.raises(BoundsUnachievable, match=r"sample count 3\.130e\+27 exceeds"):
             bounds_report(0.1, 0.1, Ban(eta))
         assert bounds_report(0.1, 0.1, Ban(0.0999)).samples <= MAX_SAMPLES

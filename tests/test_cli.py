@@ -193,8 +193,9 @@ class TestRun:
         assert out.splitlines()[0] == "j,re,im,abs"
 
 
-# SHA-256 of the whole stdout of four seeded commands: any change to a run's
-# draws, its coefficients or their formatting shows here
+# SHA-256 of the whole stdout of four seeded commands and four plans: any
+# change to a run's draws, its coefficients, a plan or their formatting shows
+# here
 PINNED_OUTPUTS = [
     (("run", "--epsilon", "0.3", "--delta", "0.2", "--theta", "1.1", "--seed", "5"),
      "f38bf7ac0fae66a3bc37c1eabda95b7558488da09f0e8c938264e3eb34ce60a0"),
@@ -206,11 +207,22 @@ PINNED_OUTPUTS = [
     (("spectrum", "--grid", "64", "--samples", "200", "--theta", "1.0", "--seed", "3",
       "--format", "json"),
      "47b7642deabf2eb5a855881ed3b3449eb315235a27e9b4183b488cbb8f74218f"),
+    (("bounds", "--epsilon", "0.1", "--noise", '{"kind":"gaussian","sigma":0.1}'),
+     "e86a780f9247358ef4fd238df71d0bed2ce25408c5bcd3c8a4edf00fbb93728b"),
+    (("bounds", "--epsilon", "0.1", "--noise", '{"kind":"dephasing","t2":6300}'),
+     "3159ac3779932d77fd76304d2ca502bf846f89558100a6baf3c9a2506e03f320"),
+    (("bounds", "--epsilon", "0.1", "--noise", '{"kind":"high_coherence","t2":6300}',
+      "--format", "csv"),
+     "b62d6d7ac4b29fc4c89026e833a07b4ffc3ae146b7f21dfab21bc6a6736e850d"),
+    (("bounds", "--epsilon", "2.0"),
+     "6a8baf7b2f7dfac165fc1379a1cf44ea1b3b38e9e72a30357b395e91ac328f54"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
-                         ids=["run-json", "run-csv", "spectrum-csv", "spectrum-json"])
+                         ids=["run-json", "run-csv", "spectrum-csv", "spectrum-json",
+                              "bounds-gaussian-json", "bounds-dephasing-json",
+                              "bounds-high-coherence-csv", "bounds-no-sample-json"])
 def test_output_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("RFE_SEED", raising=False)
     code, out, _ = run_cli(capsys, *argv)
@@ -320,6 +332,17 @@ class TestExitCodes:
             "--noise", json.dumps({"kind": "ban", "eta_bar": eta}))
         assert code == 2
         assert "2**62" in err
+
+    @pytest.mark.parametrize("noise", [
+        '{"kind":"high_coherence","t2":1e-320}',
+        '{"kind":"gaussian_linear","sigma":1e308}',
+    ], ids=["infinite_bias", "infinite_scale"])
+    def test_non_finite_spectrum_exits_2(self, capsys, noise):
+        # refused as a run refuses it, not printed as a spectrum of NaN
+        code, out, err = run_cli(capsys, "spectrum", "--grid", "8", "--theta", "1.0",
+                                 "--noise", noise)
+        assert code == 2
+        assert out == "" and "bias values must be finite" in err
 
     @pytest.mark.parametrize("args", [
         ("run", "--epsilon", "1e-10", "--theta", "1.0"),

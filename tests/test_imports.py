@@ -1,9 +1,11 @@
 """Checks a linter would make, since none is installed: every name a module
 of rfe imports is used there, only rfe.harness imports the thread modules,
-every top-level name is defined in one module and read in src, and no line
-runs past MAX_LINE; and the module globals rfebench patches are bound."""
+the rfe modules import each other without a cycle and the leaf modules import
+none, every top-level name is defined in one module and read in src, and no
+line runs past MAX_LINE; and the module globals rfebench patches are bound."""
 
 import ast
+import graphlib
 import importlib
 from pathlib import Path
 
@@ -63,6 +65,35 @@ def test_only_harness_imports_thread_modules(path):
 
 
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+
+def _rfe_imports(tree: ast.Module) -> set:
+    """The rfe modules a module imports, at the top or inside a function."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rfe."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("rfe."))
+    return names
+
+
+IMPORT_GRAPH = {stem: _rfe_imports(tree) for stem, tree in TREES.items()}
+
+
+def test_rfe_modules_import_each_other_without_a_cycle():
+    # a cycle makes the import order decide which names exist yet
+    list(graphlib.TopologicalSorter(IMPORT_GRAPH).static_order())
+
+
+@pytest.mark.parametrize("stem", ["noise", "sampler"])
+def test_leaf_modules_import_no_rfe_module(stem):
+    # the models and the outcome sampler sit under every other layer
+    assert IMPORT_GRAPH[stem] == set()
 
 
 def _definitions(tree: ast.Module) -> set:

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 import rfe.noise
 from rfe import verify
+from rfe.bounds import BAN_THRESHOLD, DEPHASING_RATIO_NOMINAL, DEPHASING_RATIO_REDERIVED
 from rfe.noise import (
     AdversaryStrategy,
     Ban,
@@ -19,10 +20,7 @@ from rfe.noise import (
     Ideal,
     MODELS,
     NoiseModel,
-    ban_threshold,
     biases_at,
-    dephasing_ratio_threshold_nominal,
-    dephasing_ratio_threshold_rederived,
     noise_from_dict,
 )
 from rfe.spectrum import expected_coefficients
@@ -281,35 +279,35 @@ class TestGaussianDraws:
 
 class TestThresholds:
     def test_ban_threshold_frozen(self):
-        assert ban_threshold() == pytest.approx(0.10003514623967846, abs=1e-15)
-        assert ban_threshold() == pytest.approx(2 * math.sqrt(2) / (9 * math.pi), abs=0)
+        assert BAN_THRESHOLD == pytest.approx(0.10003514623967846, abs=1e-15)
+        assert BAN_THRESHOLD == pytest.approx(2 * math.sqrt(2) / (9 * math.pi), abs=0)
 
     def test_dephasing_nominal_frozen(self):
-        value = dephasing_ratio_threshold_nominal()
+        value = DEPHASING_RATIO_NOMINAL
         assert value == pytest.approx(0.9163786013337591, abs=1e-12)
-        assert value == pytest.approx(-math.log(0.5 - ban_threshold()), abs=0)
+        assert value == pytest.approx(-math.log(0.5 - BAN_THRESHOLD), abs=0)
 
     def test_dephasing_rederived_frozen(self):
-        value = dephasing_ratio_threshold_rederived()
+        value = DEPHASING_RATIO_REDERIVED
         assert value == pytest.approx(0.2232314207738138, abs=1e-12)
 
     def test_rederived_matches_root_solve(self):
         # independent oracle: bisect the constraint (1 - exp(-x))/2 = c
-        root = brentq(lambda x: (1 - math.exp(-x)) / 2 - ban_threshold(), 1e-12, 5.0)
-        assert dephasing_ratio_threshold_rederived() == pytest.approx(root, abs=1e-10)
+        root = brentq(lambda x: (1 - math.exp(-x)) / 2 - BAN_THRESHOLD, 1e-12, 5.0)
+        assert DEPHASING_RATIO_REDERIVED == pytest.approx(root, abs=1e-10)
 
     def test_nominal_and_rederived_disagree(self):
         # the discrepancy is real and must stay visible
-        assert abs(dephasing_ratio_threshold_nominal()
-                   - dephasing_ratio_threshold_rederived()) > 0.5
+        assert abs(DEPHASING_RATIO_NOMINAL - DEPHASING_RATIO_REDERIVED) > 0.5
 
 
 class TestValidation:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             Ban(-0.1)
-        with pytest.raises(ValueError):
-            Gaussian(-1.0)
+        for sigma in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Gaussian(sigma)
         with pytest.raises(ValueError):
             GaussianLinear(math.nan)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfe.bounds import MAX_GRID_SIZE
+from rfe.bounds import BAN_THRESHOLD, MAX_GRID_SIZE
 from rfe.harness import _scan_block, exact_estimator_expectation
 from rfe.noise import (
     Ban,
@@ -15,7 +15,6 @@ from rfe.noise import (
     Gaussian,
     GaussianLinear,
     Ideal,
-    ban_threshold,
     biases_at,
 )
 from rfe.spectrum import (
@@ -302,12 +301,12 @@ class TestExpectedCoefficients:
         # pushed past +-1 and clamp
         K = 40
         k = np.arange(K)
-        e = ban_threshold() - 1e-6
+        e = BAN_THRESHOLD - 1e-6
         table = DeviationTable(eta1=e * np.where(np.cos(k * theta) >= 0.0, 1.0, -1.0),
                                eta2=e * np.where(np.sin(k * theta) >= 0.0, 1.0, -1.0))
         bx = np.cos(k * theta) + table.eta1
         assert np.count_nonzero(np.abs(bx) > 1.0) > 0
-        mean, var_mu = expected_coefficients(Ban(ban_threshold(), table), theta, K)
+        mean, var_mu = expected_coefficients(Ban(BAN_THRESHOLD, table), theta, K)
         assert np.max(np.abs(mean - exact_estimator_expectation(theta, K, table))) < 1e-12
         assert var_mu == 0.0
 
