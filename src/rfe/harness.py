@@ -7,7 +7,10 @@ Three kinds of checks live here:
   their clamped probabilities, with a direct DFT from a table of roots of
   unity: independent of the closed-form spectrum and of the sampling path.
 * :func:`lemma_bound_scan` checks the kernel magnitude floor and caps at
-  every point of a (K, theta) grid, with zero tolerance for violations.
+  every point of a (K, theta) grid, with zero tolerance for violations.  A
+  point's magnitude comes from a table of row sines and one of column sines;
+  only the two rows nearest each tone, which hold its close points, take a
+  sine of their own.
 * :func:`monte_carlo_success` runs a seeded campaign of full estimation runs
   on one plan, in blocks of B = max(1, BLOCK_CELLS // K) trials through
   :func:`rfe.estimator.run_block`.  Block b draws everything from a
@@ -308,37 +311,95 @@ class LemmaScanReport:
                 "violations": list(self.violations)}
 
 
-def _scan_block(tone: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """|S_K(j - tone)| and the circular distance d of j from the tone, each a
-    (K, len(tone)) array over j = 0 .. K - 1, for tones in [0, K/2].  For
-    integer j, |sin(pi (j - t))| = |sin(pi t)|: one reduced sine per column
-    for the numerator, and one sine per point, of pi d / K; d = 0 gives 1."""
-    x = np.arange(K)[:, None] - tone[None, :]
-    # x lies in [-K/2, K - 1], so d = min(|x|, K - |x|) needs no reduction
-    d = np.abs(x, out=x)
-    np.minimum(d, K - d, out=d)
+def _scan_block(tone: np.ndarray, K: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """|S_K(j - tone)| as a (K, len(tone)) array over j = 0 .. K - 1, for
+    tones in [0, K/2], and the near rows F = floor(tone) and (F + 1) mod K
+    with their distances tone - F and F + 1 - tone, as two (2, len(tone))
+    arrays; every other row lies at circular distance d >= 1.
+
+    The numerator |sin(pi (j - t))| = |sin(pi t)| takes one reduced sine per
+    column.  The denominator sin(pi d / K) = |S_j c_t - C_j s_t| comes from
+    tables of S, C = sin, cos(pi j / K) and s, c = sin, cos(pi t / K), which
+    moves a far row's magnitude by about K eps (3.1e-15 on rfe verify's
+    grid).  The near rows, which hold every point with d < 1, keep the sine
+    of their rounded d pi / K, and 1 at d = 0.  At K = 1 both are row 0,
+    which keeps F's."""
     numerator = np.abs(np.sin(np.pi * (tone - np.rint(tone)))) / K
-    mags = np.multiply(d, np.pi / K)
-    np.sin(mags, out=mags)
-    with np.errstate(invalid="ignore"):
+    angles = np.pi / K * np.arange(K)
+    rows = np.array((np.sin(angles), -np.cos(angles)))
+    angles = np.pi / K * tone
+    columns = np.array((np.cos(angles), np.sin(angles)))
+    # S_j c_t - C_j s_t in one pass: a (K, n) temporary would be a second
+    # fresh allocation per block, with its page faults
+    mags = np.einsum("kj,kt->jt", rows, columns)
+    np.abs(mags, out=mags)
+    low = np.floor(tone)
+    dist = np.array((tone - low, low + 1.0 - tone))
+    # a near row's denominator may be 0; its magnitude is replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(numerator, mags, out=mags)
-    mags[d == 0.0] = 1.0
-    return mags, d
+        exact = numerator / np.sin(np.multiply(dist, np.pi / K))
+    exact[dist == 0.0] = 1.0
+    near = np.array((low, low + 1.0), dtype=np.intp) % K
+    points = np.arange(tone.size)
+    mags[near[1], points] = exact[1]
+    mags[near[0], points] = exact[0]
+    return mags, (near, dist)
+
+
+def _scan_tones(tone: np.ndarray, K: int) -> tuple[float, float, int, list]:
+    """One K's part of :func:`lemma_bound_scan`, at tones in [0, K/2]: the
+    close minimum and non-adjacent maximum of the magnitudes, NaN-propagating,
+    the violation count, and the first five offenders as (j, column,
+    magnitude, distance), in (j, column) order.
+
+    The tones go in blocks of max(1, SMALL_ARRAY_BYTES // (8 K)) columns,
+    each (K, columns) array under :data:`SMALL_ARRAY_BYTES`, through
+    :func:`_scan_block`.  A block is classified from its near rows alone:
+    they hold its close points (d <= 1/2), and every other row, with row
+    F + 1 where d = 1 (an integer tone), is non-adjacent.  A block whose
+    extremes break a bound, or are NaN, builds its distances and violation
+    mask, where a NaN magnitude at a close or non-adjacent point is a
+    violation."""
+    floor = CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE
+    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + SCAN_TOLERANCE
+    columns = max(1, SMALL_ARRAY_BYTES // (8 * K))
+    min_close, max_nonadj, count, offenders = math.inf, 0.0, 0, []
+    for start in range(0, tone.size, columns):
+        block = tone[start:start + columns]
+        mags, (near, dist) = _scan_block(block, K)
+        points = np.arange(block.size)
+        near_mags = mags[near, points]
+        low = np.min(near_mags, where=dist <= 0.5, initial=math.inf)
+        # the near rows leave the maximum unless d = 1, and come back if the
+        # block fails
+        mags[near, points] = np.where(dist >= 1.0, near_mags, -math.inf)
+        high = np.max(mags, initial=0.0)
+        min_close, max_nonadj = np.minimum(min_close, low), np.maximum(max_nonadj, high)
+        # negated, so that a NaN extreme builds the mask and a NaN
+        # magnitude counts as a violation
+        if not (low >= floor and high <= cap):
+            mags[near, points] = near_mags
+            x = np.abs(np.arange(K)[:, None] - block)
+            d = np.minimum(x, K - x, out=x)
+            close, nonadj = d <= 0.5, d >= 1.0
+            j_bad, t_bad = np.nonzero((close & ~(mags >= floor)) | (nonadj & ~(mags <= cap)))
+            count += j_bad.size
+            # a block's offenders are in (j, column) order, so K's first
+            # five are among its blocks' first five
+            offenders += [(int(j), start + int(t), float(mags[j, t]), float(d[j, t]))
+                          for j, t in zip(j_bad[:5], t_bad[:5])]
+    return min_close, max_nonadj, count, sorted(offenders)[:5]
 
 
 def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     """Scan theta in [0, pi] and every index j, checking the magnitude floor
     2/pi for close frequencies and the caps 10/(9 pi) and 1/(2 sqrt 2) for
     non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE, at
-    all sum(k_values) * n_theta points, magnitudes from :func:`_scan_block`.
-    Each K walks theta in blocks of max(1, SMALL_ARRAY_BYTES // (8 K))
-    columns, each (K, columns) array under :data:`SMALL_ARRAY_BYTES`, and
-    keeps the extremes with NaN-propagating minimum and maximum, across K
-    too.  A block whose extremes break a bound, or are NaN, builds its
-    violation mask from the same arrays, where a NaN magnitude at a close or
-    non-adjacent point is a violation; K's violations are the first five
-    offenders of its failing blocks in (j, theta) order, and the report
-    keeps the first 20."""
+    all sum(k_values) * n_theta points.  Each K scans its tones K theta /
+    (2 pi) with :func:`_scan_tones`, and the extremes are kept across K with
+    NaN-propagating minimum and maximum.  K's violations are its first five
+    offenders in (j, theta) order, and the report keeps the first 20."""
     k_values = tuple(int(k) for k in k_values)
     if not k_values or min(k_values) < 4 or max(k_values) > 1024:
         raise ValueError("k_values must be a non-empty subset of [4, 1024]")
@@ -346,32 +407,14 @@ def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
     if n_theta < 2:
         raise ValueError("need at least 2 theta grid points")
     thetas = np.linspace(0.0, math.pi, n_theta)
-    floor = CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE
-    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + SCAN_TOLERANCE
     violations: list[dict] = []
     violation_count = 0
     min_close, max_nonadj = math.inf, 0.0
     for K in k_values:
-        tone = K * thetas / TWO_PI                           # (n_theta,)
-        columns = max(1, SMALL_ARRAY_BYTES // (8 * K))
-        k_close, k_nonadj, offenders = math.inf, 0.0, []
-        for start in range(0, n_theta, columns):
-            mags, d = _scan_block(tone[start:start + columns], K)
-            close, nonadj = d <= 0.5, d >= 1.0
-            low = np.min(mags, where=close, initial=math.inf)
-            high = np.max(mags, where=nonadj, initial=0.0)
-            k_close, k_nonadj = np.minimum(k_close, low), np.maximum(k_nonadj, high)
-            # negated, so that a NaN extreme builds the mask and a NaN
-            # magnitude counts as a violation
-            if not (low >= floor and high <= cap):
-                j_bad, t_bad = np.nonzero((close & ~(mags >= floor)) | (nonadj & ~(mags <= cap)))
-                violation_count += j_bad.size
-                # a block's offenders are in (j, theta) order, so K's first
-                # five are among its blocks' first five
-                offenders += [(int(j), start + int(t), float(mags[j, t]), float(d[j, t]))
-                              for j, t in zip(j_bad[:5], t_bad[:5])]
+        k_close, k_nonadj, count, offenders = _scan_tones(K * thetas / TWO_PI, K)
+        violation_count += count
         violations += [{"K": K, "j": j, "theta": float(thetas[t]), "magnitude": mag,
-                        "distance": dist} for j, t, mag, dist in sorted(offenders)[:5]]
+                        "distance": dist} for j, t, mag, dist in offenders]
         min_close, max_nonadj = np.minimum(min_close, k_close), np.maximum(max_nonadj, k_nonadj)
     min_close, max_nonadj = float(min_close), float(max_nonadj)
     return LemmaScanReport(

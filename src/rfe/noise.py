@@ -235,8 +235,10 @@ class GaussianLinear(Gaussian):
     kind = "gaussian_linear"
 
     def scale(self, ks):
-        """Standard deviation of the deviations at the times ks: k * sigma."""
-        return self.sigma * ks
+        """Standard deviation of the deviations at the times ks: k * sigma,
+        inf where it overflows, which the caller's finiteness check refuses."""
+        with np.errstate(over="ignore"):
+            return self.sigma * ks
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,9 @@ class HighCoherence(NoiseModel):
             raise ValueError(f"t2 must be > 0, got {self.t2!r}")
 
     def biases(self, cos_k, sin_k, ks):
-        drift = ks / self.t2
+        # a drift that overflows is inf, which the caller's finiteness check refuses
+        with np.errstate(over="ignore"):
+            drift = ks / self.t2
         return cos_k + drift, sin_k + drift
 
     def envelope(self, grid_size):

@@ -436,8 +436,8 @@ _SUITES = {
 _QUICK = ("oracle", "lemmas", "thresholds", "reductions", "depth")
 _ALL = tuple(_SUITES)
 # The longest suites start first, so that none is left to run alone at the end.
-_START_ORDER = ("lemmas", "gaussian", "oracle", "thresholds", "reductions",
-                "depth", "noiseless", "adversarial", "demo")
+_START_ORDER = ("gaussian", "lemmas", "oracle", "noiseless", "adversarial",
+                "demo", "reductions", "depth", "thresholds")
 SUITE_NAMES = _ALL + ("quick", "all")
 
 

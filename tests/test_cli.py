@@ -333,16 +333,28 @@ class TestExitCodes:
         assert code == 2
         assert "2**62" in err
 
-    @pytest.mark.parametrize("noise", [
+    NON_FINITE_NOISE = pytest.mark.parametrize("noise", [
         '{"kind":"high_coherence","t2":1e-320}',
         '{"kind":"gaussian_linear","sigma":1e308}',
     ], ids=["infinite_bias", "infinite_scale"])
-    def test_non_finite_spectrum_exits_2(self, capsys, noise):
-        # refused as a run refuses it, not printed as a spectrum of NaN
+
+    @NON_FINITE_NOISE
+    def test_non_finite_spectrum_exits_2(self, capsys, recwarn, noise):
+        # refused as a run refuses it, not printed as a spectrum of NaN, and
+        # the overflow warns of nothing before the error line
         code, out, err = run_cli(capsys, "spectrum", "--grid", "8", "--theta", "1.0",
                                  "--noise", noise)
         assert code == 2
-        assert out == "" and "bias values must be finite" in err
+        assert out == "" and err == "error: bias values must be finite\n"
+        assert not recwarn.list
+
+    @NON_FINITE_NOISE
+    def test_non_finite_run_exits_2(self, capsys, recwarn, noise):
+        code, out, err = run_cli(capsys, "run", "--epsilon", "0.1", "--samples", "10",
+                                 "--grid", "8", "--theta", "1.0", "--noise", noise)
+        assert code == 2
+        assert out == "" and err == "error: bias values must be finite\n"
+        assert not recwarn.list
 
     @pytest.mark.parametrize("args", [
         ("run", "--epsilon", "1e-10", "--theta", "1.0"),
@@ -573,6 +585,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas")
         assert code == 0
         assert out.startswith("PASS lemmas:")
+
+    def test_lemmas_line_is_pinned(self, capsys):
+        # the scan's point count and both extremes, to the printed digits
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas")
+        assert code == 0
+        assert out == ("PASS lemmas: 0 violations over 8250000 points; min close |f| = "
+                       "0.636636 (floor 2/pi = 0.636620), max non-adjacent |f| = 0.272166\n")
 
     def test_report_written(self, capsys, tmp_path):
         report = tmp_path / "report.json"

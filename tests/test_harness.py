@@ -448,6 +448,34 @@ def _full_mask_scan(k_values, n_theta, magnitude):
             "passed": count == 0}
 
 
+def _full_mask_tones(tone, K, magnitude):
+    """_scan_tones's result at the tones ``tone`` as the full-mask scan
+    computes it for one K: the close minimum, the non-adjacent maximum, the
+    violation count and the first five offenders (j, column, magnitude,
+    distance)."""
+    x = np.arange(K)[:, None] - tone
+    mags = magnitude(x, K)
+    d = np.minimum(np.abs(x), K - np.abs(x))
+    close, nonadj = d <= 0.5, d >= 1.0
+    tol = harness.SCAN_TOLERANCE
+    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + tol
+    j_bad, t_bad = np.nonzero((close & ~(mags >= CLOSE_MAGNITUDE_MIN - tol))
+                              | (nonadj & ~(mags <= cap)))
+    return (float(np.min(mags[close], initial=math.inf)),
+            float(np.max(mags[nonadj], initial=0.0)), j_bad.size,
+            [(int(j), int(t), float(mags[j, t]), float(d[j, t]))
+             for j, t in zip(j_bad[:5], t_bad[:5])])
+
+
+def _boundary_tones(K):
+    """Every integer and half-integer tone in [0, K/2], and tones 1e-13
+    either side of each integer."""
+    ints = np.arange(0.0, math.floor(K / 2) + 1.0)
+    tones = np.concatenate([ints, np.arange(0.5, K / 2 + 0.5), ints[1:] - 1e-13,
+                            ints + 1e-13])
+    return tones[tones <= K / 2]
+
+
 def _nan_equal(a, b):
     """a == b over nested dicts and lists, with NaN equal to NaN."""
     if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
@@ -532,6 +560,85 @@ class TestLemmaScan:
         assert len(widths) == 7 and max(widths) == 153
         assert report["passed"] is False and report["violation_count"] == 1
         assert math.isnan(report["min_close_magnitude"])
+        assert _nan_equal(report, _full_mask_scan(range(96, 105), 1000,
+                                                  lambda x, K: one_nan(-x[0], K)[0]))
+
+    @pytest.mark.parametrize("magnitude", ["kernel", "kernel x 0.9", "kernel x 2",
+                                           "kernel, 0.5 at j = t + 1", "scattered"])
+    def test_boundary_tones_match_the_full_mask(self, monkeypatch, magnitude):
+        # An integer tone puts row F at d = 0 and row F + 1 at d = 1, so that
+        # row is non-adjacent; a half-integer puts both near rows at d = 1/2,
+        # both close; a tone 1e-13 from an integer puts a near row just past
+        # each boundary.  The magnitudes replace the scan's with the kernel's:
+        # scaled to break the floor (0.9) or the caps (2); or breaking a cap
+        # only at row F + 1 of an integer tone, which no far row sees; or with
+        # values scattered over [0, 1) by each point's j - t, which break a
+        # bound at about half of all points.  Either way the near rows must
+        # classify as the full masks do, to the last offender.
+        scan_block = harness._scan_block
+
+        def replaced(tone, K):
+            x = np.arange(K)[:, None] - tone
+            if magnitude == "scattered":
+                mags = np.abs(x) * 1414.2135623730951 % 1.0
+            else:
+                scale = {"kernel x 0.9": 0.9, "kernel x 2": 2.0}.get(magnitude, 1.0)
+                mags = scale * np.abs(dirichlet_kernel(x, K))
+                if magnitude == "kernel, 0.5 at j = t + 1":
+                    mags[x == 1.0] = 0.5
+            return mags, scan_block(tone, K)[1]
+
+        monkeypatch.setattr(harness, "_scan_block", replaced)
+        for K in range(4, 129):
+            tones = _boundary_tones(K)
+            low, high, count, offenders = harness._scan_tones(tones, K)
+            reference = _full_mask_tones(tones, K, lambda x, K: replaced(-x[0], K)[0])
+            assert (float(low), float(high), count, offenders) == reference, K
+            assert (count == 0) == (magnitude == "kernel"), K
+
+    def test_boundary_tones_pass_with_the_scan_magnitudes(self):
+        for K in range(4, 129):
+            tones = _boundary_tones(K)
+            low, high, count, offenders = harness._scan_tones(tones, K)
+            reference = _full_mask_tones(tones, K,
+                                         lambda x, K: np.abs(dirichlet_kernel(x, K)))
+            assert count == reference[2] == 0 and offenders == []
+            assert abs(low - reference[0]) < 1e-13 and abs(high - reference[1]) < 1e-13
+
+    def test_doubled_far_rows_fail_the_scan(self, monkeypatch):
+        # entries at d >= 2 lie outside both near rows, so only the far rows'
+        # maximum sees them; doubled, they pass the caps at K = 5
+        scan_block = harness._scan_block
+
+        def doubled_far(tone, K):
+            mags, near = scan_block(tone, K)
+            x = np.abs(np.arange(K)[:, None] - tone)
+            mags[np.minimum(x, K - x) >= 2.0] *= 2.0
+            return mags, near
+
+        monkeypatch.setattr(harness, "_scan_block", doubled_far)
+        report = lemma_bound_scan(range(4, 129), 1000).to_dict()
+        reference = _full_mask_scan(range(4, 129), 1000, lambda x, K: doubled_far(-x[0], K)[0])
+        assert reference["violation_count"] > 5
+        assert report["passed"] is False
+        assert report == reference
+
+    def test_a_nan_at_a_far_point_fails_the_scan(self, monkeypatch):
+        # K = 101's first block starts at theta = 0, where j = 50 is the
+        # farthest index: a NaN there reaches only the far rows' maximum
+        scan_block = harness._scan_block
+
+        def one_nan(tone, K):
+            mags, near = scan_block(tone, K)
+            if K == 101:
+                mags[50, tone == 0.0] = np.nan
+            return mags, near
+
+        monkeypatch.setattr(harness, "_scan_block", one_nan)
+        report = lemma_bound_scan(range(96, 105), 1000).to_dict()
+        assert report["passed"] is False and report["violation_count"] == 1
+        assert math.isnan(report["max_non_adjacent_magnitude"])
+        assert report["violations"][0]["distance"] == 50.0
         assert _nan_equal(report, _full_mask_scan(range(96, 105), 1000,
                                                   lambda x, K: one_nan(-x[0], K)[0]))
 

@@ -140,6 +140,27 @@ def _kernel_inputs(K, rng):
 BIT_IDENTITY_GRID_SIZES = list(range(1, 140)) + [1000, 62832, 62833]
 
 
+def _assert_near_rows(tones, K, near):
+    """``_scan_block``'s near rows are floor(t) and floor(t) + 1 mod K, at
+    the circular distances the full (K, tones) array holds, and classify
+    every point as that array does: close where d <= 1/2 and non-adjacent
+    where d >= 1.  At K = 1 both are row 0, and only the rows are checked."""
+    rows, dist = near
+    low = np.floor(tones).astype(int)
+    assert np.array_equal(rows, [low % K, (low + 1) % K]), K
+    if K == 1:
+        return
+    x = np.arange(K)[:, None] - tones
+    d = np.minimum(np.abs(x), K - np.abs(x))
+    points = np.arange(tones.size)
+    assert np.array_equal(dist, d[rows, points]), K
+    close, nonadj = np.zeros(d.shape, bool), np.ones(d.shape, bool)
+    close[rows, points] = dist <= 0.5
+    nonadj[rows, points] = dist >= 1.0
+    assert np.array_equal(close, d <= 0.5), K
+    assert np.array_equal(nonadj, d >= 1.0), K
+
+
 class TestKernelBitIdentity:
     """The kernel must keep the reference's bits; it has no shortcuts, so a
     change that moves one is a change of behaviour.  The lemma scan's
@@ -161,16 +182,17 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_magnitude_is_the_kernel_abs(self, K):
-        # the lemma scan's magnitudes take one reduced sine per tone, not the
-        # kernel's; j - t rounds at ulp(K), so they agree to about K eps
+        # the lemma scan's magnitudes take one reduced sine per tone and an
+        # angle difference per point, not the kernel's sines; j - t rounds at
+        # ulp(K), so they agree to about K eps
         rng = np.random.default_rng(K)
         half = K / 2.0
         ints = np.arange(0.0, math.floor(half) + 1.0, max(1, K // 8))
         tones = np.concatenate([rng.uniform(0.0, half, 8), [0.0, half], ints + 1e-13,
                                 np.maximum(ints - 1e-13, 0.0), np.minimum(ints + 0.5, half)])
-        mags, d = _scan_block(tones, K)
+        mags, near = _scan_block(tones, K)
         x = np.arange(K)[:, None] - tones
-        assert np.array_equal(d, np.minimum(np.abs(x), K - np.abs(x)))
+        _assert_near_rows(tones, K, near)
         assert np.max(np.abs(mags - np.abs(dirichlet_kernel(x, K)))) < 1e-15 * max(K, 100)
 
     def test_magnitude_is_the_kernel_abs_on_the_scan_grid(self):
@@ -178,9 +200,9 @@ class TestKernelBitIdentity:
         thetas = np.linspace(0.0, math.pi, 1000)
         for K in range(4, 129):
             tone = K * thetas / TWO_PI
-            mags, d = _scan_block(tone, K)
+            mags, near = _scan_block(tone, K)
             x = np.arange(K)[:, None] - tone[None, :]
-            assert np.array_equal(d, np.minimum(np.abs(x), K - np.abs(x))), K
+            _assert_near_rows(tone, K, near)
             assert np.max(np.abs(mags - np.abs(dirichlet_kernel(x, K)))) < 1e-13, K
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)

@@ -18,8 +18,8 @@ CANONICAL = ["oracle", "lemmas", "thresholds", "reductions", "depth",
              "noiseless", "adversarial", "gaussian", "demo"]
 QUICK = CANONICAL[:5]
 # the longest suites start first; results still come in canonical order
-START = ["lemmas", "gaussian", "oracle", "thresholds", "reductions", "depth",
-         "noiseless", "adversarial", "demo"]
+START = ["gaussian", "lemmas", "oracle", "noiseless", "adversarial", "demo",
+         "reductions", "depth", "thresholds"]
 
 
 @pytest.fixture
@@ -153,7 +153,7 @@ class TestThreads:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_first_error_starts_no_further_suite(self, stub_suites, monkeypatch,
                                                      workers):
-        # lemmas starts first and raises.  On two threads gaussian runs next
+        # gaussian starts first and raises.  On two threads lemmas runs next
         # to it, held until run_suites has seen the error, so no thread
         # comes free for oracle before then.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -166,18 +166,18 @@ class TestThreads:
                 seen_error.set()
             return finished
 
-        def lemmas():
-            raise RuntimeError("lemmas broke")
-
         def gaussian(**options):
-            stub_suites.append(("gaussian", options))
+            raise RuntimeError("gaussian broke")
+
+        def lemmas():
+            stub_suites.append(("lemmas", {}))
             assert seen_error.wait(5)
-            return verify.SuiteResult(name="gaussian", passed=True, summary="", details={})
+            return verify.SuiteResult(name="lemmas", passed=True, summary="", details={})
 
         monkeypatch.setattr(harness, "wait", watching)
         monkeypatch.setattr(verify, "suite_gaussian", gaussian)
         monkeypatch.setattr(verify, "suite_lemmas", lemmas)
-        with pytest.raises(RuntimeError, match="lemmas broke"):
+        with pytest.raises(RuntimeError, match="gaussian broke"):
             verify.run_suites(["all"], workers=workers)
         assert [name for name, _ in stub_suites] == START[1:workers]
 
