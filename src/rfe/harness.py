@@ -1,4 +1,4 @@
-"""Enumeration oracles, bound scans, and seeded Monte Carlo campaigns.
+"""Enumeration oracles, the kernel lemma certificate, and Monte Carlo campaigns.
 
 Three kinds of checks live here:
 
@@ -6,11 +6,9 @@ Three kinds of checks live here:
   brute force, over every time index and all four outcome pairs weighted by
   their clamped probabilities, with a direct DFT from a table of roots of
   unity: independent of the closed-form spectrum and of the sampling path.
-* :func:`lemma_bound_scan` checks the kernel magnitude floor and caps at
-  every point of a (K, theta) grid, with zero tolerance for violations.  A
-  point's magnitude comes from a table of row sines and one of column sines;
-  only the two rows nearest each tone, which hold its close points, take a
-  sine of their own.
+* :func:`certify_kernel_lemma` proves the kernel magnitude floor and caps for
+  every grid size a run accepts and every phase, from the kernel's values at
+  a few thousand points and a bound on its slope.
 * :func:`monte_carlo_success` runs a seeded campaign of full estimation runs
   on one plan, in blocks of B = max(1, BLOCK_CELLS // K) trials through
   :func:`rfe.estimator.run_block`.  Block b draws everything from a
@@ -37,6 +35,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import (
+    MAX_GRID_SIZE,
     MAX_SAMPLES,
     TWO_PI,
     BoundsQuery,
@@ -52,6 +51,7 @@ from .spectrum import (
     NON_ADJACENT_ENVELOPE_MAX,
     NON_ADJACENT_MAGNITUDE_MAX,
     SMALL_ARRAY_BYTES,
+    dirichlet_kernel,
     validate_phase,
 )
 
@@ -59,8 +59,6 @@ from .spectrum import (
 MAX_ENUMERATION_GRID = 4096
 
 WILSON_Z_95 = 1.959963984540054
-# Kernel bound scans allow this much rounding past a floor or cap.
-SCAN_TOLERANCE = 1e-12
 
 # A campaign block holds max(1, BLOCK_CELLS // K) trials, so its (B, K)
 # arrays stay near this many cells at any grid size.
@@ -287,145 +285,87 @@ def monte_carlo_success(plan: Union[BoundsQuery, BoundsReport], trials: int,
                         epsilon_used=plan.epsilon, delta_used=plan.delta)
 
 
-# --- kernel bound scans -------------------------------------------------------
+# --- kernel lemma certificate -------------------------------------------------
+
+# Grid sizes at which the close floor g_K(1/2) is read; the last is the
+# largest a run accepts, where g_K(1/2) is least.
+LEMMA_GRID_SIZES = (4, 16, 64, 256, 4096, 65536, 2 ** 20, MAX_GRID_SIZE)
+# g_4 is read at the ends of this many equal steps of d in [1, 2].
+LEMMA_STEPS = 4096
+# |g_4'| on [1, 2] by the quotient rule: with N = sin(pi d) and
+# D = 4 sin(pi d / 4) >= 2 sqrt 2 there, |N| <= 1 and |N'|, |D'| <= pi give
+# |g'| <= pi / D + pi / D^2.
+LEMMA_SLOPE_MAX = math.pi / (2.0 * math.sqrt(2.0)) + math.pi / 8.0
+
 
 @dataclass(frozen=True)
-class LemmaScanReport:
-    """Worst margins of the kernel magnitude bounds over a (K, theta) grid."""
+class LemmaCertificate:
+    """The kernel magnitude bounds, certified for every K in ``k_range`` and
+    every phase, from values of :func:`rfe.spectrum.dirichlet_kernel`."""
 
-    k_values: tuple
-    n_theta: int
-    tolerance: float
-    points_checked: int
+    k_range: tuple
+    points_evaluated: int
     violation_count: int
-    violations: tuple  # first few offenders as dicts, for diagnosis
-    min_close_magnitude: float
-    max_non_adjacent_magnitude: float
-    close_margin: float          # min(|f| - 2/pi) over close frequencies
-    non_adjacent_margin: float   # min(10/(9 pi) - |f|) over non-adjacent ones
-    envelope_margin: float       # min(1/(2 sqrt 2) - |f|) over non-adjacent ones
+    min_close_magnitude: float         # g_K(1/2) at the largest K
+    max_non_adjacent_magnitude: float  # the largest g_4 read on [1, 2]
+    max_non_adjacent_distance: float   # the d where it was read
+    non_adjacent_bound: float          # that plus the slope term
+    close_margin: float                # min_close_magnitude - 2/pi
+    non_adjacent_margin: float         # 10/(9 pi) - non_adjacent_bound
+    envelope_margin: float             # 1/(2 sqrt 2) - non_adjacent_bound
     passed: bool
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "k_values": list(self.k_values),
-                "violations": list(self.violations)}
+        return {**asdict(self), "k_range": list(self.k_range)}
 
 
-def _scan_block(tone: np.ndarray, K: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """|S_K(j - tone)| as a (K, len(tone)) array over j = 0 .. K - 1, for
-    tones in [0, K/2], and the near rows F = floor(tone) and (F + 1) mod K
-    with their distances tone - F and F + 1 - tone, as two (2, len(tone))
-    arrays; every other row lies at circular distance d >= 1.
+def certify_kernel_lemma() -> LemmaCertificate:
+    """Certify the kernel lemma for every K in [4, MAX_GRID_SIZE] and every
+    phase: g_K(d) = |S_K(d)| >= 2/pi at circular distance d <= 1/2 from the
+    tone, and g_K(d) <= 1/(2 sqrt 2) <= 10/(9 pi) at d >= 1.
 
-    The numerator |sin(pi (j - t))| = |sin(pi t)| takes one reduced sine per
-    column.  The denominator sin(pi d / K) = |S_j c_t - C_j s_t| comes from
-    tables of S, C = sin, cos(pi j / K) and s, c = sin, cos(pi t / K), which
-    moves a far row's magnitude by about K eps (3.1e-15 on rfe verify's
-    grid).  The near rows, which hold every point with d < 1, keep the sine
-    of their rounded d pi / K, and 1 at d = 0.  At K = 1 both are row 0,
-    which keeps F's."""
-    numerator = np.abs(np.sin(np.pi * (tone - np.rint(tone)))) / K
-    angles = np.pi / K * np.arange(K)
-    rows = np.array((np.sin(angles), -np.cos(angles)))
-    angles = np.pi / K * tone
-    columns = np.array((np.cos(angles), np.sin(angles)))
-    # S_j c_t - C_j s_t in one pass: a (K, n) temporary would be a second
-    # fresh allocation per block, with its page faults
-    mags = np.einsum("kj,kt->jt", rows, columns)
-    np.abs(mags, out=mags)
-    low = np.floor(tone)
-    dist = np.array((tone - low, low + 1.0 - tone))
-    # a near row's denominator may be 0; its magnitude is replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(numerator, mags, out=mags)
-        exact = numerator / np.sin(np.multiply(dist, np.pi / K))
-    exact[dist == 0.0] = 1.0
-    near = np.array((low, low + 1.0), dtype=np.intp) % K
-    points = np.arange(tone.size)
-    mags[near[1], points] = exact[1]
-    mags[near[0], points] = exact[0]
-    return mags, (near, dist)
+    The magnitude at index j depends on K and d alone.  Four facts carry it:
 
+    * g falls as K grows.  K sin(x/K) rises with K while x/K <= pi/2, since
+      tan y >= y, so at a fixed d <= K/2 the worst K is 4 for a cap, and the
+      largest K for the floor.
+    * Close floor.  On d <= 1/2, g_K falls with d and stays above
+      sin(pi d)/(pi d) >= 2/pi.  g_K(1/2) is read at each of
+      :data:`LEMMA_GRID_SIZES`; the values must fall with K, and the last is
+      the infimum over the range.
+    * Non-adjacent cap for d >= 2.  Jordan's inequality, sin y >= 2y/pi on
+      [0, pi/2], gives K sin(pi d/K) >= 2d, so g <= 1/(2d) <= 1/4.
+    * Non-adjacent cap for 1 <= d <= 2.  g_4 is read at the LEMMA_STEPS + 1
+      points of an even grid; every d lies within half a step of one, so
+      g_4(d) is at most its value plus LEMMA_SLOPE_MAX times half a step.
 
-def _scan_tones(tone: np.ndarray, K: int) -> tuple[float, float, int, list]:
-    """One K's part of :func:`lemma_bound_scan`, at tones in [0, K/2]: the
-    close minimum and non-adjacent maximum of the magnitudes, NaN-propagating,
-    the violation count, and the first five offenders as (j, column,
-    magnitude, distance), in (j, column) order.
-
-    The tones go in blocks of max(1, SMALL_ARRAY_BYTES // (8 K)) columns,
-    each (K, columns) array under :data:`SMALL_ARRAY_BYTES`, through
-    :func:`_scan_block`.  A block is classified from its near rows alone:
-    they hold its close points (d <= 1/2), and every other row, with row
-    F + 1 where d = 1 (an integer tone), is non-adjacent.  A block whose
-    extremes break a bound, or are NaN, builds its distances and violation
-    mask, where a NaN magnitude at a close or non-adjacent point is a
-    violation."""
-    floor = CLOSE_MAGNITUDE_MIN - SCAN_TOLERANCE
-    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + SCAN_TOLERANCE
-    columns = max(1, SMALL_ARRAY_BYTES // (8 * K))
-    min_close, max_nonadj, count, offenders = math.inf, 0.0, 0, []
-    for start in range(0, tone.size, columns):
-        block = tone[start:start + columns]
-        mags, (near, dist) = _scan_block(block, K)
-        points = np.arange(block.size)
-        near_mags = mags[near, points]
-        low = np.min(near_mags, where=dist <= 0.5, initial=math.inf)
-        # the near rows leave the maximum unless d = 1, and come back if the
-        # block fails
-        mags[near, points] = np.where(dist >= 1.0, near_mags, -math.inf)
-        high = np.max(mags, initial=0.0)
-        min_close, max_nonadj = np.minimum(min_close, low), np.maximum(max_nonadj, high)
-        # negated, so that a NaN extreme builds the mask and a NaN
-        # magnitude counts as a violation
-        if not (low >= floor and high <= cap):
-            mags[near, points] = near_mags
-            x = np.abs(np.arange(K)[:, None] - block)
-            d = np.minimum(x, K - x, out=x)
-            close, nonadj = d <= 0.5, d >= 1.0
-            j_bad, t_bad = np.nonzero((close & ~(mags >= floor)) | (nonadj & ~(mags <= cap)))
-            count += j_bad.size
-            # a block's offenders are in (j, column) order, so K's first
-            # five are among its blocks' first five
-            offenders += [(int(j), start + int(t), float(mags[j, t]), float(d[j, t]))
-                          for j, t in zip(j_bad[:5], t_bad[:5])]
-    return min_close, max_nonadj, count, sorted(offenders)[:5]
-
-
-def lemma_bound_scan(k_values: Sequence[int], n_theta: int) -> LemmaScanReport:
-    """Scan theta in [0, pi] and every index j, checking the magnitude floor
-    2/pi for close frequencies and the caps 10/(9 pi) and 1/(2 sqrt 2) for
-    non-adjacent ones (the caps need K >= 4), each up to SCAN_TOLERANCE, at
-    all sum(k_values) * n_theta points.  Each K scans its tones K theta /
-    (2 pi) with :func:`_scan_tones`, and the extremes are kept across K with
-    NaN-propagating minimum and maximum.  K's violations are its first five
-    offenders in (j, theta) order, and the report keeps the first 20."""
-    k_values = tuple(int(k) for k in k_values)
-    if not k_values or min(k_values) < 4 or max(k_values) > 1024:
-        raise ValueError("k_values must be a non-empty subset of [4, 1024]")
-    n_theta = int(n_theta)
-    if n_theta < 2:
-        raise ValueError("need at least 2 theta grid points")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    violations: list[dict] = []
-    violation_count = 0
-    min_close, max_nonadj = math.inf, 0.0
-    for K in k_values:
-        k_close, k_nonadj, count, offenders = _scan_tones(K * thetas / TWO_PI, K)
-        violation_count += count
-        violations += [{"K": K, "j": j, "theta": float(thetas[t]), "magnitude": mag,
-                        "distance": dist} for j, t, mag, dist in offenders]
-        min_close, max_nonadj = np.minimum(min_close, k_close), np.maximum(max_nonadj, k_nonadj)
-    min_close, max_nonadj = float(min_close), float(max_nonadj)
-    return LemmaScanReport(
-        k_values=k_values, n_theta=n_theta, tolerance=SCAN_TOLERANCE,
-        points_checked=sum(k_values) * n_theta, violation_count=violation_count,
-        violations=tuple(violations[:20]),
+    A violation is a value read that breaks its part of the argument: a
+    close value below 2/pi or not below the one at the previous K, or a grid
+    value that passes 1/(2 sqrt 2) once the slope term is added.  A NaN is
+    one.
+    """
+    close = np.abs([dirichlet_kernel(0.5, K) for K in LEMMA_GRID_SIZES])
+    distances = np.linspace(1.0, 2.0, LEMMA_STEPS + 1)
+    grid = np.abs(dirichlet_kernel(distances, 4))
+    slack = LEMMA_SLOPE_MAX * 0.5 / LEMMA_STEPS
+    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX)
+    # negated, so that a NaN counts
+    violation_count = int(np.count_nonzero(~(close >= CLOSE_MAGNITUDE_MIN))
+                          + np.count_nonzero(~(np.diff(close) < 0.0))
+                          + np.count_nonzero(~(grid + slack <= cap)))
+    peak = int(np.argmax(grid))
+    min_close, max_nonadj = float(np.min(close)), float(grid[peak])
+    bound = max_nonadj + slack
+    return LemmaCertificate(
+        k_range=(4, MAX_GRID_SIZE), points_evaluated=close.size + grid.size,
+        violation_count=violation_count,
         min_close_magnitude=min_close,
         max_non_adjacent_magnitude=max_nonadj,
+        max_non_adjacent_distance=float(distances[peak]),
+        non_adjacent_bound=bound,
         close_margin=min_close - CLOSE_MAGNITUDE_MIN,
-        non_adjacent_margin=NON_ADJACENT_MAGNITUDE_MAX - max_nonadj,
-        envelope_margin=NON_ADJACENT_ENVELOPE_MAX - max_nonadj,
+        non_adjacent_margin=NON_ADJACENT_MAGNITUDE_MAX - bound,
+        envelope_margin=NON_ADJACENT_ENVELOPE_MAX - bound,
         passed=violation_count == 0,
     )
 

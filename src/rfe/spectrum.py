@@ -37,9 +37,9 @@ NON_ADJACENT_ENVELOPE_MAX = 1.0 / (2.0 * math.sqrt(2.0))
 # block raises that threshold to the block's size; from then on blocks that
 # size stay in the heap, where each thread's arena may keep up to twice as much
 # freed memory, so peak RSS creeps up call after call.  The per-call arrays of
-# the oracle, the lemma scan and rfe.verify's coefficient law, and the
-# per-block float arrays of expected_coefficients, therefore stay below this
-# many bytes (a margin under 128 KiB for malloc's chunk header).
+# the oracle and rfe.verify's coefficient law, and the per-block float arrays
+# of expected_coefficients, therefore stay below this many bytes (a margin
+# under 128 KiB for malloc's chunk header).
 SMALL_ARRAY_BYTES = 120 * 1024
 
 

@@ -3,8 +3,8 @@
 Each suite runs a self-contained, seeded check and returns a
 :class:`SuiteResult` with a pass flag, a one-line summary, and the measured
 numbers.  ``run_suites`` runs them from one ordered table, side by side on
-worker threads, with the aliases ``quick`` (the exact/scan suites) and
-``all`` (everything, including the Monte Carlo campaigns), so one call
+worker threads, with the aliases ``quick`` (the suites without Monte Carlo
+campaigns) and ``all`` (everything, including the campaigns), so one call
 reproduces the whole acceptance battery.
 
 Seeds, draw counts and tolerances are module constants: a suite takes only
@@ -28,8 +28,8 @@ from .harness import (
     FixedTheta,
     UniformTheta,
     block_rng,
+    certify_kernel_lemma,
     exact_estimator_expectation,
-    lemma_bound_scan,
     monte_carlo_success,
     pool_size,
     thread_map,
@@ -49,11 +49,12 @@ from .spectrum import SMALL_ARRAY_BYTES, expected_coefficients, expected_spectru
 # Pinned tolerances for the acceptance battery.
 ORACLE_TOL = 1e-12
 ORACLE_PAIRS = 100
+# The first this many pairs also check expected_coefficients, which rfe
+# spectrum prints.
+ORACLE_EXPECTATION_PAIRS = 20
 ORACLE_MAX_GRID = 256
 ORACLE_TIME_LIMIT_S = 10.0
-SCAN_GRID_SIZES = range(4, 129)
-SCAN_N_THETA = 1000
-SCAN_TIME_LIMIT_S = 30.0
+LEMMA_TIME_LIMIT_S = 30.0
 RATE_MIN = 0.90
 NOISELESS_TIME_LIMIT_S = 120.0
 BAN_ETA = 0.05
@@ -111,41 +112,50 @@ class SuiteResult:
 
 
 def suite_oracle() -> SuiteResult:
-    """Enumeration oracle agrees with the closed-form spectrum."""
+    """Enumeration oracle agrees with the closed-form spectrum, and on its
+    first ORACLE_EXPECTATION_PAIRS pairs with the noise-free expectation."""
     start = time.perf_counter()
     rng = np.random.default_rng(_SEED_ORACLE)
-    worst = 0.0
-    for _ in range(ORACLE_PAIRS):
+    worst = worst_expectation = 0.0
+    for pair in range(ORACLE_PAIRS):
         K = int(rng.integers(1, ORACLE_MAX_GRID + 1))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         oracle = exact_estimator_expectation(theta, K)
         closed = expected_spectrum(theta, K)
         worst = max(worst, float(np.max(np.abs(oracle - closed))))
+        if pair < ORACLE_EXPECTATION_PAIRS:
+            expectation = expected_coefficients(Ideal(), theta, K)[0]
+            worst_expectation = max(worst_expectation,
+                                    float(np.max(np.abs(oracle - expectation))))
     elapsed = time.perf_counter() - start
-    passed = worst <= ORACLE_TOL and elapsed < ORACLE_TIME_LIMIT_S
+    passed = max(worst, worst_expectation) <= ORACLE_TOL and elapsed < ORACLE_TIME_LIMIT_S
     return SuiteResult(
         name="oracle", passed=passed,
         summary=(f"max |enumeration - closed form| = {worst:.3e} over {ORACLE_PAIRS} "
                  f"random (theta, K <= {ORACLE_MAX_GRID}) pairs"),
         details={"pairs": ORACLE_PAIRS, "max_grid": ORACLE_MAX_GRID, "max_abs_error": worst,
+                 "expectation_pairs": ORACLE_EXPECTATION_PAIRS,
+                 "expectation_max_abs_error": worst_expectation,
                  "tolerance": ORACLE_TOL, "elapsed_s": elapsed},
     )
 
 
 def suite_lemmas() -> SuiteResult:
-    """Kernel magnitude floor/caps hold over the full scan grid."""
+    """Kernel magnitude floor and caps, certified for every grid size."""
     start = time.perf_counter()
-    report = lemma_bound_scan(SCAN_GRID_SIZES, SCAN_N_THETA)
+    report = certify_kernel_lemma()
     elapsed = time.perf_counter() - start
-    passed = report.passed and elapsed < SCAN_TIME_LIMIT_S
+    passed = report.passed and elapsed < LEMMA_TIME_LIMIT_S
     details = report.to_dict()
     details["elapsed_s"] = elapsed
+    low, high = report.k_range
     return SuiteResult(
         name="lemmas", passed=passed,
-        summary=(f"{report.violation_count} violations over {report.points_checked} points; "
-                 f"min close |f| = {report.min_close_magnitude:.6f} (floor 2/pi = "
-                 f"{2/math.pi:.6f}), max non-adjacent |f| = "
-                 f"{report.max_non_adjacent_magnitude:.6f}"),
+        summary=(f"{report.violation_count} violations over {report.points_evaluated} "
+                 f"kernel values, for every K in [{low}, {high}]: min close |f| = "
+                 f"{report.min_close_magnitude:.6f} (2/pi + {report.close_margin:.1e}), "
+                 f"max non-adjacent |f| <= {report.non_adjacent_bound:.6f} "
+                 f"(10/(9 pi) - {report.non_adjacent_margin:.1e})"),
         details=details,
     )
 
@@ -436,8 +446,8 @@ _SUITES = {
 _QUICK = ("oracle", "lemmas", "thresholds", "reductions", "depth")
 _ALL = tuple(_SUITES)
 # The longest suites start first, so that none is left to run alone at the end.
-_START_ORDER = ("gaussian", "lemmas", "oracle", "noiseless", "adversarial",
-                "demo", "reductions", "depth", "thresholds")
+_START_ORDER = ("gaussian", "oracle", "noiseless", "adversarial", "demo",
+                "reductions", "lemmas", "depth", "thresholds")
 SUITE_NAMES = _ALL + ("quick", "all")
 
 

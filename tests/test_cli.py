@@ -587,11 +587,12 @@ class TestVerify:
         assert out.startswith("PASS lemmas:")
 
     def test_lemmas_line_is_pinned(self, capsys):
-        # the scan's point count and both extremes, to the printed digits
+        # the certificate's range, extremes and margins, to the printed digits
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas")
         assert code == 0
-        assert out == ("PASS lemmas: 0 violations over 8250000 points; min close |f| = "
-                       "0.636636 (floor 2/pi = 0.636620), max non-adjacent |f| = 0.272166\n")
+        assert out == ("PASS lemmas: 0 violations over 4105 kernel values, for every K in "
+                       "[4, 4194304]: min close |f| = 0.636620 (2/pi + 1.5e-14), max "
+                       "non-adjacent |f| <= 0.272349 (10/(9 pi) - 8.1e-02)\n")
 
     def test_report_written(self, capsys, tmp_path):
         report = tmp_path / "report.json"

@@ -1,4 +1,4 @@
-"""Oracle spectra, Wilson intervals, Monte Carlo campaigns, scans, sweeps."""
+"""Oracle spectra, Wilson intervals, campaigns, the lemma certificate, sweeps."""
 
 import itertools
 import json
@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from rfe import cli, harness
-from rfe.bounds import MAX_GRID_SIZE, BoundsQuery, bounds_report
+from rfe.bounds import MAX_GRID_SIZE, BoundsQuery, bounds_report, check_grid_size
 from rfe.estimator import run_rfe
 from rfe.harness import (
     FixedTheta,
     UniformTheta,
     block_rng,
+    certify_kernel_lemma,
     exact_estimator_expectation,
-    lemma_bound_scan,
     monte_carlo_success,
     noise_sweep,
     pool_size,
@@ -409,62 +409,32 @@ class TestMonteCarlo:
                 make()
 
 
-def _full_mask_scan(k_values, n_theta, magnitude):
-    """lemma_bound_scan's report as the scan first computed it: every
-    point's violation mask on every K, and the extremes by boolean
-    indexing, NaN-propagating across K."""
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    tol = harness.SCAN_TOLERANCE
-    violations, count, points = [], 0, 0
-    min_close, max_nonadj = math.inf, 0.0
+def _kernel_abs(x, K):
+    return np.abs(dirichlet_kernel(x, K))
+
+
+def _brute_force_scan(k_values, tones_of, magnitude=_kernel_abs):
+    """Brute force over every index j and every tone of ``tones_of(K)`` for
+    each K: the least magnitude at circular distance d <= 1/2, the largest
+    at d >= 1, and the count of points that break the floor 2/pi or either
+    cap with no tolerance (a NaN breaks both)."""
+    min_close, max_nonadj, violations = math.inf, 0.0, 0
+    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX)
     for K in k_values:
-        x = np.arange(K)[:, None] - (K * thetas / TWO_PI)[None, :]
+        x = np.arange(K)[:, None] - tones_of(K)
         mags = magnitude(x, K)
         d = np.minimum(np.abs(x), K - np.abs(x))
-        points += mags.size
         close, nonadj = d <= 0.5, d >= 1.0
-        if np.any(close):
-            min_close = float(np.minimum(min_close, mags[close].min()))
-        if np.any(nonadj):
-            max_nonadj = float(np.maximum(max_nonadj, mags[nonadj].max()))
-        # a NaN magnitude fails every comparison, so it is a violation
-        bad = ((close & ~(mags >= CLOSE_MAGNITUDE_MIN - tol))
-               | (nonadj & ~(mags <= NON_ADJACENT_MAGNITUDE_MAX + tol))
-               | (nonadj & ~(mags <= NON_ADJACENT_ENVELOPE_MAX + tol)))
-        j_bad, t_bad = np.nonzero(bad)
-        count += j_bad.size
-        for j, t in zip(j_bad[:5], t_bad[:5]):
-            if len(violations) < 20:
-                violations.append({"K": K, "j": int(j), "theta": float(thetas[t]),
-                                   "magnitude": float(mags[j, t]),
-                                   "distance": float(d[j, t])})
-    return {"k_values": list(k_values), "n_theta": n_theta, "tolerance": tol,
-            "points_checked": points, "violation_count": count,
-            "violations": violations, "min_close_magnitude": min_close,
-            "max_non_adjacent_magnitude": max_nonadj,
-            "close_margin": min_close - CLOSE_MAGNITUDE_MIN,
-            "non_adjacent_margin": NON_ADJACENT_MAGNITUDE_MAX - max_nonadj,
-            "envelope_margin": NON_ADJACENT_ENVELOPE_MAX - max_nonadj,
-            "passed": count == 0}
+        min_close = min(min_close, float(np.min(mags[close], initial=math.inf)))
+        max_nonadj = max(max_nonadj, float(np.max(mags[nonadj], initial=0.0)))
+        violations += int(np.count_nonzero((close & ~(mags >= CLOSE_MAGNITUDE_MIN))
+                                           | (nonadj & ~(mags <= cap))))
+    return min_close, max_nonadj, violations
 
 
-def _full_mask_tones(tone, K, magnitude):
-    """_scan_tones's result at the tones ``tone`` as the full-mask scan
-    computes it for one K: the close minimum, the non-adjacent maximum, the
-    violation count and the first five offenders (j, column, magnitude,
-    distance)."""
-    x = np.arange(K)[:, None] - tone
-    mags = magnitude(x, K)
-    d = np.minimum(np.abs(x), K - np.abs(x))
-    close, nonadj = d <= 0.5, d >= 1.0
-    tol = harness.SCAN_TOLERANCE
-    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX) + tol
-    j_bad, t_bad = np.nonzero((close & ~(mags >= CLOSE_MAGNITUDE_MIN - tol))
-                              | (nonadj & ~(mags <= cap)))
-    return (float(np.min(mags[close], initial=math.inf)),
-            float(np.max(mags[nonadj], initial=0.0)), j_bad.size,
-            [(int(j), int(t), float(mags[j, t]), float(d[j, t]))
-             for j, t in zip(j_bad[:5], t_bad[:5])])
+def _thetas(n_theta):
+    """The tones K theta / (2 pi) of n_theta phases spread over [0, pi]."""
+    return lambda K: K * np.linspace(0.0, math.pi, n_theta) / TWO_PI
 
 
 def _boundary_tones(K):
@@ -476,215 +446,193 @@ def _boundary_tones(K):
     return tones[tones <= K / 2]
 
 
-def _nan_equal(a, b):
-    """a == b over nested dicts and lists, with NaN equal to NaN."""
-    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
-        return math.isnan(b)
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_nan_equal(a[k], b[k]) for k in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_nan_equal, a, b))
-    return a == b
+def _violations_read(close, grid):
+    """The certificate's violation count recomputed from the values it
+    reads: close values below 2/pi or not below the previous K's, and grid
+    values whose slope term passes the smaller cap."""
+    slack = harness.LEMMA_SLOPE_MAX * 0.5 / harness.LEMMA_STEPS
+    cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX)
+    return (sum(not value >= CLOSE_MAGNITUDE_MIN for value in close)
+            + sum(not b < a for a, b in zip(close, close[1:]))
+            + sum(not value + slack <= cap for value in grid))
+
+
+def _certificate_reads(magnitude):
+    """The close values and the K = 4 grid values the certificate reads,
+    through ``magnitude``."""
+    close = [abs(magnitude(0.5, K)) for K in harness.LEMMA_GRID_SIZES]
+    grid = np.abs(magnitude(np.linspace(1.0, 2.0, harness.LEMMA_STEPS + 1), 4))
+    return close, grid
 
 
 class TestLemmaScan:
+    """certify_kernel_lemma against brute-force scans of the kernel over
+    (K, tone) grids, and under mutant kernels in place of
+    :func:`rfe.spectrum.dirichlet_kernel`."""
+
     def test_small_scan_passes(self):
-        report = lemma_bound_scan(range(4, 33), 300)
-        assert report.passed
-        assert report.violation_count == 0
-        assert report.min_close_magnitude >= 2 / math.pi - 1e-12
-        assert report.max_non_adjacent_magnitude <= 10 / (9 * math.pi) + 1e-12
-        assert report.close_margin >= -1e-12
-        assert report.envelope_margin >= -1e-12
+        # the lemma itself, point by point, with no tolerance
+        assert _brute_force_scan(range(4, 33), _thetas(300))[2] == 0
+        assert certify_kernel_lemma().passed
 
     def test_default_scan_is_pinned(self):
-        # the scan rfe verify runs; the extremes are the values the kernel
-        # gave when it still reduced with np.mod at every step
-        report = lemma_bound_scan(range(4, 129), 1000)
-        assert report.points_checked == 8_250_000
+        # the certificate rfe verify runs: g_K(1/2) at K = 2**22, and the
+        # peak of g_4 on its grid of [1, 2]
+        report = certify_kernel_lemma()
+        assert report.k_range == (4, MAX_GRID_SIZE)
+        assert report.points_evaluated == 8 + 4097
         assert report.violation_count == 0
-        assert report.min_close_magnitude == float.fromhex("0x1.45f527836f61ep-1")
-        assert report.max_non_adjacent_magnitude == float.fromhex("0x1.16b28e944a588p-2")
+        assert report.min_close_magnitude == float.fromhex("0x1.45f306dc9c909p-1")
+        assert report.min_close_magnitude == 1 / (MAX_GRID_SIZE * math.sin(math.pi / 2 ** 23))
+        assert report.max_non_adjacent_magnitude == float.fromhex("0x1.16b28f3243475p-2")
+        assert report.max_non_adjacent_distance == 1.464599609375
+        assert 0.0 < report.close_margin < 2e-14
+        assert report.non_adjacent_bound == report.max_non_adjacent_magnitude + \
+            harness.LEMMA_SLOPE_MAX / (2 * harness.LEMMA_STEPS)
+        assert 0.08 < report.envelope_margin < report.non_adjacent_margin
 
     def test_default_scan_matches_the_full_mask_scan(self):
-        def signed_kernel(x, K):
-            return np.abs(dirichlet_kernel(x, K))
-
-        assert lemma_bound_scan(range(4, 129), 1000).to_dict() == \
-            _full_mask_scan(range(4, 129), 1000, signed_kernel)
+        # every K from 4 to 128 at 200 phases: no close point falls below
+        # the certificate's minimum, no non-adjacent point rises above its
+        # bound, and its grid maximum is within the slope term of the scan's
+        report = certify_kernel_lemma()
+        min_close, max_nonadj, violations = _brute_force_scan(range(4, 129), _thetas(200))
+        assert violations == 0
+        assert min_close >= report.min_close_magnitude
+        assert max_nonadj <= report.non_adjacent_bound
+        assert report.max_non_adjacent_magnitude >= max_nonadj - \
+            harness.LEMMA_SLOPE_MAX / (2 * harness.LEMMA_STEPS)
 
     @pytest.mark.parametrize("scale", [0.9, 2.0])
     def test_a_scaled_kernel_reports_the_full_mask_violations(self, monkeypatch, scale):
-        # 0.9 breaks the close floor, 2.0 both non-adjacent caps.  At 200
-        # thetas every K is one block; at 1,000 each K from 96 to 104 takes
-        # seven, so one K's offenders come from several blocks.  At 10,000 the
-        # first block ends below tone 1, where 2.0's offenders are all at
-        # j = K - 1, so they sort after those at j = 0 from later blocks.
-        scan_block = harness._scan_block
+        # 0.9 breaks the close floor, 2.0 both non-adjacent caps; the count
+        # is that of the values read, and the brute-force scan fails too
+        def scaled(x, K):
+            return scale * dirichlet_kernel(x, K)
 
-        def scaled(tone, K):
-            mags, d = scan_block(tone, K)
-            return scale * mags, d
+        monkeypatch.setattr(harness, "dirichlet_kernel", scaled)
+        report = certify_kernel_lemma()
+        expected = _violations_read(*_certificate_reads(scaled))
+        assert report.violation_count == expected > 0
+        assert report.passed is False
+        scan = _brute_force_scan(range(4, 41), _thetas(200), lambda x, K: np.abs(scaled(x, K)))
+        assert scan[2] > 0
 
-        monkeypatch.setattr(harness, "_scan_block", scaled)
-        for k_values, n_theta in ((range(4, 41), 200), (range(96, 105), 1000),
-                                  (range(100, 102), 10_000)):
-            report = lemma_bound_scan(k_values, n_theta).to_dict()
-            # x[0] = 0 - tone is -tone exactly
-            reference = _full_mask_scan(k_values, n_theta,
-                                        lambda x, K: scaled(-x[0], K)[0])
-            assert reference["violation_count"] > len(reference["violations"]) > 5
-            assert report["violation_count"] == reference["violation_count"]
-            assert report["violations"] == reference["violations"]
-            assert report == reference
+    def test_a_nan_at_a_far_point_fails_the_scan(self, monkeypatch):
+        # one NaN on the K = 4 grid counts as one violation and reaches the
+        # reported maximum
+        def one_nan(x, K):
+            values = dirichlet_kernel(x, K)
+            if np.ndim(x) == 1:
+                values[x == 1.5] = np.nan
+            return values
 
-    def test_a_nan_in_the_last_block_stays_within_the_column_budget(self, monkeypatch):
-        # K = 100 walks its 1,000 thetas in blocks of 153 columns; theta = pi
-        # is in the last one, and j = 50 is its close index.  A NaN there must
-        # build that block's violation mask without a wider array, count as
-        # one violation and reach the report's close extreme, and the report
-        # must equal the full-mask scan's.
-        scan_block = harness._scan_block
-        shapes = []
+        monkeypatch.setattr(harness, "dirichlet_kernel", one_nan)
+        report = certify_kernel_lemma()
+        assert report.passed is False and report.violation_count == 1
+        assert math.isnan(report.max_non_adjacent_magnitude)
+        assert report.max_non_adjacent_distance == 1.5
+        assert math.isnan(report.non_adjacent_margin)
 
-        def one_nan(tone, K):
-            mags, d = scan_block(tone, K)
-            shapes.append(mags.shape)
-            if K == 100:
-                mags[50, tone == K * math.pi / TWO_PI] = np.nan
-            return mags, d
+    def test_a_nan_in_the_close_values_fails_the_scan(self, monkeypatch):
+        # NaN at the largest K is no close value below the floor, and no
+        # value below the previous K's: two violations, and the minimum
+        def nan_at_the_largest(x, K):
+            return math.nan if K == MAX_GRID_SIZE else dirichlet_kernel(x, K)
 
-        monkeypatch.setattr(harness, "_scan_block", one_nan)
-        report = lemma_bound_scan(range(96, 105), 1000).to_dict()
-        widths = [columns for K, columns in shapes if K == 100]
-        assert len(widths) == 7 and max(widths) == 153
-        assert report["passed"] is False and report["violation_count"] == 1
-        assert math.isnan(report["min_close_magnitude"])
-        assert _nan_equal(report, _full_mask_scan(range(96, 105), 1000,
-                                                  lambda x, K: one_nan(-x[0], K)[0]))
+        monkeypatch.setattr(harness, "dirichlet_kernel", nan_at_the_largest)
+        report = certify_kernel_lemma()
+        assert report.passed is False and report.violation_count == 2
+        assert math.isnan(report.min_close_magnitude)
 
     @pytest.mark.parametrize("magnitude", ["kernel", "kernel x 0.9", "kernel x 2",
                                            "kernel, 0.5 at j = t + 1", "scattered"])
     def test_boundary_tones_match_the_full_mask(self, monkeypatch, magnitude):
-        # An integer tone puts row F at d = 0 and row F + 1 at d = 1, so that
-        # row is non-adjacent; a half-integer puts both near rows at d = 1/2,
-        # both close; a tone 1e-13 from an integer puts a near row just past
-        # each boundary.  The magnitudes replace the scan's with the kernel's:
-        # scaled to break the floor (0.9) or the caps (2); or breaking a cap
-        # only at row F + 1 of an integer tone, which no far row sees; or with
-        # values scattered over [0, 1) by each point's j - t, which break a
-        # bound at about half of all points.  Either way the near rows must
-        # classify as the full masks do, to the last offender.
-        scan_block = harness._scan_block
-
-        def replaced(tone, K):
-            x = np.arange(K)[:, None] - tone
+        # An integer tone puts index t at d = 0 and t + 1 at d = 1, exactly
+        # the lower end of the certificate's grid; a half-integer tone puts
+        # two indices at d = 1/2, where it reads the floor; a tone 1e-13 from
+        # an integer puts an index just past each boundary.  The kernel is
+        # scaled to break the floor (0.9) or the caps (2), or breaks a cap
+        # only at d = 1, or is replaced by values scattered over [0, 1) by
+        # each point's x.  The certificate passes exactly when the brute
+        # force at these tones finds no violation.
+        def replaced(x, K):
+            x = np.asarray(x, dtype=float)
             if magnitude == "scattered":
-                mags = np.abs(x) * 1414.2135623730951 % 1.0
-            else:
-                scale = {"kernel x 0.9": 0.9, "kernel x 2": 2.0}.get(magnitude, 1.0)
-                mags = scale * np.abs(dirichlet_kernel(x, K))
-                if magnitude == "kernel, 0.5 at j = t + 1":
-                    mags[x == 1.0] = 0.5
-            return mags, scan_block(tone, K)[1]
+                return np.abs(x) * 1414.2135623730951 % 1.0
+            scale = {"kernel x 0.9": 0.9, "kernel x 2": 2.0}.get(magnitude, 1.0)
+            values = scale * np.abs(dirichlet_kernel(x, K))
+            if magnitude == "kernel, 0.5 at j = t + 1":
+                values = np.where(x == 1.0, 0.5, values)
+            return values
 
-        monkeypatch.setattr(harness, "_scan_block", replaced)
-        for K in range(4, 129):
-            tones = _boundary_tones(K)
-            low, high, count, offenders = harness._scan_tones(tones, K)
-            reference = _full_mask_tones(tones, K, lambda x, K: replaced(-x[0], K)[0])
-            assert (float(low), float(high), count, offenders) == reference, K
-            assert (count == 0) == (magnitude == "kernel"), K
+        monkeypatch.setattr(harness, "dirichlet_kernel", replaced)
+        passed = certify_kernel_lemma().passed
+        violations = _brute_force_scan(range(4, 129), _boundary_tones, replaced)[2]
+        assert passed == (violations == 0) == (magnitude == "kernel")
 
     def test_boundary_tones_pass_with_the_scan_magnitudes(self):
-        for K in range(4, 129):
-            tones = _boundary_tones(K)
-            low, high, count, offenders = harness._scan_tones(tones, K)
-            reference = _full_mask_tones(tones, K,
-                                         lambda x, K: np.abs(dirichlet_kernel(x, K)))
-            assert count == reference[2] == 0 and offenders == []
-            assert abs(low - reference[0]) < 1e-13 and abs(high - reference[1]) < 1e-13
+        # the brute force at every boundary tone stays within the
+        # certificate's extremes; a half-integer tone reaches g_K(1/2)
+        report = certify_kernel_lemma()
+        min_close, max_nonadj, violations = _brute_force_scan(range(4, 129), _boundary_tones)
+        assert violations == 0
+        assert min_close == pytest.approx(dirichlet_kernel(0.5, 128), abs=1e-15)
+        assert report.min_close_magnitude < min_close
+        assert max_nonadj <= report.non_adjacent_bound
 
     def test_doubled_far_rows_fail_the_scan(self, monkeypatch):
-        # entries at d >= 2 lie outside both near rows, so only the far rows'
-        # maximum sees them; doubled, they pass the caps at K = 5
-        scan_block = harness._scan_block
+        # doubled at d >= 1 only, the kernel keeps every close value and
+        # breaks the caps on the K = 4 grid alone
+        def doubled_far(x, K):
+            values = dirichlet_kernel(x, K)
+            d = np.abs(np.asarray(x))
+            return np.where(np.minimum(d, K - d) >= 1.0, 2.0 * values, values)
 
-        def doubled_far(tone, K):
-            mags, near = scan_block(tone, K)
-            x = np.abs(np.arange(K)[:, None] - tone)
-            mags[np.minimum(x, K - x) >= 2.0] *= 2.0
-            return mags, near
-
-        monkeypatch.setattr(harness, "_scan_block", doubled_far)
-        report = lemma_bound_scan(range(4, 129), 1000).to_dict()
-        reference = _full_mask_scan(range(4, 129), 1000, lambda x, K: doubled_far(-x[0], K)[0])
-        assert reference["violation_count"] > 5
-        assert report["passed"] is False
-        assert report == reference
-
-    def test_a_nan_at_a_far_point_fails_the_scan(self, monkeypatch):
-        # K = 101's first block starts at theta = 0, where j = 50 is the
-        # farthest index: a NaN there reaches only the far rows' maximum
-        scan_block = harness._scan_block
-
-        def one_nan(tone, K):
-            mags, near = scan_block(tone, K)
-            if K == 101:
-                mags[50, tone == 0.0] = np.nan
-            return mags, near
-
-        monkeypatch.setattr(harness, "_scan_block", one_nan)
-        report = lemma_bound_scan(range(96, 105), 1000).to_dict()
-        assert report["passed"] is False and report["violation_count"] == 1
-        assert math.isnan(report["max_non_adjacent_magnitude"])
-        assert report["violations"][0]["distance"] == 50.0
-        assert _nan_equal(report, _full_mask_scan(range(96, 105), 1000,
-                                                  lambda x, K: one_nan(-x[0], K)[0]))
+        monkeypatch.setattr(harness, "dirichlet_kernel", doubled_far)
+        report = certify_kernel_lemma()
+        close, grid = _certificate_reads(doubled_far)
+        assert report.min_close_magnitude == dirichlet_kernel(0.5, MAX_GRID_SIZE)
+        assert report.violation_count == _violations_read(close, grid) == \
+            _violations_read([], grid) > 0
 
     def test_memory_stays_under_one_mib(self):
-        # the scan rfe verify runs; one (128, 1000) float array is 1 MB
-        lemma_bound_scan(range(4, 129), 1000)
+        certify_kernel_lemma()
         tracemalloc.start()
         try:
-            lemma_bound_scan(range(4, 129), 1000)
+            certify_kernel_lemma()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
     def test_memory_stays_under_one_mib_when_every_k_fails(self, monkeypatch):
-        # a kernel scaled by 2.0 breaks the caps at every K, and each failing
-        # block builds its violation mask
-        scan_block = harness._scan_block
-
-        def doubled(tone, K):
-            mags, d = scan_block(tone, K)
-            return 2.0 * mags, d
-
-        monkeypatch.setattr(harness, "_scan_block", doubled)
-        assert lemma_bound_scan(range(4, 129), 1000).violation_count > 0
+        # a kernel scaled by 2.0 breaks the caps at most grid points
+        monkeypatch.setattr(harness, "dirichlet_kernel",
+                            lambda x, K: 2.0 * dirichlet_kernel(x, K))
+        assert certify_kernel_lemma().violation_count > 0
         tracemalloc.start()
         try:
-            lemma_bound_scan(range(4, 129), 1000)
+            certify_kernel_lemma()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
     def test_report_serializes(self):
-        report = lemma_bound_scan((4, 8, 16), 50)
-        data = report.to_dict()
-        assert data["passed"] is True
-        assert data["points_checked"] == (4 + 8 + 16) * 50
+        data = certify_kernel_lemma().to_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert data["passed"] is True and data["k_range"] == [4, MAX_GRID_SIZE]
 
     def test_range_validation(self):
+        # the range certified is every grid size a run accepts from 4 up;
+        # the close values run over it, and the caps' grid is at its lower end
+        assert certify_kernel_lemma().k_range == (4, MAX_GRID_SIZE)
+        assert harness.LEMMA_GRID_SIZES[0] == 4
+        assert harness.LEMMA_GRID_SIZES[-1] == MAX_GRID_SIZE
+        assert list(harness.LEMMA_GRID_SIZES) == sorted(set(harness.LEMMA_GRID_SIZES))
         with pytest.raises(ValueError):
-            lemma_bound_scan((2, 8), 100)  # K < 4 not covered by the caps
-        with pytest.raises(ValueError):
-            lemma_bound_scan((4, 2048), 100)
-        with pytest.raises(ValueError):
-            lemma_bound_scan((4, 8), 1)
+            check_grid_size(MAX_GRID_SIZE + 1)
 
 
 def sweep_points(capsys, *argv):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rfe.bounds import BAN_THRESHOLD, MAX_GRID_SIZE
-from rfe.harness import _scan_block, exact_estimator_expectation
+from rfe.harness import exact_estimator_expectation
 from rfe.noise import (
     Ban,
     DeviationTable,
@@ -140,31 +140,22 @@ def _kernel_inputs(K, rng):
 BIT_IDENTITY_GRID_SIZES = list(range(1, 140)) + [1000, 62832, 62833]
 
 
-def _assert_near_rows(tones, K, near):
-    """``_scan_block``'s near rows are floor(t) and floor(t) + 1 mod K, at
-    the circular distances the full (K, tones) array holds, and classify
-    every point as that array does: close where d <= 1/2 and non-adjacent
-    where d >= 1.  At K = 1 both are row 0, and only the rows are checked."""
-    rows, dist = near
-    low = np.floor(tones).astype(int)
-    assert np.array_equal(rows, [low % K, (low + 1) % K]), K
-    if K == 1:
-        return
+def _assert_magnitude_is_the_distance_kernel(tones, K, tol):
+    """|S_K(j - t)| is the kernel's abs at the circular distance
+    d = min(|j - t|, K - |j - t|) <= K/2, at every index j and tone t, to
+    ``tol``: the magnitude depends on K and d alone, which the lemma
+    certificate relies on."""
     x = np.arange(K)[:, None] - tones
     d = np.minimum(np.abs(x), K - np.abs(x))
-    points = np.arange(tones.size)
-    assert np.array_equal(dist, d[rows, points]), K
-    close, nonadj = np.zeros(d.shape, bool), np.ones(d.shape, bool)
-    close[rows, points] = dist <= 0.5
-    nonadj[rows, points] = dist >= 1.0
-    assert np.array_equal(close, d <= 0.5), K
-    assert np.array_equal(nonadj, d >= 1.0), K
+    assert np.all(d <= K / 2.0), K
+    gap = np.abs(np.abs(dirichlet_kernel(x, K)) - np.abs(dirichlet_kernel(d, K)))
+    assert np.max(gap) < tol, K
 
 
 class TestKernelBitIdentity:
     """The kernel must keep the reference's bits; it has no shortcuts, so a
-    change that moves one is a change of behaviour.  The lemma scan's
-    magnitudes skip the kernel and must stay within rounding of its abs."""
+    change that moves one is a change of behaviour.  Its magnitude at index j
+    must depend on the circular distance from j to the tone alone."""
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_matches_reference_kernel(self, K):
@@ -182,28 +173,22 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_magnitude_is_the_kernel_abs(self, K):
-        # the lemma scan's magnitudes take one reduced sine per tone and an
-        # angle difference per point, not the kernel's sines; j - t rounds at
-        # ulp(K), so they agree to about K eps
+        # j - t and K - |j - t| round at ulp(K), so the two agree to about
+        # K eps
         rng = np.random.default_rng(K)
         half = K / 2.0
         ints = np.arange(0.0, math.floor(half) + 1.0, max(1, K // 8))
         tones = np.concatenate([rng.uniform(0.0, half, 8), [0.0, half], ints + 1e-13,
-                                np.maximum(ints - 1e-13, 0.0), np.minimum(ints + 0.5, half)])
-        mags, near = _scan_block(tones, K)
-        x = np.arange(K)[:, None] - tones
-        _assert_near_rows(tones, K, near)
-        assert np.max(np.abs(mags - np.abs(dirichlet_kernel(x, K)))) < 1e-15 * max(K, 100)
+                                np.maximum(ints - 1e-13, 0.0), np.minimum(ints + 0.5, half),
+                                rng.uniform(half, K, 4)])
+        _assert_magnitude_is_the_distance_kernel(tones, K, 1e-15 * max(K, 100))
 
     def test_magnitude_is_the_kernel_abs_on_the_scan_grid(self):
-        # the (K, theta) points of rfe verify's lemma scan
-        thetas = np.linspace(0.0, math.pi, 1000)
+        # the grid of the lemma certificate's brute-force reference: every K
+        # from 4 to 128 at 200 phases in [0, pi]
+        thetas = np.linspace(0.0, math.pi, 200)
         for K in range(4, 129):
-            tone = K * thetas / TWO_PI
-            mags, near = _scan_block(tone, K)
-            x = np.arange(K)[:, None] - tone[None, :]
-            _assert_near_rows(tone, K, near)
-            assert np.max(np.abs(mags - np.abs(dirichlet_kernel(x, K)))) < 1e-13, K
+            _assert_magnitude_is_the_distance_kernel(K * thetas / TWO_PI, K, 1e-13)
 
     @pytest.mark.parametrize("K", BIT_IDENTITY_GRID_SIZES)
     def test_mod_period_matches_floor_mod(self, K):

@@ -1,7 +1,8 @@
 """The suite table of rfe.verify: order, aliases, options, threads, planning,
-the oracle suite's pinned result and memory, the gaussian suite's failure on
-a broken noise path or an off-pin plan, the reductions suite's failure on
-a wrong count, and the checks that rfebench's tracer wraps by name."""
+the oracle suite's pinned result, expectation check and memory, the lemma
+suite's failure on a mutant kernel, the gaussian suite's failure on a broken
+noise path or an off-pin plan, the reductions suite's failure on a wrong
+count, and the checks that rfebench's tracer wraps by name."""
 
 import os
 import threading
@@ -11,15 +12,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfe import bounds, estimator, harness, verify
+from rfe import bounds, estimator, harness, spectrum, verify
 from rfe.noise import Gaussian, Ideal
 
 CANONICAL = ["oracle", "lemmas", "thresholds", "reductions", "depth",
              "noiseless", "adversarial", "gaussian", "demo"]
 QUICK = CANONICAL[:5]
 # the longest suites start first; results still come in canonical order
-START = ["gaussian", "lemmas", "oracle", "noiseless", "adversarial", "demo",
-         "reductions", "depth", "thresholds"]
+START = ["gaussian", "oracle", "noiseless", "adversarial", "demo", "reductions",
+         "lemmas", "depth", "thresholds"]
 
 
 @pytest.fixture
@@ -153,9 +154,9 @@ class TestThreads:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_first_error_starts_no_further_suite(self, stub_suites, monkeypatch,
                                                      workers):
-        # gaussian starts first and raises.  On two threads lemmas runs next
+        # gaussian starts first and raises.  On two threads oracle runs next
         # to it, held until run_suites has seen the error, so no thread
-        # comes free for oracle before then.
+        # comes free for noiseless before then.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seen_error = threading.Event()
         real_wait = harness.wait
@@ -169,23 +170,22 @@ class TestThreads:
         def gaussian(**options):
             raise RuntimeError("gaussian broke")
 
-        def lemmas():
-            stub_suites.append(("lemmas", {}))
+        def oracle():
+            stub_suites.append(("oracle", {}))
             assert seen_error.wait(5)
-            return verify.SuiteResult(name="lemmas", passed=True, summary="", details={})
+            return verify.SuiteResult(name="oracle", passed=True, summary="", details={})
 
         monkeypatch.setattr(harness, "wait", watching)
         monkeypatch.setattr(verify, "suite_gaussian", gaussian)
-        monkeypatch.setattr(verify, "suite_lemmas", lemmas)
+        monkeypatch.setattr(verify, "suite_oracle", oracle)
         with pytest.raises(RuntimeError, match="gaussian broke"):
             verify.run_suites(["all"], workers=workers)
         assert [name for name, _ in stub_suites] == START[1:workers]
 
 
 def test_the_traced_checks_are_the_harness_functions():
-    # rfebench/tracing.py wraps both by name in rfe.verify for
-    # harness.lemma_scan_ms and harness.oracle_ms; after a rename they read 0
-    assert verify.lemma_bound_scan is harness.lemma_bound_scan
+    # rfebench/tracing.py wraps it by name in rfe.verify for harness.oracle_ms;
+    # after a rename that reads 0
     assert verify.exact_estimator_expectation is harness.exact_estimator_expectation
 
 
@@ -205,6 +205,64 @@ class TestOracleSuite:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 2 ** 10
+
+
+    def test_the_noise_free_expectation_is_checked(self):
+        # the path rfe spectrum prints, on the first 20 pairs
+        details = verify.suite_oracle().details
+        assert details["expectation_pairs"] == 20
+        assert details["expectation_max_abs_error"] < 1e-15
+
+    def test_a_conjugated_expectation_fails(self, monkeypatch):
+        def conjugated(model, theta, K):
+            mean, variance = spectrum.expected_coefficients(model, theta, K)
+            return np.conj(mean), variance
+
+        monkeypatch.setattr(verify, "expected_coefficients", conjugated)
+        result = verify.suite_oracle()
+        assert result.details["expectation_max_abs_error"] > 0.1
+        assert result.passed is False
+
+
+def _kernel_over_sin(x, grid_size):
+    """rfe.spectrum.dirichlet_kernel with sin(pi r / K) in place of
+    K sin(pi r / K) in its denominator."""
+    K = grid_size
+    xs = np.asarray(x, dtype=float)
+    r = np.mod(xs, K)
+    folded = r > K / 2.0
+    m = np.rint((xs - r) / K) + folded
+    r = np.where(folded, r - K, r)
+    sign = np.where(np.mod(m * (K - 1), 2.0) == 0.0, 1.0, -1.0)
+    n = np.rint(r)
+    numerator = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0) * np.sin(np.pi * (r - n))
+    zero = r == 0.0
+    den = np.where(zero, 1.0, np.sin(np.pi * r / K))
+    out = sign * np.where(zero, 1.0, numerator / den)
+    return float(out) if out.ndim == 0 else out
+
+
+def _off_peak_scaled(x, grid_size):
+    """The kernel with its values at circular distance >= 1 scaled by 1.4."""
+    values = spectrum.dirichlet_kernel(x, grid_size)
+    d = np.abs(np.asarray(x))
+    return np.where(np.minimum(d, grid_size - d) >= 1.0, 1.4 * values, values)
+
+
+class TestLemmaSuite:
+    def test_the_suite_covers_every_grid_size(self):
+        result = verify.suite_lemmas()
+        assert result.passed
+        assert result.details["k_range"] == [4, bounds.MAX_GRID_SIZE]
+
+    @pytest.mark.parametrize("kernel", [_kernel_over_sin, _off_peak_scaled],
+                             ids=["denominator_without_K", "off_peak_x_1.4"])
+    def test_a_mutant_kernel_fails_the_suite(self, monkeypatch, kernel):
+        monkeypatch.setattr(harness, "dirichlet_kernel", kernel)
+        result = verify.suite_lemmas()
+        assert result.passed is False
+        assert result.details["violation_count"] > 0
+        assert result.summary.startswith(f"{result.details['violation_count']} violations")
 
 
 class TestGaussianSuite:
