@@ -10,21 +10,35 @@ k_i.  It forms the K coefficient estimates
 where C_k and S_k sum the outcomes drawn at time k, and returns
 theta_hat = (2 pi / K) * argmax_j |f_j| (ties to the smallest j).  The
 per-time sums are sufficient, so the sampler returns only them, and one
-length-K FFT, written over the sums themselves, finishes the run: one
-K-long complex array per run whatever M is.
+length-K discrete Fourier transform, written over the sums themselves,
+finishes the run: one K-long complex array per run whatever M is.
 
 :func:`run_block` is the one engine: it runs B estimations at once, with one
-FFT along the time axis of the (B, K) sums.  Both regimes build the outcome
-biases by one rule, the ideal cos/sin plus the noise model's deviation, at
-a set of times: the whole grid when M > K, and only the distinct (run,
-time) cells of the drawn time indices when M <= K, where most times get no
-sample.  Only the outcome draw then differs: per-time counts and sums
-straight from the (B, K) biases (:func:`rfe.sampler.sample_outcome_sums`),
-or one c and s uniform per sample (:func:`rfe.sampler.sums_at_times`), so a
-sparse run costs O(M) work plus the sum buffer, the FFT and the peak pick.
-:func:`run_rfe` is a block of one: it checks its arguments, seeds its own
-generator and returns one flat :class:`TrialResult`, the estimate with its
-coefficients and provenance.
+transform along the time axis of the (B, K) sums.  Both regimes build the
+outcome biases by one rule, the ideal cos/sin plus the noise model's
+deviation, at a set of times: the whole grid when M > K, and only the
+distinct (run, time) cells of the drawn time indices when M <= K, where most
+times get no sample.  Only the outcome draw then differs: per-time counts
+and sums straight from the (B, K) biases
+(:func:`rfe.sampler.sample_outcome_sums`), or one c and s uniform per sample
+(:func:`rfe.sampler.sums_at_times`), so a sparse run costs O(M) work plus
+the sum buffer, the transform and the peak pick.  :func:`run_rfe` is a block
+of one: it checks its arguments, seeds its own generator and returns one
+flat :class:`TrialResult`, the estimate with its coefficients and
+provenance.
+
+The transform.  Below :data:`SPLIT_MIN_GRID`, and for a K with no divisor in
+(1, sqrt K], it is one ``np.fft.fft`` per row.  From there up it takes two
+passes over K = n1 n2, n1 the largest divisor of K not above sqrt K, with
+the sums of time k = k1 + n1 k2 at slot k1 n2 + k2 of the row
+(:func:`sum_slots`): length-n2 FFTs along the rows of the (B, n1, n2) view,
+one product with the twiddle table W_K^(k1 j2), then length-n1 FFTs down its
+columns, all in place, which leaves f_j at slot j, in natural order.
+numpy's FFT keeps no plan cache, so one long transform builds its plan and
+scratch, about 1.8 MB at K = 62,832, afresh on every call; the short ones
+need little of either.  The twiddle tables are cached for the last
+:data:`TWIDDLE_CACHE_GRIDS` grid sizes, read-only, 16 bytes per grid index
+each (64 MiB at K = 2**22), and built at a grid's first run.
 
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
@@ -34,6 +48,7 @@ one-test-per-draw convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -65,21 +80,87 @@ def winning_frequency(coefficients: np.ndarray):
     return np.argmax(np.abs(np.asarray(coefficients)), axis=-1)
 
 
+# Grid sizes from this one up take the two-pass transform when they split:
+# below it one np.fft.fft is as fast or faster (the crossover table in CHANGES.md).
+SPLIT_MIN_GRID = 2 ** 13
+# Twiddle tables kept at once, one per grid size, 16 bytes per grid index each.
+TWIDDLE_CACHE_GRIDS = 4
+
+
+@functools.lru_cache(maxsize=TWIDDLE_CACHE_GRIDS)
+def _cached_split(K: int):
+    """(n1, twiddles) for K = n1 n2 with n1 the largest divisor of K not
+    above sqrt K, twiddles[k1, j2] = exp(-2 pi i ((k1 j2) mod K) / K) as a
+    read-only (n1, n2) array; None when n1 is 1.  The phases are reduced
+    mod K exactly, in integers, before one rounding to an angle."""
+    n1 = math.isqrt(K)
+    while K % n1:
+        n1 -= 1
+    if n1 == 1:
+        return None
+    phases = np.multiply.outer(np.arange(n1), np.arange(K // n1))
+    phases %= K
+    twiddles = np.empty(phases.shape, dtype=complex)
+    angles = twiddles.real
+    angles[...] = phases
+    angles *= -TWO_PI / K
+    np.sin(angles, out=twiddles.imag)
+    np.cos(angles, out=angles)
+    twiddles.flags.writeable = False
+    return n1, twiddles
+
+
+def grid_split(grid_size: int):
+    """How :func:`transform_sums` transforms a K grid: None for one
+    ``np.fft.fft``, below :data:`SPLIT_MIN_GRID` or when K has no divisor in
+    (1, sqrt K]; else the cached (n1, twiddles) of the two passes."""
+    return None if grid_size < SPLIT_MIN_GRID else _cached_split(grid_size)
+
+
+def sum_slots(ks, split):
+    """The slot in a row of the sum buffer that holds the sums of time k,
+    for each k of ``ks``: k itself without a split, else k1 n2 + k2 for
+    k = k1 + n1 k2, so that :func:`transform_sums` ends in natural order."""
+    if split is None:
+        return ks
+    n1, twiddles = split
+    k2, k1 = np.divmod(ks, n1)
+    k1 *= twiddles.shape[1]
+    k1 += k2
+    return k1
+
+
+def transform_sums(z: np.ndarray, split) -> np.ndarray:
+    """The length-K DFT of each row of the (B, K) complex sums ``z``, laid
+    out by :func:`sum_slots` for ``split`` (:func:`grid_split`), in place:
+    returns ``z`` with coefficient j at index j."""
+    if split is None:
+        return np.fft.fft(z, axis=1, out=z)
+    n1, twiddles = split
+    grid = z.reshape(z.shape[0], *twiddles.shape)
+    np.fft.fft(grid, axis=2, out=grid)
+    grid *= twiddles
+    np.fft.fft(grid, axis=1, out=grid)
+    return z
+
+
 def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run B independent estimations at once, one per phase in ``thetas``.
 
     Returns the (B, K) coefficient estimates, row b for thetas[b], and the
     B runs' total depths and clamp counts.  The coefficients are the
-    sampler's (B, K) sum buffer, transformed in place, so the per-time sums
-    are not kept.  Both regimes build the biases in one place, at the
-    times ``ks``: every time of the grid when M > K, with a (B, 2, K) run
-    noise array, and the distinct (run, time) cells of the drawn indices, in
-    sorted order, when M <= K, with a (2, cells) one.  The model's
-    ``draw_run_noise`` draws the run noise (the Gaussian deviations), and
-    :func:`rfe.noise.biases_at` adds it to the model's biases, so it is
-    fixed for every sample of a run at a time.  ``rng`` is consumed in a
-    fixed order:
+    sampler's (B, K) sum buffer, transformed in place by
+    :func:`transform_sums`, so the per-time sums are not kept: the sampler
+    writes the sums of time k at the slot :func:`sum_slots` gives, which is
+    k itself unless K takes the two-pass transform.  Both regimes build the
+    biases in one place, at the times ``ks``: every time of the grid when
+    M > K, with a (B, 2, K) run noise array, and the distinct (run, time)
+    cells of the drawn indices, in sorted order, when M <= K, with a
+    (2, cells) one.  The model's ``draw_run_noise`` draws the run noise (the
+    Gaussian deviations), and :func:`rfe.noise.biases_at` adds it to the
+    model's biases, so it is fixed for every sample of a run at a time.
+    ``rng`` is consumed in a fixed order:
 
     * M > K: the run noise of each run, if the model has it, then the
       per-time counts of all B runs, then their c sums, then their s sums;
@@ -101,6 +182,7 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     M = int(samples)
     if M < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    split = grid_split(K)
     if M > K:
         ks, phases, size = np.arange(K), thetas[:, None], thetas.size
     else:
@@ -110,10 +192,11 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     run_noise = noise.draw_run_noise(ks, rng, size)
     bx, by = biases_at(noise, phases, ks, run_noise)
     if M > K:
-        sums = sample_outcome_sums(bx, by, M, rng)
+        columns = None if split is None else sum_slots(ks, split)
+        sums = sample_outcome_sums(bx, by, M, rng, columns)
     else:
-        sums = sums_at_times(times, bx, by, rng)
-    coefficients = np.fft.fft(sums.z, axis=1, out=sums.z)
+        sums = sums_at_times(times, bx, by, rng, sum_slots(ks, split) + runs * K)
+    coefficients = transform_sums(sums.z, split)
     # numpy's complex division by M runs a scalar loop; scaling both parts by
     # 1/M is the product it forms, so the bits agree wherever no part is -0.0
     coefficients.view(float)[...] *= 1.0 / M

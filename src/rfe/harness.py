@@ -298,6 +298,15 @@ LEMMA_STEPS = 4096
 LEMMA_SLOPE_MAX = math.pi / (2.0 * math.sqrt(2.0)) + math.pi / 8.0
 
 
+def lemma_far_distances(K: int) -> np.ndarray:
+    """The half-integer distances d >= 5/2 at which g_K is read against
+    Jordan's cap 1/(2d): 2**i + 1/2 below the largest half-integer at most
+    K/2, and that one, where the cap is tightest; none for K < 5."""
+    last = math.floor(K / 2 - 0.5) + 0.5
+    powers = [2 ** i + 0.5 for i in range(1, K.bit_length()) if 2 ** i + 0.5 < last]
+    return np.array(powers + [last] if last >= 2.5 else [])
+
+
 @dataclass(frozen=True)
 class LemmaCertificate:
     """The kernel magnitude bounds, certified for every K in ``k_range`` and
@@ -334,17 +343,22 @@ def certify_kernel_lemma() -> LemmaCertificate:
       :data:`LEMMA_GRID_SIZES`; the values must fall with K, and the last is
       the infimum over the range.
     * Non-adjacent cap for d >= 2.  Jordan's inequality, sin y >= 2y/pi on
-      [0, pi/2], gives K sin(pi d/K) >= 2d, so g <= 1/(2d) <= 1/4.
+      [0, pi/2], gives K sin(pi d/K) >= 2d, so g <= 1/(2d) <= 1/4.  g_K is
+      read at the half-integers :func:`lemma_far_distances` of each of
+      :data:`LEMMA_GRID_SIZES`, where |sin(pi d)| = 1, against 1/(2d).
     * Non-adjacent cap for 1 <= d <= 2.  g_4 is read at the LEMMA_STEPS + 1
       points of an even grid; every d lies within half a step of one, so
       g_4(d) is at most its value plus LEMMA_SLOPE_MAX times half a step.
 
     A violation is a value read that breaks its part of the argument: a
-    close value below 2/pi or not below the one at the previous K, or a grid
-    value that passes 1/(2 sqrt 2) once the slope term is added.  A NaN is
-    one.
+    close value below 2/pi or not below the one at the previous K, a far
+    value above 1/(2d), or a grid value that passes 1/(2 sqrt 2) once the
+    slope term is added.  A NaN is one.
     """
     close = np.abs([dirichlet_kernel(0.5, K) for K in LEMMA_GRID_SIZES])
+    far_distances = [lemma_far_distances(K) for K in LEMMA_GRID_SIZES]
+    far_ratios = np.concatenate([2.0 * d * np.abs(dirichlet_kernel(d, K))
+                                 for K, d in zip(LEMMA_GRID_SIZES, far_distances)])
     distances = np.linspace(1.0, 2.0, LEMMA_STEPS + 1)
     grid = np.abs(dirichlet_kernel(distances, 4))
     slack = LEMMA_SLOPE_MAX * 0.5 / LEMMA_STEPS
@@ -352,12 +366,14 @@ def certify_kernel_lemma() -> LemmaCertificate:
     # negated, so that a NaN counts
     violation_count = int(np.count_nonzero(~(close >= CLOSE_MAGNITUDE_MIN))
                           + np.count_nonzero(~(np.diff(close) < 0.0))
+                          + np.count_nonzero(~(far_ratios <= 1.0))
                           + np.count_nonzero(~(grid + slack <= cap)))
     peak = int(np.argmax(grid))
     min_close, max_nonadj = float(np.min(close)), float(grid[peak])
     bound = max_nonadj + slack
     return LemmaCertificate(
-        k_range=(4, MAX_GRID_SIZE), points_evaluated=close.size + grid.size,
+        k_range=(4, MAX_GRID_SIZE),
+        points_evaluated=close.size + far_ratios.size + grid.size,
         violation_count=violation_count,
         min_close_magnitude=min_close,
         max_non_adjacent_magnitude=max_nonadj,

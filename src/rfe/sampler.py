@@ -16,7 +16,8 @@ and finds the distinct (run, time) cells among them, the caller evaluates
 the biases at those cells only (and draws any run noise there, so repeated
 times in a run share it), and :func:`sums_at_times` draws one outcome pair
 per sample and accumulates them.  That is O(M) work plus one zeroed length-K
-buffer per run.
+buffer per run.  Either draw writes each time's sums at the buffer slot the
+caller names, so the estimator can lay the buffer out for its transform.
 
 Biases outside [-1, 1] make the raw probabilities non-physical; they are
 clamped to [0, 1] and every sample drawn at such a time counts as a clamp
@@ -114,7 +115,8 @@ def draw_times(runs: int, grid_size: int, samples: int,
     return SampledTimes(ks=ks, cells=cells, inverse=inverse, grid_size=K)
 
 
-def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator) -> OutcomeSums:
+def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator,
+                  slots=None) -> OutcomeSums:
     """Draw one outcome pair per sample of ``times`` and return the B runs'
     outcome sums, with a leading axis of B on every field.
 
@@ -122,20 +124,24 @@ def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator) -> Outc
     cell; every sample at a cell reads that cell's entry through
     ``times.inverse``.  The uniforms are consumed as :func:`sample_pairs`
     does, sample by sample in run order.  The sums go into one zeroed
-    (B, K) complex buffer, touched only at the cells.
+    (B, K) complex buffer, touched only at the cells: each cell's sums at
+    its entry of ``slots``, a flat index into the buffer, which defaults to
+    the cell b * K + k itself.
     """
     c, s, clamped = sample_pairs(bx[times.inverse], by[times.inverse], rng)
     B, M = times.ks.shape
     K = times.grid_size
     count = times.cells.size
+    slots = times.cells if slots is None else slots
     z = np.zeros(B * K, dtype=complex)
-    z.real[times.cells] = np.bincount(times.inverse, weights=c, minlength=count)
-    z.imag[times.cells] = np.bincount(times.inverse, weights=s, minlength=count)
+    z.real[slots] = np.bincount(times.inverse, weights=c, minlength=count)
+    z.imag[slots] = np.bincount(times.inverse, weights=s, minlength=count)
     return OutcomeSums(z=z.reshape(B, K), total_depth=times.ks.sum(axis=1),
                        clamp_count=clamped.reshape(B, M).sum(axis=1))
 
 
-def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> OutcomeSums:
+def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator,
+                        columns=None) -> OutcomeSums:
     """Draw ``samples`` outcome pairs for each run of the (B, K) bias tables
     and return their per-time sums, total depth and clamp count, with a
     leading axis of B on every field.
@@ -144,9 +150,11 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> Outco
     n ~ Multinomial(M, 1/K) are drawn for all rows, then one binomial call
     over the (2, B, K) likelihoods draws sum c_k = 2 Binomial(n_k, p_c[k]) -
     n_k for all rows and then sum s_k the same way: O(BK) time and memory,
-    whatever M is.  This law holds at any M; with M <= K, :func:`draw_times`
-    and :func:`sums_at_times` give the same joint law of the returned values
-    in O(M) work, consuming ``rng`` differently.
+    whatever M is.  The sums of time k go to column ``columns[k]`` of each
+    row, a permutation of the K columns, or to column k by default.  This
+    law holds at any M; with M <= K, :func:`draw_times` and
+    :func:`sums_at_times` give the same joint law of the returned values in
+    O(M) work, consuming ``rng`` differently.
     """
     p, clamped = _likelihoods(bx, by, ndim=2)
     _, B, K = p.shape
@@ -157,6 +165,9 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator) -> Outco
         raise ValueError(f"sample count must be >= 0, got {samples}")
     n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
     z = np.empty((B, K), dtype=complex)
-    z.real, z.imag = 2 * rng.binomial(n, p) - n
+    if columns is None:
+        z.real, z.imag = 2 * rng.binomial(n, p) - n
+    else:
+        z.real[:, columns], z.imag[:, columns] = 2 * rng.binomial(n, p) - n
     clamps = np.zeros(B, dtype=n.dtype) if clamped is None else (n * clamped).sum(axis=1)
     return OutcomeSums(z=z, total_depth=_total_depths(n, M), clamp_count=clamps)

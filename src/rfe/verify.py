@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .estimator import run_block, run_rfe, spectrum_csv_chunks
+from .estimator import (
+    grid_split,
+    run_block,
+    run_rfe,
+    spectrum_csv_chunks,
+    sum_slots,
+    transform_sums,
+)
 from .harness import (
     FixedTheta,
     UniformTheta,
@@ -53,6 +60,11 @@ ORACLE_PAIRS = 100
 # spectrum prints.
 ORACLE_EXPECTATION_PAIRS = 20
 ORACLE_MAX_GRID = 256
+# One seeded vector z of per-time sums in [-3, 3] + i [-3, 3] is transformed
+# at this grid, 86 x 96 in the estimator's two passes, and checked against
+# X = np.fft.fft(z) within eps log2(K) (||z||_2 + max|X|), the rounding the
+# log2(K) stages of either FFT can gather.
+TRANSFORM_GRID = 8256
 ORACLE_TIME_LIMIT_S = 10.0
 LEMMA_TIME_LIMIT_S = 30.0
 RATE_MIN = 0.90
@@ -111,9 +123,29 @@ class SuiteResult:
                 "summary": self.summary, "details": self.details}
 
 
+def _transform_check(rng: np.random.Generator) -> tuple[float, float]:
+    """The worst |coefficient| deviation of the estimator's transform from
+    np.fft.fft on one sum vector drawn from ``rng`` at TRANSFORM_GRID, and
+    its tolerance."""
+    K = TRANSFORM_GRID
+    split = grid_split(K)
+    z = np.empty(K, dtype=complex)
+    z.real, z.imag = rng.integers(-3, 4, size=(2, K), dtype=np.int8)
+    norm = np.linalg.norm(z)
+    laid_out = np.empty((1, K), dtype=complex)
+    # 4-byte times keep the slot arrays small beside the two K-long vectors
+    laid_out[0, sum_slots(np.arange(K, dtype=np.int32), split)] = z
+    coefficients = transform_sums(laid_out, split)[0]
+    reference = np.fft.fft(z, out=z)
+    tolerance = np.finfo(float).eps * math.log2(K) * (norm + np.max(np.abs(reference)))
+    coefficients -= reference
+    return float(np.max(np.abs(coefficients))), float(tolerance)
+
+
 def suite_oracle() -> SuiteResult:
     """Enumeration oracle agrees with the closed-form spectrum, and on its
-    first ORACLE_EXPECTATION_PAIRS pairs with the noise-free expectation."""
+    first ORACLE_EXPECTATION_PAIRS pairs with the noise-free expectation; the
+    estimator's two-pass transform agrees with np.fft.fft at TRANSFORM_GRID."""
     start = time.perf_counter()
     rng = np.random.default_rng(_SEED_ORACLE)
     worst = worst_expectation = 0.0
@@ -127,8 +159,10 @@ def suite_oracle() -> SuiteResult:
             expectation = expected_coefficients(Ideal(), theta, K)[0]
             worst_expectation = max(worst_expectation,
                                     float(np.max(np.abs(oracle - expectation))))
+    transform_error, transform_tolerance = _transform_check(rng)
     elapsed = time.perf_counter() - start
-    passed = max(worst, worst_expectation) <= ORACLE_TOL and elapsed < ORACLE_TIME_LIMIT_S
+    passed = (max(worst, worst_expectation) <= ORACLE_TOL
+              and transform_error <= transform_tolerance and elapsed < ORACLE_TIME_LIMIT_S)
     return SuiteResult(
         name="oracle", passed=passed,
         summary=(f"max |enumeration - closed form| = {worst:.3e} over {ORACLE_PAIRS} "
@@ -136,6 +170,9 @@ def suite_oracle() -> SuiteResult:
         details={"pairs": ORACLE_PAIRS, "max_grid": ORACLE_MAX_GRID, "max_abs_error": worst,
                  "expectation_pairs": ORACLE_EXPECTATION_PAIRS,
                  "expectation_max_abs_error": worst_expectation,
+                 "transform_grid": TRANSFORM_GRID,
+                 "transform_max_abs_error": transform_error,
+                 "transform_tolerance": transform_tolerance,
                  "tolerance": ORACLE_TOL, "elapsed_s": elapsed},
     )
 

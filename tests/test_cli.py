@@ -590,7 +590,7 @@ class TestVerify:
         # the certificate's range, extremes and margins, to the printed digits
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas")
         assert code == 0
-        assert out == ("PASS lemmas: 0 violations over 4105 kernel values, for every K in "
+        assert out == ("PASS lemmas: 0 violations over 4186 kernel values, for every K in "
                        "[4, 4194304]: min close |f| = 0.636620 (2/pi + 1.5e-14), max "
                        "non-adjacent |f| <= 0.272349 (10/(9 pi) - 8.1e-02)\n")
 

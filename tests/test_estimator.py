@@ -10,10 +10,14 @@ import pytest
 import rfe.estimator
 from rfe.bounds import MAX_GRID_SIZE, BoundsUnachievable, bounds_report
 from rfe.estimator import (
+    SPLIT_MIN_GRID,
+    TWIDDLE_CACHE_GRIDS,
     estimate_phase,
+    grid_split,
     run_block,
     run_rfe,
     spectrum_csv_chunks,
+    sum_slots,
     trial_to_dict,
     winning_frequency,
 )
@@ -412,6 +416,116 @@ class TestRunBlock:
                 run_block(thetas, 10, 8, Ideal(), rng)
         with pytest.raises(ValueError):
             run_block([1.0], 0, 8, Ideal(), rng)
+
+
+def natural_order(z, K):
+    """The (B, K) sums of ``z`` with time k at column k, from the buffer
+    layout of run_block's transform at grid K."""
+    return z[:, sum_slots(np.arange(K), grid_split(K))]
+
+
+def fft_rounding_bound(z, transform):
+    """A bound on max_j |two-pass - np.fft.fft| for each row of the sums z
+    with the transform X: eps log2(K) (||z||_2 + max_j |X_j|), the rounding
+    the log2(K) stages of either FFT can gather, relative to the data and to
+    the largest output (the worst seen, over runs of both regimes up to
+    K = 2**20, is 0.12 of it).  For a fine_grid row it is near 2e-11, about
+    5e-12 max|z|."""
+    K = z.shape[1]
+    scale = np.linalg.norm(z, axis=1) + np.max(np.abs(transform), axis=1)
+    return np.finfo(float).eps * math.log2(K) * scale
+
+
+class TestTransform:
+    """run_block's length-K DFT: the two-pass transform from SPLIT_MIN_GRID
+    up, against np.fft.fft of the same sums, and the fallback to np.fft.fft
+    itself."""
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("K", [2 ** 14, 62832, 65536, 100000, 65528])
+    def test_two_pass_matches_numpy_within_rounding(self, drawn_sums, K, dense, B):
+        # 65,528 = 8 x 8191 splits into 8191-point rows, a large prime
+        split = grid_split(K)
+        assert split is not None and split[0] > 1
+        M = K + 1 if dense else 500
+        thetas = np.linspace(0.4, 2.9, B)
+        coefficients = run_block(thetas, M, K, Gaussian(0.05), np.random.default_rng(K + B))[0]
+        z = natural_order(drawn_sums[-1], K)
+        reference = np.fft.fft(z, axis=1) / M
+        gap = np.max(np.abs(coefficients - reference), axis=1)
+        assert np.all(gap <= fft_rounding_bound(z, reference * M) / M)
+        assert list(winning_frequency(coefficients)) == list(winning_frequency(reference))
+
+    def test_sparse_split_run_follows_the_documented_draw_order(self, drawn_sums):
+        # the written-out draws at the fine_grid K: the same sums, time k
+        # at the slot sum_slots gives, and coefficients within rounding
+        K, M, thetas = 62832, 3000, [0.4, 1.7, 2.9]
+        coefficients, z, depth, clamps = sparse_reference(thetas, M, K, 0.3, 33)
+        block, block_depth, block_clamps = run_block(thetas, M, K, Gaussian(0.3),
+                                                     np.random.default_rng(33))
+        assert np.array_equal(natural_order(drawn_sums[-1], K), z)
+        assert np.all(np.max(np.abs(block - coefficients), axis=1)
+                      <= fft_rounding_bound(z, coefficients * M) / M)
+        assert list(block_depth) == list(depth) and list(block_clamps) == list(clamps)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("K", [SPLIT_MIN_GRID - 2, 65521], ids=["below", "prime"])
+    def test_unsplit_grids_are_numpys_fft_bit_for_bit(self, drawn_sums, K, dense):
+        # just below the crossover, and a prime K, which has no divisor in
+        # (1, sqrt K]: np.fft.fft over the sums in natural order
+        assert grid_split(K) is None
+        M = 3 * K if dense else 500
+        coefficients = run_block([0.4, 1.7, 2.9], M, K, Gaussian(0.05),
+                                 np.random.default_rng(8))[0]
+        reference = np.fft.fft(drawn_sums[-1], axis=1)
+        reference /= M
+        assert np.array_equal(coefficients.view(np.int64), reference.view(np.int64))
+
+    @pytest.mark.parametrize("M", [5, 70000], ids=["sparse", "dense"])
+    def test_empty_split_block(self, M):
+        coefficients, depth, clamps = run_block([], M, 62832, Gaussian(0.1),
+                                                np.random.default_rng(9))
+        assert coefficients.shape == (0, 62832) and depth.shape == clamps.shape == (0,)
+
+    def test_fine_grid_winners_match_numpys_fft(self, monkeypatch):
+        # 200 seeds of the fine_grid plan, through the two passes and, with
+        # the crossover past the grid cap, through np.fft.fft
+        plan = bounds_report(1e-4, 0.1, Gaussian(0.01))
+        assert (plan.grid_size, plan.samples) == (62832, 6169)
+        thetas = np.random.default_rng(2024).uniform(0.0, math.pi, 200)
+
+        def winners():
+            runs = [run_rfe(plan.samples, plan.grid_size, theta, Gaussian(0.01), seed)
+                    for seed, theta in enumerate(thetas)]
+            return [run.winning_index for run in runs], np.array([run.coefficients[0]
+                                                                  for run in runs])
+
+        split, split_first = winners()
+        monkeypatch.setattr(rfe.estimator, "SPLIT_MIN_GRID", MAX_GRID_SIZE + 1)
+        assert grid_split(plan.grid_size) is None
+        unsplit, unsplit_first = winners()
+        assert split == unsplit
+        # f_0 = (1/M) sum of all the sums: both transforms add the same terms
+        assert np.max(np.abs(split_first - unsplit_first)) < 1e-15
+
+    def test_twiddle_cache_is_bounded_and_read_only(self):
+        sizes = [62832, 2 ** 14, 65536, 100000, 65528, 3 * 2 ** 13, 62832]
+        for K in sizes:
+            n1, twiddles = grid_split(K)
+            n2 = K // n1
+            assert n1 * n2 == K and n1 <= math.isqrt(K)
+            assert all(K % d for d in range(n1 + 1, math.isqrt(K) + 1))
+            assert twiddles.shape == (n1, n2) and twiddles.nbytes <= 16 * K
+            assert not twiddles.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                twiddles[0, 0] = 2.0
+            k1, j2 = n1 - 1, n2 - 1
+            assert twiddles[k1, j2] == pytest.approx(
+                np.exp(-2j * math.pi * (k1 * j2 % K) / K), abs=1e-15)
+        assert grid_split(62832)[0] == 238
+        info = rfe.estimator._cached_split.cache_info()
+        assert info.maxsize == TWIDDLE_CACHE_GRIDS and info.currsize <= TWIDDLE_CACHE_GRIDS
 
 
 class TestSerialization:

@@ -446,23 +446,27 @@ def _boundary_tones(K):
     return tones[tones <= K / 2]
 
 
-def _violations_read(close, grid):
+def _violations_read(close, far, grid):
     """The certificate's violation count recomputed from the values it
-    reads: close values below 2/pi or not below the previous K's, and grid
-    values whose slope term passes the smaller cap."""
+    reads: close values below 2/pi or not below the previous K's, far
+    (d, value) pairs above 1/(2d), and grid values whose slope term passes
+    the smaller cap."""
     slack = harness.LEMMA_SLOPE_MAX * 0.5 / harness.LEMMA_STEPS
     cap = min(NON_ADJACENT_MAGNITUDE_MAX, NON_ADJACENT_ENVELOPE_MAX)
     return (sum(not value >= CLOSE_MAGNITUDE_MIN for value in close)
             + sum(not b < a for a, b in zip(close, close[1:]))
+            + sum(not value <= 1.0 / (2.0 * d) for d, value in far)
             + sum(not value + slack <= cap for value in grid))
 
 
 def _certificate_reads(magnitude):
-    """The close values and the K = 4 grid values the certificate reads,
-    through ``magnitude``."""
+    """The close values, the far (d, value) pairs and the K = 4 grid values
+    the certificate reads, through ``magnitude``."""
     close = [abs(magnitude(0.5, K)) for K in harness.LEMMA_GRID_SIZES]
+    far = [(d, abs(float(magnitude(d, K)))) for K in harness.LEMMA_GRID_SIZES
+           for d in harness.lemma_far_distances(K)]
     grid = np.abs(magnitude(np.linspace(1.0, 2.0, harness.LEMMA_STEPS + 1), 4))
-    return close, grid
+    return close, far, grid
 
 
 class TestLemmaScan:
@@ -480,7 +484,7 @@ class TestLemmaScan:
         # peak of g_4 on its grid of [1, 2]
         report = certify_kernel_lemma()
         assert report.k_range == (4, MAX_GRID_SIZE)
-        assert report.points_evaluated == 8 + 4097
+        assert report.points_evaluated == 8 + 81 + 4097
         assert report.violation_count == 0
         assert report.min_close_magnitude == float.fromhex("0x1.45f306dc9c909p-1")
         assert report.min_close_magnitude == 1 / (MAX_GRID_SIZE * math.sin(math.pi / 2 ** 23))
@@ -536,13 +540,15 @@ class TestLemmaScan:
 
     def test_a_nan_in_the_close_values_fails_the_scan(self, monkeypatch):
         # NaN at the largest K is no close value below the floor, and no
-        # value below the previous K's: two violations, and the minimum
+        # value below the previous K's: two violations, and the minimum;
+        # each of the 21 far values read at that K is one more
         def nan_at_the_largest(x, K):
             return math.nan if K == MAX_GRID_SIZE else dirichlet_kernel(x, K)
 
         monkeypatch.setattr(harness, "dirichlet_kernel", nan_at_the_largest)
         report = certify_kernel_lemma()
-        assert report.passed is False and report.violation_count == 2
+        assert harness.lemma_far_distances(MAX_GRID_SIZE).size == 21
+        assert report.passed is False and report.violation_count == 2 + 21
         assert math.isnan(report.min_close_magnitude)
 
     @pytest.mark.parametrize("magnitude", ["kernel", "kernel x 0.9", "kernel x 2",
@@ -583,7 +589,7 @@ class TestLemmaScan:
 
     def test_doubled_far_rows_fail_the_scan(self, monkeypatch):
         # doubled at d >= 1 only, the kernel keeps every close value and
-        # breaks the caps on the K = 4 grid alone
+        # breaks the caps on the K = 4 grid and at every far distance
         def doubled_far(x, K):
             values = dirichlet_kernel(x, K)
             d = np.abs(np.asarray(x))
@@ -591,10 +597,17 @@ class TestLemmaScan:
 
         monkeypatch.setattr(harness, "dirichlet_kernel", doubled_far)
         report = certify_kernel_lemma()
-        close, grid = _certificate_reads(doubled_far)
+        close, far, grid = _certificate_reads(doubled_far)
         assert report.min_close_magnitude == dirichlet_kernel(0.5, MAX_GRID_SIZE)
-        assert report.violation_count == _violations_read(close, grid) == \
-            _violations_read([], grid) > 0
+        assert report.violation_count == _violations_read(close, far, grid) == \
+            _violations_read([], far, grid) == _violations_read([], [], grid) + len(far)
+
+    def test_far_distances_are_half_integers_from_five_halves_to_k_over_2(self):
+        for K in [*range(1, 40), *harness.LEMMA_GRID_SIZES]:
+            d = harness.lemma_far_distances(K)
+            half_integers = np.arange(2.5, K / 2 + 0.25, 1.0)
+            assert np.isin(d, half_integers).all() and np.all(np.diff(d) > 0)
+            assert list(d[-1:]) == list(half_integers[-1:])
 
     def test_memory_stays_under_one_mib(self):
         certify_kernel_lemma()

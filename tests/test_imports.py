@@ -2,7 +2,8 @@
 of rfe imports is used there, only rfe.harness imports the thread modules,
 the rfe modules import each other without a cycle and the leaf modules import
 none, every top-level name is defined in one module and read in src, and no
-line runs past MAX_LINE; and the module globals rfebench patches are bound."""
+line runs past MAX_LINE; no module touches the C allocator; and the module
+globals rfebench patches are bound."""
 
 import ast
 import graphlib
@@ -156,6 +157,47 @@ MAX_LINE = 100
 def test_no_line_is_longer_than_max_line(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [number for number, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []
+
+
+# Allocator settings act on the whole host process, so a library must not
+# make them: speed is to come from rfe's own code, never from ctypes calls
+# into libc or MALLOC_* variables.
+ALLOCATOR_WORDS = ("mallopt", "MALLOC_")
+
+
+def _words(node: ast.AST) -> list:
+    """The module names a node imports, or the name, attribute or string it
+    holds."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def _allocator_uses(tree: ast.Module) -> list:
+    """(line, word) for each ctypes import or use and each word that names
+    an allocator setting."""
+    return [(node.lineno, word) for node in ast.walk(tree) for word in _words(node)
+            if word.split(".")[0] == "ctypes" or any(w in word for w in ALLOCATOR_WORDS)]
+
+
+@pytest.mark.parametrize("stem", sorted(TREES))
+def test_no_module_sets_the_allocator(stem):
+    assert _allocator_uses(TREES[stem]) == []
+
+
+def test_the_allocator_guard_sees_each_form():
+    source = ("import ctypes\nfrom ctypes import CDLL\nimport importlib\n"
+              "libc.mallopt(-3, 1)\nos.environ['MALLOC_ARENA_MAX'] = '1'\n"
+              "importlib.import_module('ctypes')\n")
+    assert [line for line, _ in _allocator_uses(ast.parse(source))] == [1, 2, 4, 5, 6]
 
 
 # rfebench's AllocProbe patches run_rfe by module global in these three

@@ -189,6 +189,20 @@ def test_the_traced_checks_are_the_harness_functions():
     assert verify.exact_estimator_expectation is harness.exact_estimator_expectation
 
 
+def _without_twiddles(z, split):
+    """The two passes of rfe.estimator.transform_sums without the twiddle
+    product between them."""
+    grid = z.reshape(z.shape[0], *split[1].shape)
+    np.fft.fft(grid, axis=2, out=grid)
+    np.fft.fft(grid, axis=1, out=grid)
+    return z
+
+
+def _one_fft(z, split):
+    """np.fft.fft over the buffer as laid out for the two passes."""
+    return np.fft.fft(z, axis=1, out=z)
+
+
 class TestOracleSuite:
     def test_worst_error_is_pinned(self):
         # a change to the direct DFT that alters its rounding moves these bits
@@ -212,6 +226,20 @@ class TestOracleSuite:
         details = verify.suite_oracle().details
         assert details["expectation_pairs"] == 20
         assert details["expectation_max_abs_error"] < 1e-15
+
+    def test_the_two_pass_transform_is_checked(self):
+        # one seeded vector at a grid the estimator splits, within rounding
+        details = verify.suite_oracle().details
+        assert estimator.grid_split(details["transform_grid"])[0] == 86
+        assert details["transform_max_abs_error"] <= details["transform_tolerance"] < 1e-11
+
+    @pytest.mark.parametrize("transform", [_without_twiddles, _one_fft],
+                             ids=["without_twiddles", "one_fft_over_the_split_layout"])
+    def test_a_wrong_transform_fails(self, monkeypatch, transform):
+        monkeypatch.setattr(verify, "transform_sums", transform)
+        result = verify.suite_oracle()
+        assert result.details["transform_max_abs_error"] > 1.0
+        assert result.passed is False
 
     def test_a_conjugated_expectation_fails(self, monkeypatch):
         def conjugated(model, theta, K):
@@ -249,6 +277,14 @@ def _off_peak_scaled(x, grid_size):
     return np.where(np.minimum(d, grid_size - d) >= 1.0, 1.4 * values, values)
 
 
+def _far_doubled(x, grid_size):
+    """The kernel with its values at circular distance >= 2 doubled: on the
+    K = 4 grid of [1, 2] it is the kernel."""
+    values = spectrum.dirichlet_kernel(x, grid_size)
+    d = np.abs(np.asarray(x))
+    return np.where(np.minimum(d, grid_size - d) >= 2.0, 2.0 * values, values)
+
+
 class TestLemmaSuite:
     def test_the_suite_covers_every_grid_size(self):
         result = verify.suite_lemmas()
@@ -263,6 +299,17 @@ class TestLemmaSuite:
         assert result.passed is False
         assert result.details["violation_count"] > 0
         assert result.summary.startswith(f"{result.details['violation_count']} violations")
+
+    def test_a_kernel_doubled_past_distance_two_fails_the_suite(self, monkeypatch):
+        # the cap for d >= 2 is 1/(2d): at K = 16, d = 2.5 this kernel reads
+        # 0.265 against 0.2, and at d = 2**i + 1/2 and K/2 - 1/2 of every K
+        # past 4 it reads above 1/(2d) too
+        assert abs(_far_doubled(2.5, 16)) == pytest.approx(0.2652, abs=1e-4)
+        monkeypatch.setattr(harness, "dirichlet_kernel", _far_doubled)
+        result = verify.suite_lemmas()
+        assert result.passed is False
+        far = sum(harness.lemma_far_distances(K).size for K in harness.LEMMA_GRID_SIZES)
+        assert result.details["violation_count"] == far == 81
 
 
 class TestGaussianSuite:
