@@ -31,14 +31,17 @@ The transform.  Below :data:`SPLIT_MIN_GRID`, and for a K with no divisor in
 (1, sqrt K], it is one ``np.fft.fft`` per row.  From there up it takes two
 passes over K = n1 n2, n1 the largest divisor of K not above sqrt K, with
 the sums of time k = k1 + n1 k2 at slot k1 n2 + k2 of the row
-(:func:`sum_slots`): length-n2 FFTs along the rows of the (B, n1, n2) view,
-one product with the twiddle table W_K^(k1 j2), then length-n1 FFTs down its
-columns, all in place, which leaves f_j at slot j, in natural order.
+(:func:`sum_slots`, :func:`time_order`): length-n2 FFTs along the rows of
+the (B, n1, n2) view, one product with the twiddle table W_K^(k1 j2), then
+length-n1 FFTs down its columns, all in place, which leaves f_j at slot j,
+in natural order.
 numpy's FFT keeps no plan cache, so one long transform builds its plan and
 scratch, about 1.8 MB at K = 62,832, afresh on every call; the short ones
-need little of either.  The twiddle tables are cached for the last
-:data:`TWIDDLE_CACHE_GRIDS` grid sizes, read-only, 16 bytes per grid index
-each (64 MiB at K = 2**22), and built at a grid's first run.
+need little of either.  The twiddle table of the last split grid is
+cached, read-only, 16 bytes per grid index (64 MiB at K = 2**22), and built
+at that grid's first run.  ``lru_cache`` does not hold back concurrent first
+calls, so :func:`rfe.harness.monte_carlo_success` builds it before its
+threads start, and they share one table.
 
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
@@ -83,11 +86,9 @@ def winning_frequency(coefficients: np.ndarray):
 # Grid sizes from this one up take the two-pass transform when they split:
 # below it one np.fft.fft is as fast or faster (the crossover table in CHANGES.md).
 SPLIT_MIN_GRID = 2 ** 13
-# Twiddle tables kept at once, one per grid size, 16 bytes per grid index each.
-TWIDDLE_CACHE_GRIDS = 4
 
 
-@functools.lru_cache(maxsize=TWIDDLE_CACHE_GRIDS)
+@functools.lru_cache(maxsize=1)
 def _cached_split(K: int):
     """(n1, twiddles) for K = n1 n2 with n1 the largest divisor of K not
     above sqrt K, twiddles[k1, j2] = exp(-2 pi i ((k1 j2) mod K) / K) as a
@@ -117,6 +118,17 @@ def grid_split(grid_size: int):
     return None if grid_size < SPLIT_MIN_GRID else _cached_split(grid_size)
 
 
+def time_order(z: np.ndarray, split) -> np.ndarray:
+    """A view of the (B, K) sum buffer ``z`` whose row b, read in C order,
+    runs over the times: ``z`` itself without a split, else the (B, n2, n1)
+    transpose of its (B, n1, n2) grid, with time k = k1 + n1 k2 at
+    [b, k2, k1], the slot :func:`sum_slots` gives."""
+    if split is None:
+        return z
+    n1, twiddles = split
+    return z.reshape(z.shape[0], *twiddles.shape).transpose(0, 2, 1)
+
+
 def sum_slots(ks, split):
     """The slot in a row of the sum buffer that holds the sums of time k,
     for each k of ``ks``: k itself without a split, else k1 n2 + k2 for
@@ -132,8 +144,9 @@ def sum_slots(ks, split):
 
 def transform_sums(z: np.ndarray, split) -> np.ndarray:
     """The length-K DFT of each row of the (B, K) complex sums ``z``, laid
-    out by :func:`sum_slots` for ``split`` (:func:`grid_split`), in place:
-    returns ``z`` with coefficient j at index j."""
+    out by :func:`sum_slots` (or written through :func:`time_order`) for
+    ``split`` (:func:`grid_split`), in place: returns ``z`` with coefficient
+    j at index j."""
     if split is None:
         return np.fft.fft(z, axis=1, out=z)
     n1, twiddles = split
@@ -150,11 +163,12 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
 
     Returns the (B, K) coefficient estimates, row b for thetas[b], and the
     B runs' total depths and clamp counts.  The coefficients are the
-    sampler's (B, K) sum buffer, transformed in place by
-    :func:`transform_sums`, so the per-time sums are not kept: the sampler
-    writes the sums of time k at the slot :func:`sum_slots` gives, which is
-    k itself unless K takes the two-pass transform.  Both regimes build the
-    biases in one place, at the times ``ks``: every time of the grid when
+    (B, K) sum buffer, transformed in place by :func:`transform_sums`, so
+    the per-time sums are not kept: the sampler writes the sums of time k at
+    the slot :func:`sum_slots` gives, which is k itself unless K takes the
+    two-pass transform, through the :func:`time_order` view of the buffer
+    when M > K and at the slots themselves when M <= K.  Both regimes build
+    the biases in one place, at the times ``ks``: every time of the grid when
     M > K, with a (B, 2, K) run noise array, and the distinct (run, time)
     cells of the drawn indices, in sorted order, when M <= K, with a
     (2, cells) one.  The model's ``draw_run_noise`` draws the run noise (the
@@ -192,11 +206,13 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     run_noise = noise.draw_run_noise(ks, rng, size)
     bx, by = biases_at(noise, phases, ks, run_noise)
     if M > K:
-        columns = None if split is None else sum_slots(ks, split)
-        sums = sample_outcome_sums(bx, by, M, rng, columns)
+        z = np.empty((thetas.size, K), dtype=complex)
+        sums = sample_outcome_sums(bx, by, M, rng, time_order(z, split))
     else:
-        sums = sums_at_times(times, bx, by, rng, sum_slots(ks, split) + runs * K)
-    coefficients = transform_sums(sums.z, split)
+        slots = times.cells if split is None else sum_slots(ks, split) + runs * K
+        sums = sums_at_times(times, bx, by, rng, slots)
+        z = sums.z
+    coefficients = transform_sums(z, split)
     # numpy's complex division by M runs a scalar loop; scaling both parts by
     # 1/M is the product it forms, so the bits agree wherever no part is -0.0
     coefficients.view(float)[...] *= 1.0 / M

@@ -44,7 +44,7 @@ from .bounds import (
     check_grid_size,
 )
 # run_rfe is not called here; rfebench's traced run wraps rfe.harness.run_rfe.
-from .estimator import no_sample_result, run_block, run_rfe, winning_frequency
+from .estimator import grid_split, no_sample_result, run_block, run_rfe, winning_frequency
 from .noise import DeviationTable
 from .spectrum import (
     CLOSE_MAGNITUDE_MIN,
@@ -279,6 +279,9 @@ def monte_carlo_success(plan: Union[BoundsQuery, BoundsReport], trials: int,
             theta_hat = TWO_PI * winning_frequency(coefficients) / grid
         return int(np.count_nonzero(np.abs(theta_hat - thetas) <= plan.epsilon))
 
+    if samples:
+        # the blocks' first runs would each build a split grid's table at once
+        grid_split(grid)
     successes = sum(thread_map(block_successes, range(blocks), workers))
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),

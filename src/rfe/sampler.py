@@ -44,7 +44,9 @@ class OutcomeSums:
     """Sufficient statistics of M samples over K times for each of B runs,
     one run per row (entry) of every field."""
 
-    z: np.ndarray  # complex, (B, K): (sum of c) + i (sum of s) at each time k
+    # complex, (B, K), or the caller's time-order view of such a buffer:
+    # (sum of c) + i (sum of s) at each time k
+    z: np.ndarray
     total_depth: np.ndarray  # (B,) sums of the drawn time indices
     clamp_count: np.ndarray  # (B,) samples drawn at a time whose likelihood was clamped
 
@@ -116,7 +118,7 @@ def draw_times(runs: int, grid_size: int, samples: int,
 
 
 def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator,
-                  slots=None) -> OutcomeSums:
+                  slots) -> OutcomeSums:
     """Draw one outcome pair per sample of ``times`` and return the B runs'
     outcome sums, with a leading axis of B on every field.
 
@@ -125,14 +127,13 @@ def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator,
     ``times.inverse``.  The uniforms are consumed as :func:`sample_pairs`
     does, sample by sample in run order.  The sums go into one zeroed
     (B, K) complex buffer, touched only at the cells: each cell's sums at
-    its entry of ``slots``, a flat index into the buffer, which defaults to
-    the cell b * K + k itself.
+    its entry of ``slots``, a flat index into the buffer (``times.cells``
+    puts the sums of time k of run b at b * K + k).
     """
     c, s, clamped = sample_pairs(bx[times.inverse], by[times.inverse], rng)
     B, M = times.ks.shape
     K = times.grid_size
     count = times.cells.size
-    slots = times.cells if slots is None else slots
     z = np.zeros(B * K, dtype=complex)
     z.real[slots] = np.bincount(times.inverse, weights=c, minlength=count)
     z.imag[slots] = np.bincount(times.inverse, weights=s, minlength=count)
@@ -141,7 +142,7 @@ def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator,
 
 
 def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator,
-                        columns=None) -> OutcomeSums:
+                        out=None) -> OutcomeSums:
     """Draw ``samples`` outcome pairs for each run of the (B, K) bias tables
     and return their per-time sums, total depth and clamp count, with a
     leading axis of B on every field.
@@ -150,11 +151,12 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator,
     n ~ Multinomial(M, 1/K) are drawn for all rows, then one binomial call
     over the (2, B, K) likelihoods draws sum c_k = 2 Binomial(n_k, p_c[k]) -
     n_k for all rows and then sum s_k the same way: O(BK) time and memory,
-    whatever M is.  The sums of time k go to column ``columns[k]`` of each
-    row, a permutation of the K columns, or to column k by default.  This
-    law holds at any M; with M <= K, :func:`draw_times` and
-    :func:`sums_at_times` give the same joint law of the returned values in
-    O(M) work, consuming ``rng`` differently.
+    whatever M is.  The sums go into ``out``, a complex array of B K entries
+    whose row b, read in C order, runs over the K times (a transposed view
+    of the caller's buffer, say), or into a new (B, K) array, returned as
+    ``z`` either way.  This law holds at any M; with M <= K,
+    :func:`draw_times` and :func:`sums_at_times` give the same joint law of
+    the returned values in O(M) work, consuming ``rng`` differently.
     """
     p, clamped = _likelihoods(bx, by, ndim=2)
     _, B, K = p.shape
@@ -164,10 +166,9 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator,
     if M < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
     n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
-    z = np.empty((B, K), dtype=complex)
-    if columns is None:
-        z.real, z.imag = 2 * rng.binomial(n, p) - n
-    else:
-        z.real[:, columns], z.imag[:, columns] = 2 * rng.binomial(n, p) - n
+    z = np.empty((B, K), dtype=complex) if out is None else out
+    sums = 2 * rng.binomial(n, p) - n
+    z.real[...] = sums[0].reshape(z.shape)
+    z.imag[...] = sums[1].reshape(z.shape)
     clamps = np.zeros(B, dtype=n.dtype) if clamped is None else (n * clamped).sum(axis=1)
     return OutcomeSums(z=z, total_depth=_total_depths(n, M), clamp_count=clamps)

@@ -28,7 +28,7 @@ from .estimator import (
     run_block,
     run_rfe,
     spectrum_csv_chunks,
-    sum_slots,
+    time_order,
     transform_sums,
 )
 from .harness import (
@@ -133,8 +133,8 @@ def _transform_check(rng: np.random.Generator) -> tuple[float, float]:
     z.real, z.imag = rng.integers(-3, 4, size=(2, K), dtype=np.int8)
     norm = np.linalg.norm(z)
     laid_out = np.empty((1, K), dtype=complex)
-    # 4-byte times keep the slot arrays small beside the two K-long vectors
-    laid_out[0, sum_slots(np.arange(K, dtype=np.int32), split)] = z
+    ordered = time_order(laid_out, split)
+    ordered[...] = z.reshape(ordered.shape)
     coefficients = transform_sums(laid_out, split)[0]
     reference = np.fft.fft(z, out=z)
     tolerance = np.finfo(float).eps * math.log2(K) * (norm + np.max(np.abs(reference)))

@@ -11,13 +11,13 @@ import rfe.estimator
 from rfe.bounds import MAX_GRID_SIZE, BoundsUnachievable, bounds_report
 from rfe.estimator import (
     SPLIT_MIN_GRID,
-    TWIDDLE_CACHE_GRIDS,
     estimate_phase,
     grid_split,
     run_block,
     run_rfe,
     spectrum_csv_chunks,
     sum_slots,
+    time_order,
     trial_to_dict,
     winning_frequency,
 )
@@ -419,8 +419,11 @@ class TestRunBlock:
 
 
 def natural_order(z, K):
-    """The (B, K) sums of ``z`` with time k at column k, from the buffer
-    layout of run_block's transform at grid K."""
+    """The (B, K) sums of ``z``, recorded from run_block's sampler, with
+    time k at column k: a split dense draw returns them through the
+    (B, n2, n1) time_order view, a sparse one at the slots of sum_slots."""
+    if z.ndim == 3:
+        return z.reshape(len(z), K)
     return z[:, sum_slots(np.arange(K), grid_split(K))]
 
 
@@ -482,6 +485,14 @@ class TestTransform:
         reference /= M
         assert np.array_equal(coefficients.view(np.int64), reference.view(np.int64))
 
+    @pytest.mark.parametrize("K", [62, 62832, 65528])
+    def test_time_order_view_reads_the_slots(self, K):
+        split = grid_split(K)
+        z = np.arange(2 * K, dtype=complex).reshape(2, K)
+        ordered = time_order(z, split)
+        assert np.shares_memory(ordered, z)
+        assert np.array_equal(ordered.reshape(2, K), z[:, sum_slots(np.arange(K), split)])
+
     @pytest.mark.parametrize("M", [5, 70000], ids=["sparse", "dense"])
     def test_empty_split_block(self, M):
         coefficients, depth, clamps = run_block([], M, 62832, Gaussian(0.1),
@@ -525,7 +536,7 @@ class TestTransform:
                 np.exp(-2j * math.pi * (k1 * j2 % K) / K), abs=1e-15)
         assert grid_split(62832)[0] == 238
         info = rfe.estimator._cached_split.cache_info()
-        assert info.maxsize == TWIDDLE_CACHE_GRIDS and info.currsize <= TWIDDLE_CACHE_GRIDS
+        assert info.maxsize == 1 and info.currsize == 1
 
 
 class TestSerialization:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfe import cli, harness
+from rfe import cli, estimator, harness
 from rfe.bounds import MAX_GRID_SIZE, BoundsQuery, bounds_report, check_grid_size
 from rfe.estimator import run_rfe
 from rfe.harness import (
@@ -288,6 +288,16 @@ class TestMonteCarlo:
         pooled = monte_carlo_success(plan, 2000, UniformTheta(), 99, workers=2)
         assert inline == pooled
         assert 0 < inline.successes < 2000
+
+    def test_the_threads_share_one_twiddle_table(self, monkeypatch):
+        # both workers start a split grid's first run together; lru_cache
+        # alone would let each build the table
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        plan = replace(bounds_report(0.5, 0.1, Ideal()), samples=50, grid_size=2 ** 18)
+        estimator._cached_split.cache_clear()
+        monte_carlo_success(plan, 4, UniformTheta(), 3, workers=2)
+        info = estimator._cached_split.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize("K,M,eps", [(79, 14, 0.08), (8, 9, 0.8)],
                              ids=["sparse", "dense"])

@@ -24,7 +24,8 @@ def sparse_sums(bx, by, samples, rng):
     pair per sample read at the tables' entries for the drawn cells."""
     B, K = np.shape(bx)
     times = draw_times(B, K, samples, rng)
-    return sums_at_times(times, np.ravel(bx)[times.cells], np.ravel(by)[times.cells], rng)
+    return sums_at_times(times, np.ravel(bx)[times.cells], np.ravel(by)[times.cells], rng,
+                         times.cells)
 
 
 def reference_likelihoods(bx, by):
@@ -196,7 +197,7 @@ class TestInputChecks:
         state = rng.bit_generator.state
         draws = [lambda M=M: sample_outcome_sums(tables[0], tables[1], M, rng)
                  for M in (64, 10 ** 6)]
-        draws += [lambda: sums_at_times(times, cells[0], cells[1], rng),
+        draws += [lambda: sums_at_times(times, cells[0], cells[1], rng, times.cells),
                   lambda: sample_pairs(tables[0].ravel(), tables[1].ravel(), rng)]
         for draw in draws:
             with pytest.raises(ValueError, match="finite"):
