@@ -46,10 +46,11 @@ DEPHASING_RATIO_REDERIVED = -math.log(1.0 - 2.0 * BAN_THRESHOLD)
 # Largest sample count a run accepts, so per-time counts fit in int64.
 MAX_SAMPLES = 2 ** 62
 # Largest grid size a run or a spectrum accepts (epsilon down to about
-# 1.5e-6).  A run holds a few length-K arrays: one run at the cap peaks at
-# 229 MB of process RSS with M = 1,000 (Gaussian sigma = 0.01) and 425 MB
-# with M = 10**7 > K (numpy 2.4, Linux x86-64).  A larger K is refused
-# before anything is allocated.
+# 1.5e-6).  A run holds a few length-K arrays: one run at the cap, in a fresh
+# process, peaks at 196 MiB of RSS with M = 1,000 (Gaussian sigma = 0.01) and
+# 514 MiB with M = 10**7 > K (ru_maxrss, numpy 2.4, Linux x86-64).  64 MiB of
+# either is the twiddle table of the two-pass transform, which the process
+# keeps after the run.  A larger K is refused before anything is allocated.
 MAX_GRID_SIZE = 2 ** 22
 
 

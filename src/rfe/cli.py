@@ -25,11 +25,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from .bounds import BoundsUnachievable, bounds_report, check_seed, grid_size
 from .estimator import estimate_phase, run_rfe, spectrum_csv_chunks, trial_to_dict
-from .harness import FixedTheta, UniformTheta, noise_sweep
+from .harness import FixedTheta, UniformTheta, block_rng, noise_sweep
 from .noise import MODELS, AdversaryStrategy, Ban, noise_from_dict
 from .spectrum import expected_coefficients
 from .verify import SUITE_NAMES, run_suites
@@ -97,10 +95,10 @@ def _json_text(obj) -> str:
 
 def _resolve_theta(theta, seed: int):
     """The phase and run seed of one run.  A "random" theta is a UniformTheta
-    draw from the generator spawned from (seed, 0), which then draws the run
-    seed; a given theta runs with ``seed`` itself."""
+    draw from :func:`rfe.harness.block_rng` (seed, 0), which then draws the
+    run seed; a given theta runs with ``seed`` itself."""
     if theta == "random":
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        rng = block_rng(seed, 0)
         value = float(UniformTheta().draw(rng, 1)[0])
         run_seed = int.from_bytes(rng.bytes(8), "little")
         return value, run_seed

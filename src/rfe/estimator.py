@@ -14,18 +14,17 @@ length-K discrete Fourier transform, written over the sums themselves,
 finishes the run: one K-long complex array per run whatever M is.
 
 :func:`run_block` is the one engine: it runs B estimations at once, with one
-transform along the time axis of the (B, K) sums.  Both regimes build the
-outcome biases by one rule, the ideal cos/sin plus the noise model's
-deviation, at a set of times: the whole grid when M > K, and only the
-distinct (run, time) cells of the drawn time indices when M <= K, where most
-times get no sample.  Only the outcome draw then differs: per-time counts
-and sums straight from the (B, K) biases
+transform along the time axis of a (B, K) complex sum buffer.  Both regimes
+build the outcome biases by one rule, the ideal cos/sin plus the noise
+model's deviation, at a set of times: the whole grid when M > K, and only
+the distinct (run, time) cells of the drawn time indices when M <= K, where
+most times get no sample.  Only the outcome draw then differs: per-time
+counts and sums straight from the (B, K) biases
 (:func:`rfe.sampler.sample_outcome_sums`), or one c and s uniform per sample
 (:func:`rfe.sampler.sums_at_times`), so a sparse run costs O(M) work plus
-the sum buffer, the transform and the peak pick.  :func:`run_rfe` is a block
-of one: it checks its arguments, seeds its own generator and returns one
-flat :class:`TrialResult`, the estimate with its coefficients and
-provenance.
+the sum buffer, the transform and the peak pick.  Where each time's sums
+sit in the buffer is decided here alone: the sampler returns plain sums.
+:func:`run_rfe` is a block of one, returning one flat :class:`TrialResult`.
 
 The transform.  Below :data:`SPLIT_MIN_GRID`, and for a K with no divisor in
 (1, sqrt K], it is one ``np.fft.fft`` per row.  From there up it takes two
@@ -90,66 +89,62 @@ SPLIT_MIN_GRID = 2 ** 13
 
 @functools.lru_cache(maxsize=1)
 def _cached_split(K: int):
-    """(n1, twiddles) for K = n1 n2 with n1 the largest divisor of K not
-    above sqrt K, twiddles[k1, j2] = exp(-2 pi i ((k1 j2) mod K) / K) as a
-    read-only (n1, n2) array; None when n1 is 1.  The phases are reduced
-    mod K exactly, in integers, before one rounding to an angle."""
+    """The read-only (n1, n2) twiddle table of K = n1 n2, n1 the largest
+    divisor of K not above sqrt K: twiddles[k1, j2] = exp(-2 pi i k1 j2 / K),
+    where k1 j2 <= (n1 - 1)(n2 - 1) < K needs no reduction mod K and is exact
+    in floats.  None when n1 is 1."""
     n1 = math.isqrt(K)
     while K % n1:
         n1 -= 1
     if n1 == 1:
         return None
-    phases = np.multiply.outer(np.arange(n1), np.arange(K // n1))
-    phases %= K
-    twiddles = np.empty(phases.shape, dtype=complex)
+    twiddles = np.empty((n1, K // n1), dtype=complex)
     angles = twiddles.real
-    angles[...] = phases
+    np.multiply.outer(np.arange(n1, dtype=float), np.arange(K // n1, dtype=float), out=angles)
     angles *= -TWO_PI / K
     np.sin(angles, out=twiddles.imag)
     np.cos(angles, out=angles)
     twiddles.flags.writeable = False
-    return n1, twiddles
+    return twiddles
 
 
 def grid_split(grid_size: int):
     """How :func:`transform_sums` transforms a K grid: None for one
     ``np.fft.fft``, below :data:`SPLIT_MIN_GRID` or when K has no divisor in
-    (1, sqrt K]; else the cached (n1, twiddles) of the two passes."""
+    (1, sqrt K]; else the cached (n1, n2) twiddle table of the two passes."""
     return None if grid_size < SPLIT_MIN_GRID else _cached_split(grid_size)
 
 
-def time_order(z: np.ndarray, split) -> np.ndarray:
+def time_order(z: np.ndarray, twiddles) -> np.ndarray:
     """A view of the (B, K) sum buffer ``z`` whose row b, read in C order,
     runs over the times: ``z`` itself without a split, else the (B, n2, n1)
     transpose of its (B, n1, n2) grid, with time k = k1 + n1 k2 at
     [b, k2, k1], the slot :func:`sum_slots` gives."""
-    if split is None:
+    if twiddles is None:
         return z
-    n1, twiddles = split
     return z.reshape(z.shape[0], *twiddles.shape).transpose(0, 2, 1)
 
 
-def sum_slots(ks, split):
+def sum_slots(ks, twiddles):
     """The slot in a row of the sum buffer that holds the sums of time k,
     for each k of ``ks``: k itself without a split, else k1 n2 + k2 for
     k = k1 + n1 k2, so that :func:`transform_sums` ends in natural order."""
-    if split is None:
+    if twiddles is None:
         return ks
-    n1, twiddles = split
+    n1, n2 = twiddles.shape
     k2, k1 = np.divmod(ks, n1)
-    k1 *= twiddles.shape[1]
+    k1 *= n2
     k1 += k2
     return k1
 
 
-def transform_sums(z: np.ndarray, split) -> np.ndarray:
+def transform_sums(z: np.ndarray, twiddles) -> np.ndarray:
     """The length-K DFT of each row of the (B, K) complex sums ``z``, laid
     out by :func:`sum_slots` (or written through :func:`time_order`) for
-    ``split`` (:func:`grid_split`), in place: returns ``z`` with coefficient
-    j at index j."""
-    if split is None:
+    ``twiddles`` (:func:`grid_split`), in place: returns ``z`` with
+    coefficient j at index j."""
+    if twiddles is None:
         return np.fft.fft(z, axis=1, out=z)
-    n1, twiddles = split
     grid = z.reshape(z.shape[0], *twiddles.shape)
     np.fft.fft(grid, axis=2, out=grid)
     grid *= twiddles
@@ -162,18 +157,13 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     """Run B independent estimations at once, one per phase in ``thetas``.
 
     Returns the (B, K) coefficient estimates, row b for thetas[b], and the
-    B runs' total depths and clamp counts.  The coefficients are the
-    (B, K) sum buffer, transformed in place by :func:`transform_sums`, so
-    the per-time sums are not kept: the sampler writes the sums of time k at
-    the slot :func:`sum_slots` gives, which is k itself unless K takes the
-    two-pass transform, through the :func:`time_order` view of the buffer
-    when M > K and at the slots themselves when M <= K.  Both regimes build
-    the biases in one place, at the times ``ks``: every time of the grid when
-    M > K, with a (B, 2, K) run noise array, and the distinct (run, time)
-    cells of the drawn indices, in sorted order, when M <= K, with a
-    (2, cells) one.  The model's ``draw_run_noise`` draws the run noise (the
-    Gaussian deviations), and :func:`rfe.noise.biases_at` adds it to the
-    model's biases, so it is fixed for every sample of a run at a time.
+    B runs' total depths and clamp counts.  The biases, run noise included,
+    are built at every time of the grid when M > K and at the distinct
+    (run, time) cells of the drawn indices when M <= K, so a run's noise at
+    a time is the same for every sample there.  The sampler returns plain
+    sums; this function alone allocates the (B, K) complex buffer, after the
+    draw, puts the sums of time k at the slot :func:`sum_slots` gives and
+    transforms the buffer in place into the coefficients.
     ``rng`` is consumed in a fixed order:
 
     * M > K: the run noise of each run, if the model has it, then the
@@ -196,27 +186,31 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     M = int(samples)
     if M < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    split = grid_split(K)
+    twiddles = grid_split(K)
+    B = thetas.size
     if M > K:
-        ks, phases, size = np.arange(K), thetas[:, None], thetas.size
+        ks, phases, size = np.arange(K), thetas[:, None], B
     else:
-        times = draw_times(thetas.size, K, M, rng)
+        times = draw_times(B, K, M, rng)
         runs, ks = np.divmod(times.cells, K)
         phases, size = thetas[runs], None
     run_noise = noise.draw_run_noise(ks, rng, size)
     bx, by = biases_at(noise, phases, ks, run_noise)
     if M > K:
-        z = np.empty((thetas.size, K), dtype=complex)
-        sums = sample_outcome_sums(bx, by, M, rng, time_order(z, split))
+        sums, depth, clamps = sample_outcome_sums(bx, by, M, rng)
+        z = np.empty((B, K), dtype=complex)
+        ordered = time_order(z, twiddles)
+        ordered.real[...], ordered.imag[...] = sums.reshape(2, *ordered.shape)
     else:
-        slots = times.cells if split is None else sum_slots(ks, split) + runs * K
-        sums = sums_at_times(times, bx, by, rng, slots)
-        z = sums.z
-    coefficients = transform_sums(z, split)
+        sums, depth, clamps = sums_at_times(times, bx, by, rng)
+        z = np.zeros((B, K), dtype=complex)
+        flat, slots = z.reshape(-1), sum_slots(ks, twiddles) + runs * K
+        flat.real[slots], flat.imag[slots] = sums
+    coefficients = transform_sums(z, twiddles)
     # numpy's complex division by M runs a scalar loop; scaling both parts by
     # 1/M is the product it forms, so the bits agree wherever no part is -0.0
     coefficients.view(float)[...] *= 1.0 / M
-    return coefficients, sums.total_depth, sums.clamp_count
+    return coefficients, depth, clamps
 
 
 def run_rfe(samples: int, grid_size: int, theta: float, noise: NoiseModel = Ideal(),

@@ -15,9 +15,9 @@ so the times come first: :func:`draw_times` draws the (B, M) time indices
 and finds the distinct (run, time) cells among them, the caller evaluates
 the biases at those cells only (and draws any run noise there, so repeated
 times in a run share it), and :func:`sums_at_times` draws one outcome pair
-per sample and accumulates them.  That is O(M) work plus one zeroed length-K
-buffer per run.  Either draw writes each time's sums at the buffer slot the
-caller names, so the estimator can lay the buffer out for its transform.
+per sample and sums them per cell: O(M) work.  Either draw returns its sums
+as plain integer or float arrays; where they go for the transform is the
+estimator's business.
 
 Biases outside [-1, 1] make the raw probabilities non-physical; they are
 clamped to [0, 1] and every sample drawn at such a time counts as a clamp
@@ -37,18 +37,6 @@ import numpy as np
 CLAMP_TOLERANCE = 1e-15
 
 _INT64_MAX = 2 ** 63 - 1
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeSums:
-    """Sufficient statistics of M samples over K times for each of B runs,
-    one run per row (entry) of every field."""
-
-    # complex, (B, K), or the caller's time-order view of such a buffer:
-    # (sum of c) + i (sum of s) at each time k
-    z: np.ndarray
-    total_depth: np.ndarray  # (B,) sums of the drawn time indices
-    clamp_count: np.ndarray  # (B,) samples drawn at a time whose likelihood was clamped
 
 
 def _likelihoods(bx, by, ndim=1):
@@ -103,7 +91,6 @@ class SampledTimes:
     ks: np.ndarray  # (B, M) time indices
     cells: np.ndarray  # sorted distinct flat cells b * K + k
     inverse: np.ndarray  # (B * M,) position in ``cells`` of each sample, run by run
-    grid_size: int
 
 
 def draw_times(runs: int, grid_size: int, samples: int,
@@ -114,47 +101,36 @@ def draw_times(runs: int, grid_size: int, samples: int,
     ks = rng.integers(0, K, size=(B, int(samples)))
     flat = ks + K * np.arange(B)[:, None]
     cells, inverse = np.unique(flat.ravel(), return_inverse=True)
-    return SampledTimes(ks=ks, cells=cells, inverse=inverse, grid_size=K)
+    return SampledTimes(ks=ks, cells=cells, inverse=inverse)
 
 
-def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator,
-                  slots) -> OutcomeSums:
-    """Draw one outcome pair per sample of ``times`` and return the B runs'
-    outcome sums, with a leading axis of B on every field.
+def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator):
+    """Draw one outcome pair per sample of ``times`` and return (sums,
+    total_depth, clamp_count): the c and s sums at each of ``times.cells``
+    as a pair of float arrays, and the B runs' depths and clamp counts.
 
     ``bx`` and ``by`` hold the unclamped biases at ``times.cells``, one per
     cell; every sample at a cell reads that cell's entry through
     ``times.inverse``.  The uniforms are consumed as :func:`sample_pairs`
-    does, sample by sample in run order.  The sums go into one zeroed
-    (B, K) complex buffer, touched only at the cells: each cell's sums at
-    its entry of ``slots``, a flat index into the buffer (``times.cells``
-    puts the sums of time k of run b at b * K + k).
+    does, sample by sample in run order.
     """
     c, s, clamped = sample_pairs(bx[times.inverse], by[times.inverse], rng)
-    B, M = times.ks.shape
-    K = times.grid_size
     count = times.cells.size
-    z = np.zeros(B * K, dtype=complex)
-    z.real[slots] = np.bincount(times.inverse, weights=c, minlength=count)
-    z.imag[slots] = np.bincount(times.inverse, weights=s, minlength=count)
-    return OutcomeSums(z=z.reshape(B, K), total_depth=times.ks.sum(axis=1),
-                       clamp_count=clamped.reshape(B, M).sum(axis=1))
+    sums = (np.bincount(times.inverse, weights=c, minlength=count),
+            np.bincount(times.inverse, weights=s, minlength=count))
+    return sums, times.ks.sum(axis=1), clamped.reshape(times.ks.shape).sum(axis=1)
 
 
-def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator,
-                        out=None) -> OutcomeSums:
+def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator):
     """Draw ``samples`` outcome pairs for each run of the (B, K) bias tables
-    and return their per-time sums, total depth and clamp count, with a
-    leading axis of B on every field.
+    and return (sums, total_depth, clamp_count): the (2, B, K) integer c and
+    s sums at each time, and the B runs' depths and clamp counts.
 
     Row b is one run of M samples over (bx[b], by[b]).  The per-time counts
     n ~ Multinomial(M, 1/K) are drawn for all rows, then one binomial call
     over the (2, B, K) likelihoods draws sum c_k = 2 Binomial(n_k, p_c[k]) -
     n_k for all rows and then sum s_k the same way: O(BK) time and memory,
-    whatever M is.  The sums go into ``out``, a complex array of B K entries
-    whose row b, read in C order, runs over the K times (a transposed view
-    of the caller's buffer, say), or into a new (B, K) array, returned as
-    ``z`` either way.  This law holds at any M; with M <= K,
+    whatever M is.  This law holds at any M; with M <= K,
     :func:`draw_times` and :func:`sums_at_times` give the same joint law of
     the returned values in O(M) work, consuming ``rng`` differently.
     """
@@ -166,9 +142,6 @@ def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator,
     if M < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
     n = rng.multinomial(M, np.full(K, 1.0 / K), size=B)
-    z = np.empty((B, K), dtype=complex) if out is None else out
     sums = 2 * rng.binomial(n, p) - n
-    z.real[...] = sums[0].reshape(z.shape)
-    z.imag[...] = sums[1].reshape(z.shape)
     clamps = np.zeros(B, dtype=n.dtype) if clamped is None else (n * clamped).sum(axis=1)
-    return OutcomeSums(z=z, total_depth=_total_depths(n, M), clamp_count=clamps)
+    return sums, _total_depths(n, M), clamps

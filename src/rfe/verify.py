@@ -128,14 +128,14 @@ def _transform_check(rng: np.random.Generator) -> tuple[float, float]:
     np.fft.fft on one sum vector drawn from ``rng`` at TRANSFORM_GRID, and
     its tolerance."""
     K = TRANSFORM_GRID
-    split = grid_split(K)
+    twiddles = grid_split(K)
     z = np.empty(K, dtype=complex)
     z.real, z.imag = rng.integers(-3, 4, size=(2, K), dtype=np.int8)
     norm = np.linalg.norm(z)
     laid_out = np.empty((1, K), dtype=complex)
-    ordered = time_order(laid_out, split)
+    ordered = time_order(laid_out, twiddles)
     ordered[...] = z.reshape(ordered.shape)
-    coefficients = transform_sums(laid_out, split)[0]
+    coefficients = transform_sums(laid_out, twiddles)[0]
     reference = np.fft.fft(z, out=z)
     tolerance = np.finfo(float).eps * math.log2(K) * (norm + np.max(np.abs(reference)))
     coefficients -= reference

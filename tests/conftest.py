@@ -1,5 +1,5 @@
 """Shared pytest wiring: collect acceptance outcomes and print one line per
-criterion at the end of the run, and capture the outcome sums of runs."""
+criterion at the end of the run, and capture the sum buffers of runs."""
 
 import pytest
 
@@ -31,19 +31,17 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture
 def drawn_sums(monkeypatch):
-    """Copies of the (B, K) outcome sums of every block ``run_block`` draws,
-    in draw order, taken before its FFT overwrites them."""
+    """Copies of the (B, K) sum buffer of every block ``run_block`` draws, in
+    draw order and in the buffer's layout, taken as it is handed to the
+    transform that overwrites it."""
     drawn = []
+    transform = rfe.estimator.transform_sums
 
-    def recording(draw):
-        def wrapper(*args, **kwargs):
-            sums = draw(*args, **kwargs)
-            drawn.append(sums.z.copy())
-            return sums
-        return wrapper
+    def recording(z, twiddles):
+        drawn.append(z.copy())
+        return transform(z, twiddles)
 
-    for name in ("sample_outcome_sums", "sums_at_times"):
-        monkeypatch.setattr(rfe.estimator, name, recording(getattr(rfe.estimator, name)))
+    monkeypatch.setattr(rfe.estimator, "transform_sums", recording)
     return drawn
 
 

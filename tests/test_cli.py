@@ -15,6 +15,7 @@ import rfe.estimator
 import rfe.verify
 from rfe.cli import CliConfig, build_parser, main
 from rfe.estimator import spectrum_csv_chunks
+from rfe.harness import UniformTheta
 from rfe.noise import MODELS, noise_from_dict
 from rfe.spectrum import expected_coefficients, expected_spectrum
 
@@ -154,6 +155,14 @@ class TestRun:
         assert out_a == out_b
         theta = json.loads(out_a)["theta_true"]
         assert 0.2 <= theta <= math.pi - 0.2
+
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2 ** 64 - 1])
+    def test_random_theta_comes_from_the_seed_spawned_at_zero(self, seed):
+        # the phase, then the run seed, drawn from SeedSequence(seed) spawned at (0,)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        theta = float(UniformTheta().draw(rng, 1)[0])
+        run_seed = int.from_bytes(rng.bytes(8), "little")
+        assert rfe.cli._resolve_theta("random", seed) == (theta, run_seed)
 
     def test_samples_override(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--epsilon", "0.1", "--theta", "1.0",

@@ -244,11 +244,11 @@ class TestRunBlock:
         rng = np.random.default_rng(31)
         table = noise.draw_run_noise(np.arange(K), rng)
         bx, by = biases_at(noise, theta, np.arange(K), table)
-        sums = sample_outcome_sums(bx[None], by[None], M, rng)
+        sums, depth, clamps = sample_outcome_sums(bx[None], by[None], M, rng)
         result = run_rfe(samples=M, grid_size=K, theta=theta, noise=noise, seed=31)
-        assert np.array_equal(result.coefficients, np.fft.fft(sums.z[0]) / M)
-        assert result.total_depth == sums.total_depth[0]
-        assert result.clamp_count == sums.clamp_count[0]
+        assert np.array_equal(result.coefficients, np.fft.fft(sums[0, 0] + 1j * sums[1, 0]) / M)
+        assert result.total_depth == depth[0]
+        assert result.clamp_count == clamps[0]
 
     @pytest.mark.parametrize("M", [1, 40, 63])
     def test_sparse_run_follows_the_documented_draw_order(self, M, drawn_sums):
@@ -303,24 +303,23 @@ class TestRunBlock:
             assert bias_sizes and max(bias_sizes) <= M
             assert np.count_nonzero(drawn_sums[-1]) <= M
 
-    @pytest.mark.parametrize("M", [5, 5000], ids=["sparse", "dense"])
-    def test_coefficients_overwrite_the_sum_buffer(self, monkeypatch, M):
-        # the FFT writes over the sampler's (B, K) sums, so a run holds one
+    @pytest.mark.parametrize("K,M", [(63, 5), (63, 5000), (62832, 5), (62832, 70000)],
+                             ids=["sparse", "dense", "split-sparse", "split-dense"])
+    def test_coefficients_overwrite_the_sum_buffer(self, monkeypatch, K, M):
+        # the transform writes over the (B, K) sum buffer, so a run holds one
         # K-long complex array, not a second one for its coefficients
-        drawn = []
+        buffers = []
+        transform = rfe.estimator.transform_sums
 
-        def recording(draw):
-            def wrapper(*args):
-                drawn.append(draw(*args))
-                return drawn[-1]
-            return wrapper
+        def recording(z, twiddles):
+            buffers.append(z)
+            return transform(z, twiddles)
 
-        for name in ("sample_outcome_sums", "sums_at_times"):
-            monkeypatch.setattr(rfe.estimator, name, recording(getattr(rfe.estimator, name)))
-        coefficients = run_block([0.4, 1.7], M, 63, Gaussian(0.1), np.random.default_rng(4))[0]
-        [sums] = drawn
-        assert coefficients.shape == (2, 63)
-        assert np.shares_memory(coefficients, sums.z)
+        monkeypatch.setattr(rfe.estimator, "transform_sums", recording)
+        coefficients = run_block([0.4, 1.7], M, K, Gaussian(0.1), np.random.default_rng(4))[0]
+        [z] = buffers
+        assert coefficients.shape == z.shape == (2, K) and z.dtype == complex
+        assert np.shares_memory(coefficients, z)
 
     @pytest.mark.parametrize("M", [1, 7, 63, 64, 5000], ids=lambda M: f"M{M}")
     @pytest.mark.parametrize("K", [1, 2, 4, 63, 64])
@@ -419,12 +418,9 @@ class TestRunBlock:
 
 
 def natural_order(z, K):
-    """The (B, K) sums of ``z``, recorded from run_block's sampler, with
-    time k at column k: a split dense draw returns them through the
-    (B, n2, n1) time_order view, a sparse one at the slots of sum_slots."""
-    if z.ndim == 3:
-        return z.reshape(len(z), K)
-    return z[:, sum_slots(np.arange(K), grid_split(K))]
+    """The (B, K) sums of the sum buffer ``z``, recorded from run_block,
+    with time k at column k."""
+    return time_order(z, grid_split(K)).reshape(len(z), K)
 
 
 def fft_rounding_bound(z, transform):
@@ -450,7 +446,7 @@ class TestTransform:
     def test_two_pass_matches_numpy_within_rounding(self, drawn_sums, K, dense, B):
         # 65,528 = 8 x 8191 splits into 8191-point rows, a large prime
         split = grid_split(K)
-        assert split is not None and split[0] > 1
+        assert split is not None and split.shape[0] > 1
         M = K + 1 if dense else 500
         thetas = np.linspace(0.4, 2.9, B)
         coefficients = run_block(thetas, M, K, Gaussian(0.05), np.random.default_rng(K + B))[0]
@@ -523,18 +519,18 @@ class TestTransform:
     def test_twiddle_cache_is_bounded_and_read_only(self):
         sizes = [62832, 2 ** 14, 65536, 100000, 65528, 3 * 2 ** 13, 62832]
         for K in sizes:
-            n1, twiddles = grid_split(K)
-            n2 = K // n1
+            twiddles = grid_split(K)
+            n1, n2 = twiddles.shape
             assert n1 * n2 == K and n1 <= math.isqrt(K)
             assert all(K % d for d in range(n1 + 1, math.isqrt(K) + 1))
-            assert twiddles.shape == (n1, n2) and twiddles.nbytes <= 16 * K
+            assert twiddles.nbytes <= 16 * K
             assert not twiddles.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 twiddles[0, 0] = 2.0
             k1, j2 = n1 - 1, n2 - 1
             assert twiddles[k1, j2] == pytest.approx(
                 np.exp(-2j * math.pi * (k1 * j2 % K) / K), abs=1e-15)
-        assert grid_split(62832)[0] == 238
+        assert grid_split(62832).shape == (238, 264)
         info = rfe.estimator._cached_split.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
 

@@ -97,6 +97,21 @@ def test_leaf_modules_import_no_rfe_module(stem):
     assert IMPORT_GRAPH[stem] == set()
 
 
+# numpy's complex dtypes, by the names a module can spell them
+COMPLEX_DTYPES = {"complex", "complex64", "complex128", "complex256", "csingle", "cdouble",
+                  "clongdouble", "complexfloating"}
+
+
+def test_sampler_leaves_the_sum_buffer_to_the_estimator():
+    # the sampler returns plain sums; rfe.estimator alone allocates the
+    # complex buffer and decides where each time's sums go in it
+    tree = TREES["sampler"]
+    assert {word for node in ast.walk(tree) for word in _words(node)} & COMPLEX_DTYPES == set()
+    parameters = {arg.arg for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                  for arg in (*node.args.args, *node.args.kwonlyargs)}
+    assert parameters & {"out", "slots"} == set()
+
+
 def _definitions(tree: ast.Module) -> set:
     """Names of the module's top-level functions, classes and constants."""
     names = set()

@@ -21,11 +21,16 @@ from rfe.sampler import (
 
 def sparse_sums(bx, by, samples, rng):
     """The M <= K draw of the (B, K) tables: times first, then one outcome
-    pair per sample read at the tables' entries for the drawn cells."""
+    pair per sample read at the tables' entries for the drawn cells.  Its
+    per-cell sums are spread to (2, B, K), as sample_outcome_sums returns
+    them."""
     B, K = np.shape(bx)
     times = draw_times(B, K, samples, rng)
-    return sums_at_times(times, np.ravel(bx)[times.cells], np.ravel(by)[times.cells], rng,
-                         times.cells)
+    cell_sums, depth, clamps = sums_at_times(times, np.ravel(bx)[times.cells],
+                                             np.ravel(by)[times.cells], rng)
+    sums = np.zeros((2, B * K))
+    sums[:, times.cells] = cell_sums
+    return sums.reshape(2, B, K), depth, clamps
 
 
 def reference_likelihoods(bx, by):
@@ -46,7 +51,7 @@ def reference_dense(bx, by, samples, rng):
     n = rng.multinomial(samples, np.full(bx.shape[1], 1.0 / bx.shape[1]), size=bx.shape[0])
     c = 2 * rng.binomial(n, p_c) - n
     s = 2 * rng.binomial(n, p_s) - n
-    return c + 1j * s, n @ np.arange(bx.shape[1]), (n * clamped).sum(axis=1)
+    return np.stack((c, s)), n @ np.arange(bx.shape[1]), (n * clamped).sum(axis=1)
 
 
 def reference_pairs(bx, by, rng):
@@ -95,16 +100,16 @@ class TestDeterministicCases:
         # s is a fair coin at by = 0
         assert abs(s.mean()) < 0.1
         for draw, M in ((sample_outcome_sums, 5), (sample_outcome_sums, 1000), (sparse_sums, 5)):
-            sums = draw(np.ones((1, 8)), np.zeros((1, 8)), M, rng)
-            assert sums.z.real.sum() == M and sums.clamp_count[0] == 0
+            sums, _, clamps = draw(np.ones((1, 8)), np.zeros((1, 8)), M, rng)
+            assert sums[0].sum() == M and clamps[0] == 0
 
     def test_certain_minus_outcome(self):
         rng = np.random.default_rng(1)
         c, s, _ = sample_pairs(np.zeros(1000), np.full(1000, -1.0), rng)
         assert np.all(s == -1.0)
         for draw, M in ((sample_outcome_sums, 5), (sample_outcome_sums, 1000), (sparse_sums, 5)):
-            sums = draw(np.zeros((1, 8)), np.full((1, 8), -1.0), M, rng)
-            assert sums.z.imag.sum() == -M
+            sums = draw(np.zeros((1, 8)), np.full((1, 8), -1.0), M, rng)[0]
+            assert sums[1].sum() == -M
 
 
 class TestDistribution:
@@ -164,9 +169,9 @@ class TestClamping:
         by = np.array([[0.0, -1.2, 1.0]])
         draws = (sample_outcome_sums, sparse_sums) if M <= 3 else (sample_outcome_sums,)
         for draw in draws:
-            sums = draw(bx, by, M, np.random.default_rng(8))
-            c, s = sums.z[0].real, sums.z[0].imag
-            assert sums.clamp_count[0] == c[0] - s[1] == M - c[2]
+            sums, _, clamps = draw(bx, by, M, np.random.default_rng(8))
+            c, s = sums[:, 0]
+            assert clamps[0] == c[0] - s[1] == M - c[2]
 
 
 class TestInputChecks:
@@ -197,7 +202,7 @@ class TestInputChecks:
         state = rng.bit_generator.state
         draws = [lambda M=M: sample_outcome_sums(tables[0], tables[1], M, rng)
                  for M in (64, 10 ** 6)]
-        draws += [lambda: sums_at_times(times, cells[0], cells[1], rng, times.cells),
+        draws += [lambda: sums_at_times(times, cells[0], cells[1], rng),
                   lambda: sample_pairs(tables[0].ravel(), tables[1].ravel(), rng)]
         for draw in draws:
             with pytest.raises(ValueError, match="finite"):
@@ -235,20 +240,19 @@ class TestDeterminism:
             rng = np.random.default_rng(123)
             ks = rng.integers(0, 50, size=M)
             c, s, clamped = sample_pairs(bx[ks], by[ks], rng)
-            sums = sparse_sums(bx[None], by[None], M, np.random.default_rng(123))
-            assert np.array_equal(sums.z[0].real, np.bincount(ks, weights=c, minlength=50))
-            assert np.array_equal(sums.z[0].imag, np.bincount(ks, weights=s, minlength=50))
-            assert sums.total_depth[0] == int(ks.sum())
-            assert sums.clamp_count[0] == int(clamped.sum())
+            sums, depth, clamps = sparse_sums(bx[None], by[None], M, np.random.default_rng(123))
+            assert np.array_equal(sums[0, 0], np.bincount(ks, weights=c, minlength=50))
+            assert np.array_equal(sums[1, 0], np.bincount(ks, weights=s, minlength=50))
+            assert depth[0] == int(ks.sum())
+            assert clamps[0] == int(clamped.sum())
 
     @pytest.mark.parametrize("M", [0, 20, 2000])
     def test_same_seed_same_sums(self, M):
         bx = np.linspace(-0.9, 0.9, 40)[None]
         a = sample_outcome_sums(bx, -bx, M, np.random.default_rng(5))
         b = sample_outcome_sums(bx, -bx, M, np.random.default_rng(5))
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.total_depth, b.total_depth)
-        assert np.array_equal(a.clamp_count, b.clamp_count)
+        for field_a, field_b in zip(a, b, strict=True):  # sums, depths, clamp counts
+            assert np.array_equal(field_a, field_b)
 
 
 class TestBlocks:
@@ -263,11 +267,11 @@ class TestBlocks:
         p_c, p_s = np.clip((1 + bx) / 2, 0, 1), np.clip((1 + by) / 2, 0, 1)
         c = 2 * rng.binomial(n, p_c) - n
         s = 2 * rng.binomial(n, p_s) - n
-        block = sample_outcome_sums(bx[None], by[None], M, np.random.default_rng(4))
-        assert block.z.shape == (1, 50)
-        assert np.array_equal(block.z[0], c + 1j * s)
-        assert block.total_depth[0] == int(n @ np.arange(50))
-        assert block.clamp_count[0] == int(n[(bx > 1) | (by < -1)].sum())
+        sums, depth, clamps = sample_outcome_sums(bx[None], by[None], M, np.random.default_rng(4))
+        assert sums.shape == (2, 1, 50)
+        assert np.array_equal(sums[0, 0], c) and np.array_equal(sums[1, 0], s)
+        assert depth[0] == int(n @ np.arange(50))
+        assert clamps[0] == int(n[(bx > 1) | (by < -1)].sum())
 
     @pytest.mark.parametrize("kind", [*TABLE_MODELS, "edges"])
     @pytest.mark.parametrize("B", [1, 3, 130])
@@ -280,13 +284,12 @@ class TestBlocks:
         clamp_total = 0
         for M in (K + 1, 3130, 1_319_077):
             rng, ref = np.random.default_rng(M), np.random.default_rng(M)
-            sums = sample_outcome_sums(bx, by, M, rng)
-            z, depth, clamps = reference_dense(bx, by, M, ref)
-            assert same_bits(sums.z, z)
-            assert same_bits(sums.total_depth, depth)
-            assert same_bits(sums.clamp_count, clamps)
+            drawn = sample_outcome_sums(bx, by, M, rng)
+            reference = reference_dense(bx, by, M, ref)
+            for got, want in zip(drawn, reference, strict=True):  # sums, depths, clamp counts
+                assert same_bits(got, want)
             assert rng.bit_generator.state == ref.bit_generator.state
-            clamp_total += clamps.sum()
+            clamp_total += reference[2].sum()
         assert clamp_total > 0 or kind not in CLAMPING_TABLES
         rng, ref = np.random.default_rng(B), np.random.default_rng(B)
         pairs = sample_pairs(bx.ravel(), by.ravel(), rng)
@@ -302,12 +305,12 @@ class TestBlocks:
         K = 40
         bx = np.stack([np.ones(K), -np.ones(K), np.full(K, 1.5)])
         by = -bx
-        sums = sample_outcome_sums(bx, by, M, np.random.default_rng(5))
-        assert sums.z.shape == (3, K)
-        assert list(sums.z.real.sum(axis=1)) == [M, -M, M]
-        assert list(sums.z.imag.sum(axis=1)) == [-M, M, -M]
-        assert list(sums.clamp_count) == [0, 0, M]
-        assert np.all(sums.total_depth <= M * (K - 1))
+        sums, depth, clamps = sample_outcome_sums(bx, by, M, np.random.default_rng(5))
+        assert sums.shape == (2, 3, K)
+        assert list(sums[0].sum(axis=1)) == [M, -M, M]
+        assert list(sums[1].sum(axis=1)) == [-M, M, -M]
+        assert list(clamps) == [0, 0, M]
+        assert np.all(depth <= M * (K - 1))
 
     def test_rejects_three_dimensions(self):
         with pytest.raises(ValueError):
@@ -321,16 +324,16 @@ class TestHugeSampleCounts:
     def test_depth_past_int64_does_not_wrap(self):
         # the expected depth M (K - 1) / 2 = 3.5 * 2**62 is past int64
         M, K = 2 ** 62, 8
-        sums = sample_outcome_sums(np.zeros((1, K)), np.full((1, K), 0.5), M,
-                                   np.random.default_rng(11))
-        depth = sums.total_depth[0]
+        sums, depths, _ = sample_outcome_sums(np.zeros((1, K)), np.full((1, K), 0.5), M,
+                                              np.random.default_rng(11))
+        depth = depths[0]
         assert isinstance(depth, int)
         assert 2 ** 63 < depth <= M * (K - 1)
         assert depth == pytest.approx(M * (K - 1) / 2, rel=1e-6)
-        assert np.all(np.abs(sums.z.real) <= M) and abs(sums.z.imag.sum() - M / 2) < M / 10 ** 6
+        assert np.all(np.abs(sums[0]) <= M) and abs(sums[1].sum() - M / 2) < M / 10 ** 6
 
     def test_block_depths_past_int64_do_not_wrap(self):
         M, K = 2 ** 62, 8
-        sums = sample_outcome_sums(np.zeros((3, K)), np.zeros((3, K)), M,
-                                   np.random.default_rng(12))
-        assert all(isinstance(d, int) and 2 ** 63 < d <= M * (K - 1) for d in sums.total_depth)
+        depths = sample_outcome_sums(np.zeros((3, K)), np.zeros((3, K)), M,
+                                     np.random.default_rng(12))[1]
+        assert all(isinstance(d, int) and 2 ** 63 < d <= M * (K - 1) for d in depths)
