@@ -66,6 +66,13 @@ class CliConfig:
         return d
 
 
+def _finite_float(text: str) -> float:
+    """A float flag; not NaN or infinite, which the JSON echo cannot spell."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_theta(text: str):
     if text == "random":
         return "random"
@@ -276,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, epsilon_needed_for=None, delta=True, theta=None, noise=True,
                seed=True, trials=None, workers=False):
         # --epsilon is required unless epsilon_needed_for says when it is needed
-        p.add_argument("--epsilon", type=float, required=epsilon_needed_for is None,
+        p.add_argument("--epsilon", type=_finite_float, required=epsilon_needed_for is None,
                        help="target accuracy in radians" + (
                            "" if epsilon_needed_for is None else
                            f" ({epsilon_needed_for})"))
         if delta:
-            p.add_argument("--delta", type=float, default=0.1,
+            p.add_argument("--delta", type=_finite_float, default=0.1,
                            help="failure probability budget (default 0.1)")
         if theta is not None:
             p.add_argument("--theta", type=_parse_theta, default=theta,

@@ -15,16 +15,15 @@ finishes the run: one K-long complex array per run whatever M is.
 
 :func:`run_block` is the one engine: it runs B estimations at once, with one
 transform along the time axis of a (B, K) complex sum buffer.  Both regimes
-build the outcome biases by one rule, the ideal cos/sin plus the noise
-model's deviation, at a set of times: the whole grid when M > K, and only
-the distinct (run, time) cells of the drawn time indices when M <= K, where
-most times get no sample.  Only the outcome draw then differs: per-time
-counts and sums straight from the (B, K) biases
-(:func:`rfe.sampler.sample_outcome_sums`), or one c and s uniform per sample
-(:func:`rfe.sampler.sums_at_times`), so a sparse run costs O(M) work plus
-the sum buffer, the transform and the peak pick.  Where each time's sums
-sit in the buffer is decided here alone: the sampler returns plain sums.
-:func:`run_rfe` is a block of one, returning one flat :class:`TrialResult`.
+build the biases, ideal cos/sin plus the model's deviation, at the whole
+grid when M > K and only at the distinct (run, time) cells of the drawn
+times when M <= K.  Only the outcome draw then differs: per-time counts and
+sums from the (B, K) biases (:func:`rfe.sampler.sample_outcome_sums`), or
+one c and s uniform per sample (:func:`rfe.sampler.sums_at_times`), so a
+sparse run costs O(M) work plus the sum buffer, the transform and the peak
+pick.  Neither the run noise nor the (B, M) time indices live through the
+outcome draw, and the sampler returns plain sums: where they sit in the
+buffer is decided here alone.  :func:`run_rfe` is a block of one.
 
 The transform.  Below :data:`SPLIT_MIN_GRID`, and for a K with no divisor in
 (1, sqrt K], it is one ``np.fft.fft`` per row.  From there up it takes two
@@ -33,14 +32,13 @@ the sums of time k = k1 + n1 k2 at slot k1 n2 + k2 of the row
 (:func:`sum_slots`, :func:`time_order`): length-n2 FFTs along the rows of
 the (B, n1, n2) view, one product with the twiddle table W_K^(k1 j2), then
 length-n1 FFTs down its columns, all in place, which leaves f_j at slot j,
-in natural order.
-numpy's FFT keeps no plan cache, so one long transform builds its plan and
-scratch, about 1.8 MB at K = 62,832, afresh on every call; the short ones
-need little of either.  The twiddle table of the last split grid is
-cached, read-only, 16 bytes per grid index (64 MiB at K = 2**22), and built
-at that grid's first run.  ``lru_cache`` does not hold back concurrent first
-calls, so :func:`rfe.harness.monte_carlo_success` builds it before its
-threads start, and they share one table.
+in natural order.  numpy's FFT keeps no plan cache, so one long transform
+builds its plan and scratch, about 1.8 MB at K = 62,832, afresh on every
+call; the short ones need little of either.  The twiddle table of the last
+split grid is cached, read-only, 16 bytes per grid index (64 MiB at K =
+2**22), and built at that grid's first run.  ``lru_cache`` does not hold
+back concurrent first calls, so :func:`rfe.harness.monte_carlo_success`
+builds it before its threads start, and they share one table.
 
 Depth accounting: total_depth sums the drawn k_i.  Each draw executes two
 circuits (one per outcome of the pair), so the circuit count is 2M and the
@@ -160,10 +158,11 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     B runs' total depths and clamp counts.  The biases, run noise included,
     are built at every time of the grid when M > K and at the distinct
     (run, time) cells of the drawn indices when M <= K, so a run's noise at
-    a time is the same for every sample there.  The sampler returns plain
-    sums; this function alone allocates the (B, K) complex buffer, after the
+    a time is the same for every sample there, and freed before the outcome
+    draw.  This function alone allocates the (B, K) complex buffer, after the
     draw, puts the sums of time k at the slot :func:`sum_slots` gives and
-    transforms the buffer in place into the coefficients.
+    transforms it in place into the coefficients.  A Gaussian run at K =
+    2**20 peaks at 118 B per sample (M = K) or 88 B per time (M = 2K).
     ``rng`` is consumed in a fixed order:
 
     * M > K: the run noise of each run, if the model has it, then the
@@ -191,18 +190,17 @@ def run_block(thetas, samples: int, grid_size: int, noise: NoiseModel,
     if M > K:
         ks, phases, size = np.arange(K), thetas[:, None], B
     else:
-        times = draw_times(B, K, M, rng)
-        runs, ks = np.divmod(times.cells, K)
+        cells, inverse, depth = draw_times(B, K, M, rng)
+        runs, ks = np.divmod(cells, K)
         phases, size = thetas[runs], None
-    run_noise = noise.draw_run_noise(ks, rng, size)
-    bx, by = biases_at(noise, phases, ks, run_noise)
+    bx, by = biases_at(noise, phases, ks, noise.draw_run_noise(ks, rng, size))
     if M > K:
         sums, depth, clamps = sample_outcome_sums(bx, by, M, rng)
         z = np.empty((B, K), dtype=complex)
         ordered = time_order(z, twiddles)
         ordered.real[...], ordered.imag[...] = sums.reshape(2, *ordered.shape)
     else:
-        sums, depth, clamps = sums_at_times(times, bx, by, rng)
+        sums, clamps = sums_at_times(inverse, bx, by, rng)
         z = np.zeros((B, K), dtype=complex)
         flat, slots = z.reshape(-1), sum_slots(ks, twiddles) + runs * K
         flat.real[slots], flat.imag[slots] = sums
@@ -244,11 +242,12 @@ def estimate_phase(epsilon: float, delta: float, noise: NoiseModel,
                    theta: float, seed: int = 0) -> TrialResult:
     """Run with sample count and grid size certified for (epsilon, delta).
 
-    epsilon >= pi/2 returns :func:`no_sample_result` without sampling.
-    Noise at or past its threshold, or a certified count above 2**62, raises
-    :class:`rfe.bounds.BoundsUnachievable` rather than running without a
-    guarantee.
+    The phase is checked first.  epsilon >= pi/2 returns
+    :func:`no_sample_result` without sampling.  Noise at or past its
+    threshold, or a certified count above 2**62, raises
+    :class:`rfe.bounds.BoundsUnachievable` rather than running unguaranteed.
     """
+    validate_phase(theta)
     plan = bounds_report(epsilon, delta, noise)
     if plan.samples == 0:
         return no_sample_result(plan.grid_size)

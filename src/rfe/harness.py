@@ -279,9 +279,8 @@ def monte_carlo_success(plan: Union[BoundsQuery, BoundsReport], trials: int,
             theta_hat = TWO_PI * winning_frequency(coefficients) / grid
         return int(np.count_nonzero(np.abs(theta_hat - thetas) <= plan.epsilon))
 
-    if samples:
-        # the blocks' first runs would each build a split grid's table at once
-        grid_split(grid)
+    # the blocks' first runs would each build a split grid's table at once
+    grid_split(grid)
     successes = sum(thread_map(block_successes, range(blocks), workers))
     return SuccessStats(trials=trials, successes=successes, rate=successes / trials,
                         wilson_ci_95=wilson_interval(successes, trials),

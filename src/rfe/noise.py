@@ -222,7 +222,8 @@ class Gaussian(NoiseModel):
             raise ValueError("run noise needs a 1-d array of times")
         shape = (2, ks.size) if size is None else (int(size), 2, ks.size)
         eta = rng.standard_normal(shape)
-        eta *= self.scale(ks)
+        with np.errstate(over="ignore"):  # inf, which the sampler's finiteness check refuses
+            eta *= self.scale(ks)
         return eta
 
 
@@ -256,7 +257,8 @@ class Dephasing(NoiseModel):
             raise ValueError(f"t2 must be > 0, got {self.t2!r}")
 
     def biases(self, cos_k, sin_k, ks):
-        decay = np.exp(-ks / self.t2)
+        with np.errstate(over="ignore"):  # k / T2 = inf decays to 0, its limit
+            decay = np.exp(-ks / self.t2)
         return decay * cos_k, decay * sin_k
 
     def envelope(self, grid_size):
@@ -322,12 +324,12 @@ def biases_at(model: NoiseModel, theta, ks: np.ndarray,
 # {"kind": "dephasing", "t2": 100.0}
 # {"kind": "high_coherence", "t2": 1000.0}
 # Unknown keys are refused (a custom strategy has only name, eta1 and eta2),
-# and so is a boolean or a string where a number belongs.
+# and so is anything but a finite int or float where a number belongs.
 
 def _number(value) -> float:
-    """A wire-format number as a float; a boolean or a string is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    """A wire-format number as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 

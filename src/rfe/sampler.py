@@ -12,11 +12,12 @@ per-time counts, then the c and s sums in one binomial call over (2, B, K)
 likelihoods, from (B, K) bias tables, one run per row: O(K) work per run
 whatever M is, which pays when M > K.  With M <= K most times get no sample,
 so the times come first: :func:`draw_times` draws the (B, M) time indices
-and finds the distinct (run, time) cells among them, the caller evaluates
-the biases at those cells only (and draws any run noise there, so repeated
-times in a run share it), and :func:`sums_at_times` draws one outcome pair
-per sample and sums them per cell: O(M) work.  Either draw returns its sums
-as plain integer or float arrays; where they go for the transform is the
+and returns the distinct (run, time) cells among them, each sample's cell
+and the runs' depths, but not the indices; the caller evaluates the biases
+at those cells only (and draws any run noise there, so repeated times in a
+run share it), and :func:`sums_at_times` draws one outcome pair per sample
+and sums them per cell: O(M) work.  Every return is a plain integer or
+float array or a tuple of them; where the sums go for the transform is the
 estimator's business.
 
 Biases outside [-1, 1] make the raw probabilities non-physical; they are
@@ -28,8 +29,6 @@ regime.  The clamp passes run only when a probability leaves [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 # A probability changed by more than this during clamping counts as a clamp
@@ -83,42 +82,31 @@ def _total_depths(n: np.ndarray, samples: int) -> np.ndarray:
                     dtype=object)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledTimes:
-    """The time indices of B runs of M samples each, and the distinct
-    (run, time) cells among them."""
-
-    ks: np.ndarray  # (B, M) time indices
-    cells: np.ndarray  # sorted distinct flat cells b * K + k
-    inverse: np.ndarray  # (B * M,) position in ``cells`` of each sample, run by run
-
-
-def draw_times(runs: int, grid_size: int, samples: int,
-               rng: np.random.Generator) -> SampledTimes:
+def draw_times(runs: int, grid_size: int, samples: int, rng: np.random.Generator):
     """Draw ``samples`` uniform time indices on {0, ..., K-1} for each of
-    ``runs`` runs, one (B, M) integer draw, and find their distinct cells."""
+    ``runs`` runs, one (B, M) integer draw, and return (cells, inverse,
+    total_depth): the sorted distinct flat cells b K + k among them, the
+    (B, M) position in ``cells`` of each sample, and the B runs' depths.
+    The indices themselves are not kept past their depth sums."""
     B, K = int(runs), int(grid_size)
-    ks = rng.integers(0, K, size=(B, int(samples)))
-    flat = ks + K * np.arange(B)[:, None]
+    flat = rng.integers(0, K, size=(B, int(samples)))
+    depth = flat.sum(axis=1)
+    flat += K * np.arange(B)[:, None]
     cells, inverse = np.unique(flat.ravel(), return_inverse=True)
-    return SampledTimes(ks=ks, cells=cells, inverse=inverse)
+    return cells, inverse.reshape(flat.shape), depth
 
 
-def sums_at_times(times: SampledTimes, bx, by, rng: np.random.Generator):
-    """Draw one outcome pair per sample of ``times`` and return (sums,
-    total_depth, clamp_count): the c and s sums at each of ``times.cells``
-    as a pair of float arrays, and the B runs' depths and clamp counts.
-
-    ``bx`` and ``by`` hold the unclamped biases at ``times.cells``, one per
-    cell; every sample at a cell reads that cell's entry through
-    ``times.inverse``.  The uniforms are consumed as :func:`sample_pairs`
-    does, sample by sample in run order.
-    """
-    c, s, clamped = sample_pairs(bx[times.inverse], by[times.inverse], rng)
-    count = times.cells.size
-    sums = (np.bincount(times.inverse, weights=c, minlength=count),
-            np.bincount(times.inverse, weights=s, minlength=count))
-    return sums, times.ks.sum(axis=1), clamped.reshape(times.ks.shape).sum(axis=1)
+def sums_at_times(inverse: np.ndarray, bx, by, rng: np.random.Generator):
+    """Draw one outcome pair per sample of :func:`draw_times` and return
+    (sums, clamp_count): the c and s sums at each of its cells as a pair of
+    float arrays, and the B runs' clamp counts.  ``bx`` and ``by`` hold the
+    unclamped biases at the cells; every sample reads its cell's entry
+    through the (B, M) ``inverse``.  The uniforms are consumed as
+    :func:`sample_pairs` does, sample by sample in run order."""
+    flat = inverse.reshape(-1)
+    c, s, clamped = sample_pairs(bx[flat], by[flat], rng)
+    sums = tuple(np.bincount(flat, weights=w, minlength=len(bx)) for w in (c, s))
+    return sums, clamped.reshape(inverse.shape).sum(axis=1)
 
 
 def sample_outcome_sums(bx, by, samples: int, rng: np.random.Generator):

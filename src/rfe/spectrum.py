@@ -129,13 +129,17 @@ def clipped_normal_moments(b, sigma) -> tuple[np.ndarray, np.ndarray]:
     noisy = sigma > 0.0
     if noisy.any():
         s, a, c = sigma[noisy], a[noisy], c[noisy]
-        lo, hi = a / s, c / s
-        below, above = _normal_tail(-lo), _normal_tail(hi)
-        dens_lo = np.exp(-0.5 * lo * lo) / math.sqrt(TWO_PI)
-        dens_hi = np.exp(-0.5 * hi * hi) / math.sqrt(TWO_PI)
-        mean = a * below + c * above + s * (dens_lo - dens_hi)
-        square = (a * a * below + c * c * above
-                  + s * s * (1.0 - below - above + lo * dens_lo - hi * dens_hi))
+        # a / s overflows for a subnormal sigma, and s * s past sigma ~ 1e154,
+        # where the variance reads 0.  The normal's tail and density are 0 in
+        # floats past |x| = 40, so the clip there keeps x phi(x) off inf * 0.
+        with np.errstate(over="ignore"):
+            lo, hi = np.clip(a / s, -40.0, 40.0), np.clip(c / s, -40.0, 40.0)
+            below, above = _normal_tail(-lo), _normal_tail(hi)
+            dens_lo = np.exp(-0.5 * lo * lo) / math.sqrt(TWO_PI)
+            dens_hi = np.exp(-0.5 * hi * hi) / math.sqrt(TWO_PI)
+            mean = a * below + c * above + s * (dens_lo - dens_hi)
+            square = (a * a * below + c * c * above
+                      + s * s * (1.0 - below - above + lo * dens_lo - hi * dens_hi))
         shift[noisy] = mean
         variance[noisy] = np.maximum(square - mean * mean, 0.0)
     return b + shift, variance

@@ -147,6 +147,33 @@ class TestRun:
         assert payload["result"]["spectrum"]["samples_used"] > 0
         assert CliConfig(**payload["config"]).to_dict() == payload["config"]
 
+    @pytest.mark.parametrize("theta", ["inf", "nan", "1e308"])
+    def test_wide_target_refuses_a_phase_out_of_range(self, capsys, theta):
+        # epsilon >= pi/2 needs no samples; the phase was once passed through
+        # unchecked, printing "theta_true": Infinity, which is not JSON
+        code, out, err = run_cli(capsys, "run", "--epsilon", "3", "--theta", theta)
+        assert code == 2 and out == ""
+        assert err.startswith("error: phase must lie in [0, 2*pi)")
+
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "inf"), ("--epsilon", "nan"),
+                                            ("--delta", "inf"), ("--delta", "-inf")])
+    def test_non_finite_epsilon_or_delta_is_refused(self, capsys, flag, value):
+        # with --samples and --grid neither is planned with, and both were
+        # once echoed into the config as Infinity or NaN, which is not JSON
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--epsilon", "0.1", "--samples", "10", "--grid", "8",
+                  "--theta", "1.0", f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+
+    def test_infinite_t2_is_refused(self, capsys):
+        # Dephasing(inf) is ideal noise, but the config would echo it as
+        # Infinity, which is not JSON
+        code, out, err = run_cli(capsys, "bounds", "--epsilon", "1.5",
+                                 "--noise", '{"kind": "dephasing", "t2": Infinity}')
+        assert code == 2 and out == ""
+        assert err.startswith("error: expected a finite number")
+
     def test_random_theta_deterministic(self, capsys):
         _, out_a, _ = run_cli(capsys, "run", "--epsilon", "0.3", "--delta", "0.2",
                               "--theta", "random", "--seed", "9")

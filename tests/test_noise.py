@@ -162,6 +162,13 @@ class TestZeroParameterReductions:
                 assert np.max(np.abs(bx - ix)) <= 1e-12
                 assert np.max(np.abs(by - iy)) <= 1e-12
 
+    def test_dephasing_decay_past_the_float_range_is_zero(self):
+        # k / T2 overflows for T2 = 5e-323, once with a RuntimeWarning on
+        # stderr; the decay is its limit, 0, past k = 0
+        bx, by = biases_at(Dephasing(5e-323), 1.0, np.arange(63))
+        assert bx[0] == 1.0 and by[0] == 0.0
+        assert not bx[1:].any() and not by[1:].any()
+
     def test_dephasing_deviation_envelope(self):
         # |bias - ideal| <= 1 - exp(-K/T2) for every k <= K
         for t2 in (20.0, 100.0, 1e6):
@@ -366,6 +373,17 @@ class TestJsonWireFormat:
                      "strategy": {"name": "custom", "eta1": 0.0, "eta2": [0.0]}}):
             with pytest.raises(ValueError):
                 noise_from_dict(bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_numbers_are_refused(self, bad):
+        # Dephasing(inf) is ideal noise, but JSON has no Infinity: read from
+        # the wire, it once wrote back a config that no strict parser reads
+        for data in ({"kind": "dephasing", "t2": bad}, {"kind": "high_coherence", "t2": bad},
+                     {"kind": "gaussian", "sigma": bad}, {"kind": "ban", "eta_bar": bad},
+                     {"kind": "ban", "eta_bar": 0.05,
+                      "strategy": {"name": "custom", "eta1": [bad], "eta2": [0.0]}}):
+            with pytest.raises(ValueError, match="finite"):
+                noise_from_dict(data)
 
     def test_wire_format_literals(self):
         table = DeviationTable(eta1=np.array([0.01, -0.02]), eta2=np.array([0.0, 0.02]))

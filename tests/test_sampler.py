@@ -25,11 +25,10 @@ def sparse_sums(bx, by, samples, rng):
     per-cell sums are spread to (2, B, K), as sample_outcome_sums returns
     them."""
     B, K = np.shape(bx)
-    times = draw_times(B, K, samples, rng)
-    cell_sums, depth, clamps = sums_at_times(times, np.ravel(bx)[times.cells],
-                                             np.ravel(by)[times.cells], rng)
+    cells, inverse, depth = draw_times(B, K, samples, rng)
+    cell_sums, clamps = sums_at_times(inverse, np.ravel(bx)[cells], np.ravel(by)[cells], rng)
     sums = np.zeros((2, B * K))
-    sums[:, times.cells] = cell_sums
+    sums[:, cells] = cell_sums
     return sums.reshape(2, B, K), depth, clamps
 
 
@@ -194,15 +193,15 @@ class TestInputChecks:
         # one bad entry of a (3, 63) table, for both regimes and sample_pairs;
         # the generator is left as it was
         rng = np.random.default_rng(13)
-        times = draw_times(3, 63, 63, rng)
+        drawn, inverse, _ = draw_times(3, 63, 63, rng)
         tables = np.zeros((2, 3, 63))
-        cells = np.zeros((2, times.cells.size))
+        cells = np.zeros((2, drawn.size))
         for values in (tables[table].reshape(-1), cells[table]):
             values[{"first": 0, "middle": values.size // 2, "last": -1}[where]] = bad
         state = rng.bit_generator.state
         draws = [lambda M=M: sample_outcome_sums(tables[0], tables[1], M, rng)
                  for M in (64, 10 ** 6)]
-        draws += [lambda: sums_at_times(times, cells[0], cells[1], rng),
+        draws += [lambda: sums_at_times(inverse, cells[0], cells[1], rng),
                   lambda: sample_pairs(tables[0].ravel(), tables[1].ravel(), rng)]
         for draw in draws:
             with pytest.raises(ValueError, match="finite"):

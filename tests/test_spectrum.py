@@ -326,6 +326,17 @@ class TestExpectedCoefficients:
             assert mean[i] == pytest.approx(q_mean, rel=1e-7, abs=1e-12)
             assert variance[i] == pytest.approx(q_variance, rel=1e-6)
 
+    def test_sigmas_at_the_ends_of_the_float_range_warn_nothing(self):
+        # a / sigma overflows for a subnormal sigma and sigma * sigma for a
+        # huge one, once with RuntimeWarnings; the means are the ideal
+        # biases' and a fair +-1's
+        ideal = expected_coefficients(Ideal(), 1.0, 63)[0]
+        for model in (Gaussian(5e-324), GaussianLinear(5e-324)):
+            mean, var_mu = expected_coefficients(model, 1.0, 63)
+            assert np.abs(mean - ideal).max() < 1e-15 and var_mu == 0.0
+        mean, var_mu = expected_coefficients(Gaussian(1e307), 1.0, 63)
+        assert np.abs(mean).max() < 1e-15 and var_mu == 0.0
+
     def test_zero_sigma_is_the_clip(self):
         b = np.array([-1.5, -1.0, -0.3, 0.0, 0.7, 1.0, 1.2])
         mean, variance = clipped_normal_moments(b, 0.0)
